@@ -43,7 +43,8 @@ def _emit_csv(args, header: str, rows: list[str]) -> None:
 
 
 def _mat_json(m: Mat2) -> list[list[str]]:
-    return json.loads(m.to_json())
+    a11, a12, a21, a22 = (str(x) for x in m.entries())
+    return [[a11, a12], [a21, a22]]
 
 
 def _parse_classes(text: str) -> list[Partition]:
@@ -301,7 +302,6 @@ def _cmd_surface_certify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fig8")
     parser.add_argument("--output", help="write the artifact to this path instead of stdout")
-    parser.add_argument("--threads", type=int, default=1, help="worker hint; output is identical")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("census", help="one-double-point geodesic census (CSV)")

@@ -12,6 +12,7 @@ All permutations compose on the right: (sigma * tau)(i) = tau(sigma(i)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,7 +26,7 @@ from .perms import (
     commutator,
     frobenius_count,
 )
-from .words import Word
+from .words import Word, evaluate
 
 
 class CoverError(ValueError):
@@ -114,13 +115,9 @@ class ExtendDecision:
         """Check the defining relation prod [a_i, b_i] * prod gamma_j = e."""
         if not self.extends:
             return True
-        n = self.boundaries[0].degree
-        product = Permutation.identity(n)
-        for a, b in self.handles:
-            product = product * commutator(a, b)
-        for g in self.boundaries:
-            product = product * g
-        return product == Permutation.identity(n)
+        identity = Permutation.identity(self.boundaries[0].degree)
+        factors = [commutator(a, b) for a, b in self.handles] + list(self.boundaries)
+        return math.prod(factors, start=identity) == identity
 
 
 def _boundary_tuples(classes: tuple[Partition, ...], target_product: bool, exhaustive: bool):
@@ -191,9 +188,7 @@ def extends_cover(spec: CoverSpec, transitive: bool = False) -> ExtendDecision:
         if spec.genus == 0:
             handles = ()
         else:
-            product = identity
-            for g in boundaries:
-                product = product * g
+            product = math.prod(boundaries, start=identity)
             alpha, beta = commutator_witness(product.inverse())
             handles = ((alpha, beta),) + ((identity, identity),) * (spec.genus - 1)
         return ExtendDecision(True, reason, handles, tuple(boundaries))
@@ -265,25 +260,12 @@ def strip_cover(sigma: Permutation, tau: Permutation) -> StripCover:
     return StripCover(n, sigma, tau, boundary, components, genus)
 
 
-def eval_word_perm(word: Word, assignment: dict[str, Permutation]) -> Permutation:
-    """Monodromy image of a word; uppercase letters map to inverses."""
-    degrees = {g.degree for g in assignment.values()}
-    if len(degrees) != 1:
-        raise CoverError("assigned permutations must share one degree")
-    result = Permutation.identity(degrees.pop())
-    for ch in word.letters:
-        g = assignment.get(ch.lower())
-        if g is None:
-            raise CoverError(f"generator {ch.lower()!r} not assigned")
-        result = result * (g if ch.islower() else g.inverse())
-    return result
-
-
 def boundary_lift_components(
     assignment: dict[str, Permutation], boundary_words: list[Word]
 ) -> list[int]:
     """Connected components of each boundary preimage = cycles of its image."""
-    return [eval_word_perm(w, assignment).cycle_count() for w in boundary_words]
+    identity = Permutation.identity(next(iter(assignment.values())).degree)
+    return [evaluate(w, assignment, identity).cycle_count() for w in boundary_words]
 
 
 @dataclass(frozen=True)
@@ -397,9 +379,7 @@ def regular_extends(spec: CoverSpec, budget: int = 8) -> RegularDecision:
 
     identity = Permutation.identity(n)
     for boundaries in boundary_tuples(0, ()):
-        product = identity
-        for g in boundaries:
-            product = product * g
+        product = math.prod(boundaries, start=identity)
         if spec.genus == 0:
             if product != identity:
                 continue
@@ -449,7 +429,7 @@ def stallings_excluding_subgroup(w: Word) -> StallingsRep:
         for s, t in images:
             perm[s] = t
         assignment[gen] = Permutation(tuple(perm))
-    image = eval_word_perm(w, assignment)
+    image = evaluate(w, assignment, Permutation.identity(d))
     if image(1) == 1:
         raise CoverError("completion failed to move the basepoint")
     return StallingsRep(d, assignment)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .resfin import primes
-from .words import FREE_RANK2, Word
+from .words import FREE_RANK2, Word, evaluate
 
 _VARS = {"a": "x", "b": "y"}
 
@@ -102,11 +102,7 @@ def magnus_expand(w: Word, depth: int) -> MagnusSeries:
     if w.gens != FREE_RANK2:
         raise MagnusError("Magnus expansion is implemented for the rank-2 free group")
     images = {g: MagnusSeries.generator(v, depth) for g, v in _VARS.items()}
-    inverses = {g: s.inverse() for g, s in images.items()}
-    result = MagnusSeries.one(depth)
-    for ch in w.letters:
-        result = result * (images[ch] if ch.islower() else inverses[ch.lower()])
-    return result
+    return evaluate(w, images, MagnusSeries.one(depth))
 
 
 def lcs_depth(w: Word, max_k: int = 8) -> int | None:

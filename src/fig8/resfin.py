@@ -14,8 +14,8 @@ import string
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .sl2 import SANOV_A, SANOV_B, Mat2, eval_word
-from .words import Word, random_reduced_word
+from .sl2 import SANOV_A, SANOV_B, Mat2
+from .words import Word, evaluate, random_reduced_word
 
 SANOV_ASSIGNMENT = {"a": SANOV_A, "b": SANOV_B}
 
@@ -41,7 +41,7 @@ def sanov_eval(w: Word) -> Mat2:
     The Sanov pair generates a free group, so the image is the identity iff
     w freely reduces to the empty word.
     """
-    return eval_word(w, SANOV_ASSIGNMENT)
+    return evaluate(w, SANOV_ASSIGNMENT, Mat2.identity())
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,10 @@ crossings per double point.
 
 Candidate conjugators g are collected by a breadth-first search over the
 group kept inside a metric neighborhood of the fundamental segment of the
-axis; the neighborhood radius is half the translation length plus a
-margin, which suffices because every crossing lift has a coset
+axis; the neighborhood radius is half the translation length plus
+MARGIN, which suffices because every crossing lift has a coset
 representative whose orbit point lands within half a period of the
-crossing.  A radius-stability assertion (margin + 2 yields the same count)
+crossing.  A radius-stability assertion (MARGIN + 2 yields the same count)
 guards the cutoff at runtime.
 """
 
@@ -20,10 +20,11 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from .sl2 import Mat2, eval_word
-from .words import Word
+from .sl2 import Mat2
+from .words import Word, evaluate
 
 TOL = 1e-9
+MARGIN = 2.0
 
 # Fuchsian generators of the modular torus group (commutator is parabolic).
 TORUS_X = Mat2(1, 1, 1, 2)
@@ -46,7 +47,7 @@ def _mobius(m: Mat2, z: complex) -> complex:
     return (m.a11 * z + m.a12) / (m.a21 * z + m.a22)
 
 
-def self_intersection(w: Word, margin: float = 2.0) -> int:
+def self_intersection(w: Word) -> int:
     """Number of double points of the closed geodesic of w on the modular torus.
 
     Requires w cyclically reduced, hyperbolic and not a proper power.
@@ -57,7 +58,7 @@ def self_intersection(w: Word, margin: float = 2.0) -> int:
         raise SelfIntersectionError("word must be cyclically reduced")
     if w.is_proper_power():
         raise SelfIntersectionError("word is a proper power")
-    big_w = eval_word(w, MODULAR_ASSIGNMENT)
+    big_w = evaluate(w, MODULAR_ASSIGNMENT, Mat2.identity())
     trace = big_w.trace
     if abs(trace) <= 2:
         raise SelfIntersectionError(f"trace {trace}: word is not hyperbolic")
@@ -66,7 +67,7 @@ def self_intersection(w: Word, margin: float = 2.0) -> int:
     if c == 0:
         # conjugate once to move the axis off infinity
         conj = Word("a" + w.letters + "A", w.gens).cyclically_reduced()
-        return self_intersection(conj, margin)
+        return self_intersection(conj)
     disc = math.sqrt(trace * trace - 4)
     p1 = ((a - d) + disc) / (2 * c)
     p2 = ((a - d) - disc) / (2 * c)
@@ -91,7 +92,7 @@ def self_intersection(w: Word, margin: float = 2.0) -> int:
         ch = 1.0 + (x * x + (y - t) ** 2) / (2.0 * y * t)
         return math.acosh(max(ch, 1.0))
 
-    radius = period / 2.0 + margin
+    radius = period / 2.0 + MARGIN
     radius_wide = radius + 2.0
 
     identity = Mat2.identity()

@@ -7,11 +7,8 @@ trace/length conversions use floats with a documented 1e-9 tolerance.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-
-from .words import Word
 
 TOL = 1e-9
 
@@ -93,29 +90,6 @@ class Mat2:
 
     def max_entry(self) -> int:
         return max(abs(x) for x in self.entries())
-
-    def to_json(self) -> str:
-        return json.dumps([[str(self.a11), str(self.a12)], [str(self.a21), str(self.a22)]])
-
-    @classmethod
-    def from_json(cls, text: str, modulus: int | None = None) -> "Mat2":
-        rows = json.loads(text)
-        return cls(int(rows[0][0]), int(rows[0][1]), int(rows[1][0]), int(rows[1][1]), modulus)
-
-
-def eval_word(word: Word, assignment: dict[str, Mat2]) -> Mat2:
-    """Product of assigned matrices in word order; uppercase letters are inverses."""
-    moduli = {m.modulus for m in assignment.values()}
-    if len(moduli) > 1:
-        raise Sl2Error("all assigned matrices must share one modulus")
-    modulus = moduli.pop() if moduli else None
-    result = Mat2.identity(modulus)
-    for ch in word.letters:
-        gen = assignment.get(ch.lower())
-        if gen is None:
-            raise Sl2Error(f"generator {ch.lower()!r} not assigned")
-        result = result * (gen if ch.islower() else gen.inverse())
-    return result
 
 
 def trace_third(t_a: float, t_b: float, t_ab: float) -> float:

@@ -2,11 +2,13 @@
 
 A word is a string over lowercase generators and their uppercase inverses
 (a <-> A, b <-> B, ...).  Words are freely reduced on construction and the
-unreduced input is never retained.
+unreduced input is never retained.  ``evaluate`` sends a word into any
+group through the images of its generators.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -92,6 +94,20 @@ class Word:
         return tuple(
             self.letters.count(g) - self.letters.count(g.upper()) for g in self.gens
         )
+
+
+def evaluate(word: Word, images: dict, identity):
+    """Image of ``word`` under the homomorphism given by ``images``.
+
+    ``images`` maps each lowercase generator to a group element; uppercase
+    letters map to inverses.  Elements need only ``*`` and ``inverse()``, and
+    ``identity`` is the image of the empty word.  Letters fold left to right.
+    """
+    missing = set(word.letters.lower()) - images.keys()
+    if missing:
+        raise WordError(f"generators {sorted(missing)} have no image")
+    table = {**images, **{g.upper(): x.inverse() for g, x in images.items()}}
+    return math.prod(map(table.__getitem__, word.letters), start=identity)
 
 
 def random_reduced_word(rng: random.Random, max_len: int, gens: str = FREE_RANK2) -> Word:

@@ -7,7 +7,6 @@ from fig8.covers import (
     CoverSpec,
     boundary_lift_components,
     commutator_witness,
-    eval_word_perm,
     extends_cover,
     regular_extends,
     stallings_excluding_subgroup,
@@ -22,7 +21,7 @@ from fig8.perms import (
     commutator,
     partitions_of,
 )
-from fig8.words import Word
+from fig8.words import Word, evaluate
 
 
 def test_cover_spec_validation():
@@ -154,7 +153,7 @@ def test_boundary_lift_fourfold_composition():
     a = Permutation.parse("(1 2)(3 4)", 4)
     b = Permutation.parse("(1 3)(2 4)", 4)
     counts = boundary_lift_components({"a": a, "b": b}, [Word("a"), Word("b"), Word("BA")])
-    image_c = eval_word_perm(Word("BA"), {"a": a, "b": b})
+    image_c = evaluate(Word("BA"), {"a": a, "b": b}, Permutation.identity(4))
     assert counts[2] == image_c.cycle_count()
 
 
@@ -207,7 +206,7 @@ def test_stallings_examples_and_properties():
     assert rep.degree == 3 and str(rep.assignment["a"]) == "(1 2 3)"
     rep = stallings_excluding_subgroup(Word("abAB"))
     assert rep.degree <= 5
-    assert eval_word_perm(Word("abAB"), rep.assignment)(1) != 1
+    assert evaluate(Word("abAB"), rep.assignment, Permutation.identity(rep.degree))(1) != 1
     with pytest.raises(CoverError):
         stallings_excluding_subgroup(Word(""))
 
@@ -222,4 +221,4 @@ def test_stallings_random_words():
         w = random_reduced_word(rng, 25)
         rep = stallings_excluding_subgroup(w)
         assert rep.degree <= len(w) + 1
-        assert eval_word_perm(w, rep.assignment)(1) != 1
+        assert evaluate(w, rep.assignment, Permutation.identity(rep.degree))(1) != 1

@@ -7,8 +7,8 @@ from fig8.selfint import (
     SelfIntersectionError,
     self_intersection,
 )
-from fig8.sl2 import eval_word
-from fig8.words import Word
+from fig8.sl2 import Mat2
+from fig8.words import Word, evaluate
 
 
 def test_modular_torus_generators():
@@ -25,9 +25,9 @@ def test_simple_words_have_no_double_point():
 
 
 def test_one_double_point_words():
-    assert eval_word(Word("aabAB"), MODULAR_ASSIGNMENT).trace == -9
+    assert evaluate(Word("aabAB"), MODULAR_ASSIGNMENT, Mat2.identity()).trace == -9
     assert self_intersection(Word("aabAB")) == 1
-    assert eval_word(Word("ABAb"), MODULAR_ASSIGNMENT).trace == 11
+    assert evaluate(Word("ABAb"), MODULAR_ASSIGNMENT, Mat2.identity()).trace == 11
     assert self_intersection(Word("ABAb")) == 1
 
 
@@ -37,6 +37,11 @@ def test_invariance_under_inverse_and_cyclic_rotation():
         assert self_intersection(w.inverse()) == self_intersection(w)
         rotated = Word(letters[1:] + letters[0])
         assert self_intersection(rotated) == self_intersection(w)
+
+
+@pytest.mark.xfail(strict=True, reason="float crossing counter is not rotation invariant: 4 vs 5")
+def test_rotation_invariance_of_length8_word():
+    assert self_intersection(Word("BBaBBaaa")) == self_intersection(Word("BaBBaaaB"))
 
 
 def test_rejects_bad_inputs():

@@ -2,7 +2,23 @@ import random
 
 import pytest
 
-from fig8.words import Word, WordError, free_reduce, random_reduced_word
+from fig8.magnus import MagnusSeries
+from fig8.perms import Permutation
+from fig8.sl2 import SANOV_A, SANOV_B, Mat2
+from fig8.words import Word, WordError, evaluate, free_reduce, random_reduced_word
+
+BACKENDS = {
+    "sanov": ({"a": SANOV_A, "b": SANOV_B}, Mat2.identity()),
+    "sanov mod 7": ({"a": SANOV_A.reduce_mod(7), "b": SANOV_B.reduce_mod(7)}, Mat2.identity(7)),
+    "S5": (
+        {"a": Permutation.parse("(1 2 3 4 5)", 5), "b": Permutation.parse("(1 2)(3 5)", 5)},
+        Permutation.identity(5),
+    ),
+    "magnus depth 4": (
+        {"a": MagnusSeries.generator("x", 4), "b": MagnusSeries.generator("y", 4)},
+        MagnusSeries.one(4),
+    ),
+}
 
 
 def test_free_reduce():
@@ -67,3 +83,18 @@ def test_random_word_determinism():
     a = [random_reduced_word(random.Random(7), 20).letters for _ in range(1)]
     b = [random_reduced_word(random.Random(7), 20).letters for _ in range(1)]
     assert a == b
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_evaluate_is_a_homomorphism(backend):
+    images, identity = BACKENDS[backend]
+    rng = random.Random(2009)
+    assert evaluate(Word(""), images, identity) == identity
+    for _ in range(30):
+        u = random_reduced_word(rng, 15)
+        v = random_reduced_word(rng, 15)
+        eu, ev = evaluate(u, images, identity), evaluate(v, images, identity)
+        assert evaluate(u * v, images, identity) == eu * ev
+        assert evaluate(u.inverse(), images, identity) == eu.inverse()
+    with pytest.raises(WordError):
+        evaluate(Word("ac", "abcd"), images, identity)
