@@ -53,7 +53,7 @@ def _parse_classes(text: str) -> list[Partition]:
 
 def _parse_root(text: str) -> torus.TraceTriple:
     x, y, z = (float(v) for v in text.split(","))
-    return torus.TraceTriple(x, y, z)
+    return torus.TraceTriple(x, y, z).check()
 
 
 def _word(text: str, gens: str) -> Word:
@@ -82,7 +82,7 @@ def _cmd_census(args) -> int:
 def _cmd_mcshane(args) -> int:
     root = _parse_root(args.root)
     records = torus.enumerate_simple(root, args.cutoff)
-    total = torus.mcshane_sum(root, args.cutoff, args.form)
+    total = torus.mcshane_sum(records, args.form)
     _emit_json(
         args,
         {
@@ -97,11 +97,11 @@ def _cmd_mcshane(args) -> int:
 
 def _cmd_mc2(args) -> int:
     root = _parse_root(args.root)
-    terms = 2 * len(torus.enumerate_simple(root, args.cutoff / 3.0))
-    total = torus.mc2_sum(root, args.cutoff)
+    simples = torus.enumerate_simple(root, args.cutoff / 3.0)
+    total = torus.mc2_sum(simples)
     _emit_json(
         args,
-        {"cutoff": args.cutoff, "partial_sum": float(_fmt(total)), "terms": terms},
+        {"cutoff": args.cutoff, "partial_sum": float(_fmt(total)), "terms": 2 * len(simples)},
     )
     return 0
 

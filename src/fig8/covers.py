@@ -12,15 +12,16 @@ All permutations compose on the right: (sigma * tau)(i) = tau(sigma(i)).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .perms import (
     Partition,
     PermError,
     Permutation,
     all_permutations,
+    class_elements,
     class_parity,
     class_representative,
     commutator,
@@ -52,18 +53,13 @@ class CoverSpec:
         return self.boundary_classes[0].n
 
 
-@lru_cache(maxsize=None)
-def _n_cycles(n: int) -> tuple[Permutation, ...]:
-    return tuple(g for g in all_permutations(n) if g.cycle_type() == Partition((n,)))
-
-
 def two_n_cycles(sigma: Permutation) -> tuple[Permutation, Permutation]:
     """n-cycles c1, c2 with c1 * c2 = sigma; exists for every even permutation."""
     if not sigma.is_even():
         raise PermError(f"{sigma} is odd: not a product of two n-cycles of equal parity")
     n = sigma.degree
     full = Partition((n,))
-    for c1 in _n_cycles(n):
+    for c1 in class_elements(full):
         c2 = c1.inverse() * sigma
         if c2.cycle_type() == full:
             if (c1 * c2) != sigma:
@@ -121,15 +117,13 @@ class ExtendDecision:
 
 
 def _boundary_tuples(classes: tuple[Partition, ...], target_product: bool, exhaustive: bool):
-    """Backtracking over boundary images; first class fixed by conjugacy.
+    """Boundary image tuples in product order; first class fixed by conjugacy.
 
     With target_product, only tuples multiplying to the identity are
     yielded (the last factor is forced, not searched).  Without it a single
     representative tuple suffices unless ``exhaustive`` asks for all
     choices (used by the transitive witness search).
     """
-    from .perms import class_elements
-
     first = class_representative(classes[0])
     if len(classes) == 1:
         if not target_product or first == Permutation.identity(first.degree):
@@ -137,25 +131,15 @@ def _boundary_tuples(classes: tuple[Partition, ...], target_product: bool, exhau
         return
 
     if target_product:
-        pools = [class_elements(c) for c in classes[1:-1]]
+        for middle in itertools.product(*map(class_elements, classes[1:-1])):
+            forced = math.prod(middle, start=first).inverse()
+            if forced.cycle_type() == classes[-1]:
+                yield (first, *middle, forced)
     elif exhaustive:
-        pools = [class_elements(c) for c in classes[1:]]
+        for rest in itertools.product(*map(class_elements, classes[1:])):
+            yield (first, *rest)
     else:
-        pools = [[class_representative(c)] for c in classes[1:]]
-
-    def rec(i, chosen, product):
-        if i == len(pools):
-            if target_product:
-                forced = product.inverse()
-                if forced.cycle_type() == classes[-1]:
-                    yield chosen + (forced,)
-            else:
-                yield chosen
-            return
-        for g in pools[i]:
-            yield from rec(i + 1, chosen + (g,), product * g)
-
-    yield from rec(0, (first,), first)
+        yield (first, *map(class_representative, classes[1:]))
 
 
 def extends_cover(spec: CoverSpec, transitive: bool = False) -> ExtendDecision:
@@ -328,27 +312,21 @@ def _handle_assignment(group: set[Permutation], genus: int, target, must_generat
     """Handle pairs in the group whose commutator product hits the target.
 
     Requires the chosen handles together with ``must_generate_with`` to
-    generate the whole group.  Exhaustive with subgroup-state pruning.
+    generate the whole group.  Exhaustive over genus-tuples of pairs in
+    product order, without pruning; returns the first hit or None.
     """
     n = target.degree
+    identity = Permutation.identity(n)
     elements = sorted(group, key=lambda g: g.images)
-    pairs = [(a, b) for a in elements for b in elements]
-
-    def rec(level, product, chosen):
-        if level == genus:
-            if product != target:
-                return None
-            generated = _subgroup_closure(list(must_generate_with) + [g for p in chosen for g in p], n)
-            if generated is not None and len(generated) == len(group):
-                return chosen
-            return None
-        for a, b in pairs:
-            found = rec(level + 1, product * commutator(a, b), chosen + ((a, b),))
-            if found is not None:
-                return found
-        return None
-
-    return rec(0, Permutation.identity(n), ())
+    pairs = [((a, b), commutator(a, b)) for a in elements for b in elements]
+    for chosen in itertools.product(pairs, repeat=genus):
+        if math.prod((c for _, c in chosen), start=identity) != target:
+            continue
+        handles = tuple(pair for pair, _ in chosen)
+        generated = _subgroup_closure(list(must_generate_with) + [g for p in handles for g in p], n)
+        if generated is not None and len(generated) == len(group):
+            return handles
+    return None
 
 
 def regular_extends(spec: CoverSpec, budget: int = 8) -> RegularDecision:
@@ -359,26 +337,16 @@ def regular_extends(spec: CoverSpec, budget: int = 8) -> RegularDecision:
     weakest faithful reading): the boundary images lie in an order-n
     subgroup whose handle images absorb the boundary product as a product
     of genus commutators, the whole assignment generating the subgroup.
-    Exhaustive backtracking, first class fixed to its representative;
+    Exhaustive search in product order, first class fixed to its representative;
     degrees above the budget return "unknown".
     """
-    from .perms import class_elements
-
     n = spec.degree
     if n > budget or spec.genus > 4:
         return RegularDecision("unknown", None)
     classes = spec.boundary_classes
-    pools = [[class_representative(classes[0])]] + [class_elements(c) for c in classes[1:]]
-
-    def boundary_tuples(i, chosen):
-        if i == len(pools):
-            yield chosen
-            return
-        for g in pools[i]:
-            yield from boundary_tuples(i + 1, chosen + (g,))
-
+    pools = [(class_representative(classes[0]),), *map(class_elements, classes[1:])]
     identity = Permutation.identity(n)
-    for boundaries in boundary_tuples(0, ()):
+    for boundaries in itertools.product(*pools):
         product = math.prod(boundaries, start=identity)
         if spec.genus == 0:
             if product != identity:

@@ -232,9 +232,13 @@ def all_permutations(n: int):
         yield Permutation(images)
 
 
-def class_elements(p: Partition) -> list[Permutation]:
-    """All permutations of cycle type p (exhaustive; intended for small n)."""
-    return [g for g in all_permutations(p.n) if g.cycle_type() == p]
+@lru_cache(maxsize=None)
+def class_elements(p: Partition) -> tuple[Permutation, ...]:
+    """All permutations of cycle type p, in lexicographic order of images.
+
+    Exhaustive and cached; intended for small n.
+    """
+    return tuple(g for g in all_permutations(p.n) if g.cycle_type() == p)
 
 
 def class_representative(p: Partition) -> Permutation:

@@ -48,7 +48,8 @@ class TraceTriple:
     z: float
     slopes: tuple[Slope, Slope, Slope] = ((0, 1), (1, 0), (1, 1))
 
-    def __post_init__(self):
+    def check(self) -> TraceTriple:
+        """Raise CensusError unless this is a valid walk root; return self."""
         coords = (self.x, self.y, self.z)
         if min(coords) < 3 - TOL:
             raise CensusError(f"trace triple {coords} has an entry below 3")
@@ -60,6 +61,7 @@ class TraceTriple:
             for j in range(i + 1, 3):
                 if not are_farey_neighbors(self.slopes[i], self.slopes[j]):
                     raise CensusError(f"slopes {self.slopes} are not pairwise Farey neighbors")
+        return self
 
     def coords(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
@@ -72,27 +74,28 @@ def vieta_flip(t: TraceTriple, coordinate: int) -> TraceTriple:
     """Replace coordinate k by the other root of the cusp relation, xy - z.
 
     The slope label moves to the other Farey completion of the remaining
-    edge, i.e. the reflection of the Farey triangle across that edge.
+    edge, i.e. the reflection of the Farey triangle across that edge.  Both
+    invariants of a checked triple carry over, so the child is not checked.
     """
     i, j = [k for k in range(3) if k != coordinate]
     coords = list(t.coords())
     coords[coordinate] = coords[i] * coords[j] - coords[coordinate]
     (p1, q1), (p2, q2) = t.slopes[i], t.slopes[j]
-    candidates = {normalize_slope(p1 + p2, q1 + q2), normalize_slope(p1 - p2, q1 - q2)}
-    candidates.discard(t.slopes[coordinate])
-    if len(candidates) != 1:
-        raise CensusError(f"ambiguous Farey completion at {t.slopes}")
+    plus, minus = normalize_slope(p1 + p2, q1 + q2), normalize_slope(p1 - p2, q1 - q2)
     slopes = list(t.slopes)
-    slopes[coordinate] = candidates.pop()
+    slopes[coordinate] = minus if plus == t.slopes[coordinate] else plus
     return TraceTriple(*coords, tuple(slopes))
 
 
 @dataclass(frozen=True)
 class GeodesicRecord:
     trace: float
-    length: float
     family: str  # "simple" | "paired-fig8" | "companion-fig8"
     slope: Slope
+
+    @property
+    def length(self) -> float:
+        return trace_to_length(self.trace)
 
     def sort_key(self):
         return (self.trace, self.slope, self.family)
@@ -105,15 +108,16 @@ def _maybe_int(x: float):
 def enumerate_simple(root: TraceTriple, trace_cutoff: float) -> list[GeodesicRecord]:
     """All simple closed geodesics with trace <= cutoff, one record per slope.
 
-    Walks the trivalent Vieta tree depth-first; each non-root step
-    introduces exactly one new slope, so slope deduplication is structural.
-    Output is sorted by (trace, slope).
+    Checks the root, then walks the trivalent Vieta tree depth-first; each
+    non-root step introduces exactly one new slope, so slope deduplication
+    is structural.  A walk that dips below trace 3 raises CensusError: the
+    root is assumed to be the tree's sink.  Output is sorted by (trace, slope).
     """
+    root.check()
     if trace_cutoff < 3:
         raise CensusError("trace cutoff below the minimal trace 3")
     records = [
-        GeodesicRecord(_maybe_int(tr), trace_to_length(tr), "simple", s)
-        for tr, s in zip(root.coords(), root.slopes)
+        GeodesicRecord(_maybe_int(tr), "simple", s) for tr, s in zip(root.coords(), root.slopes)
     ]
     stack = [(root, k) for k in range(3)]
     while stack:
@@ -122,10 +126,10 @@ def enumerate_simple(root: TraceTriple, trace_cutoff: float) -> list[GeodesicRec
         new_trace = node.coords()[i] * node.coords()[j] - node.coords()[k]
         if new_trace > trace_cutoff:
             continue
+        if new_trace < 3 - TOL:
+            raise CensusError(f"Vieta flip of {node.coords()} gives trace {new_trace} below 3")
         child = vieta_flip(node, k)
-        records.append(
-            GeodesicRecord(_maybe_int(new_trace), trace_to_length(new_trace), "simple", child.slopes[k])
-        )
+        records.append(GeodesicRecord(_maybe_int(new_trace), "simple", child.slopes[k]))
         for k2 in range(3):
             if k2 != k:
                 stack.append((child, k2))
@@ -148,15 +152,15 @@ def one_intersection_census(
     simples = enumerate_simple(root, trace_cutoff / 3.0)
     records: list[GeodesicRecord] = []
     for rec in simples:
-        t = 3 * rec.trace
-        records.append(GeodesicRecord(t, trace_to_length(t), "paired-fig8", rec.slope))
-        records.append(GeodesicRecord(t, trace_to_length(t), "paired-fig8", rec.slope))
-    if mode == "full":
-        companion_base = math.sqrt(max(trace_cutoff - 2.0, 0.0))
+        paired = GeodesicRecord(3 * rec.trace, "paired-fig8", rec.slope)
+        records += [paired, paired]
+    companion_base = math.sqrt(max(trace_cutoff - 2.0, 0.0))
+    # Every simple trace is >= 3, so below that base no companion t^2 + 2 fits.
+    if mode == "full" and companion_base >= 3:
         for rec in enumerate_simple(root, companion_base):
             t = rec.trace**2 + 2
             if t <= trace_cutoff:
-                records.append(GeodesicRecord(t, trace_to_length(t), "companion-fig8", rec.slope))
+                records.append(GeodesicRecord(t, "companion-fig8", rec.slope))
     records.sort(key=GeodesicRecord.sort_key)
     return records
 
@@ -165,8 +169,8 @@ def mcshane_term_trace(t: float) -> float:
     return 1.0 - math.sqrt(1.0 - (2.0 / t) ** 2)
 
 
-def mcshane_sum(root: TraceTriple, trace_cutoff: float, form: str = "trace") -> float:
-    """Partial McShane sum over simple geodesics of trace <= cutoff.
+def mcshane_sum(simples: list[GeodesicRecord], form: str = "trace") -> float:
+    """Partial McShane sum over simple geodesic records (from enumerate_simple).
 
     The trace form converges to 1, the length form to 1/2; the two forms
     agree termwise via 1 - tanh(l/2) = 2/(1 + e^l).
@@ -174,7 +178,7 @@ def mcshane_sum(root: TraceTriple, trace_cutoff: float, form: str = "trace") -> 
     if form not in ("trace", "length"):
         raise CensusError(f"unknown form {form!r}")
     total = 0.0
-    for rec in enumerate_simple(root, trace_cutoff):
+    for rec in simples:
         if form == "trace":
             total += mcshane_term_trace(rec.trace)
         else:
@@ -182,16 +186,15 @@ def mcshane_sum(root: TraceTriple, trace_cutoff: float, form: str = "trace") -> 
     return total
 
 
-def mc2_sum(root: TraceTriple, trace_cutoff: float) -> float:
+def mc2_sum(simples: list[GeodesicRecord]) -> float:
     """Partial sum of the one-double-point identity over the paired family.
 
-    Termwise equal to twice the trace-form McShane sum at cutoff/3, and
-    converges to 2.
+    ``simples`` are the simple records up to a third of the paired trace
+    cutoff.  Termwise equal to twice the trace-form McShane sum over them,
+    and converges to 2.
     """
-    if trace_cutoff < 9:
-        raise CensusError("cutoff below the minimal paired trace 9")
     total = 0.0
-    for rec in enumerate_simple(root, trace_cutoff / 3.0):
+    for rec in simples:
         t = 3.0 * rec.trace
         total += 2.0 * (1.0 - math.sqrt(1.0 - (6.0 / t) ** 2))
     return total

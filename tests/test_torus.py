@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -20,13 +21,49 @@ from fig8.torus import (
 )
 
 
+PERMUTED_ROOT = TraceTriple(3, 3, 3, ((1, 0), (1, 1), (0, 1)))
+
+
+def _mcshane(cutoff, form="trace"):
+    return mcshane_sum(enumerate_simple(MODULAR_ROOT, cutoff), form)
+
+
+def _mc2(cutoff):
+    return mc2_sum(enumerate_simple(MODULAR_ROOT, cutoff / 3))
+
+
 def test_trace_triple_validation():
+    assert MODULAR_ROOT.check() is MODULAR_ROOT
     with pytest.raises(CensusError):
-        TraceTriple(3, 3, 4)  # cusp relation fails
+        TraceTriple(3, 3, 4).check()  # cusp relation fails
     with pytest.raises(CensusError):
-        TraceTriple(2, 2, 2)  # below 3
+        TraceTriple(2, 2, 2).check()  # below 3
     with pytest.raises(CensusError):
-        TraceTriple(3, 3, 3, ((0, 1), (1, 0), (1, 2)))  # not Farey neighbors
+        TraceTriple(3, 3, 3, ((0, 1), (1, 0), (1, 2))).check()  # not Farey neighbors
+    with pytest.raises(CensusError):
+        enumerate_simple(TraceTriple(3, 3, 4), 10)  # the walk checks its root
+
+
+def test_non_sink_root_is_valid_but_not_walked():
+    root = TraceTriple(4, 4, 8 + 32**0.5)  # a cusped torus whose first flip gives 2.34
+    assert root.check() is root
+    with pytest.raises(CensusError):
+        enumerate_simple(root, 20)
+
+
+@pytest.mark.parametrize("root", [MODULAR_ROOT, PERMUTED_ROOT])
+def test_random_flips_keep_every_node_valid(root):
+    """Flips preserve what check() tests, so walks need not check each node."""
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(200):
+        node = root
+        for _ in range(rng.randint(1, 30)):
+            node = vieta_flip(node, rng.randrange(3))
+            if max(node.coords()) > 10**50:
+                break  # check() compares x*y*z in floats
+            checked += node.check() is node
+    assert checked > 2000
 
 
 def test_vieta_flip_examples():
@@ -83,8 +120,7 @@ def test_enumerate_simple_against_bruteforce_oracle():
 
 def test_trace_multiset_invariant_under_root_permutation():
     base = sorted(r.trace for r in enumerate_simple(MODULAR_ROOT, 500))
-    permuted_root = TraceTriple(3, 3, 3, ((1, 0), (1, 1), (0, 1)))
-    assert sorted(r.trace for r in enumerate_simple(permuted_root, 500)) == base
+    assert sorted(r.trace for r in enumerate_simple(PERMUTED_ROOT, 500)) == base
 
 
 def test_one_intersection_census():
@@ -98,6 +134,13 @@ def test_one_intersection_census():
         one_intersection_census(MODULAR_ROOT, 4.5, "bogus")
 
 
+def test_full_census_below_first_companion_equals_paired():
+    # trace cutoff 2cosh(2.25) ~ 9.6 < 11 = 3^2 + 2: no companion fits
+    assert one_intersection_census(MODULAR_ROOT, 4.5, "full") == one_intersection_census(
+        MODULAR_ROOT, 4.5, "paired"
+    )
+
+
 def test_paired_traces_are_triples_of_parents():
     cutoff = 10**4
     parents = {3 * r.trace for r in enumerate_simple(MODULAR_ROOT, cutoff / 3)}
@@ -108,26 +151,23 @@ def test_paired_traces_are_triples_of_parents():
 
 def test_mcshane_values_and_monotonicity():
     assert abs(mcshane_term_trace(3) - 0.254644) < 1e-6
-    assert abs(mcshane_sum(MODULAR_ROOT, 3) - 3 * 0.2546440) < 1e-5
+    assert abs(_mcshane(3) - 3 * 0.2546440) < 1e-5
     prev = 0.0
     for cutoff in (3, 10, 100, 1000, 10000):
-        s = mcshane_sum(MODULAR_ROOT, cutoff)
+        s = _mcshane(cutoff)
         assert prev <= s <= 1.0
         prev = s
     # the two forms agree termwise
     for cutoff in (3, 50, 5000):
-        assert abs(
-            mcshane_sum(MODULAR_ROOT, cutoff, "trace")
-            - 2 * mcshane_sum(MODULAR_ROOT, cutoff, "length")
-        ) < 1e-9
+        assert abs(_mcshane(cutoff, "trace") - 2 * _mcshane(cutoff, "length")) < 1e-9
 
 
 def test_mc2_identity_and_values():
-    assert abs(mc2_sum(MODULAR_ROOT, 9) - 1.527864) < 1e-6
+    assert abs(_mc2(9) - 1.527864) < 1e-6
     for cutoff in (9, 100, 10000):
-        assert abs(mc2_sum(MODULAR_ROOT, cutoff) - 2 * mcshane_sum(MODULAR_ROOT, cutoff / 3)) < 1e-12
+        assert abs(_mc2(cutoff) - 2 * _mcshane(cutoff / 3)) < 1e-12
     with pytest.raises(CensusError):
-        mc2_sum(MODULAR_ROOT, 8)
+        _mc2(8)
 
 
 def test_count_census():
