@@ -1,9 +1,10 @@
 """Command-line frontend: one subcommand per operation cluster.
 
 Exit codes: 0 success / positive decision, 1 negative decision, 2 input
-error, 3 search budget exhausted ("unknown").  Output is deterministic
-JSON (sorted keys, schema-versioned) or CSV with 9-significant-digit
-floats; randomized subcommands require an explicit --seed.
+error, 3 search budget exhausted ("unknown"), 4 internal error (any other
+exception, reported as one line).  Output is deterministic JSON (sorted
+keys, schema-versioned) or CSV with 9-significant-digit floats;
+randomized subcommands require an explicit --seed.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import sys
 
 from . import covers, genus2, lps, magnus, resfin, selfint, torus
 from .perms import Partition, Permutation
-from .sl2 import Mat2
 from .words import Word, random_reduced_word
 
 SCHEMA = 1
@@ -42,8 +42,8 @@ def _emit_csv(args, header: str, rows: list[str]) -> None:
     _emit(args, "\n".join([header] + rows) + "\n")
 
 
-def _mat_json(m: Mat2) -> list[list[str]]:
-    a11, a12, a21, a22 = (str(x) for x in m.entries())
+def _mat_json(entries: tuple[int, int, int, int]) -> list[list[str]]:
+    a11, a12, a21, a22 = (str(x) for x in entries)
     return [[a11, a12], [a21, a22]]
 
 
@@ -409,6 +409,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -47,7 +47,7 @@ def sanov_eval(w: Word) -> Mat2:
 @dataclass(frozen=True)
 class PrimeWitness:
     prime: int
-    image: Mat2  # reduced mod prime, not the identity
+    image: tuple[int, int, int, int]  # residues mod prime, not the identity
     word_length: int
 
 
@@ -60,9 +60,9 @@ def smallest_excluding_prime(w: Word) -> PrimeWitness:
     if matrix.is_identity:
         raise ResFinError("trivial word has no excluding prime")
     for p in primes():
-        reduced = matrix.reduce_mod(p)
-        if not reduced.is_identity:
-            return PrimeWitness(p, reduced, len(w))
+        residues = matrix.reduce_mod(p)
+        if residues != (1, 0, 0, 1):
+            return PrimeWitness(p, residues, len(w))
     raise AssertionError("unreachable: a nonidentity integer matrix survives some prime")
 
 

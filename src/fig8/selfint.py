@@ -27,8 +27,8 @@ TOL = 1e-9
 MARGIN = 2.0
 
 # Fuchsian generators of the modular torus group (commutator is parabolic).
-TORUS_X = Mat2(1, 1, 1, 2)
-TORUS_Y = Mat2(1, -1, -1, 2)
+TORUS_X = Mat2(1, 1, 1, 2).check()
+TORUS_Y = Mat2(1, -1, -1, 2).check()
 MODULAR_ASSIGNMENT = {"a": TORUS_X, "b": TORUS_Y}
 
 _GEN_BY_LETTER = {

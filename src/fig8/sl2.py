@@ -1,7 +1,6 @@
-"""Exact 2x2 determinant-one matrices over Z or Z/m, and trace/length identities.
+"""Exact SL(2, Z) matrices, and trace/length identities.
 
-All matrix arithmetic is exact: arbitrary-precision integers in
-characteristic zero, canonical residues in [0, m) otherwise.  Real
+All matrix arithmetic is in arbitrary-precision integers.  Real
 trace/length conversions use floats with a documented 1e-9 tolerance.
 """
 
@@ -19,59 +18,52 @@ class Sl2Error(ValueError):
 
 @dataclass(frozen=True)
 class Mat2:
+    """A 2x2 integer matrix of determinant 1.
+
+    Literal matrices are checked once (``check``); products, inverses and
+    powers keep det = 1, so they are built unchecked.
+    """
+
     a11: int
     a12: int
     a21: int
     a22: int
-    modulus: int | None = None
 
-    def __post_init__(self):
-        m = self.modulus
-        if m is not None:
-            if m <= 0:
-                raise Sl2Error("modulus must be positive")
-            for name in ("a11", "a12", "a21", "a22"):
-                object.__setattr__(self, name, getattr(self, name) % m)
-        if self.det != (1 if m is None else 1 % m):
-            raise Sl2Error(f"determinant is {self.det}, not 1")
-
-    @property
-    def det(self) -> int:
-        d = self.a11 * self.a22 - self.a12 * self.a21
-        return d if self.modulus is None else d % self.modulus
+    def check(self) -> "Mat2":
+        """Raise Sl2Error unless the determinant is 1; return self."""
+        det = self.a11 * self.a22 - self.a12 * self.a21
+        if det != 1:
+            raise Sl2Error(f"determinant is {det}, not 1")
+        return self
 
     @property
     def trace(self) -> int:
-        t = self.a11 + self.a22
-        return t if self.modulus is None else t % self.modulus
+        return self.a11 + self.a22
 
     @classmethod
-    def identity(cls, modulus: int | None = None) -> "Mat2":
-        return cls(1, 0, 0, 1, modulus)
+    def identity(cls) -> "Mat2":
+        return cls(1, 0, 0, 1)
 
     @property
     def is_identity(self) -> bool:
-        return self == Mat2.identity(self.modulus)
+        return self == Mat2.identity()
 
     def __mul__(self, other: "Mat2") -> "Mat2":
-        if self.modulus != other.modulus:
-            raise Sl2Error("modulus mismatch")
         return Mat2(
             self.a11 * other.a11 + self.a12 * other.a21,
             self.a11 * other.a12 + self.a12 * other.a22,
             self.a21 * other.a11 + self.a22 * other.a21,
             self.a21 * other.a12 + self.a22 * other.a22,
-            self.modulus,
         )
 
     def inverse(self) -> "Mat2":
         # adjugate; exact because det = 1
-        return Mat2(self.a22, -self.a12, -self.a21, self.a11, self.modulus)
+        return Mat2(self.a22, -self.a12, -self.a21, self.a11)
 
     def __pow__(self, n: int) -> "Mat2":
         if n < 0:
             return self.inverse() ** (-n)
-        result = Mat2.identity(self.modulus)
+        result = Mat2.identity()
         base = self
         while n:
             if n & 1:
@@ -80,10 +72,9 @@ class Mat2:
             n >>= 1
         return result
 
-    def reduce_mod(self, m: int) -> "Mat2":
-        if self.modulus is not None:
-            raise Sl2Error("matrix already carries a modulus")
-        return Mat2(self.a11, self.a12, self.a21, self.a22, m)
+    def reduce_mod(self, m: int) -> tuple[int, int, int, int]:
+        """Canonical residues of the entries in [0, m)."""
+        return (self.a11 % m, self.a12 % m, self.a21 % m, self.a22 % m)
 
     def entries(self) -> tuple[int, int, int, int]:
         return (self.a11, self.a12, self.a21, self.a22)
@@ -112,9 +103,12 @@ class HypLength:
 
 
 def length_to_trace(length: float) -> float:
-    if length < 0:
-        raise Sl2Error("length must be nonnegative")
-    return 2.0 * math.cosh(length / 2.0)
+    if not 0 <= length < math.inf:  # NaN fails too
+        raise Sl2Error(f"length {length} is not a finite number >= 0")
+    try:
+        return 2.0 * math.cosh(length / 2.0)
+    except OverflowError:
+        raise Sl2Error(f"length {length}: its trace overflows a float") from None
 
 
 def trace_to_length(trace: float) -> float:
@@ -137,5 +131,5 @@ def fig8_length(la: float, lb: float, lc: float) -> HypLength:
 
 
 # The Sanov pair: generators of a free subgroup of SL(2, Z).
-SANOV_A = Mat2(1, 2, 0, 1)
-SANOV_B = Mat2(1, 0, 2, 1)
+SANOV_A = Mat2(1, 2, 0, 1).check()
+SANOV_B = Mat2(1, 0, 2, 1).check()

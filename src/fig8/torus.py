@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .sl2 import trace_to_length
+from .sl2 import length_to_trace, trace_to_length
 
 TOL = 1e-9
 
@@ -55,8 +55,10 @@ class TraceTriple:
             raise CensusError(f"trace triple {coords} has an entry below 3")
         lhs = self.x**2 + self.y**2 + self.z**2
         rhs = self.x * self.y * self.z
-        if abs(lhs - rhs) > TOL * max(1.0, abs(rhs)):
-            raise CensusError(f"cusp relation violated: {lhs} != {rhs}")
+        # int and Fraction traces are judged exactly, at any size
+        slack = TOL * max(1.0, abs(rhs)) if any(isinstance(c, float) for c in coords) else 0
+        if abs(lhs - rhs) > slack:
+            raise CensusError("cusp relation x^2 + y^2 + z^2 = xyz violated")
         for i in range(3):
             for j in range(i + 1, 3):
                 if not are_farey_neighbors(self.slopes[i], self.slopes[j]):
@@ -114,8 +116,8 @@ def enumerate_simple(root: TraceTriple, trace_cutoff: float) -> list[GeodesicRec
     root is assumed to be the tree's sink.  Output is sorted by (trace, slope).
     """
     root.check()
-    if trace_cutoff < 3:
-        raise CensusError("trace cutoff below the minimal trace 3")
+    if not 3 <= trace_cutoff < math.inf:  # NaN fails too
+        raise CensusError(f"trace cutoff {trace_cutoff} is not a finite number >= 3")
     records = [
         GeodesicRecord(_maybe_int(tr), "simple", s) for tr, s in zip(root.coords(), root.slopes)
     ]
@@ -148,7 +150,7 @@ def one_intersection_census(
     """
     if mode not in ("paired", "full"):
         raise CensusError(f"unknown census mode {mode!r}")
-    trace_cutoff = 2.0 * math.cosh(length_cutoff / 2.0)
+    trace_cutoff = length_to_trace(length_cutoff)
     simples = enumerate_simple(root, trace_cutoff / 3.0)
     records: list[GeodesicRecord] = []
     for rec in simples:
@@ -204,7 +206,7 @@ def count_census(root: TraceTriple, length_bound: float) -> tuple[int, int, int]
     """(N0, N1_paired, N1_full) counts of geodesics with length <= L."""
     if length_bound <= 0:
         raise CensusError("length bound must be positive")
-    trace_bound = 2.0 * math.cosh(length_bound / 2.0)
+    trace_bound = length_to_trace(length_bound)
     if trace_bound < 3:
         return (0, 0, 0)
     simples = enumerate_simple(root, trace_bound)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fig8 import cli
 from fig8.cli import main
 
 
@@ -138,6 +139,37 @@ def test_input_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "--counts-at", "inf"],
+        ["census", "--counts-at", "nan"],
+        ["census", "--counts-at", "1500"],  # 2cosh(750) overflows a float
+        ["census", "--cutoff", "inf"],
+        ["census", "--cutoff", "nan"],
+        ["census", "--cutoff", "1500"],
+        ["census", "--cutoff=-5"],
+        ["mcshane", "--cutoff", "inf"],
+        ["mcshane", "--cutoff", "nan"],
+        ["mc2", "--cutoff", "inf"],
+        ["mc2", "--cutoff", "nan"],
+    ],
+)
+def test_unusable_cutoffs_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unexpected_exception_exits_4(capsys, monkeypatch):
+    def broken(w):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(cli.selfint, "self_intersection", broken)
+    code, out, err = run(capsys, "selfint", "--word", "ab")
+    assert (code, out, err) == (4, "", "internal error: ZeroDivisionError: boom\n")
 
 
 def test_stallings_twocycles_stripcover(capsys):

@@ -37,7 +37,7 @@ def test_smallest_excluding_prime_examples():
     assert smallest_excluding_prime(Word("a")).prime == 3
     witness = smallest_excluding_prime(Word("abAB"))
     assert witness.prime == 3
-    assert witness.image.entries() == (0, 1, 2, 0)
+    assert witness.image == (0, 1, 2, 0)
     # a^3 maps to [[1,6],[0,1]] = I mod 3, so the excluding prime jumps to 5
     assert smallest_excluding_prime(Word("aaa")).prime == 5
     with pytest.raises(ResFinError):

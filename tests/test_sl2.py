@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from fig8.selfint import TORUS_X, TORUS_Y
 from fig8.sl2 import (
     SANOV_A,
     SANOV_B,
@@ -29,18 +30,27 @@ def test_eval_word_examples():
 def test_eval_word_errors():
     with pytest.raises(WordError):
         evaluate(Word("ac", "abcd"), SANOV, ONE)
-    with pytest.raises(Sl2Error):
-        evaluate(Word("ab"), {"a": SANOV_A, "b": SANOV_B.reduce_mod(5)}, ONE)
 
 
 def test_determinant_invariant_and_modulus():
-    m = Mat2(1, 5, 0, 1).reduce_mod(7)
-    assert m.entries() == (1, 5, 0, 1)
-    assert (m * m).entries() == (1, 3, 0, 1)
+    assert Mat2(1, 5, 0, 1).check().reduce_mod(7) == (1, 5, 0, 1)
+    assert Mat2(-1, 12, 0, -1).reduce_mod(7) == (6, 5, 0, 6)
     with pytest.raises(Sl2Error):
-        Mat2(2, 0, 0, 1)
+        Mat2(2, 0, 0, 1).check()
+
+
+@pytest.mark.parametrize("pair", [(SANOV_A, SANOV_B), (TORUS_X, TORUS_Y)], ids=["sanov", "torus"])
+def test_products_inverses_powers_keep_determinant_one(pair):
+    """det is multiplicative, so matrices built from checked ones need no check."""
+    images = dict(zip("ab", pair))
+    rng = random.Random(11)
+    for _ in range(200):
+        u = evaluate(random_reduced_word(rng, 60), images, ONE)
+        v = evaluate(random_reduced_word(rng, 60), images, ONE)
+        for m in (u * v, u.inverse(), u ** rng.randint(-3, 3)):
+            assert m.check() is m
     with pytest.raises(Sl2Error):
-        Mat2(1, 0, 0, 1, modulus=0)
+        Mat2(2, 0, 0, 1).check()
 
 
 def test_inverse_pow_json_roundtrip():

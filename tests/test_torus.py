@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -44,6 +45,20 @@ def test_trace_triple_validation():
         enumerate_simple(TraceTriple(3, 3, 4), 10)  # the walk checks its root
 
 
+def test_exact_triples_are_judged_exactly():
+    node = MODULAR_ROOT
+    for _ in range(18):  # flipping the least trace roughly squares the largest
+        node = vieta_flip(node, node.coords().index(min(node.coords())))
+    assert max(node.coords()) > 10**2600  # beyond floats; x^2 beyond int-to-str
+    assert node.check() is node
+    with pytest.raises(CensusError):
+        TraceTriple(node.x, node.y, node.z + 1, node.slopes).check()
+    half = Fraction(9, 2)
+    assert TraceTriple(18, half, half).check()  # a rational cusped torus
+    with pytest.raises(CensusError):
+        TraceTriple(18, half, half + Fraction(1, 10**30)).check()
+
+
 def test_non_sink_root_is_valid_but_not_walked():
     root = TraceTriple(4, 4, 8 + 32**0.5)  # a cusped torus whose first flip gives 2.34
     assert root.check() is root
@@ -60,8 +75,6 @@ def test_random_flips_keep_every_node_valid(root):
         node = root
         for _ in range(rng.randint(1, 30)):
             node = vieta_flip(node, rng.randrange(3))
-            if max(node.coords()) > 10**50:
-                break  # check() compares x*y*z in floats
             checked += node.check() is node
     assert checked > 2000
 

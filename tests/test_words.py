@@ -4,12 +4,13 @@ import pytest
 
 from fig8.magnus import MagnusSeries
 from fig8.perms import Permutation
+from fig8.selfint import TORUS_X, TORUS_Y
 from fig8.sl2 import SANOV_A, SANOV_B, Mat2
 from fig8.words import Word, WordError, evaluate, free_reduce, random_reduced_word
 
 BACKENDS = {
     "sanov": ({"a": SANOV_A, "b": SANOV_B}, Mat2.identity()),
-    "sanov mod 7": ({"a": SANOV_A.reduce_mod(7), "b": SANOV_B.reduce_mod(7)}, Mat2.identity(7)),
+    "modular torus": ({"a": TORUS_X, "b": TORUS_Y}, Mat2.identity()),
     "S5": (
         {"a": Permutation.parse("(1 2 3 4 5)", 5), "b": Permutation.parse("(1 2)(3 5)", 5)},
         Permutation.identity(5),
