@@ -4,12 +4,14 @@ Exit codes: 0 success / positive decision, 1 negative decision, 2 input
 error, 3 search budget exhausted ("unknown"), 4 internal error (any other
 exception, reported as one line).  Output is deterministic JSON (sorted
 keys, schema-versioned) or CSV with 9-significant-digit floats;
-randomized subcommands require an explicit --seed.
+randomized subcommands require an explicit --seed.  ``main`` builds the
+parser once per process and reuses it for every later call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -399,8 +401,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Reusable: parse_args builds a fresh Namespace per call and no default is
+    # mutable.  build_parser stays uncached and is looked up here at the first
+    # call, so a wrapper installed on it (as the benchmark's tracer does) applies.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "prime" and not args.scatter and args.word is None:
         parser.error("prime requires --word unless --scatter is given")

@@ -56,11 +56,20 @@ def _sqrt_minus_one(q: int) -> int:
     raise LpsError(f"-1 is not a square mod {q} (need q = 1 mod 4)")
 
 
-def _canon(m: ProjMat, q: int) -> ProjMat:
-    """Canonical projective representative: first nonzero entry scaled to 1."""
+def _inverses(q: int) -> list[int]:
+    """Table of inverses mod the prime q: entry z is 1/z, entry 0 is unused."""
+    return [0] + [pow(z, q - 2, q) for z in range(1, q)]
+
+
+def _canon(m: ProjMat, inv: list[int]) -> ProjMat:
+    """Canonical projective representative: first nonzero entry scaled to 1.
+
+    Entries are residues in [0, q), where q = len(inv) and inv = _inverses(q).
+    """
+    q = len(inv)
     for z in m:
-        if z % q:
-            zi = pow(z, q - 2, q)
+        if z:
+            zi = inv[z]
             return tuple(x * zi % q for x in m)
     raise LpsError("zero matrix")
 
@@ -74,10 +83,11 @@ def _mul(x: ProjMat, y: ProjMat, q: int) -> ProjMat:
 def lps_generators(p: int, q: int) -> list[ProjMat]:
     """The p+1 LPS generators as canonical projective matrices mod q."""
     i = _sqrt_minus_one(q)
+    inv = _inverses(q)
     gens = []
     for a, b, c, d in quaternion_solutions(p):
         m = ((a + b * i) % q, (c + d * i) % q, (-c + d * i) % q, (a - b * i) % q)
-        gens.append(_canon(m, q))
+        gens.append(_canon(m, inv))
     if len(set(gens)) != len(gens):
         raise LpsError("generators not distinct")
     return gens
@@ -109,6 +119,7 @@ def lps_girth_check(p: int, q: int) -> LpsGirthResult:
     if pow(p, (q - 1) // 2, q) != q - 1:
         raise LpsError(f"p = {p} is a quadratic residue mod {q}")
     gens = lps_generators(p, q)
+    inv = _inverses(q)
     identity: ProjMat = (1, 0, 0, 1)
     dist = {identity: 0}
     parent: dict[ProjMat, tuple[ProjMat, int] | None] = {identity: None}
@@ -117,7 +128,7 @@ def lps_girth_check(p: int, q: int) -> LpsGirthResult:
     while queue:
         u = queue.popleft()
         for gi, s in enumerate(gens):
-            v = _canon(_mul(u, s, q), q)
+            v = _canon(_mul(u, s, q), inv)
             if v not in dist:
                 dist[v] = dist[u] + 1
                 parent[v] = (u, gi)
@@ -127,7 +138,7 @@ def lps_girth_check(p: int, q: int) -> LpsGirthResult:
                     # skip re-traversing the tree edge backwards: that
                     # happens exactly when s inverts the generator used
                     gj = parent[u][1]
-                    if _canon(_mul(gens[gj], s, q), q) == identity:
+                    if _canon(_mul(gens[gj], s, q), inv) == identity:
                         continue
                 cycle = dist[u] + dist[v] + 1
                 if best is None or cycle < best:

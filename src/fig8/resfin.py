@@ -75,15 +75,12 @@ def expected_min_prime(terms: int) -> float:
     if terms < 1:
         raise ResFinError("need at least one term")
     total = Fraction(0)
-    seen: list[int] = []
+    primorial = 1  # product of the primes before p
     gen = primes()
     for _ in range(terms):
         p = next(gen)
-        term = p * (1 - Fraction(1, p))
-        for q in seen:
-            term /= q
-        total += term
-        seen.append(p)
+        total += Fraction(p - 1, primorial)
+        primorial *= p
     return float(total)
 
 
@@ -115,8 +112,8 @@ def average_index_simulation(
     words with zero abelianization are excluded from the mean and counted
     separately.  Deterministic for a fixed seed.
     """
-    if rank < 2:
-        raise ResFinError("rank must be at least 2")
+    if not 2 <= rank <= len(string.ascii_lowercase):
+        raise ResFinError(f"rank must be between 2 and {len(string.ascii_lowercase)}")
     if radius < 1 or samples < 1:
         raise ResFinError("radius and sample count must be positive")
     gens = string.ascii_lowercase[:rank]

@@ -136,6 +136,8 @@ def test_input_errors_exit_2(capsys):
     assert code == 2
     code, _, err = run(capsys, "frobenius", "--classes", "bogus")
     assert code == 2
+    code, _, err = run(capsys, "avgindex", "--rank", "40", "--seed", "1")
+    assert code == 2 and "rank" in err  # only 26 generator letters
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2
@@ -181,3 +183,88 @@ def test_stallings_twocycles_stripcover(capsys):
     assert code == 2  # odd permutation is an input error
     code, out, _ = run(capsys, "stripcover", "--sigma", "(1 2 3)", "--tau", "(1 2)", "--degree", "3")
     assert code == 0 and json.loads(out)["boundary_components"] == 1
+
+
+# One argv per subcommand that writes an artifact (lpsgirth is left out for time).
+ARTIFACT_ARGVS = [
+    ["census", "--cutoff", "6", "--mode", "full"],
+    ["census", "--counts-at", "8,12"],
+    ["mcshane", "--cutoff", "50", "--form", "length"],
+    ["mc2", "--cutoff", "60"],
+    ["extend", "--genus", "1", "--classes", "2"],
+    ["regular-extend", "--genus", "1", "--classes", "9"],
+    ["frobenius", "--classes", "2,1;2,1;3"],
+    ["twocycles", "--perm", "(1 2 3)", "--degree", "3"],
+    ["stripcover", "--sigma", "(1 2 3)", "--tau", "(1 2)", "--degree", "3"],
+    ["stallings", "--word", "aab"],
+    ["prime", "--word", "abAB"],
+    ["prime", "--scatter", "--samples", "3", "--maxlen", "20", "--seed", "5"],
+    ["depth", "--word", "abAB"],
+    ["witness", "--word", "abAB", "--k", "2"],
+    ["expectedprime", "--terms", "12"],
+    ["avgindex", "--rank", "3", "--radius", "6", "--samples", "50", "--seed", "3"],
+    ["surface-certify", "--word", "acBD"],
+]
+
+# (argv, exit code, start of stderr) of jobs that write no artifact.
+ERROR_ARGVS = [
+    (["nonsense"], 2, "usage: fig8"),  # argparse rejects the subcommand
+    (["prime"], 2, "usage: fig8"),  # parser.error: no --word and no --scatter
+    (["selfint", "--word", "axb"], 2, "error: "),  # ValueError
+    (["selfint", "--word", "ab"], 4, "internal error: ZeroDivisionError: boom"),
+]
+
+
+def test_parser_is_built_once_and_reused(capsys, monkeypatch, tmp_path):
+    def broken(w):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(cli.selfint, "self_intersection", broken)
+    path = tmp_path / "artifact"
+    build = cli.build_parser
+    expected = {}
+    for argv in ARTIFACT_ARGVS:  # a fresh parser per job, as before the reuse
+        args = build().parse_args(["--output", str(path), *argv])
+        expected[tuple(argv)] = (args.func(args), "", path.read_bytes())
+        path.unlink()
+    capsys.readouterr()
+
+    # Wrap build_parser as the benchmark's tracer does: each call re-wraps
+    # parse_args of the parser it returns, so a parser built once but wrapped
+    # per job would nest one wrapper per call and overflow the stack.
+    builds = []
+
+    def counting_build_parser():
+        builds.append(1)
+        parser = build()
+        parse = parser.parse_args
+
+        def parse_args(*a, **kw):
+            return parse(*a, **kw)
+
+        parser.parse_args = parse_args
+        return parser
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    errors = {tuple(argv): (code, err) for argv, code, err in ERROR_ARGVS}
+    jobs = ARTIFACT_ARGVS + [argv for argv, _, _ in ERROR_ARGVS]
+    try:
+        for k in range(1200):  # more calls than the default recursion limit
+            argv = jobs[k % len(jobs)]
+            try:
+                code = main(["--output", str(path), *argv])
+            except SystemExit as exc:
+                code = exc.code
+            err = capsys.readouterr().err
+            assert "RecursionError" not in err
+            if tuple(argv) in expected:
+                assert (code, err, path.read_bytes()) == expected[tuple(argv)], argv
+                path.unlink()
+            else:
+                want_code, want_err = errors[tuple(argv)]
+                assert code == want_code and err.startswith(want_err), argv
+                assert not path.exists()
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1

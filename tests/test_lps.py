@@ -20,11 +20,11 @@ def test_generators_distinct_and_closed_under_inverse():
     for q in (13, 17):
         gens = lps_generators(5, q)
         assert len(gens) == 6
-        from fig8.lps import _canon, _mul
+        from fig8.lps import _canon, _inverses, _mul
 
-        identity = (1, 0, 0, 1)
+        identity, inv = (1, 0, 0, 1), _inverses(q)
         for g in gens:
-            assert any(_canon(_mul(g, h, q), q) == identity for h in gens)
+            assert any(_canon(_mul(g, h, q), inv) == identity for h in gens)
 
 
 def test_girth_check_5_13():

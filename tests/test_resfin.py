@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -62,6 +63,19 @@ def test_expected_min_prime():
         expected_min_prime(0)
 
 
+def test_expected_min_prime_equals_term_by_term_division():
+    # the series as first written: p (1 - 1/p) divided by each earlier prime in turn
+    total, seen, gen = Fraction(0), [], primes()
+    for terms in range(1, 61):
+        p = next(gen)
+        term = p * (1 - Fraction(1, p))
+        for q in seen:
+            term /= q
+        total += term
+        seen.append(p)
+        assert expected_min_prime(terms) == float(total)
+
+
 def test_abelian_excluding_prime():
     assert abelian_excluding_prime(Word("a" * 6)) == 5
     assert abelian_excluding_prime(Word("a")) == 2
@@ -76,3 +90,7 @@ def test_average_index_simulation():
     assert again == result  # deterministic for a fixed seed
     with pytest.raises(ResFinError):
         average_index_simulation(1, 20, 10, seed=0)
+    # ranks above 26 would run out of generator letters
+    average_index_simulation(26, 5, 10, seed=1)
+    with pytest.raises(ResFinError):
+        average_index_simulation(27, 5, 10, seed=1)
