@@ -122,7 +122,7 @@ def _boundary_tuples(classes: tuple[Partition, ...], target_product: bool, exhau
     With target_product, only tuples multiplying to the identity are
     yielded (the last factor is forced, not searched).  Without it a single
     representative tuple suffices unless ``exhaustive`` asks for all
-    choices (used by the transitive witness search).
+    choices (used by the transitive witness search and regular_extends).
     """
     first = class_representative(classes[0])
     if len(classes) == 1:
@@ -282,10 +282,10 @@ def _order_n_overgroups(seed: list[Permutation], n: int):
     minimal representative of each right coset to avoid revisiting the
     same subgroup through different generators.
     """
-    base = _subgroup_closure(seed or [Permutation.identity(n)], n)
+    base = _subgroup_closure(seed, n)
     if base is None:
         return
-    candidates = sorted(all_permutations(n), key=lambda g: g.images)
+    candidates = list(all_permutations(n))
 
     def extend(group: set[Permutation], gens: list[Permutation]):
         if len(group) == n:
@@ -337,24 +337,19 @@ def regular_extends(spec: CoverSpec, budget: int = 8) -> RegularDecision:
     weakest faithful reading): the boundary images lie in an order-n
     subgroup whose handle images absorb the boundary product as a product
     of genus commutators, the whole assignment generating the subgroup.
-    Exhaustive search in product order, first class fixed to its representative;
-    degrees above the budget return "unknown".
+    Exhaustive search over ``_boundary_tuples``, in product order; degrees
+    above the budget return "unknown".
     """
     n = spec.degree
     if n > budget or spec.genus > 4:
         return RegularDecision("unknown", None)
-    classes = spec.boundary_classes
-    pools = [(class_representative(classes[0]),), *map(class_elements, classes[1:])]
-    identity = Permutation.identity(n)
-    for boundaries in itertools.product(*pools):
-        product = math.prod(boundaries, start=identity)
+    for boundaries in _boundary_tuples(spec.boundary_classes, spec.genus == 0, exhaustive=True):
         if spec.genus == 0:
-            if product != identity:
-                continue
             group = _subgroup_closure(list(boundaries), n)
             if group is not None and len(group) == n:
                 return RegularDecision("extends", boundaries)
         else:
+            product = math.prod(boundaries, start=Permutation.identity(n))
             for group in _order_n_overgroups(list(boundaries), n):
                 handles = _handle_assignment(group, spec.genus, product.inverse(), boundaries)
                 if handles is not None:

@@ -40,7 +40,7 @@ def _check(w: Word) -> Word:
 
 def retract(w: Word) -> Word:
     """The retraction r: a,c -> x and b,d -> y; a homomorphism to F(x, y)."""
-    return Word(free_reduce(_check(w).letters.translate(_RETRACT)), "xy")
+    return Word(_check(w).letters.translate(_RETRACT), "xy")
 
 
 def dehn_twist(w: Word, power: int) -> Word:

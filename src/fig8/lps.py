@@ -120,26 +120,23 @@ def lps_girth_check(p: int, q: int) -> LpsGirthResult:
         raise LpsError(f"p = {p} is a quadratic residue mod {q}")
     gens = lps_generators(p, q)
     inv = _inverses(q)
+    # the adjugate is the projective inverse
+    inverse = [gens.index(_canon((d, -b % q, -c % q, a), inv)) for a, b, c, d in gens]
     identity: ProjMat = (1, 0, 0, 1)
     dist = {identity: 0}
-    parent: dict[ProjMat, tuple[ProjMat, int] | None] = {identity: None}
     best: int | None = None
-    queue = deque([identity])
+    # each vertex is queued with the index of the generator back to its parent
+    queue: deque[tuple[ProjMat, int | None]] = deque([(identity, None)])
     while queue:
-        u = queue.popleft()
+        u, back = queue.popleft()
         for gi, s in enumerate(gens):
+            if gi == back:
+                continue  # the tree edge, traversed backwards
             v = _canon(_mul(u, s, q), inv)
             if v not in dist:
                 dist[v] = dist[u] + 1
-                parent[v] = (u, gi)
-                queue.append(v)
+                queue.append((v, inverse[gi]))
             else:
-                if parent[u] is not None and parent[u][0] == v:
-                    # skip re-traversing the tree edge backwards: that
-                    # happens exactly when s inverts the generator used
-                    gj = parent[u][1]
-                    if _canon(_mul(gens[gj], s, q), inv) == identity:
-                        continue
                 cycle = dist[u] + dist[v] + 1
                 if best is None or cycle < best:
                     best = cycle

@@ -4,6 +4,9 @@ Permutations act on the right: (sigma * tau)(i) = tau(sigma(i)).  The
 commutator is [sigma, tau] = sigma tau sigma^-1 tau^-1 under this
 convention.  Characters are computed by the Murnaghan-Nakayama border-strip
 recursion on beta-sets, memoized, in exact integer arithmetic.
+
+Only ``Partition.parse`` and ``Permutation.parse`` check their input: every
+other constructor preserves the invariants and builds its values unchecked.
 """
 
 from __future__ import annotations
@@ -24,12 +27,6 @@ class PermError(ValueError):
 class Partition:
     parts: tuple[int, ...]
 
-    def __post_init__(self):
-        if any(p <= 0 for p in self.parts):
-            raise PermError("partition parts must be positive")
-        if list(self.parts) != sorted(self.parts, reverse=True):
-            raise PermError("partition parts must be weakly decreasing")
-
     @property
     def n(self) -> int:
         return sum(self.parts)
@@ -39,7 +36,10 @@ class Partition:
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
-        return cls(tuple(sorted((int(p) for p in text.split(",")), reverse=True)))
+        parts = sorted((int(p) for p in text.split(",")), reverse=True)
+        if parts[-1] < 1:
+            raise PermError(f"partition {text!r} has a part below 1")
+        return cls(tuple(parts))
 
 
 def partitions_of(n: int, max_part: int | None = None):
@@ -129,11 +129,6 @@ class Permutation:
 
     images: tuple[int, ...]
 
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(n)):
-            raise PermError(f"not a bijection of 0..{n - 1}: {self.images}")
-
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -144,7 +139,7 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, n: int, cycles: list[tuple[int, ...]]) -> "Permutation":
-        """Build from 1-indexed cycles."""
+        """Build from 1-indexed cycles, which must be disjoint with points in 1..n."""
         images = list(range(n))
         for cyc in cycles:
             for i, v in enumerate(cyc):
@@ -153,22 +148,25 @@ class Permutation:
 
     @classmethod
     def parse(cls, text: str, n: int | None = None) -> "Permutation":
-        """Parse cycle notation like "(1 2 3)(4 5)"; points are 1-indexed."""
+        """Parse cycle notation like "(1 2 3)(4 5)"; points are 1-indexed.
+
+        n defaults to the largest point.  Rejects a degree below 1 and any
+        point outside 1..n or repeated within or across cycles.
+        """
         text = text.strip()
         cycles: list[tuple[int, ...]] = []
         if text not in ("", "e", "()"):
             if not (text.startswith("(") and text.endswith(")")):
                 raise PermError(f"bad cycle notation: {text!r}")
             for chunk in text[1:-1].split(")("):
-                pts = tuple(int(tok) for tok in chunk.replace(",", " ").split())
-                if len(set(pts)) != len(pts):
-                    raise PermError(f"repeated point in cycle {chunk!r}")
-                cycles.append(pts)
-        top = max((max(c) for c in cycles if c), default=0)
+                cycles.append(tuple(int(tok) for tok in chunk.replace(",", " ").split()))
+        points = [p for c in cycles for p in c]
         if n is None:
-            n = top
-        elif top > n:
-            raise PermError(f"point {top} exceeds degree {n}")
+            n = max(points, default=0)
+        if n < 1:
+            raise PermError(f"degree {n} is below 1")
+        if not all(1 <= p <= n for p in points) or len(set(points)) != len(points):
+            raise PermError(f"{text!r} needs distinct points in 1..{n}")
         return cls.from_cycles(n, cycles)
 
     def __mul__(self, other: "Permutation") -> "Permutation":

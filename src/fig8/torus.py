@@ -156,13 +156,10 @@ def one_intersection_census(
     for rec in simples:
         paired = GeodesicRecord(3 * rec.trace, "paired-fig8", rec.slope)
         records += [paired, paired]
-    companion_base = math.sqrt(max(trace_cutoff - 2.0, 0.0))
-    # Every simple trace is >= 3, so below that base no companion t^2 + 2 fits.
-    if mode == "full" and companion_base >= 3:
-        for rec in enumerate_simple(root, companion_base):
-            t = rec.trace**2 + 2
-            if t <= trace_cutoff:
-                records.append(GeodesicRecord(t, "companion-fig8", rec.slope))
+        # t^2 + 2 <= T gives t <= sqrt(T - 2) <= T/3 (T >= 9 here): no base is missed
+        companion = rec.trace**2 + 2
+        if mode == "full" and companion <= trace_cutoff:
+            records.append(GeodesicRecord(companion, "companion-fig8", rec.slope))
     records.sort(key=GeodesicRecord.sort_key)
     return records
 

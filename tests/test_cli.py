@@ -138,6 +138,12 @@ def test_input_errors_exit_2(capsys):
     assert code == 2
     code, _, err = run(capsys, "avgindex", "--rank", "40", "--seed", "1")
     assert code == 2 and "rank" in err  # only 26 generator letters
+    for argv in (
+        ["twocycles", "--perm", "(1 -2)", "--degree", "2"],
+        ["stripcover", "--sigma", "(1 2)", "--tau", "(1 2)(2 1)", "--degree", "2"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2

@@ -191,6 +191,33 @@ def test_regular_extends_against_direct_search():
             assert got == expected, (n, cls)
 
 
+def _brute_regular_genus0(classes):
+    """The pools search: first tuple in product order with product e and closure order n."""
+    from fig8.covers import _subgroup_closure
+    from fig8.perms import class_elements, class_representative
+
+    n = classes[0].n
+    identity = Permutation.identity(n)
+    pools = [(class_representative(classes[0]),), *map(class_elements, classes[1:])]
+    for boundaries in product(*pools):
+        g = identity
+        for x in boundaries:
+            g = g * x
+        if g == identity:
+            group = _subgroup_closure(list(boundaries), n)
+            if group is not None and len(group) == n:
+                return ("extends", boundaries)
+    return ("does-not-extend", None)
+
+
+def test_regular_extends_genus0_against_pools_search():
+    sizes = [(n, k) for n in (1, 2, 3, 4) for k in (1, 2, 3)] + [(5, 1), (5, 2)]
+    for n, k in sizes:
+        for classes in product(partitions_of(n), repeat=k):
+            d = regular_extends(CoverSpec(0, classes))
+            assert (d.status, d.witness) == _brute_regular_genus0(classes), classes
+
+
 def test_regular_witness_generates_order_n():
     d = regular_extends(CoverSpec(0, (Partition((2,)), Partition((2,)))))
     from fig8.covers import _subgroup_closure

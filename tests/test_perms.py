@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import product
 
 import pytest
@@ -17,13 +18,14 @@ from fig8.perms import (
     frobenius_count,
     partitions_of,
 )
+from fig8.words import evaluate, random_reduced_word
 
 
 def test_partition_validation_and_parse():
-    with pytest.raises(PermError):
-        Partition((1, 2))
-    with pytest.raises(PermError):
-        Partition((0,))
+    # direct construction is unchecked by design; parse is the checked way in
+    for text in ("0", "2,-1"):
+        with pytest.raises(PermError):
+            Partition.parse(text)
     assert Partition.parse("1,3,1").parts == (3, 1, 1)
     assert str(Partition((3, 1, 1))) == "3,1,1"
 
@@ -118,8 +120,46 @@ def test_permutation_basics():
     assert Permutation.parse("e", 3) == Permutation.identity(3)
     with pytest.raises(PermError):
         Permutation.parse("(1 2 2)")
+
+
+@pytest.mark.parametrize(
+    "text, n",
+    [("(1 -2)", 3), ("(0 1)", 3), ("(1 4)", 3), ("(1 2)(2 3)", 3), ("(1 2)(2 1)", 3), ("e", 0)],
+)
+def test_permutation_parse_rejects_outside_input(text, n):
     with pytest.raises(PermError):
-        Permutation((0, 0))
+        Permutation.parse(text, n)
+
+
+def _random_cycles(rng, n):
+    """Cycle notation for a random permutation of 1..n, fixed points written out."""
+    points = list(range(1, n + 1))
+    rng.shuffle(points)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    chunks = [points[i:j] for i, j in zip([0, *cuts], [*cuts, n])]
+    return "".join("(" + " ".join(map(str, c)) + ")" for c in chunks)
+
+
+def _is_partition_of(p, n):
+    parts = list(p.parts)
+    return all(x > 0 for x in parts) and parts == sorted(parts, reverse=True) and p.n == n
+
+
+def test_products_inverses_keep_bijections_and_partitions():
+    """Unchecked constructors preserve the invariants that parse establishes."""
+    rng = random.Random(17)
+    for _ in range(200):
+        n = rng.randint(2, 8)
+        gens = "abc"[: rng.randint(2, 3)]
+        images = {g: Permutation.parse(_random_cycles(rng, n), n) for g in gens}
+        identity = Permutation.identity(n)
+        u = evaluate(random_reduced_word(rng, 40, gens), images, identity)
+        v = evaluate(random_reduced_word(rng, 40, gens), images, identity)
+        for g in (u, v, u * v, u.inverse()):
+            assert sorted(g.images) == list(range(n))
+            assert _is_partition_of(g.cycle_type(), n)
+    for n in range(13):
+        assert all(_is_partition_of(p, n) for p in partitions_of(n))
 
 
 def test_commutator_and_class_helpers():
