@@ -3,18 +3,22 @@
 The group is presented as <a,b,c,d | [a,b] = [c,d]>.  A word is certified
 nontrivial by rewriting commutator blocks, applying a power of the Dehn
 twist that conjugates c, d by z = [a,b], retracting to the free group
-(a,c -> x; b,d -> y), and checking that the free image survives; the free
-witness then chains to an excluding prime.  An independent Dehn
-small-cancellation oracle over the symmetrized relator validates the
-certificate at corpus scale.
+(a,c -> x; b,d -> y), and checking that the free image survives; that free
+word is the witness, and its excluding prime completes the certificate.
+The witness's Sanov matrix is not evaluated letter by letter: the twist,
+the retraction and the Sanov map compose to one homomorphism on the
+rewritten word's own letters, which ``twisted_sanov_image`` evaluates.  An
+independent Dehn small-cancellation oracle over the symmetrized relator
+validates the certificate at corpus scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .resfin import PrimeWitness, smallest_excluding_prime
-from .words import GENUS2, Word, free_reduce
+from .resfin import PrimeWitness, excluding_prime, sanov_eval
+from .sl2 import SANOV_A, SANOV_B, Mat2
+from .words import GENUS2, Word, evaluate, free_reduce
 
 Z1 = "abAB"
 Z2 = "cdCD"
@@ -129,13 +133,35 @@ class Certificate:
         return self.verdict == "NONTRIVIAL"
 
 
+# Sanov image of z = [a, b], which the retraction fixes as [x, y].
+_Z = sanov_eval(Word(Z1))
+
+
+def twisted_sanov_image(w: Word, power: int) -> Mat2:
+    """Sanov image of retract(dehn_twist(w, power)), without building that word.
+
+    Twist, retraction and the Sanov map x, y -> SANOV_A, SANOV_B compose to
+    one homomorphism: a, b go to SANOV_A, SANOV_B and c, d to their
+    conjugates Z^-power SANOV_A Z^power and Z^-power SANOV_B Z^power, with
+    Z the image of z.  Free reduction does not change an image, so this is
+    the matrix of the twisted free word, at one product per letter of w.
+    """
+    zm = _Z ** power
+    zmi = zm.inverse()
+    images = {"a": SANOV_A, "b": SANOV_B, "c": zmi * SANOV_A * zm, "d": zmi * SANOV_B * zm}
+    return evaluate(_check(w), images, Mat2.identity())
+
+
 def certify_nontrivial(w: Word) -> Certificate:
     """Certify nontriviality via rewrite -> twist -> retract.
 
     The twist power m = ceil(|w0|/4) + 1 satisfies the sufficiency
     condition 4(m-1) >= |w0| for the rewritten word w0.  A nonempty free
-    image is a proof of nontriviality; an empty image is only consistent
+    image u is a proof of nontriviality; an empty image is only consistent
     with triviality (and is corpus-validated against the Dehn oracle).
+    The excluding prime comes from u's Sanov matrix, which
+    ``twisted_sanov_image`` computes from the |w0| letters of w0, not from
+    the letters of u, whose number grows quadratically in |w0|.
     """
     _check(w)
     if w.is_trivial:
@@ -145,8 +171,14 @@ def certify_nontrivial(w: Word) -> Certificate:
     u = retract(dehn_twist(w0, m))
     if u.is_trivial:
         return Certificate("TRIVIAL-CONSISTENT", w, w0, m, None, None)
-    free_word = Word(u.letters.translate(str.maketrans("xyXY", "abAB")), "ab")
-    return Certificate("NONTRIVIAL", w, w0, m, u, smallest_excluding_prime(free_word))
+    prime_witness = excluding_prime(twisted_sanov_image(w0, m), len(u))
+    return Certificate("NONTRIVIAL", w, w0, m, u, prime_witness)
+
+
+# The 16 cyclic conjugates of the relator and its inverse, in a fixed order.
+_SYMMETRIZED = tuple(
+    base[i:] + base[:i] for base in (RELATOR, _inv(RELATOR)) for i in range(len(base))
+)
 
 
 def dehn_oracle(w: Word) -> str:
@@ -158,10 +190,6 @@ def dehn_oracle(w: Word) -> str:
     rule applies; the empty word is reached iff w is trivial.
     """
     _check(w)
-    symmetrized = set()
-    for base in (RELATOR, _inv(RELATOR)):
-        for i in range(len(base)):
-            symmetrized.add(base[i:] + base[:i])
     letters = w.cyclically_reduced().letters
     while True:
         if not letters:
@@ -169,7 +197,7 @@ def dehn_oracle(w: Word) -> str:
         n = len(letters)
         doubled = letters + letters
         replaced = False
-        for rel in symmetrized:
+        for rel in _SYMMETRIZED:
             for cut in range(min(len(rel), n), len(rel) // 2, -1):
                 piece, rest = rel[:cut], rel[cut:]
                 idx = doubled.find(piece)

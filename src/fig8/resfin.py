@@ -52,17 +52,23 @@ class PrimeWitness:
 
 
 def smallest_excluding_prime(w: Word) -> PrimeWitness:
-    """Least prime p at which the Sanov image of w is not the identity mod p.
+    """Least prime p at which the Sanov image of w is not the identity mod p."""
+    return excluding_prime(sanov_eval(w), len(w))
 
-    Always p >= 3: both Sanov generators reduce to the identity mod 2.
+
+def excluding_prime(matrix: Mat2, word_length: int) -> PrimeWitness:
+    """Least prime p at which ``matrix`` is not the identity mod p.
+
+    ``matrix`` is the Sanov image of a reduced word of ``word_length``
+    letters, however it was computed.  Always p >= 3: both Sanov generators
+    reduce to the identity mod 2.
     """
-    matrix = sanov_eval(w)
     if matrix.is_identity:
         raise ResFinError("trivial word has no excluding prime")
     for p in primes():
         residues = matrix.reduce_mod(p)
         if residues != (1, 0, 0, 1):
-            return PrimeWitness(p, residues, len(w))
+            return PrimeWitness(p, residues, word_length)
     raise AssertionError("unreachable: a nonidentity integer matrix survives some prime")
 
 

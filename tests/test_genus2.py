@@ -11,7 +11,9 @@ from fig8.genus2 import (
     length_bound_check,
     retract,
     rewrite_blocks,
+    twisted_sanov_image,
 )
+from fig8.resfin import sanov_eval, smallest_excluding_prime
 from fig8.words import Word, random_reduced_word
 
 
@@ -62,6 +64,46 @@ def test_certify_examples():
     assert cert.nontrivial and cert.witness.letters == "xyXY"
 
 
+def _relator_product(rng):
+    """A product of 1-3 conjugates of the relator or its inverse."""
+    letters = "abcdABCD"
+    inv = str.maketrans(letters, "ABCDabcd")
+    pieces = []
+    for _ in range(rng.randrange(1, 4)):
+        g = "".join(rng.choice(letters) for _ in range(rng.randrange(0, 4)))
+        base = RELATOR if rng.random() < 0.5 else RELATOR.translate(inv)[::-1]
+        pieces.append(g + base + g.translate(inv)[::-1])
+    return W("".join(pieces))
+
+
+def _free(u):
+    """The free witness over x, y as a word over a, b."""
+    return Word(u.letters.translate(str.maketrans("xyXY", "abAB")), "ab")
+
+
+def test_twisted_sanov_image_is_the_twisted_witness_matrix():
+    rng = random.Random(5)
+    words = [W("ac"), W("abAB"), W("cdCD"), W("d")]
+    words += [random_reduced_word(rng, 6, "abcd") for _ in range(20)]
+    for w in words:
+        for m in range(13):
+            expected = sanov_eval(_free(retract(dehn_twist(w, m))))
+            assert twisted_sanov_image(w, m) == expected, (w.letters, m)
+
+
+def test_certificate_reverifies_against_its_witness():
+    rng = random.Random(9)
+    words = [W("ac"), W("abAB")] + [random_reduced_word(rng, 40, "abcd") for _ in range(500)]
+    for w in words:
+        cert = certify_nontrivial(w)
+        if not cert.nontrivial:
+            continue
+        free = _free(cert.witness)
+        matrix = twisted_sanov_image(cert.rewritten, cert.twist_power)
+        assert matrix == sanov_eval(free), w.letters
+        assert cert.prime_witness == smallest_excluding_prime(free), w.letters
+
+
 def test_dehn_oracle_examples():
     assert dehn_oracle(W(RELATOR)) == "trivial"
     assert dehn_oracle(W("ac")) == "nontrivial"
@@ -77,6 +119,15 @@ def test_certify_matches_oracle_on_corpus_sample():
         assert cert.nontrivial == (dehn_oracle(w) == "nontrivial"), w.letters
 
 
+def test_dehn_oracle_answers_on_criterion_13_sample():
+    # the 10^4 random words and 100 relator products of acceptance criterion 13
+    rng = random.Random(0)
+    words = [random_reduced_word(rng, 40, "abcd") for _ in range(10**4)]
+    assert all(dehn_oracle(w) == "nontrivial" for w in words)
+    for _ in range(100):
+        assert dehn_oracle(_relator_product(rng)) == "trivial"
+
+
 def test_certify_conjugation_stability():
     rng = random.Random(21)
     for _ in range(200):
@@ -88,15 +139,8 @@ def test_certify_conjugation_stability():
 
 def test_relator_products_are_trivial_consistent():
     rng = random.Random(14)
-    letters = "abcdABCD"
-    inv = str.maketrans(letters, "ABCDabcd")
     for _ in range(50):
-        pieces = []
-        for _ in range(rng.randrange(1, 4)):
-            g = "".join(rng.choice(letters) for _ in range(rng.randrange(0, 4)))
-            base = RELATOR if rng.random() < 0.5 else RELATOR.translate(inv)[::-1]
-            pieces.append(g + base + g.translate(inv)[::-1])
-        w = W("".join(pieces))
+        w = _relator_product(rng)
         assert certify_nontrivial(w).verdict == "TRIVIAL-CONSISTENT"
         assert dehn_oracle(w) == "trivial"
 

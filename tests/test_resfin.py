@@ -8,11 +8,13 @@ from fig8.resfin import (
     ResFinError,
     abelian_excluding_prime,
     average_index_simulation,
+    excluding_prime,
     expected_min_prime,
     primes,
     sanov_eval,
     smallest_excluding_prime,
 )
+from fig8.sl2 import Mat2
 from fig8.words import Word, random_reduced_word
 
 
@@ -43,6 +45,16 @@ def test_smallest_excluding_prime_examples():
     assert smallest_excluding_prime(Word("aaa")).prime == 5
     with pytest.raises(ResFinError):
         smallest_excluding_prime(Word("aA"))
+
+
+def test_excluding_prime_of_a_matrix():
+    with pytest.raises(ResFinError):
+        excluding_prime(Mat2.identity(), 0)
+    rng = random.Random(12)
+    words = [Word("a"), Word("abAB"), Word("aaa")]
+    words += [random_reduced_word(rng, 30) for _ in range(200)]
+    for w in words:
+        assert excluding_prime(sanov_eval(w), len(w)) == smallest_excluding_prime(w)
 
 
 def test_excluding_prime_is_at_least_three():
