@@ -1,116 +1,2 @@
 """fig8: exact arithmetic for one-double-point geodesics, surface covers,
 and quantified residual finiteness."""
-
-from .covers import (
-    CoverSpec,
-    ExtendDecision,
-    RegularDecision,
-    StallingsRep,
-    StripCover,
-    boundary_lift_components,
-    commutator_witness,
-    extends_cover,
-    regular_extends,
-    stallings_excluding_subgroup,
-    strip_cover,
-    two_n_cycles,
-)
-from .genus2 import (
-    Certificate,
-    certify_nontrivial,
-    dehn_oracle,
-    dehn_twist,
-    length_bound_check,
-    retract,
-    rewrite_blocks,
-)
-from .lps import LpsGirthResult, lps_girth_check
-from .magnus import MagnusSeries, UnipotentWitness, lcs_depth, magnus_expand, unipotent_witness
-from .perms import Partition, Permutation, character, class_parity, class_size, frobenius_count
-from .resfin import (
-    PrimeWitness,
-    SimulationResult,
-    average_index_simulation,
-    expected_min_prime,
-    sanov_eval,
-    smallest_excluding_prime,
-)
-from .selfint import self_intersection
-from .sl2 import HypLength, Mat2, fig8_length, length_to_trace, trace_third, trace_to_length
-from .torus import (
-    MODULAR_ROOT,
-    GeodesicRecord,
-    TraceTriple,
-    count_census,
-    enumerate_simple,
-    growth_exponent,
-    mc2_sum,
-    mcshane_sum,
-    one_intersection_census,
-    vieta_flip,
-)
-from .words import Word, evaluate, free_reduce, random_reduced_word
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "CoverSpec",
-    "ExtendDecision",
-    "RegularDecision",
-    "StallingsRep",
-    "StripCover",
-    "Certificate",
-    "LpsGirthResult",
-    "MagnusSeries",
-    "UnipotentWitness",
-    "Partition",
-    "Permutation",
-    "PrimeWitness",
-    "SimulationResult",
-    "HypLength",
-    "Mat2",
-    "MODULAR_ROOT",
-    "GeodesicRecord",
-    "TraceTriple",
-    "Word",
-    "average_index_simulation",
-    "boundary_lift_components",
-    "certify_nontrivial",
-    "character",
-    "class_parity",
-    "class_size",
-    "commutator_witness",
-    "count_census",
-    "dehn_oracle",
-    "dehn_twist",
-    "enumerate_simple",
-    "evaluate",
-    "expected_min_prime",
-    "extends_cover",
-    "fig8_length",
-    "free_reduce",
-    "frobenius_count",
-    "growth_exponent",
-    "lcs_depth",
-    "length_bound_check",
-    "length_to_trace",
-    "lps_girth_check",
-    "magnus_expand",
-    "mc2_sum",
-    "mcshane_sum",
-    "one_intersection_census",
-    "random_reduced_word",
-    "regular_extends",
-    "retract",
-    "rewrite_blocks",
-    "sanov_eval",
-    "self_intersection",
-    "smallest_excluding_prime",
-    "stallings_excluding_subgroup",
-    "strip_cover",
-    "trace_third",
-    "trace_to_length",
-    "two_n_cycles",
-    "unipotent_witness",
-    "vieta_flip",
-]

@@ -20,7 +20,6 @@ from .perms import (
     Partition,
     PermError,
     Permutation,
-    all_permutations,
     class_elements,
     class_parity,
     class_representative,
@@ -81,8 +80,8 @@ def commutator_witness(sigma: Permutation) -> tuple[Permutation, Permutation]:
     # c2.  Under right action, conjugation by beta relabels the cycle
     # (p1 p2 ...) of x as (beta^-1(p1) beta^-1(p2) ...), so beta must send
     # the c2-cycle points onto the c1^-1-cycle points position by position.
-    x_cycle = _full_cycle(c1.inverse())
-    y_cycle = _full_cycle(c2)
+    x_cycle = c1.inverse().cycles()[0]
+    y_cycle = c2.cycles()[0]
     images = [0] * n
     for xp, yp in zip(x_cycle, y_cycle):
         images[yp - 1] = xp - 1
@@ -91,13 +90,6 @@ def commutator_witness(sigma: Permutation) -> tuple[Permutation, Permutation]:
     if commutator(alpha, beta) != sigma:
         raise PermError("commutator witness verification failed")
     return (alpha, beta)
-
-
-def _full_cycle(c: Permutation) -> list[int]:
-    pts = [1]
-    while len(pts) < c.degree:
-        pts.append(c(pts[-1]))
-    return pts
 
 
 @dataclass(frozen=True)
@@ -254,6 +246,8 @@ def boundary_lift_components(
 
 @dataclass(frozen=True)
 class RegularDecision:
+    """Answer of ``regular_extends``; a regular image is transitive of order n."""
+
     status: str  # "extends" | "does-not-extend" | "unknown"
     witness: tuple[Permutation, ...] | None
 
@@ -275,37 +269,29 @@ def _subgroup_closure(gens: list[Permutation], cap: int) -> set[Permutation] | N
     return group
 
 
-def _order_n_overgroups(seed: list[Permutation], n: int):
-    """All order-n subgroups of S_n containing the seed elements.
+def _regular_overgroups(seed: list[Permutation], n: int):
+    """All regular subgroups of S_n (transitive, of order n) containing the seed.
 
-    Depth-first extension of the generated subgroup, adding only the
-    minimal representative of each right coset to avoid revisiting the
-    same subgroup through different generators.
+    A regular group holds exactly one element taking point 1 to each point,
+    and that element's cycles all have one length.  So the closure is grown
+    by one such element for the least point outside the orbit of 1, and
+    every regular overgroup is reached exactly once.
     """
-    base = _subgroup_closure(seed, n)
-    if base is None:
+    group = _subgroup_closure(seed, n)
+    if group is None:
         return
-    candidates = list(all_permutations(n))
-
-    def extend(group: set[Permutation], gens: list[Permutation]):
-        if len(group) == n:
-            yield group
-            return
-        seen_cosets = {frozenset(h.images for h in group)}
-        for g in candidates:
-            if g in group:
-                continue
-            coset = frozenset((h * g).images for h in group)
-            if coset in seen_cosets:
-                continue
-            seen_cosets.add(coset)
-            if min(coset) != g.images:
-                continue  # only the minimal coset representative extends
-            bigger = _subgroup_closure(gens + [g], n)
-            if bigger is not None and len(bigger) <= n:
-                yield from extend(bigger, gens + [g])
-
-    yield from extend(base, list(seed))
+    orbit = {g(1) for g in group}
+    if len(orbit) < len(group):
+        return  # a point stabilizer is nontrivial: no regular group contains it
+    if len(orbit) == n:
+        yield group
+        return
+    j = min(set(range(1, n + 1)) - orbit)
+    for d in range(2, n + 1):
+        if n % d == 0:
+            for g in class_elements(Partition((d,) * (n // d))):
+                if g(1) == j:
+                    yield from _regular_overgroups(seed + [g], n)
 
 
 def _handle_assignment(group: set[Permutation], genus: int, target, must_generate_with):
@@ -330,27 +316,32 @@ def _handle_assignment(group: set[Permutation], genus: int, target, must_generat
 
 
 def regular_extends(spec: CoverSpec, budget: int = 8) -> RegularDecision:
-    """Regular-cover extension: the image must be a subgroup of order exactly n.
+    """Regular-cover extension: the image must act regularly, that is be
+    transitive with order exactly n.
 
-    Genus 0: some choice of boundary images from the classes generates an
-    order-n subgroup and multiplies to the identity.  Genus >= 1 (the
-    weakest faithful reading): the boundary images lie in an order-n
-    subgroup whose handle images absorb the boundary product as a product
-    of genus commutators, the whole assignment generating the subgroup.
-    Exhaustive search over ``_boundary_tuples``, in product order; degrees
-    above the budget return "unknown".
+    Every element of a regular group has cycles of one length, so a class
+    with unequal cycles does not extend.  Genus 0: some choice of boundary
+    images from the classes generates a regular subgroup and multiplies to
+    the identity.  Genus >= 1 (the weakest faithful reading): the boundary
+    images lie in a regular subgroup whose handle images absorb the boundary
+    product as a product of genus commutators, the whole assignment
+    generating the subgroup.  Exhaustive search over ``_boundary_tuples``,
+    in product order; degrees above the budget return "unknown".
     """
     n = spec.degree
+    if any(len(set(c.parts)) > 1 for c in spec.boundary_classes):
+        return RegularDecision("does-not-extend", None)
     if n > budget or spec.genus > 4:
         return RegularDecision("unknown", None)
     for boundaries in _boundary_tuples(spec.boundary_classes, spec.genus == 0, exhaustive=True):
         if spec.genus == 0:
+            # the closure is capped at order n, so an orbit of n points makes it regular
             group = _subgroup_closure(list(boundaries), n)
-            if group is not None and len(group) == n:
+            if group is not None and len({g(1) for g in group}) == n:
                 return RegularDecision("extends", boundaries)
         else:
             product = math.prod(boundaries, start=Permutation.identity(n))
-            for group in _order_n_overgroups(list(boundaries), n):
+            for group in _regular_overgroups(list(boundaries), n):
                 handles = _handle_assignment(group, spec.genus, product.inverse(), boundaries)
                 if handles is not None:
                     return RegularDecision("extends", boundaries)

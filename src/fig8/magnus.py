@@ -139,10 +139,10 @@ def unipotent_witness(w: Word, k: int) -> UnipotentWitness:
     over the integers mod m, and the image order is the order of the
     reduced series in the truncated group.
     """
-    depth = lcs_depth(w, k)
+    series = magnus_expand(w, k)
+    depth = series.lowest_degree()
     if depth != k:
         raise MagnusError(f"depth mismatch: lcs_depth is {depth}, expected {k}")
-    series = magnus_expand(w, k)
     monomial, coefficient = min(series.degree_part(k).items())
     modulus = next(p for p in primes() if coefficient % p)
     image = series.reduce_mod(modulus)

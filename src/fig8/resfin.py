@@ -3,8 +3,8 @@
 Words are separated in finite quotients by reducing their exact Sanov-pair
 image modulo small primes; the least prime at which the image survives is
 the excluding prime.  The module also evaluates the expected-smallest-prime
-series and runs the abelianized average-index simulation, and verifies the
-LPS girth bound through :mod:`fig8.lps`.
+series and runs the abelianized average-index simulation.  The LPS girth
+bound is verified in :mod:`fig8.lps`.
 """
 
 from __future__ import annotations

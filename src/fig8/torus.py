@@ -110,26 +110,36 @@ def _maybe_int(x: float):
 def enumerate_simple(root: TraceTriple, trace_cutoff: float) -> list[GeodesicRecord]:
     """All simple closed geodesics with trace <= cutoff, one record per slope.
 
-    Checks the root, then walks the trivalent Vieta tree depth-first; each
-    non-root step introduces exactly one new slope, so slope deduplication
-    is structural.  A walk that dips below trace 3 raises CensusError: the
-    root is assumed to be the tree's sink.  Output is sorted by (trace, slope).
+    Checks the root and flips it down to the tree's sink while some flip
+    lowers a coordinate; a descent below trace 3 raises CensusError.  From
+    the sink every flip raises a trace, so the trivalent Vieta tree is walked
+    depth-first and a branch is cut at the first trace above the cutoff;
+    each step introduces exactly one new slope, so slope deduplication is
+    structural.  Output is sorted by (trace, slope).
     """
     root.check()
     if not 3 <= trace_cutoff < math.inf:  # NaN fails too
         raise CensusError(f"trace cutoff {trace_cutoff} is not a finite number >= 3")
+    sink = root
+    while True:
+        x = sink.coords()
+        # flipping x_k gives x_i x_j - x_k, lower than x_k iff xyz < 2 x_k^2
+        lower = [k for k in range(3) if math.prod(x) < 2 * x[k] ** 2]
+        if not lower:
+            break
+        sink = vieta_flip(sink, lower[0])
+        if sink.coords()[lower[0]] < 3 - TOL:
+            raise CensusError(f"Vieta flip gives trace {sink.coords()[lower[0]]} below 3")
     records = [
-        GeodesicRecord(_maybe_int(tr), "simple", s) for tr, s in zip(root.coords(), root.slopes)
+        GeodesicRecord(_maybe_int(tr), "simple", s) for tr, s in zip(sink.coords(), sink.slopes)
     ]
-    stack = [(root, k) for k in range(3)]
+    stack = [(sink, k) for k in range(3)]
     while stack:
         node, k = stack.pop()
         i, j = [t for t in range(3) if t != k]
         new_trace = node.coords()[i] * node.coords()[j] - node.coords()[k]
         if new_trace > trace_cutoff:
             continue
-        if new_trace < 3 - TOL:
-            raise CensusError(f"Vieta flip of {node.coords()} gives trace {new_trace} below 3")
         child = vieta_flip(node, k)
         records.append(GeodesicRecord(_maybe_int(new_trace), "simple", child.slopes[k]))
         for k2 in range(3):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -63,6 +64,24 @@ def test_regular_extend_unknown_budget(capsys):
     code, out, _ = run(capsys, "regular-extend", "--genus", "1", "--classes", "9")
     assert code == 3
     assert json.loads(out)["status"] == "unknown"
+
+
+def test_regular_extend_intransitive_image_does_not_extend(capsys):
+    code, out, _ = run(capsys, "regular-extend", "--genus", "0", "--classes", "2,2;2,1,1;2,1,1")
+    assert code == 1
+    assert json.loads(out) == {"schema": 1, "status": "does-not-extend"}
+
+
+@pytest.mark.parametrize(
+    "genus,classes,code,status",
+    [("1", "2,2,2,1,1", 1, "does-not-extend"), ("1", "2,2,2,2", 0, "extends")],
+)
+def test_regular_extend_degree_8_in_bounded_time(capsys, genus, classes, code, status):
+    # the coset search over all 8! permutations took 75 s and 2.6 s on 2 cores
+    t0 = time.perf_counter()
+    got = run(capsys, "regular-extend", "--genus", genus, "--classes", classes)
+    assert time.perf_counter() - t0 < 10
+    assert (got[0], json.loads(got[1])["status"]) == (code, status)
 
 
 def test_selfint(capsys):

@@ -5,6 +5,7 @@ import pytest
 from fig8.covers import (
     CoverError,
     CoverSpec,
+    RegularDecision,
     boundary_lift_components,
     commutator_witness,
     extends_cover,
@@ -165,35 +166,68 @@ def test_regular_extends_spec_examples():
     assert regular_extends(CoverSpec(1, (Partition((9,)),)), budget=8).status == "unknown"
 
 
+def _is_regular(perms, n):
+    """Independent regularity test: the generated group has order n and the
+    orbit of point 1 under the generators is all n points."""
+    from fig8.covers import _subgroup_closure
+
+    group = _subgroup_closure(list(perms), n)
+    orbit = {1}
+    for _ in range(n):
+        orbit |= {g(p) for g in perms for p in orbit}
+    return group is not None and len(group) == n and len(orbit) == n
+
+
 def test_regular_extends_against_direct_search():
     """Genus-1, one boundary class: compare with exhaustive homomorphism search
-    requiring an image of order exactly n."""
+    requiring an image of order exactly n that acts transitively."""
+    from fig8.perms import class_elements
+
     for n in (2, 3, 4):
         perms = list(all_permutations(n))
         for cls in partitions_of(n):
-            expected = False
-            from fig8.covers import _subgroup_closure
-            from fig8.perms import class_elements
-
-            for gamma in class_elements(cls):
-                for a in perms:
-                    for b in perms:
-                        if commutator(a, b) * gamma == Permutation.identity(n):
-                            group = _subgroup_closure([a, b, gamma], n)
-                            if group is not None and len(group) == n:
-                                expected = True
-                                break
-                    if expected:
-                        break
-                if expected:
-                    break
+            expected = any(
+                commutator(a, b) * gamma == Permutation.identity(n)
+                and _is_regular([a, b, gamma], n)
+                for gamma in class_elements(cls)
+                for a in perms
+                for b in perms
+            )
             got = regular_extends(CoverSpec(1, (cls,))).status == "extends"
             assert got == expected, (n, cls)
 
 
+def _brute_regular_genus1(classes):
+    """First boundary tuple in product order with one handle pair (a, b) in S_n
+    such that [a, b] * product = e and the whole assignment is regular."""
+    from fig8.perms import class_elements, class_representative
+
+    n = classes[0].n
+    identity = Permutation.identity(n)
+    perms = list(all_permutations(n))
+    pools = [(class_representative(classes[0]),), *map(class_elements, classes[1:])]
+    for boundaries in product(*pools):
+        g = identity
+        for x in boundaries:
+            g = g * x
+        for a in perms:
+            for b in perms:
+                if commutator(a, b) * g == identity and _is_regular([a, b, *boundaries], n):
+                    return ("extends", boundaries)
+    return ("does-not-extend", None)
+
+
+def test_regular_extends_genus1_against_direct_search():
+    sizes = [(n, k) for n in (1, 2, 3, 4) for k in (1, 2)] + [(5, 1)]
+    for n, k in sizes:
+        for classes in product(partitions_of(n), repeat=k):
+            d = regular_extends(CoverSpec(1, classes))
+            assert (d.status, d.witness) == _brute_regular_genus1(classes), classes
+
+
 def _brute_regular_genus0(classes):
-    """The pools search: first tuple in product order with product e and closure order n."""
-    from fig8.covers import _subgroup_closure
+    """The pools search: first tuple in product order with product e whose
+    image has order n and acts transitively."""
     from fig8.perms import class_elements, class_representative
 
     n = classes[0].n
@@ -203,10 +237,8 @@ def _brute_regular_genus0(classes):
         g = identity
         for x in boundaries:
             g = g * x
-        if g == identity:
-            group = _subgroup_closure(list(boundaries), n)
-            if group is not None and len(group) == n:
-                return ("extends", boundaries)
+        if g == identity and _is_regular(boundaries, n):
+            return ("extends", boundaries)
     return ("does-not-extend", None)
 
 
@@ -218,12 +250,29 @@ def test_regular_extends_genus0_against_pools_search():
             assert (d.status, d.witness) == _brute_regular_genus0(classes), classes
 
 
-def test_regular_witness_generates_order_n():
-    d = regular_extends(CoverSpec(0, (Partition((2,)), Partition((2,)))))
-    from fig8.covers import _subgroup_closure
+# Specs whose old witness generated an intransitive group of order n, that is
+# a disconnected cover; a class with unequal cycles is never regular monodromy.
+INTRANSITIVE_SPECS = [(0, "2,2;2,1,1;2,1,1")] + [
+    (genus, classes)
+    for genus in (1, 2)
+    for classes in ("2,1,1;2,1,1", "2,2;2,1,1;2,1,1", "2,1,1;2,1,1;1,1,1,1")
+]
 
-    group = _subgroup_closure(list(d.witness), 2)
-    assert group is not None and len(group) == 2
+
+@pytest.mark.parametrize("genus,classes", INTRANSITIVE_SPECS)
+def test_regular_extends_rejects_intransitive_images(genus, classes):
+    spec = CoverSpec(genus, tuple(Partition.parse(c) for c in classes.split(";")))
+    assert regular_extends(spec) == RegularDecision("does-not-extend", None)
+
+
+def test_regular_witness_generates_order_n():
+    # At degree 8 the first order-8 image in product order has two orbits:
+    # (1 2)(3 4)(5 6)(7 8) and (1 2 3 4)(5 6 7 8) generate a dihedral group of
+    # order 8 acting on {1..4} and {5..8}.  The witness must be transitive.
+    for classes in ("2;2", "2,2,2,2;2,2,2,2;4,4;4,4"):
+        spec = CoverSpec(0, tuple(Partition.parse(c) for c in classes.split(";")))
+        d = regular_extends(spec)
+        assert d.status == "extends" and _is_regular(d.witness, spec.degree), classes
 
 
 def test_stallings_examples_and_properties():

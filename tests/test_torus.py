@@ -66,6 +66,16 @@ def test_non_sink_root_is_valid_but_not_walked():
         enumerate_simple(root, 20)
 
 
+@pytest.mark.parametrize("root", [TraceTriple(15, 87, 1299), TraceTriple(3, 6, 15)])
+@pytest.mark.parametrize("cutoff", [5, 10, 1000, 10**6])
+def test_root_above_the_sink_gives_the_modular_census(root, cutoff):
+    """The walk starts at the sink, so a root above it neither lists its own
+    traces past the cutoff nor misses the regions below it."""
+    records = enumerate_simple(root, cutoff)
+    assert [r.trace for r in records] == [r.trace for r in enumerate_simple(MODULAR_ROOT, cutoff)]
+    assert len({r.slope for r in records}) == len(records)
+
+
 @pytest.mark.parametrize("root", [MODULAR_ROOT, PERMUTED_ROOT])
 def test_random_flips_keep_every_node_valid(root):
     """Flips preserve what check() tests, so walks need not check each node."""
