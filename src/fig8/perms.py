@@ -19,6 +19,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 
+# A permutation holds n images, so a parsed degree is capped: a typed degree
+# of 10^8 would otherwise allocate gigabytes before any search starts.
+MAX_DEGREE = 1000
+
+
 class PermError(ValueError):
     pass
 
@@ -150,8 +155,9 @@ class Permutation:
     def parse(cls, text: str, n: int | None = None) -> "Permutation":
         """Parse cycle notation like "(1 2 3)(4 5)"; points are 1-indexed.
 
-        n defaults to the largest point.  Rejects a degree below 1 and any
-        point outside 1..n or repeated within or across cycles.
+        n defaults to the largest point.  Rejects a degree below 1 or above
+        MAX_DEGREE and any point outside 1..n or repeated within or across
+        cycles.
         """
         text = text.strip()
         cycles: list[tuple[int, ...]] = []
@@ -165,6 +171,8 @@ class Permutation:
             n = max(points, default=0)
         if n < 1:
             raise PermError(f"degree {n} is below 1")
+        if n > MAX_DEGREE:
+            raise PermError(f"degree {n} is above the cap {MAX_DEGREE}")
         if not all(1 <= p <= n for p in points) or len(set(points)) != len(points):
             raise PermError(f"{text!r} needs distinct points in 1..{n}")
         return cls.from_cycles(n, cycles)

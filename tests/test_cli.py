@@ -119,6 +119,11 @@ def test_lpsgirth(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["girth"] == 8 and payload["passed"] is True
+    code, out, _ = run(capsys, "lpsgirth", "--p", "13", "--q", "37")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["generator_count"], payload["group_order"]) == (14, 50616)
+    assert (payload["girth"], payload["bound_ceil"]) == (8, 6)
 
 
 def test_surface_certify_exit_codes(capsys):
@@ -160,6 +165,9 @@ def test_input_errors_exit_2(capsys):
     for argv in (
         ["twocycles", "--perm", "(1 -2)", "--degree", "2"],
         ["stripcover", "--sigma", "(1 2)", "--tau", "(1 2)(2 1)", "--degree", "2"],
+        ["twocycles", "--perm", "e", "--degree", "100000000"],  # above the degree cap
+        ["lpsgirth", "--p", "7", "--q", "29"],  # p = 3 mod 4
+        ["lpsgirth", "--p", "5", "--q", "73"],  # above the vertex cap
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
@@ -210,7 +218,7 @@ def test_stallings_twocycles_stripcover(capsys):
     assert code == 0 and json.loads(out)["boundary_components"] == 1
 
 
-# One argv per subcommand that writes an artifact (lpsgirth is left out for time).
+# One argv per subcommand that writes an artifact.
 ARTIFACT_ARGVS = [
     ["census", "--cutoff", "6", "--mode", "full"],
     ["census", "--counts-at", "8,12"],
@@ -228,6 +236,7 @@ ARTIFACT_ARGVS = [
     ["witness", "--word", "abAB", "--k", "2"],
     ["expectedprime", "--terms", "12"],
     ["avgindex", "--rank", "3", "--radius", "6", "--samples", "50", "--seed", "3"],
+    ["lpsgirth", "--p", "5", "--q", "13"],
     ["surface-certify", "--word", "acBD"],
 ]
 

@@ -1,6 +1,55 @@
+import math
+from collections import deque
+
 import pytest
 
-from fig8.lps import LpsError, lps_generators, lps_girth_check, quaternion_solutions
+from fig8.lps import (
+    MAX_VERTICES,
+    LpsError,
+    LpsGirthResult,
+    _canon,
+    _inverses,
+    _is_prime,
+    lps_generators,
+    lps_girth_check,
+    quaternion_solutions,
+)
+
+
+def _mul(x, y, q):
+    a, b, c, d = x
+    e, f, g, h = y
+    return ((a * e + b * g) % q, (a * f + b * h) % q, (c * e + d * g) % q, (c * f + d * h) % q)
+
+
+def _oracle_girth_check(p, q):
+    """The breadth-first search on canonical 4-tuples, one product per edge."""
+    gens = lps_generators(p, q)
+    inv = _inverses(q)
+    inverse = [gens.index(_canon((d, -b % q, -c % q, a), inv)) for a, b, c, d in gens]
+    identity = (1, 0, 0, 1)
+    dist = {identity: 0}
+    best = None
+    queue = deque([(identity, None)])
+    while queue:
+        u, back = queue.popleft()
+        for gi, s in enumerate(gens):
+            if gi == back:
+                continue
+            v = _canon(_mul(u, s, q), inv)
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append((v, inverse[gi]))
+            else:
+                cycle = dist[u] + dist[v] + 1
+                if best is None or cycle < best:
+                    best = cycle
+    bound = (4 * math.log(q) - math.log(4)) / math.log(p)
+    bound_ceil = math.ceil(bound)
+    psl_order = q * (q * q - 1) // 2
+    return LpsGirthResult(
+        p, q, len(gens), len(dist), psl_order, best, bound, bound_ceil, best >= bound_ceil
+    )
 
 
 def test_quaternion_solutions_p5():
@@ -20,11 +69,20 @@ def test_generators_distinct_and_closed_under_inverse():
     for q in (13, 17):
         gens = lps_generators(5, q)
         assert len(gens) == 6
-        from fig8.lps import _canon, _inverses, _mul
-
         identity, inv = (1, 0, 0, 1), _inverses(q)
         for g in gens:
             assert any(_canon(_mul(g, h, q), inv) == identity for h in gens)
+
+
+def test_quaternion_solutions_count_p_plus_1():
+    for p in range(5, 400, 4):
+        if _is_prime(p):
+            assert len(quaternion_solutions(p)) == p + 1, p
+
+
+@pytest.mark.parametrize("p, q", [(5, 13), (5, 17), (5, 37), (13, 37)])
+def test_girth_check_equals_tuple_bfs_oracle(p, q):
+    assert lps_girth_check(p, q) == _oracle_girth_check(p, q)
 
 
 def test_girth_check_5_13():
@@ -56,3 +114,13 @@ def test_precondition_errors():
         lps_girth_check(5, 11)  # q <= 2p
     with pytest.raises(LpsError):
         lps_girth_check(5, 29)  # 5 is a quadratic residue mod 29 (11^2 = 121 = 5)
+    with pytest.raises(LpsError, match="1 mod 4"):
+        lps_girth_check(7, 29)  # no quaternions with a odd and b, c, d even
+
+
+def test_vertex_cap():
+    assert 61 * (61**2 - 1) <= MAX_VERTICES  # (29, 61) is admitted
+    with pytest.raises(LpsError, match="cap"):
+        lps_girth_check(5, 73)  # valid LPS parameters with 388,944 vertices
+    with pytest.raises(LpsError, match="cap"):
+        lps_girth_check(5, 10**30 + 57)  # refused before any trial division

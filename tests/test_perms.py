@@ -124,7 +124,15 @@ def test_permutation_basics():
 
 @pytest.mark.parametrize(
     "text, n",
-    [("(1 -2)", 3), ("(0 1)", 3), ("(1 4)", 3), ("(1 2)(2 3)", 3), ("(1 2)(2 1)", 3), ("e", 0)],
+    [
+        ("(1 -2)", 3),
+        ("(0 1)", 3),
+        ("(1 4)", 3),
+        ("(1 2)(2 3)", 3),
+        ("(1 2)(2 1)", 3),
+        ("e", 0),
+        ("e", 1001),  # above the degree cap
+    ],
 )
 def test_permutation_parse_rejects_outside_input(text, n):
     with pytest.raises(PermError):
