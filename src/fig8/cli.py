@@ -53,8 +53,16 @@ def _parse_classes(text: str) -> list[Partition]:
     return [Partition.parse(chunk) for chunk in text.split(";")]
 
 
+def _number(text: str) -> int | float:
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def _parse_root(text: str) -> torus.TraceTriple:
-    x, y, z = (float(v) for v in text.split(","))
+    """Integer coordinates stay int, so the walk from them is exact."""
+    x, y, z = (_number(v) for v in text.split(","))
     return torus.TraceTriple(x, y, z).check()
 
 
@@ -72,11 +80,13 @@ def _cmd_census(args) -> int:
             rows.append(f"{_fmt(length)},{n0},{n1p},{n1f}")
         _emit_csv(args, "L,N0,N1_paired,N1_full", rows)
         return 0
-    records = torus.one_intersection_census(root, args.cutoff, args.mode)
-    rows = [
-        f"{_fmt(r.trace)},{_fmt(r.length)},{r.family},{torus.slope_str(r.slope)}"
-        for r in records
-    ]
+    rows, row, last = [], "", None
+    # each paired record appears twice in a row, as one object: format it once
+    for r in torus.one_intersection_census(root, args.cutoff, args.mode):
+        if r is not last:
+            slope = torus.slope_str(r.slope)
+            last, row = r, f"{_fmt(r.trace)},{_fmt(r.length)},{r.family},{slope}"
+        rows.append(row)
     _emit_csv(args, "trace,length,family,slope", rows)
     return 0
 

@@ -26,12 +26,15 @@ class CensusError(ValueError):
     pass
 
 
+def _orient(p: int, q: int) -> Slope:
+    return (-p, -q) if q < 0 or (q == 0 and p < 0) else (p, q)
+
+
 def normalize_slope(p: int, q: int) -> Slope:
     if p == 0 and q == 0:
         raise CensusError("slope 0/0")
-    if q < 0 or (q == 0 and p < 0):
-        p, q = -p, -q
-    g = math.gcd(abs(p), abs(q))
+    p, q = _orient(p, q)
+    g = math.gcd(p, q)
     return (p // g, q // g)
 
 
@@ -110,12 +113,15 @@ def _maybe_int(x: float):
 def enumerate_simple(root: TraceTriple, trace_cutoff: float) -> list[GeodesicRecord]:
     """All simple closed geodesics with trace <= cutoff, one record per slope.
 
-    Checks the root and flips it down to the tree's sink while some flip
-    lowers a coordinate; a descent below trace 3 raises CensusError.  From
-    the sink every flip raises a trace, so the trivalent Vieta tree is walked
-    depth-first and a branch is cut at the first trace above the cutoff;
-    each step introduces exactly one new slope, so slope deduplication is
-    structural.  Output is sorted by (trace, slope).
+    Checks the root and flips it down to the tree's sink with vieta_flip
+    while some flip lowers a coordinate; a descent below trace 3 raises
+    CensusError.  From the sink every flip raises a trace, so the trivalent
+    Vieta tree is walked depth-first on plain tuples (u, v, w, su, sv, sw):
+    flipping w gives trace uv - w, in the operand types of the root, and the
+    slope of su +- sv that is not sw (Farey neighbours sum to primitive
+    slopes, so only the sign is normalized).  A branch is cut at the first
+    trace above the cutoff; each step introduces exactly one new slope, so
+    slope deduplication is structural.  Output is sorted by (trace, slope).
     """
     root.check()
     if not 3 <= trace_cutoff < math.inf:  # NaN fails too
@@ -130,23 +136,23 @@ def enumerate_simple(root: TraceTriple, trace_cutoff: float) -> list[GeodesicRec
         sink = vieta_flip(sink, lower[0])
         if sink.coords()[lower[0]] < 3 - TOL:
             raise CensusError(f"Vieta flip gives trace {sink.coords()[lower[0]]} below 3")
-    records = [
-        GeodesicRecord(_maybe_int(tr), "simple", s) for tr, s in zip(sink.coords(), sink.slopes)
-    ]
-    stack = [(sink, k) for k in range(3)]
+    found = list(zip(sink.coords(), sink.slopes))
+    (x, y, z), (sx, sy, sz) = sink.coords(), sink.slopes
+    stack = [(y, z, x, sy, sz, sx), (x, z, y, sx, sz, sy), (x, y, z, sx, sy, sz)]
     while stack:
-        node, k = stack.pop()
-        i, j = [t for t in range(3) if t != k]
-        new_trace = node.coords()[i] * node.coords()[j] - node.coords()[k]
-        if new_trace > trace_cutoff:
+        u, v, w, su, sv, sw = stack.pop()
+        t = u * v - w
+        if t > trace_cutoff:
             continue
-        child = vieta_flip(node, k)
-        records.append(GeodesicRecord(_maybe_int(new_trace), "simple", child.slopes[k]))
-        for k2 in range(3):
-            if k2 != k:
-                stack.append((child, k2))
-    records.sort(key=GeodesicRecord.sort_key)
-    return records
+        (p1, q1), (p2, q2) = su, sv
+        st = _orient(p1 + p2, q1 + q2)
+        if st == sw:
+            st = _orient(p1 - p2, q1 - q2)
+        found.append((t, st))
+        stack.append((v, t, u, sv, st, su))
+        stack.append((u, t, v, su, st, sv))
+    found.sort()
+    return [GeodesicRecord(_maybe_int(t), "simple", s) for t, s in found]
 
 
 def one_intersection_census(

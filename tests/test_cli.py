@@ -1,10 +1,12 @@
+import hashlib
 import json
 import time
 
 import pytest
 
-from fig8 import cli
+from fig8 import cli, torus
 from fig8.cli import main
+from fig8.sl2 import length_to_trace
 
 
 def run(capsys, *argv):
@@ -151,6 +153,58 @@ def test_byte_determinism_census(capsys, tmp_path):
     assert main(["--output", str(out1), "census", "--cutoff", "8", "--mode", "full"]) == 0
     assert main(["--output", str(out2), "census", "--cutoff", "8", "--mode", "full"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# SHA-256 of torus artifacts at the benchmark's largest census and sum sizes,
+# recorded before the Vieta walk ran on plain tuples: a faster walk or
+# formatter must not change a byte of them.
+TORUS_ARTIFACT_SHA256 = [
+    (
+        ["census", "--cutoff", "70", "--mode", "full"],
+        "26102fc37056f1464ed542fa65fbf9ff4193cc66ad6a144d51182ba26b37ac6f",
+    ),
+    (
+        ["census", "--counts-at", "20,45,70"],
+        "373c0189b076381d38e8cd810ed442c97fdf51287ea8e995b8c552661dbc4c12",
+    ),
+    (
+        ["mcshane", "--cutoff", "1e15", "--form", "length"],
+        "0786cdfcb3957b1b1842cff87577736011e57e6dfbd3a3e321afe6ccd8af0e84",
+    ),
+    (
+        ["mc2", "--cutoff", "1e15"],
+        "c1d802e70efde451519182a72390a7fc21db1899558c9d4ef469f1a0bf972a64",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", TORUS_ARTIFACT_SHA256, ids=["census-full", "counts-at", "mcshane", "mc2"]
+)
+def test_torus_artifacts_are_byte_identical(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_default_root_walks_exactly():
+    """Above 2^53 a float walk from 3,3,3 loses integrality; simple traces are 3m."""
+    cutoff = length_to_trace(120)
+    records = torus.enumerate_simple(cli._parse_root("3,3,3"), cutoff)
+    assert records == torus.enumerate_simple(torus.MODULAR_ROOT, cutoff)
+    assert all(r.trace % 3 == 0 for r in records)
+    assert [type(c) for c in cli._parse_root("3.0,3,3").coords()] == [float, int, int]
+
+
+@pytest.mark.parametrize("cutoff", [6, 20, 40])
+def test_census_csv_has_one_row_per_record(capsys, cutoff):
+    code, out, _ = run(capsys, "census", "--cutoff", str(cutoff), "--mode", "full")
+    records = torus.one_intersection_census(torus.MODULAR_ROOT, cutoff, "full")
+    rows = [
+        f"{cli._fmt(r.trace)},{cli._fmt(r.length)},{r.family},{torus.slope_str(r.slope)}"
+        for r in records
+    ]
+    assert code == 0 and out.splitlines() == ["trace,length,family,slope"] + rows
 
 
 def test_input_errors_exit_2(capsys):

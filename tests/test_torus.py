@@ -7,6 +7,7 @@ import pytest
 from fig8.torus import (
     MODULAR_ROOT,
     CensusError,
+    GeodesicRecord,
     TraceTriple,
     count_census,
     enumerate_simple,
@@ -20,6 +21,7 @@ from fig8.torus import (
     slope_str,
     vieta_flip,
 )
+from fig8.sl2 import length_to_trace
 
 
 PERMUTED_ROOT = TraceTriple(3, 3, 3, ((1, 0), (1, 1), (0, 1)))
@@ -213,3 +215,106 @@ def test_slope_helpers():
     assert normalize_slope(3, 0) == (1, 0)
     assert parse_slope("2/-4") == (-1, 2)
     assert slope_str((1, 0)) == "1/0"
+
+
+def _oracle_enumerate_simple(root, trace_cutoff):
+    """The node-by-node walk that enumerate_simple replaced: every step builds
+    a TraceTriple through vieta_flip, and the records are sorted by sort_key."""
+    root.check()
+    if not 3 <= trace_cutoff < math.inf:
+        raise CensusError(f"trace cutoff {trace_cutoff} is not a finite number >= 3")
+
+    def maybe_int(x):
+        return int(x) if float(x).is_integer() else x
+
+    sink = root
+    while True:
+        x = sink.coords()
+        lower = [k for k in range(3) if math.prod(x) < 2 * x[k] ** 2]
+        if not lower:
+            break
+        sink = vieta_flip(sink, lower[0])
+        if sink.coords()[lower[0]] < 3 - 1e-9:
+            raise CensusError(f"Vieta flip gives trace {sink.coords()[lower[0]]} below 3")
+    records = [
+        GeodesicRecord(maybe_int(tr), "simple", s) for tr, s in zip(sink.coords(), sink.slopes)
+    ]
+    stack = [(sink, k) for k in range(3)]
+    while stack:
+        node, k = stack.pop()
+        i, j = [t for t in range(3) if t != k]
+        new_trace = node.coords()[i] * node.coords()[j] - node.coords()[k]
+        if new_trace > trace_cutoff:
+            continue
+        child = vieta_flip(node, k)
+        records.append(GeodesicRecord(maybe_int(new_trace), "simple", child.slopes[k]))
+        for k2 in range(3):
+            if k2 != k:
+                stack.append((child, k2))
+    records.sort(key=GeodesicRecord.sort_key)
+    return records
+
+
+@pytest.mark.parametrize(
+    "root",
+    [
+        MODULAR_ROOT,
+        PERMUTED_ROOT,
+        TraceTriple(15, 87, 1299),
+        TraceTriple(3, 6, 15),
+        TraceTriple(3.0, 3.0, 3.0),
+    ],
+)
+@pytest.mark.parametrize("cutoff", [3, 9, 10**3, 10**6, 10**15])
+def test_tuple_walk_matches_node_walk(root, cutoff):
+    got = enumerate_simple(root, cutoff)
+    want = _oracle_enumerate_simple(root, cutoff)
+    assert got == want  # same records in the same order
+    assert [type(r.trace) for r in got] == [type(r.trace) for r in want]
+
+
+# Census lengths L of ROADMAP item 12, with trace cutoff T = 2 cosh(L/2).
+MARKOV_LENGTHS = [12, 20, 30, 40, 60, 80, 100, 120]
+
+
+def _markov_numbers(bound):
+    """Markov numbers m <= bound, from the Markov tree of integer solutions of
+    a^2 + b^2 + c^2 = 3abc; each child c' = 3ab - c exceeds its parent's max."""
+    numbers = {1, 2}
+    stack = [(1, 2, 5)] if bound >= 5 else []
+    while stack:
+        a, b, c = stack.pop()
+        assert a * a + b * b + c * c == 3 * a * b * c
+        numbers.add(c)
+        for x, y, old in ((a, c, b), (b, c, a)):
+            child = 3 * x * y - old
+            if child <= bound:
+                stack.append((x, y, child))
+    return numbers
+
+
+def test_simple_traces_are_three_times_markov_numbers():
+    cutoff = length_to_trace(120)
+    records = enumerate_simple(MODULAR_ROOT, cutoff)
+    assert all(type(r.trace) is int and r.trace % 3 == 0 for r in records)
+    assert {r.trace // 3 for r in records} == _markov_numbers(cutoff / 3)
+
+
+@pytest.mark.parametrize("length", MARKOV_LENGTHS)
+def test_simple_count_is_six_per_markov_number(length):
+    """N0 = 3 + 3 + 6k: three slopes of trace 3 and of 6, six for each of the
+    k Markov numbers m > 2 with 3m <= T."""
+    trace_cutoff = length_to_trace(length)
+    k = sum(1 for m in _markov_numbers(trace_cutoff / 3) if m > 2)
+    assert count_census(MODULAR_ROOT, length)[0] == 6 + 6 * k
+
+
+def test_simple_count_follows_zagier_asymptotic():
+    """Zagier (1982): Markov triples with max <= x number ~ C (log 3x)^2, so
+    N0 ~ 6 C (log T)^2 for the six slopes of each triple."""
+    zagier_c = 0.180717
+    for length in range(60, 201, 20):
+        trace_cutoff = length_to_trace(length)
+        n0 = count_census(MODULAR_ROOT, length)[0]
+        ratio = n0 / (6 * zagier_c * math.log(trace_cutoff) ** 2)
+        assert abs(ratio - 1) < 0.02, (length, ratio)
