@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .perms import (
     Partition,
@@ -114,7 +115,7 @@ def _boundary_tuples(classes: tuple[Partition, ...], target_product: bool, exhau
     With target_product, only tuples multiplying to the identity are
     yielded (the last factor is forced, not searched).  Without it a single
     representative tuple suffices unless ``exhaustive`` asks for all
-    choices (used by the transitive witness search and regular_extends).
+    choices (used by the transitive witness search).
     """
     first = class_representative(classes[0])
     if len(classes) == 1:
@@ -144,7 +145,7 @@ def extends_cover(spec: CoverSpec, transitive: bool = False) -> ExtendDecision:
 
     With ``transitive`` set, the witness search is restricted to
     representations whose image acts transitively; the decision itself is
-    unchanged and the witness may come back None if none is found.
+    unchanged, and at genus 0 the witness may come back None if none is found.
     """
     classes = spec.boundary_classes
     n = spec.degree
@@ -169,9 +170,14 @@ def extends_cover(spec: CoverSpec, transitive: bool = False) -> ExtendDecision:
             handles = ((alpha, beta),) + ((identity, identity),) * (spec.genus - 1)
         return ExtendDecision(True, reason, handles, tuple(boundaries))
 
-    need_product = spec.genus == 0
-    for boundaries in _boundary_tuples(classes, need_product, exhaustive=transitive):
-        decision = build(boundaries)
+    decisions = map(build, _boundary_tuples(classes, spec.genus == 0, exhaustive=transitive))
+    if transitive and spec.genus:
+        # only all-identity classes get here: a handle (n-cycle, e) connects the cover
+        cycle = class_representative(Partition((n,)))
+        handles = ((cycle, identity),) + ((identity, identity),) * (spec.genus - 1)
+        fallback = ExtendDecision(True, reason, handles, (identity,) * len(classes))
+        decisions = itertools.chain(decisions, [fallback])
+    for decision in decisions:
         if not decision.verify():
             raise CoverError("witness relation check failed")
         if not transitive or _is_transitive(decision):
@@ -294,25 +300,29 @@ def _regular_overgroups(seed: list[Permutation], n: int):
                     yield from _regular_overgroups(seed + [g], n)
 
 
-def _handle_assignment(group: set[Permutation], genus: int, target, must_generate_with):
-    """Handle pairs in the group whose commutator product hits the target.
-
-    Requires the chosen handles together with ``must_generate_with`` to
-    generate the whole group.  Exhaustive over genus-tuples of pairs in
-    product order, without pruning; returns the first hit or None.
+def _handles_reach(group: set[Permutation], genus: int, boundaries: tuple[Permutation, ...]) -> bool:
+    """Whether genus handle pairs in the group absorb the boundary product,
+    the whole assignment generating the group.  Layered search over the
+    states (commutator product so far, subgroup generated so far), one
+    handle pair per layer; the pair (e, e) keeps every state, so the layers
+    only grow and the search stops at the first that adds none.
     """
-    n = target.degree
+    n = boundaries[0].degree
     identity = Permutation.identity(n)
-    elements = sorted(group, key=lambda g: g.images)
-    pairs = [((a, b), commutator(a, b)) for a in elements for b in elements]
-    for chosen in itertools.product(pairs, repeat=genus):
-        if math.prod((c for _, c in chosen), start=identity) != target:
-            continue
-        handles = tuple(pair for pair, _ in chosen)
-        generated = _subgroup_closure(list(must_generate_with) + [g for p in handles for g in p], n)
-        if generated is not None and len(generated) == len(group):
-            return handles
-    return None
+    target = math.prod(boundaries, start=identity).inverse()
+    states = {(identity, frozenset(_subgroup_closure(list(boundaries), n)))}
+
+    @lru_cache(maxsize=None)
+    def join(sub, g):
+        return sub if g in sub else frozenset(_subgroup_closure([*sub, g], n))
+
+    pairs = [(a, b, commutator(a, b)) for a in group for b in group] if genus else []
+    for _ in range(genus):
+        grown = {(p * c, join(join(sub, a), b)) for p, sub in states for a, b, c in pairs}
+        if grown == states:
+            break
+        states = grown
+    return (target, frozenset(group)) in states
 
 
 def regular_extends(spec: CoverSpec, budget: int = 8) -> RegularDecision:
@@ -320,32 +330,29 @@ def regular_extends(spec: CoverSpec, budget: int = 8) -> RegularDecision:
     transitive with order exactly n.
 
     Every element of a regular group has cycles of one length, so a class
-    with unequal cycles does not extend.  Genus 0: some choice of boundary
-    images from the classes generates a regular subgroup and multiplies to
-    the identity.  Genus >= 1 (the weakest faithful reading): the boundary
-    images lie in a regular subgroup whose handle images absorb the boundary
-    product as a product of genus commutators, the whole assignment
-    generating the subgroup.  Exhaustive search over ``_boundary_tuples``,
-    in product order; degrees above the budget return "unknown".
+    with unequal cycles does not extend.  Otherwise the witness is the least
+    boundary tuple, in product order, in a regular group containing the
+    first class representative where ``_handles_reach`` holds.  Degrees
+    above the budget return "unknown".
     """
     n = spec.degree
     if any(len(set(c.parts)) > 1 for c in spec.boundary_classes):
         return RegularDecision("does-not-extend", None)
-    if n > budget or spec.genus > 4:
+    if n > budget:
         return RegularDecision("unknown", None)
-    for boundaries in _boundary_tuples(spec.boundary_classes, spec.genus == 0, exhaustive=True):
-        if spec.genus == 0:
-            # the closure is capped at order n, so an orbit of n points makes it regular
-            group = _subgroup_closure(list(boundaries), n)
-            if group is not None and len({g(1) for g in group}) == n:
-                return RegularDecision("extends", boundaries)
-        else:
-            product = math.prod(boundaries, start=Permutation.identity(n))
-            for group in _regular_overgroups(list(boundaries), n):
-                handles = _handle_assignment(group, spec.genus, product.inverse(), boundaries)
-                if handles is not None:
-                    return RegularDecision("extends", boundaries)
-    return RegularDecision("does-not-extend", None)
+    first = class_representative(spec.boundary_classes[0])
+    best = None
+    for group in _regular_overgroups([first], n):
+        elements = sorted(group, key=lambda g: g.images)
+        pools = [[g for g in elements if g.cycle_type() == c] for c in spec.boundary_classes[1:]]
+        for rest in itertools.product(*pools):
+            # the pools are sorted, so no later tuple of this group is smaller
+            if best is not None and [g.images for g in rest] >= [g.images for g in best[1:]]:
+                break
+            if _handles_reach(group, spec.genus, (first, *rest)):
+                best = (first, *rest)
+                break
+    return RegularDecision("does-not-extend" if best is None else "extends", best)
 
 
 @dataclass(frozen=True)

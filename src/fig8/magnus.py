@@ -136,8 +136,7 @@ def unipotent_witness(w: Word, k: int) -> UnipotentWitness:
     Requires lcs_depth(w) = k.  The modulus is the least prime not dividing
     the first (lexicographic) nonzero degree-k coefficient; the ambient
     index is the order m^(k(k+1)/2) of the full (k+1)x(k+1) unipotent group
-    over the integers mod m, and the image order is the order of the
-    reduced series in the truncated group.
+    over the integers mod m, and the image order is the modulus.
     """
     series = magnus_expand(w, k)
     depth = series.lowest_degree()
@@ -148,15 +147,8 @@ def unipotent_witness(w: Word, k: int) -> UnipotentWitness:
     image = series.reduce_mod(modulus)
     if image == MagnusSeries.one(k).reduce_mod(modulus):
         raise MagnusError("reduced image unexpectedly trivial")
-    one = MagnusSeries.one(k).reduce_mod(modulus)
-    power = image
-    order = 1
     ambient_index = modulus ** (k * (k + 1) // 2)
-    while power != one:
-        power = (power * image).reduce_mod(modulus)
-        order += 1
-        if order > ambient_index:
-            raise MagnusError("image order exceeds ambient group order")
+    # image = 1 + N with N^2 = 0 below the truncation, so image^j = 1 + jN
     return UnipotentWitness(
-        w, k, modulus, monomial, coefficient, image, order, ambient_index
+        w, k, modulus, monomial, coefficient, image, modulus, ambient_index
     )

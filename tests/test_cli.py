@@ -74,16 +74,38 @@ def test_regular_extend_intransitive_image_does_not_extend(capsys):
     assert json.loads(out) == {"schema": 1, "status": "does-not-extend"}
 
 
+# witnesses recorded with the boundary-tuple search that the per-group search replaced
+REGULAR_WITNESSES = {
+    ("0", "4,4;4,4;4,4;2,2,2,2"): [
+        "(1 2 3 4)(5 6 7 8)",
+        "(1 5 3 7)(2 8 4 6)",
+        "(1 8 3 6)(2 7 4 5)",
+        "(1 3)(2 4)(5 7)(6 8)",
+    ],
+}
+
+
 @pytest.mark.parametrize(
     "genus,classes,code,status",
-    [("1", "2,2,2,1,1", 1, "does-not-extend"), ("1", "2,2,2,2", 0, "extends")],
+    [
+        ("1", "2,2,2,1,1", 1, "does-not-extend"),
+        ("1", "2,2,2,2", 0, "extends"),
+        ("4", "2,2,2,2", 0, "extends"),
+        ("0", "4,4;4,4;4,4;2,2,2,2", 0, "extends"),
+        ("2", "2,2,2,2;4,4", 1, "does-not-extend"),
+        ("1000000", "2,2,2,2", 0, "extends"),
+    ],
 )
 def test_regular_extend_degree_8_in_bounded_time(capsys, genus, classes, code, status):
-    # the coset search over all 8! permutations took 75 s and 2.6 s on 2 cores
+    # the coset search over all 8! permutations took 75 s and 2.6 s on 2 cores;
+    # the handle-tuple search did not finish genus 4 in 90 s
     t0 = time.perf_counter()
     got = run(capsys, "regular-extend", "--genus", genus, "--classes", classes)
     assert time.perf_counter() - t0 < 10
-    assert (got[0], json.loads(got[1])["status"]) == (code, status)
+    payload = json.loads(got[1])
+    assert (got[0], payload["status"]) == (code, status)
+    if (genus, classes) in REGULAR_WITNESSES:
+        assert payload["witness"] == REGULAR_WITNESSES[genus, classes]
 
 
 def test_selfint(capsys):

@@ -1,3 +1,4 @@
+import math
 from itertools import product
 
 import pytest
@@ -85,14 +86,16 @@ def test_extends_cover_against_bruteforce_small():
 
 
 def test_extends_cover_transitive_flag():
-    d = extends_cover(CoverSpec(1, (Partition((1, 1, 1)),)), transitive=True)
-    assert d.extends
-    if d.boundaries is not None:
+    for genus, classes in product((1, 2), ("1,1,1", "1,1,1;1,1,1", "2,1;2,1")):
+        spec = CoverSpec(genus, tuple(Partition.parse(c) for c in classes.split(";")))
+        d = extends_cover(spec, transitive=True)
+        assert d.extends and d.boundaries is not None and d.verify(), (genus, classes)
+        assert [g.cycle_type() for g in d.boundaries] == list(spec.boundary_classes)
         perms = [g for pair in d.handles for g in pair] + list(d.boundaries)
         reach = {0}
         for _ in range(3):
             reach |= {g.images[p] for g in perms for p in reach}
-        assert len(reach) == 3
+        assert len(reach) == 3, (genus, classes)
 
 
 def test_two_n_cycles_examples():
@@ -273,6 +276,79 @@ def test_regular_witness_generates_order_n():
         spec = CoverSpec(0, tuple(Partition.parse(c) for c in classes.split(";")))
         d = regular_extends(spec)
         assert d.status == "extends" and _is_regular(d.witness, spec.degree), classes
+
+
+def _oracle_handle_assignment(group, genus, target, must_generate_with):
+    """All genus-tuples of handle pairs in product order; the first whose
+    commutator product hits the target and which generates the group."""
+    from fig8.covers import _subgroup_closure
+
+    n = target.degree
+    identity = Permutation.identity(n)
+    elements = sorted(group, key=lambda g: g.images)
+    pairs = [((a, b), commutator(a, b)) for a in elements for b in elements]
+    for chosen in product(pairs, repeat=genus):
+        if math.prod((c for _, c in chosen), start=identity) != target:
+            continue
+        handles = tuple(pair for pair, _ in chosen)
+        generated = _subgroup_closure(list(must_generate_with) + [g for p in handles for g in p], n)
+        if generated is not None and len(generated) == len(group):
+            return handles
+    return None
+
+
+def _oracle_regular_extends(spec, budget=8):
+    """The boundary-tuple search that regular_extends replaced: the closure of
+    each genus-0 tuple, and every handle tuple of every regular overgroup of
+    each tuple at genus >= 1, with its genus cap."""
+    from fig8.covers import _boundary_tuples, _regular_overgroups, _subgroup_closure
+
+    n = spec.degree
+    if any(len(set(c.parts)) > 1 for c in spec.boundary_classes):
+        return RegularDecision("does-not-extend", None)
+    if n > budget or spec.genus > 4:
+        return RegularDecision("unknown", None)
+    for boundaries in _boundary_tuples(spec.boundary_classes, spec.genus == 0, exhaustive=True):
+        if spec.genus == 0:
+            group = _subgroup_closure(list(boundaries), n)
+            if group is not None and len({g(1) for g in group}) == n:
+                return RegularDecision("extends", boundaries)
+        else:
+            target = math.prod(boundaries, start=Permutation.identity(n)).inverse()
+            for group in _regular_overgroups(list(boundaries), n):
+                if _oracle_handle_assignment(group, spec.genus, target, boundaries) is not None:
+                    return RegularDecision("extends", boundaries)
+    return RegularDecision("does-not-extend", None)
+
+
+def test_handles_reach_needs_a_layer_per_missing_generator():
+    # Z2^3 acting regularly on 8 points needs three generators: with identity
+    # boundaries one handle pair is too few, two are enough, and the search
+    # stops at a fixed point for any larger genus
+    from fig8.covers import _handles_reach, _subgroup_closure
+
+    gens = [
+        Permutation.parse(t, 8)
+        for t in ("(1 2)(3 4)(5 6)(7 8)", "(1 3)(2 4)(5 7)(6 8)", "(1 5)(2 6)(3 7)(4 8)")
+    ]
+    group = _subgroup_closure(gens, 8)
+    e = (Permutation.identity(8),)
+    reach = [_handles_reach(group, genus, e) for genus in (0, 1, 2, 10**9)]
+    assert reach == [False, False, True, True]
+    assert _handles_reach(group, 0, tuple(gens) + (gens[0] * gens[1] * gens[2],))
+
+
+def _uniform_classes(n):
+    return [p for p in partitions_of(n) if len(set(p.parts)) == 1]
+
+
+def test_regular_extends_against_boundary_tuple_oracle():
+    sizes = [(n, k) for n in range(1, 7) for k in (1, 2)] + [(n, 3) for n in range(1, 6)]
+    for n, k in sizes:
+        for classes in product(_uniform_classes(n), repeat=k):
+            for genus in (0, 1, 2):
+                spec = CoverSpec(genus, classes)
+                assert regular_extends(spec) == _oracle_regular_extends(spec), (genus, classes)
 
 
 def test_stallings_examples_and_properties():

@@ -85,6 +85,27 @@ def test_unipotent_witness_abelian_and_depth3():
         unipotent_witness(Word("abAB"), 3)
 
 
+def _brute_order(image, modulus):
+    """Order of the reduced image, by multiplying until the identity."""
+    one = MagnusSeries.one(image.degree).reduce_mod(modulus)
+    power, order = image, 1
+    while power != one:
+        power = (power * image).reduce_mod(modulus)
+        order += 1
+    return order
+
+
+def test_unipotent_witness_order_is_brute_force_order():
+    words = [Word(x) for x in ("a", "b", "aB", "abA", "abAB", "abAbaBAB")]
+    w = Word("a")
+    for _ in range(4):
+        w = bracket(w, Word("b"))
+        words.append(w)
+    for w in words:
+        witness = unipotent_witness(w, lcs_depth(w))
+        assert witness.image_order == _brute_order(witness.image_mod_m, witness.modulus), w
+
+
 def test_coefficient_growth_bracket_family():
     # degree-k coefficients of a length-m word grow polynomially, O(m^k)
     w = Word("a")
