@@ -352,6 +352,8 @@ def regular_extends(spec: CoverSpec, budget: int = 8) -> RegularDecision:
             if _handles_reach(group, spec.genus, (first, *rest)):
                 best = (first, *rest)
                 break
+        if best == (first,):
+            break  # one class: no later group beats the representative alone
     return RegularDecision("does-not-extend" if best is None else "extends", best)
 
 

@@ -242,9 +242,27 @@ def all_permutations(n: int):
 def class_elements(p: Partition) -> tuple[Permutation, ...]:
     """All permutations of cycle type p, in lexicographic order of images.
 
-    Exhaustive and cached; intended for small n.
+    Generated, not filtered from all n! permutations: the least unused point
+    opens a cycle of each distinct remaining length, its other points an
+    ordered choice of unused points.  Cached; intended for small n.
     """
-    return tuple(g for g in all_permutations(p.n) if g.cycle_type() == p)
+    images = list(range(p.n))
+
+    def build(unused, lengths):
+        if not unused:
+            yield tuple(images)
+            return
+        first, rest = unused[0], unused[1:]
+        for d in set(lengths):
+            left = list(lengths)
+            left.remove(d)
+            for others in itertools.permutations(rest, d - 1):
+                cycle = (first, *others)
+                for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                    images[a] = b
+                yield from build([u for u in rest if u not in others], left)
+
+    return tuple(map(Permutation, sorted(build(list(range(p.n)), p.parts))))
 
 
 def class_representative(p: Partition) -> Permutation:

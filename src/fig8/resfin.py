@@ -9,13 +9,14 @@ bound is verified in :mod:`fig8.lps`.
 
 from __future__ import annotations
 
+import itertools
 import random
 import string
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .sl2 import SANOV_A, SANOV_B, Mat2
-from .words import Word, evaluate, random_reduced_word
+from .words import Word, evaluate, exponent_sums, random_reduced_letters
 
 SANOV_ASSIGNMENT = {"a": SANOV_A, "b": SANOV_B}
 
@@ -95,7 +96,11 @@ def abelian_excluding_prime(w: Word) -> int | None:
 
     None for words in the commutator subgroup (zero abelianization).
     """
-    first = next((x for x in w.exponent_sums() if x), None)
+    return _abelian_prime(w.letters, w.gens)
+
+
+def _abelian_prime(letters: str, gens: str) -> int | None:
+    first = next((x for x in exponent_sums(letters, gens) if x), None)
     if first is None:
         return None
     return next(p for p in primes() if first % p)
@@ -123,13 +128,12 @@ def average_index_simulation(
     if radius < 1 or samples < 1:
         raise ResFinError("radius and sample count must be positive")
     gens = string.ascii_lowercase[:rank]
-    rng = random.Random(seed)
+    stream = random_reduced_letters(random.Random(seed), radius, gens)
     total = 0
     used = 0
     excluded = 0
-    for _ in range(samples):
-        w = random_reduced_word(rng, radius, gens)
-        p = abelian_excluding_prime(w)
+    for letters in itertools.islice(stream, samples):
+        p = _abelian_prime(letters, gens)
         if p is None:
             excluded += 1
         else:

@@ -91,9 +91,13 @@ class Word:
 
     def exponent_sums(self) -> tuple[int, ...]:
         """Abelianization: one exponent sum per generator, in ``gens`` order."""
-        return tuple(
-            self.letters.count(g) - self.letters.count(g.upper()) for g in self.gens
-        )
+        return tuple(exponent_sums(self.letters, self.gens))
+
+
+def exponent_sums(letters: str, gens: str):
+    """Exponent sum of each generator in ``letters``, lazily, in ``gens`` order."""
+    for g in gens:
+        yield letters.count(g) - letters.count(g.upper())
 
 
 def evaluate(word: Word, images: dict, identity):
@@ -110,26 +114,37 @@ def evaluate(word: Word, images: dict, identity):
     return math.prod(map(table.__getitem__, word.letters), start=identity)
 
 
-def random_reduced_word(rng: random.Random, max_len: int, gens: str = FREE_RANK2) -> Word:
-    """Uniform sample over the nonempty reduced words of length <= max_len.
+def random_reduced_letters(rng: random.Random, max_len: int, gens: str = FREE_RANK2):
+    """Endless stream of uniform samples over the nonempty reduced words of
+    length <= max_len, as letter strings that are reduced as they are built.
 
-    Lengths are weighted by the number of reduced words of that length,
-    so the distribution is uniform over the whole ball.
+    Lengths are weighted by the number of reduced words of that length, so
+    the distribution is uniform over the whole ball.  The ball of radius l
+    holds r((r-1)^l - 1)/(r-2) words over r = 2 len(gens) letters, so a
+    draw below the ball of radius max_len walks its length down without a
+    table of the sizes.
     """
     r = 2 * len(gens)
-    counts = [r * (r - 1) ** (l - 1) for l in range(1, max_len + 1)]
-    x = rng.randrange(sum(counts))
-    length = max_len
-    for i, c in enumerate(counts):
-        if x < c:
-            length = i + 1
-            break
-        x -= c
+
+    def ball(l: int) -> int:
+        return r * ((r - 1) ** l - 1) // (r - 2) if r > 2 else 2 * l
+
+    size = ball(max(max_len, 0))  # no words below radius 1: randrange raises
     alphabet = gens + gens.upper()
-    out = [rng.choice(alphabet)]
-    while len(out) < length:
-        ch = rng.choice(alphabet)
-        if ch == out[-1].swapcase():
-            continue
-        out.append(ch)
-    return Word("".join(out), gens)
+    inverse = dict(zip(alphabet, alphabet.swapcase()))
+    while True:
+        x = rng.randrange(size)
+        length = max_len
+        while x < ball(length - 1):
+            length -= 1
+        out = [rng.choice(alphabet)]
+        while len(out) < length:
+            ch = rng.choice(alphabet)
+            if ch != inverse[out[-1]]:
+                out.append(ch)
+        yield "".join(out)
+
+
+def random_reduced_word(rng: random.Random, max_len: int, gens: str = FREE_RANK2) -> Word:
+    """One sample of ``random_reduced_letters`` as a Word."""
+    return Word(next(random_reduced_letters(rng, max_len, gens)), gens)

@@ -169,6 +169,16 @@ def test_avgindex_requires_seed_and_is_deterministic(capsys, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_avgindex_at_a_large_radius_in_bounded_time(capsys):
+    # the lengths are drawn from the closed-form ball sizes, not a table of
+    # radius entries: one sample at radius 20000 took 1.0 s and 57 MB with it
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "avgindex", "--radius", "100000", "--samples", "1", "--seed", "1")
+    assert time.perf_counter() - t0 < 5
+    payload = json.loads(out)
+    assert code == 0 and payload["samples_used"] + payload["excluded_zero_abelianization"] == 1
+
+
 def test_byte_determinism_census(capsys, tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import defaultdict
 from itertools import product
 
 import pytest
@@ -178,3 +179,16 @@ def test_commutator_and_class_helpers():
     assert rep.cycle_type() == Partition((3, 2))
     assert len(class_elements(Partition((2, 1)))) == 3
     assert len(list(all_permutations(4))) == 24
+
+
+def test_class_elements_equal_the_filter_of_all_permutations():
+    for n in range(8):
+        by_type = defaultdict(list)
+        for g in all_permutations(n):
+            by_type[g.cycle_type()].append(g)
+        for p in partitions_of(n):
+            assert class_elements(p) == tuple(by_type[p]), p  # order included
+    for n in (8, 9):
+        for p in partitions_of(n):
+            # uncached, so the 9! elements do not stay in memory
+            assert len(class_elements.__wrapped__(p)) == class_size(p), p

@@ -1,11 +1,13 @@
 import itertools
 import random
+import string
 from fractions import Fraction
 
 import pytest
 
 from fig8.resfin import (
     ResFinError,
+    SimulationResult,
     abelian_excluding_prime,
     average_index_simulation,
     excluding_prime,
@@ -15,7 +17,7 @@ from fig8.resfin import (
     smallest_excluding_prime,
 )
 from fig8.sl2 import Mat2
-from fig8.words import Word, random_reduced_word
+from fig8.words import Word, free_reduce, random_reduced_letters, random_reduced_word
 
 
 def test_primes_sieve():
@@ -106,3 +108,87 @@ def test_average_index_simulation():
     average_index_simulation(26, 5, 10, seed=1)
     with pytest.raises(ResFinError):
         average_index_simulation(27, 5, 10, seed=1)
+
+
+def _oracle_random_reduced_word(rng, max_len, gens="ab"):
+    # the sampler before the letter stream: a table of sphere sizes per sample
+    r = 2 * len(gens)
+    counts = [r * (r - 1) ** (l - 1) for l in range(1, max_len + 1)]
+    x = rng.randrange(sum(counts))
+    length = max_len
+    for i, c in enumerate(counts):
+        if x < c:
+            length = i + 1
+            break
+        x -= c
+    alphabet = gens + gens.upper()
+    out = [rng.choice(alphabet)]
+    while len(out) < length:
+        ch = rng.choice(alphabet)
+        if ch == out[-1].swapcase():
+            continue
+        out.append(ch)
+    return Word("".join(out), gens)
+
+
+def _oracle_average_index_simulation(rank, radius, samples, seed):
+    # the simulation before the letter stream: one Word per sample
+    gens = string.ascii_lowercase[:rank]
+    rng = random.Random(seed)
+    total = used = excluded = 0
+    for _ in range(samples):
+        p = abelian_excluding_prime(_oracle_random_reduced_word(rng, radius, gens))
+        if p is None:
+            excluded += 1
+        else:
+            total += p
+            used += 1
+    if used == 0:
+        raise ResFinError("every sample had zero abelianization")
+    return SimulationResult(total / used, used, excluded, seed)
+
+
+def _outcome(simulation, *args):
+    try:
+        return simulation(*args)
+    except ResFinError:
+        return "raises"
+
+
+@pytest.mark.parametrize("rank", [2, 3, 5, 26])
+def test_average_index_simulation_against_oracle(rank):
+    for radius, samples, seed in itertools.product([1, 2, 7, 20, 30], [1, 50, 1000], range(5)):
+        args = (rank, radius, samples, seed)
+        assert _outcome(average_index_simulation, *args) == _outcome(
+            _oracle_average_index_simulation, *args
+        ), args
+
+
+@pytest.mark.parametrize("gens", ["ab", "abcd"])
+def test_random_reduced_word_against_oracle(gens):
+    for max_len, seed in itertools.product([1, 2, 3, 7, 20, 40], range(20)):
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            assert random_reduced_word(rng, max_len, gens) == _oracle_random_reduced_word(
+                oracle_rng, max_len, gens
+            )
+        assert rng.getstate() == oracle_rng.getstate()
+
+
+@pytest.mark.parametrize("gens", ["ab", "abc", "abcdefghijklmnopqrstuvwxyz"])
+def test_random_reduced_letters_are_reduced_in_the_alphabet_and_ball(gens):
+    alphabet = set(gens + gens.upper())
+    for max_len in (1, 2, 9, 30):
+        stream = random_reduced_letters(random.Random(max_len), max_len, gens)
+        for s in itertools.islice(stream, 300):
+            assert free_reduce(s) == s
+            assert set(s) <= alphabet
+            assert 1 <= len(s) <= max_len
+
+
+def test_average_index_simulation_raises_when_every_sample_is_excluded():
+    # seed 3's one reduced word of length <= 4 over "ab" has zero abelianization
+    assert abelian_excluding_prime(random_reduced_word(random.Random(3), 4)) is None
+    for simulation in (average_index_simulation, _oracle_average_index_simulation):
+        with pytest.raises(ResFinError, match="every sample"):
+            simulation(2, 4, 1, 3)
