@@ -17,7 +17,7 @@ import random
 import sys
 
 from . import covers, genus2, lps, magnus, resfin, selfint, torus
-from .perms import Partition, Permutation
+from .perms import Partition, Permutation, frobenius_count
 from .words import Word, random_reduced_word
 
 SCHEMA = 1
@@ -64,10 +64,6 @@ def _parse_root(text: str) -> torus.TraceTriple:
     """Integer coordinates stay int, so the walk from them is exact."""
     x, y, z = (_number(v) for v in text.split(","))
     return torus.TraceTriple(x, y, z).check()
-
-
-def _word(text: str, gens: str) -> Word:
-    return Word(text, gens)
 
 
 def _cmd_census(args) -> int:
@@ -119,7 +115,7 @@ def _cmd_mc2(args) -> int:
 
 
 def _cmd_selfint(args) -> int:
-    w = _word(args.word, "ab")
+    w = Word(args.word, "ab")
     _emit_json(args, {"word": w.letters, "self_intersection": selfint.self_intersection(w)})
     return 0
 
@@ -128,7 +124,7 @@ def _cmd_extend(args) -> int:
     spec = covers.CoverSpec(args.genus, tuple(_parse_classes(args.classes)))
     decision = covers.extends_cover(spec, transitive=args.transitive)
     payload = {"extends": decision.extends, "reason": decision.reason}
-    if decision.extends and decision.boundaries is not None:
+    if decision.extends:
         payload["witness"] = {
             "handles": [[str(a), str(b)] for a, b in decision.handles],
             "boundaries": [str(g) for g in decision.boundaries],
@@ -149,8 +145,6 @@ def _cmd_regular_extend(args) -> int:
 
 def _cmd_frobenius(args) -> int:
     classes = _parse_classes(args.classes)
-    from .perms import frobenius_count
-
     _emit_json(
         args,
         {"classes": [str(c) for c in classes], "count": str(frobenius_count(classes))},
@@ -193,7 +187,7 @@ def _cmd_stripcover(args) -> int:
 
 def _cmd_stallings(args) -> int:
     gens = "".join(sorted({ch.lower() for ch in args.word}))
-    w = _word(args.word, gens)
+    w = Word(args.word, gens)
     rep = covers.stallings_excluding_subgroup(w)
     _emit_json(
         args,
@@ -218,7 +212,7 @@ def _cmd_prime(args) -> int:
             rows.append(f"{witness.word_length},{witness.prime}")
         _emit_csv(args, "length,prime", rows)
         return 0
-    w = _word(args.word, "ab")
+    w = Word(args.word, "ab")
     witness = resfin.smallest_excluding_prime(w)
     _emit_json(
         args,
@@ -232,14 +226,14 @@ def _cmd_prime(args) -> int:
 
 
 def _cmd_depth(args) -> int:
-    w = _word(args.word, "ab")
+    w = Word(args.word, "ab")
     depth = magnus.lcs_depth(w, args.max_k)
     _emit_json(args, {"word": w.letters, "depth": depth if depth is not None else "deeper"})
     return 0
 
 
 def _cmd_witness(args) -> int:
-    w = _word(args.word, "ab")
+    w = Word(args.word, "ab")
     k = args.k if args.k is not None else magnus.lcs_depth(w, args.max_k)
     if k is None:
         raise ValueError(f"depth exceeds --max-k {args.max_k}; pass --k explicitly")
@@ -300,7 +294,7 @@ def _cmd_lpsgirth(args) -> int:
 
 
 def _cmd_surface_certify(args) -> int:
-    w = _word(args.word, "abcd")
+    w = Word(args.word, "abcd")
     cert = genus2.certify_nontrivial(w)
     payload = {"word": w.letters, "verdict": cert.verdict}
     if cert.nontrivial:

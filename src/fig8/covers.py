@@ -109,89 +109,66 @@ class ExtendDecision:
         return math.prod(factors, start=identity) == identity
 
 
-def _boundary_tuples(classes: tuple[Partition, ...], target_product: bool, exhaustive: bool):
-    """Boundary image tuples in product order; first class fixed by conjugacy.
+def _identity_product_tuples(classes: tuple[Partition, ...]):
+    """Boundary image tuples with product e, in product order.
 
-    With target_product, only tuples multiplying to the identity are
-    yielded (the last factor is forced, not searched).  Without it a single
-    representative tuple suffices unless ``exhaustive`` asks for all
-    choices (used by the transitive witness search).
+    The first image is fixed to its class representative: conjugating a
+    whole tuple keeps its product and its orbits, so the search is complete
+    up to conjugacy.  The last factor is forced, not searched.
     """
     first = class_representative(classes[0])
     if len(classes) == 1:
-        if not target_product or first == Permutation.identity(first.degree):
+        if first == Permutation.identity(first.degree):
             yield (first,)
         return
-
-    if target_product:
-        for middle in itertools.product(*map(class_elements, classes[1:-1])):
-            forced = math.prod(middle, start=first).inverse()
-            if forced.cycle_type() == classes[-1]:
-                yield (first, *middle, forced)
-    elif exhaustive:
-        for rest in itertools.product(*map(class_elements, classes[1:])):
-            yield (first, *rest)
-    else:
-        yield (first, *map(class_representative, classes[1:]))
+    for middle in itertools.product(*map(class_elements, classes[1:-1])):
+        forced = math.prod(middle, start=first).inverse()
+        if forced.cycle_type() == classes[-1]:
+            yield (first, *middle, forced)
 
 
 def extends_cover(spec: CoverSpec, transitive: bool = False) -> ExtendDecision:
     """Decide whether the boundary covering extends over the surface.
 
-    Genus 0: extends iff some choice of class representatives multiplies to
-    the identity (Frobenius count positive).  Genus >= 1: extends iff the
-    parities of the classes sum to zero mod 2; the witness absorbs the
-    boundary product into a single commutator handle.
+    Genus 0: extends iff the Frobenius count is positive; the witness is
+    the first identity-product tuple.  Genus >= 1: extends iff the parities
+    of the classes sum to zero mod 2; the witness is the class
+    representatives, with one commutator handle absorbing their product.
 
-    With ``transitive`` set, the witness search is restricted to
-    representations whose image acts transitively; the decision itself is
-    unchanged, and at genus 0 the witness may come back None if none is found.
+    With ``transitive`` set, the witness must act transitively.  At genus 0
+    that is the first transitive identity-product tuple, and without one
+    the answer is "transitive", false.  At genus >= 1 the parity witness
+    has an n-cycle handle unless the product is e; if it is then not
+    transitive, its first handle becomes (n-cycle, e).  Every positive
+    answer carries a verified witness.
     """
     classes = spec.boundary_classes
-    n = spec.degree
-    identity = Permutation.identity(n)
-
+    identity = Permutation.identity(spec.degree)
     if spec.genus == 0:
         if frobenius_count(list(classes)) == 0:
             return ExtendDecision(False, "product", None, None)
-        reason = "product"
+        witnesses = (ExtendDecision(True, "product", (), b) for b in _identity_product_tuples(classes))
+        decision = next((d for d in witnesses if not transitive or _is_transitive(d)), None)
+        if decision is None:
+            return ExtendDecision(False, "transitive", None, None)
     else:
-        parity_sum = sum(1 for c in classes if class_parity(c) == "odd")
-        if parity_sum % 2:
+        if sum(class_parity(c) == "odd" for c in classes) % 2:
             return ExtendDecision(False, "parity", None, None)
-        reason = "parity"
-
-    def build(boundaries):
-        if spec.genus == 0:
-            handles = ()
-        else:
-            product = math.prod(boundaries, start=identity)
-            alpha, beta = commutator_witness(product.inverse())
-            handles = ((alpha, beta),) + ((identity, identity),) * (spec.genus - 1)
-        return ExtendDecision(True, reason, handles, tuple(boundaries))
-
-    decisions = map(build, _boundary_tuples(classes, spec.genus == 0, exhaustive=transitive))
-    if transitive and spec.genus:
-        # only all-identity classes get here: a handle (n-cycle, e) connects the cover
-        cycle = class_representative(Partition((n,)))
-        handles = ((cycle, identity),) + ((identity, identity),) * (spec.genus - 1)
-        fallback = ExtendDecision(True, reason, handles, (identity,) * len(classes))
-        decisions = itertools.chain(decisions, [fallback])
-    for decision in decisions:
-        if not decision.verify():
-            raise CoverError("witness relation check failed")
-        if not transitive or _is_transitive(decision):
-            return decision
-    if transitive:
-        # decision stands, but no transitive witness was found in the search
-        return ExtendDecision(True, reason + " (no transitive witness found)", None, None)
-    raise CoverError("decision positive but witness search failed")
+        boundaries = tuple(map(class_representative, classes))
+        product = math.prod(boundaries, start=identity)
+        handles = (commutator_witness(product.inverse()),) + ((identity, identity),) * (spec.genus - 1)
+        decision = ExtendDecision(True, "parity", handles, boundaries)
+        if transitive and not _is_transitive(decision):
+            # the product is e, else alpha is an n-cycle: an (n-cycle, e) handle connects
+            cycle = class_representative(Partition((spec.degree,)))
+            decision = ExtendDecision(True, "parity", ((cycle, identity),) + handles[1:], boundaries)
+    if not decision.verify():
+        raise CoverError("witness relation check failed")
+    return decision
 
 
 def _is_transitive(decision: ExtendDecision) -> bool:
-    perms = list(decision.boundaries)
-    for a, b in decision.handles or ():
-        perms += [a, b]
+    perms = list(decision.boundaries) + [g for pair in decision.handles for g in pair]
     n = perms[0].degree
     seen = {0}
     frontier = [0]
@@ -210,8 +187,6 @@ class StripCover:
     """Degree-n cover of the once-punctured torus built from n strip domains."""
 
     degree: int
-    handle_sigma: Permutation
-    handle_tau: Permutation
     boundary: Permutation
     boundary_components: int
     cover_genus: int
@@ -239,7 +214,7 @@ def strip_cover(sigma: Permutation, tau: Permutation) -> StripCover:
     genus = (2 + n - components) // 2
     if genus < 0:
         raise CoverError("negative cover genus")
-    return StripCover(n, sigma, tau, boundary, components, genus)
+    return StripCover(n, boundary, components, genus)
 
 
 def boundary_lift_components(

@@ -25,7 +25,6 @@ Z2 = "cdCD"
 RELATOR = "abABdcDC"  # [a,b][c,d]^{-1}
 
 _RETRACT = str.maketrans("abcdABCD", "xyxyXYXY")
-_INVERT = str.maketrans("abcdABCD", "ABCDabcd")
 
 
 class Genus2Error(ValueError):
@@ -33,7 +32,7 @@ class Genus2Error(ValueError):
 
 
 def _inv(letters: str) -> str:
-    return letters.translate(_INVERT)[::-1]
+    return letters.swapcase()[::-1]
 
 
 def _check(w: Word) -> Word:
@@ -92,14 +91,11 @@ def rewrite_blocks(w: Word) -> Word:
     An L-block equal to z1^p becomes z2^p and an R-block equal to z2^p
     becomes z1^p (both are the same element of the surface group); the
     block count strictly decreases after reduction, so this terminates.
-    Early return once the whole word is a power of z1.
+    A lone L-block is never swapped, so a power of z1 is left as it is.
     """
     letters = _check(w).letters
     while True:
         blocks = _blocks(letters)
-        if len(blocks) <= 1:
-            if not blocks or (blocks[0][0] == "L" and _power_of(blocks[0][1], Z1) is not None):
-                return Word(letters, GENUS2)
         changed = False
         for i, (tag, block) in enumerate(blocks):
             if tag == "L":

@@ -62,6 +62,15 @@ def test_extend_exit_codes(capsys):
     assert json.loads(out)["extends"] is True
 
 
+def test_extend_transitive_answers_carry_witnesses(capsys):
+    # a connected double cover of the annulus has nontrivial boundary monodromy
+    code, out, _ = run(capsys, "extend", "--genus", "0", "--classes", "1,1;1,1", "--transitive")
+    assert (code, json.loads(out)) == (1, {"extends": False, "reason": "transitive", "schema": 1})
+    code, out, _ = run(capsys, "extend", "--genus", "0", "--classes", "3;3;3", "--transitive")
+    assert code == 0
+    assert json.loads(out)["witness"] == {"boundaries": ["(1 2 3)"] * 3, "handles": []}
+
+
 def test_regular_extend_unknown_budget(capsys):
     code, out, _ = run(capsys, "regular-extend", "--genus", "1", "--classes", "9")
     assert code == 3

@@ -98,6 +98,54 @@ def test_extends_cover_transitive_flag():
         assert len(reach) == 3, (genus, classes)
 
 
+def _brute_transitive_extends(genus, classes):
+    """Independent oracle at genus 0 or 1: some homomorphism with boundary
+    images in the classes and a transitive image.  It runs over every handle
+    pair and every image of the first k - 1 boundaries; the relation forces
+    the last."""
+    from fig8.perms import class_elements
+
+    n = classes[0].n
+    perms = list(all_permutations(n))
+    for pair in product(perms, perms) if genus else [()]:
+        start = commutator(*pair) if pair else Permutation.identity(n)
+        for tup in product(*map(class_elements, classes[:-1])):
+            last = math.prod(tup, start=start).inverse()
+            if last.cycle_type() == classes[-1] and _orbit_of_1([*pair, *tup, last]) == n:
+                return True
+    return False
+
+
+def _orbit_of_1(perms):
+    orbit = {1}
+    for _ in range(perms[0].degree):
+        orbit |= {g(p) for g in perms for p in orbit}
+    return len(orbit)
+
+
+# genus 0 with n <= 5 and k <= 3 classes (k <= 2 at n = 5), genus 1 with n <= 4 and k <= 2
+TRANSITIVE_GRID = [
+    (genus, classes)
+    for genus, n, k in [(0, n, k) for n in range(1, 6) for k in (1, 2, 3) if n < 5 or k < 3]
+    + [(1, n, k) for n in range(1, 5) for k in (1, 2)]
+    for classes in product(partitions_of(n), repeat=k)
+]
+
+
+def test_extends_cover_transitive_against_bruteforce():
+    assert len(TRANSITIVE_GRID) == 317
+    for genus, classes in TRANSITIVE_GRID:
+        d = extends_cover(CoverSpec(genus, classes), transitive=True)
+        assert d.extends == _brute_transitive_extends(genus, list(classes)), (genus, classes)
+        if d.extends:
+            assert d.verify(), (genus, classes)
+            assert [g.cycle_type() for g in d.boundaries] == list(classes), (genus, classes)
+            perms = [g for pair in d.handles for g in pair] + list(d.boundaries)
+            assert _orbit_of_1(perms) == classes[0].n, (genus, classes)
+        else:
+            assert d.handles is None and d.boundaries is None
+
+
 def test_two_n_cycles_examples():
     e3 = Permutation.identity(3)
     c1, c2 = two_n_cycles(e3)
@@ -301,14 +349,21 @@ def _oracle_regular_extends(spec, budget=8):
     """The boundary-tuple search that regular_extends replaced: the closure of
     each genus-0 tuple, and every handle tuple of every regular overgroup of
     each tuple at genus >= 1, with its genus cap."""
-    from fig8.covers import _boundary_tuples, _regular_overgroups, _subgroup_closure
+    from fig8.covers import _identity_product_tuples, _regular_overgroups, _subgroup_closure
+    from fig8.perms import class_elements, class_representative
 
     n = spec.degree
-    if any(len(set(c.parts)) > 1 for c in spec.boundary_classes):
+    classes = spec.boundary_classes
+    if any(len(set(c.parts)) > 1 for c in classes):
         return RegularDecision("does-not-extend", None)
     if n > budget or spec.genus > 4:
         return RegularDecision("unknown", None)
-    for boundaries in _boundary_tuples(spec.boundary_classes, spec.genus == 0, exhaustive=True):
+    if spec.genus == 0:
+        tuples = _identity_product_tuples(classes)
+    else:
+        first = class_representative(classes[0])
+        tuples = ((first, *rest) for rest in product(*map(class_elements, classes[1:])))
+    for boundaries in tuples:
         if spec.genus == 0:
             group = _subgroup_closure(list(boundaries), n)
             if group is not None and len({g(1) for g in group}) == n:

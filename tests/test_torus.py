@@ -318,3 +318,26 @@ def test_simple_count_follows_zagier_asymptotic():
         n0 = count_census(MODULAR_ROOT, length)[0]
         ratio = n0 / (6 * zagier_c * math.log(trace_cutoff) ** 2)
         assert abs(ratio - 1) < 0.02, (length, ratio)
+
+
+def test_paired_count_is_twice_the_simple_count_at_a_third_of_the_trace():
+    """N1_paired(L) = 2 N0(T/3): each simple geodesic of trace t <= T/3
+    cuts off two one-intersection geodesics of trace 3t."""
+    for i in range(285):
+        length = 9 + i / 4  # 9, 9.25, ..., 80
+        third = len(enumerate_simple(MODULAR_ROOT, length_to_trace(length) / 3))
+        assert count_census(MODULAR_ROOT, length)[1] == 2 * third, length
+
+
+def test_criterion_5_ratio_is_the_finite_cutoff_model():
+    """At L = 20 the measured N1_paired/N0 is exactly 2 N0(T/3)/N0(T) =
+    168/108, below criterion 5's window: the ratio tends to 2 only as
+    about 2 (1 - 2 ln 3 / L)^2.  Criterion 5 itself is left as it is."""
+    trace_cutoff = length_to_trace(20)
+    n0, n1_paired, _ = count_census(MODULAR_ROOT, 20)
+    model = Fraction(
+        2 * len(enumerate_simple(MODULAR_ROOT, trace_cutoff / 3)),
+        len(enumerate_simple(MODULAR_ROOT, trace_cutoff)),
+    )
+    assert (n1_paired, n0) == (168, 108)
+    assert Fraction(n1_paired, n0) == model
