@@ -57,15 +57,13 @@ def two_n_cycles(sigma: Permutation) -> tuple[Permutation, Permutation]:
     """n-cycles c1, c2 with c1 * c2 = sigma; exists for every even permutation."""
     if not sigma.is_even():
         raise PermError(f"{sigma} is odd: not a product of two n-cycles of equal parity")
-    n = sigma.degree
-    full = Partition((n,))
-    for c1 in class_elements(full):
-        c2 = c1.inverse() * sigma
-        if c2.cycle_type() == full:
-            if (c1 * c2) != sigma:
-                raise PermError("two_n_cycles composition check failed")
-            return (c1, c2)
-    raise PermError(f"no two-n-cycle factorization found for {sigma}")
+    full = Partition((sigma.degree,))
+    # c1^-1 * sigma is the inverse of sigma^-1 * c1, a conjugate of c1 * sigma^-1
+    c1 = next(class_elements(full, sigma.inverse(), full))
+    c2 = c1.inverse() * sigma
+    if c2.cycle_type() != full:
+        raise PermError("two_n_cycles check failed")
+    return (c1, c2)
 
 
 def commutator_witness(sigma: Permutation) -> tuple[Permutation, Permutation]:
@@ -109,22 +107,26 @@ class ExtendDecision:
         return math.prod(factors, start=identity) == identity
 
 
-def _identity_product_tuples(classes: tuple[Partition, ...]):
-    """Boundary image tuples with product e, in product order.
+def _identity_product_tuples(classes: tuple[Partition, ...], head=()):
+    """Boundary image tuples with product e that extend head, in product order.
 
-    The first image is fixed to its class representative: conjugating a
-    whole tuple keeps its product and its orbits, so the search is complete
-    up to conjugacy.  The last factor is forced, not searched.
+    The first of two or more images is its class representative: conjugating
+    a tuple keeps its product and its orbits, so the search is complete up to
+    conjugacy.  The last image, (product * g)^-1, is forced, and the g before
+    it is searched so that g * product, a conjugate of product * g, lies in
+    the last class.
     """
-    first = class_representative(classes[0])
-    if len(classes) == 1:
-        if first == Permutation.identity(first.degree):
-            yield (first,)
+    if not head and len(classes) > 1:
+        head = (class_representative(classes[0]),)
+    product = math.prod(head, start=Permutation.identity(classes[0].n))
+    rest = classes[len(head) :]
+    if len(rest) == 1:
+        if product.inverse().cycle_type() == rest[0]:
+            yield (*head, product.inverse())
         return
-    for middle in itertools.product(*map(class_elements, classes[1:-1])):
-        forced = math.prod(middle, start=first).inverse()
-        if forced.cycle_type() == classes[-1]:
-            yield (first, *middle, forced)
+    partner = (product, rest[1]) if len(rest) == 2 else ()
+    for g in class_elements(rest[0], *partner):
+        yield from _identity_product_tuples(classes, (*head, g))
 
 
 def extends_cover(spec: CoverSpec, transitive: bool = False) -> ExtendDecision:
@@ -270,9 +272,8 @@ def _regular_overgroups(seed: list[Permutation], n: int):
     j = min(set(range(1, n + 1)) - orbit)
     for d in range(2, n + 1):
         if n % d == 0:
-            for g in class_elements(Partition((d,) * (n // d))):
-                if g(1) == j:
-                    yield from _regular_overgroups(seed + [g], n)
+            for g in class_elements(Partition((d,) * (n // d)), first=j - 1):
+                yield from _regular_overgroups(seed + [g], n)
 
 
 def _handles_reach(group: set[Permutation], genus: int, boundaries: tuple[Permutation, ...]) -> bool:

@@ -11,7 +11,6 @@ other constructor preserves the invariants and builds its values unchecked.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -233,36 +232,55 @@ def commutator(s: Permutation, t: Permutation) -> Permutation:
     return s * t * s.inverse() * t.inverse()
 
 
-def all_permutations(n: int):
-    for images in itertools.permutations(range(n)):
-        yield Permutation(images)
+def _grow(tracks, y: int, v: int):
+    """The tracks after g(y) = v, or None if a cycle type rules that out."""
+    grown = []
+    for relabel, ends, left in tracks:
+        b = relabel[v]
+        (s, k), (e, m) = ends[y], ends[b]
+        if s == b and k in left:  # closes a cycle whose length k is an unused part
+            left = left[: left.index(k)] + left[left.index(k) + 1 :]
+        elif s == b or k + m > left[0]:  # a cycle of no unused length, or too long a path
+            return None
+        else:
+            ends = ends.copy()
+            ends[s], ends[e] = (e, k + m), (s, k + m)
+        grown.append((relabel, ends, left))
+    return grown
 
 
-@lru_cache(maxsize=None)
-def class_elements(p: Partition) -> tuple[Permutation, ...]:
-    """All permutations of cycle type p, in lexicographic order of images.
+def class_elements(p: Partition, t=None, q=None, first=None):
+    """Permutations g of cycle type p, lazily, in lexicographic order of images.
 
-    Generated, not filtered from all n! permutations: the least unused point
-    opens a cycle of each distinct remaining length, its other points an
-    ordered choice of unused points.  Cached; intended for small n.
+    Points are 0-indexed, as in images.  With t and q, only the g for which
+    g * t has cycle type q; with first, only those with g(0) = first.  A
+    depth-first search on its own stack assigns g(0), g(1), ... in turn,
+    least image first.  Since (g * t)(y) = t(g(y)), the partner gains its
+    image of y at the same step.  Each has a track (relabel, ends, left)
+    that sends y to relabel[v]: ends[x] is (other endpoint, points) of the
+    open path with endpoint x, and left holds the parts, largest first,
+    that no closed cycle has taken.
     """
-    images = list(range(p.n))
-
-    def build(unused, lengths):
-        if not unused:
-            yield tuple(images)
-            return
-        first, rest = unused[0], unused[1:]
-        for d in set(lengths):
-            left = list(lengths)
-            left.remove(d)
-            for others in itertools.permutations(rest, d - 1):
-                cycle = (first, *others)
-                for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                    images[a] = b
-                yield from build([u for u in rest if u not in others], left)
-
-    return tuple(map(Permutation, sorted(build(list(range(p.n)), p.parts))))
+    n = p.n
+    pairs = [(range(n), p)] + ([(t.images, q)] if t is not None else [])
+    tracks = [(relabel, [(x, 1) for x in range(n)], c.parts) for relabel, c in pairs]
+    g, used = [], [False] * n
+    stack = [(tracks, iter(range(n) if first is None else [first]))]
+    while stack:
+        tracks, options = stack[-1]
+        if len(g) == n:
+            yield Permutation(tuple(g))
+            options = ()  # nothing left to assign: backtrack
+        for v in options:
+            if not used[v] and (grown := _grow(tracks, len(g), v)):
+                g.append(v)
+                used[v] = True
+                stack.append((grown, iter(range(n))))
+                break
+        else:
+            stack.pop()
+            if g:
+                used[g.pop()] = False
 
 
 def class_representative(p: Partition) -> Permutation:

@@ -17,7 +17,6 @@ from fig8.magnus import lcs_depth, unipotent_witness
 from fig8.perms import (
     Partition,
     Permutation,
-    all_permutations,
     class_elements,
     frobenius_count,
     partitions_of,
@@ -35,6 +34,7 @@ from fig8.torus import (
     one_intersection_census,
 )
 from fig8.words import Word, random_reduced_word
+from oracles import all_permutations
 
 
 def report(capsys, num, ok, detail):

@@ -117,6 +117,38 @@ def test_regular_extend_degree_8_in_bounded_time(capsys, genus, classes, code, s
         assert payload["witness"] == REGULAR_WITNESSES[genus, classes]
 
 
+# recorded with the class scan that the lexicographic class search replaced
+EXTEND_66_WITNESS = {
+    "boundaries": [
+        "(1 2 3 4 5 6)(7 8 9 10 11 12)",
+        "(1 2 3 4 5 7)(6 8 9 10 11 12)",
+        "(1 12 10 8 5 3)(2 6 11 9 7 4)",
+    ],
+    "handles": [],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("twocycles", "--perm", "(1 2 3)", "--degree", "12"),
+        ("twocycles", "--perm", "(1 2 3)", "--degree", "1000"),
+        ("extend", "--genus", "1", "--classes", "3,3,3,3"),
+        ("extend", "--genus", "0", "--classes", "6,6;6,6;6,6"),
+        ("extend", "--genus", "0", "--classes", "7,7;7,7;7,7"),
+    ],
+)
+def test_class_searches_in_bounded_time(capsys, argv):
+    # scanning whole classes, these exited 4 with MemoryError (6,6;6,6;6,6 took
+    # 22 s and 1.7 GB; twocycles at degree 10 took 1.3 s and 110 MB)
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1
+    assert code == 0
+    if argv[-1] == "6,6;6,6;6,6":
+        assert json.loads(out)["witness"] == EXTEND_66_WITNESS
+
+
 def test_selfint(capsys):
     code, out, _ = run(capsys, "selfint", "--word", "aabAB")
     assert code == 0

@@ -19,11 +19,11 @@ from fig8.perms import (
     Partition,
     PermError,
     Permutation,
-    all_permutations,
     commutator,
     partitions_of,
 )
 from fig8.words import Word, evaluate
+from oracles import _oracle_identity_product_tuples, _oracle_two_n_cycles, all_permutations
 
 
 def test_cover_spec_validation():
@@ -158,6 +158,27 @@ def test_two_n_cycles_examples():
     assert c1 * c2 == s4 and c1.cycle_type() == Partition((4,))
     with pytest.raises(PermError):
         two_n_cycles(Permutation.parse("(1 2)", 3))
+
+
+def test_two_n_cycles_equal_the_class_scan():
+    checked = 0
+    for n in range(1, 8):
+        for sigma in all_permutations(n):
+            if sigma.is_even():
+                assert two_n_cycles(sigma) == _oracle_two_n_cycles(sigma), sigma
+                checked += 1
+    assert checked == 2957
+
+
+def test_identity_product_tuples_equal_the_product_filter():
+    from fig8.covers import _identity_product_tuples
+
+    specs = [c for n in range(1, 7) for c in product(list(partitions_of(n)), repeat=3)]
+    assert len(specs) == 1835
+    specs += [c for n in range(1, 6) for c in product(list(partitions_of(n)), repeat=4)]
+    for classes in specs:
+        got = list(_identity_product_tuples(classes))
+        assert got == list(_oracle_identity_product_tuples(classes)), classes  # order included
 
 
 def test_commutator_witness_examples():

@@ -9,7 +9,6 @@ from fig8.perms import (
     Partition,
     PermError,
     Permutation,
-    all_permutations,
     character,
     class_elements,
     class_parity,
@@ -20,6 +19,7 @@ from fig8.perms import (
     partitions_of,
 )
 from fig8.words import evaluate, random_reduced_word
+from oracles import _oracle_class_elements, all_permutations
 
 
 def test_partition_validation_and_parse():
@@ -177,7 +177,7 @@ def test_commutator_and_class_helpers():
     assert commutator(s, t) == s * t * s.inverse() * t.inverse()
     rep = class_representative(Partition((3, 2)))
     assert rep.cycle_type() == Partition((3, 2))
-    assert len(class_elements(Partition((2, 1)))) == 3
+    assert len(tuple(class_elements(Partition((2, 1))))) == 3
     assert len(list(all_permutations(4))) == 24
 
 
@@ -187,8 +187,29 @@ def test_class_elements_equal_the_filter_of_all_permutations():
         for g in all_permutations(n):
             by_type[g.cycle_type()].append(g)
         for p in partitions_of(n):
-            assert class_elements(p) == tuple(by_type[p]), p  # order included
+            assert tuple(class_elements(p)) == tuple(by_type[p]), p  # order included
     for n in (8, 9):
         for p in partitions_of(n):
-            # uncached, so the 9! elements do not stay in memory
-            assert len(class_elements.__wrapped__(p)) == class_size(p), p
+            assert len(tuple(class_elements(p))) == class_size(p), p
+
+
+def test_class_elements_with_a_partner_type_equal_the_filter():
+    rng = random.Random(16)
+    for n in range(1, 7):
+        parts = list(partitions_of(n))
+        perms = list(all_permutations(n))
+        for t in [Permutation.identity(n), *rng.sample(perms, min(3, len(perms)))]:
+            for p in parts:
+                for q in parts:
+                    expected = [g for g in _oracle_class_elements(p) if (g * t).cycle_type() == q]
+                    assert list(class_elements(p, t, q)) == expected, (p, t, q)
+
+
+def test_class_elements_with_a_fixed_first_image_equal_the_filter():
+    # the elements of a uniform class with g(1) = j, as _regular_overgroups needs them
+    for n in range(1, 9):
+        for d in (d for d in range(1, n + 1) if n % d == 0):
+            p = Partition((d,) * (n // d))
+            for j in range(1, n + 1):
+                expected = [g for g in _oracle_class_elements(p) if g(1) == j]
+                assert list(class_elements(p, first=j - 1)) == expected, (p, j)
