@@ -14,6 +14,7 @@ validates the certificate at corpus scale.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .resfin import PrimeWitness, excluding_prime, sanov_eval
@@ -25,6 +26,7 @@ Z2 = "cdCD"
 RELATOR = "abABdcDC"  # [a,b][c,d]^{-1}
 
 _RETRACT = str.maketrans("abcdABCD", "xyxyXYXY")
+_CD_RUN = re.compile("[cdCD]+")
 
 
 class Genus2Error(ValueError):
@@ -49,7 +51,9 @@ def retract(w: Word) -> Word:
 def dehn_twist(w: Word, power: int) -> Word:
     """phi^power with phi fixing a, b and conjugating c, d by z = [a,b].
 
-    Conjugation convention u^z = z^-1 u z.
+    Conjugation convention u^z = z^-1 u z.  Each maximal run of c, d
+    letters is conjugated once: that is the same element as conjugating
+    each of its letters, so the reduced word is the same too.
     """
     if power < 0:
         raise Genus2Error("twist power must be nonnegative")
@@ -58,8 +62,7 @@ def dehn_twist(w: Word, power: int) -> Word:
         return w
     zm = Z1 * power
     zmi = _inv(Z1) * power
-    pieces = [(zmi + ch + zm) if ch in "cdCD" else ch for ch in w.letters]
-    return Word("".join(pieces), GENUS2)
+    return Word(_CD_RUN.sub(lambda run: zmi + run.group() + zm, w.letters), GENUS2)
 
 
 def _blocks(letters: str) -> list[tuple[str, str]]:
@@ -198,8 +201,8 @@ def dehn_oracle(w: Word) -> str:
                 piece, rest = rel[:cut], rel[cut:]
                 idx = doubled.find(piece)
                 while idx != -1 and idx < n:
-                    candidate = free_reduce(doubled[idx + cut : idx + n] + _inv(rest))
-                    candidate = Word(candidate, GENUS2).cyclically_reduced().letters
+                    candidate = Word(doubled[idx + cut : idx + n] + _inv(rest), GENUS2)
+                    candidate = candidate.cyclically_reduced().letters
                     if len(candidate) < n:
                         letters = candidate
                         replaced = True

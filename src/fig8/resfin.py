@@ -13,7 +13,6 @@ import itertools
 import random
 import string
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .sl2 import SANOV_A, SANOV_B, Mat2
 from .words import Word, evaluate, exponent_sums, random_reduced_letters
@@ -26,14 +25,22 @@ class ResFinError(ValueError):
 
 
 def primes():
-    """Deterministic incremental prime sieve: 2, 3, 5, ..."""
-    known = []
-    n = 2
-    while True:
-        if all(n % p for p in known if p * p <= n):
-            known.append(n)
-            yield n
-        n += 1 if n == 2 else 2
+    """Deterministic incremental prime sieve: 2, 3, 5, ...
+
+    Trial division stops at the first known prime p with p * p > n.  The
+    known primes always reach that far (Bertrand's postulate), so every odd
+    n ends at one of the two breaks.
+    """
+    yield 2
+    known = [2]
+    for n in itertools.count(3, 2):
+        for p in known:
+            if n % p == 0:
+                break
+            if p * p > n:
+                known.append(n)
+                yield n
+                break
 
 
 def sanov_eval(w: Word) -> Mat2:
@@ -77,18 +84,18 @@ def expected_min_prime(terms: int) -> float:
     """Partial sum of E(p) = sum_p p (1 - 1/p) / prod_{q<p} q, exactly in rationals.
 
     The expected smallest prime not dividing a uniformly random integer;
-    converges rapidly to 2.920051...
+    converges rapidly to 2.920051...  The sum is kept as one integer
+    numerator over the primorial, so no term needs a gcd; integer true
+    division rounds the exact quotient correctly.
     """
     if terms < 1:
         raise ResFinError("need at least one term")
-    total = Fraction(0)
-    primorial = 1  # product of the primes before p
-    gen = primes()
-    for _ in range(terms):
-        p = next(gen)
-        total += Fraction(p - 1, primorial)
+    num = 0  # the partial sum is num / primorial
+    primorial = 1  # product of the primes so far
+    for p in itertools.islice(primes(), terms):
+        num = (num + p - 1) * p
         primorial *= p
-    return float(total)
+    return num / primorial
 
 
 def abelian_excluding_prime(w: Word) -> int | None:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 
 FREE_RANK2 = "ab"
 GENUS2 = "abcd"
@@ -20,13 +21,33 @@ class WordError(ValueError):
     pass
 
 
+# A letter followed by its inverse, the same letter in the other case.  The
+# match holds only the first letter, so pairs may overlap ("aAa" has two).
+_INVERSE_PAIR = re.compile(r"(.)(?=(?i:\1))(?!\1)")
+
+
 def free_reduce(letters: str) -> str:
+    """Freely reduce a string of ASCII letters, with x and X inverse.
+
+    One regex pass cuts the input after every letter followed by its
+    inverse, so each segment is already reduced, and an input with no cut
+    is returned as it is.  A segment cancels letter by letter only against
+    the tail of the output; the rest of it goes in with one slice.  The
+    Python-level work is O(segments + cancelled letters), and linear in the
+    worst case.  Defined on ASCII letters, all that ``Word`` admits; the
+    result on other characters is unspecified.
+    """
+    cuts = [m.end() for m in _INVERSE_PAIR.finditer(letters)]
+    if not cuts:
+        return letters
     out: list[str] = []
-    for ch in letters:
-        if out and out[-1] == ch.swapcase():
+    start = 0
+    for end in cuts + [len(letters)]:
+        while out and start < end and out[-1] == letters[start].swapcase():
             out.pop()
-        else:
-            out.append(ch)
+            start += 1
+        out.extend(letters[start:end])
+        start = end
     return "".join(out)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import time
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from fig8 import cli, torus
 from fig8.cli import main
 from fig8.sl2 import length_to_trace
+from fig8.words import random_reduced_word
+from oracles import relator_product
 
 
 def run(capsys, *argv):
@@ -258,6 +261,41 @@ def test_torus_artifacts_are_byte_identical(capsys, argv, digest):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _artifacts_sha256(capsys, argvs):
+    digest = hashlib.sha256()
+    for argv in argvs:
+        code, out, _ = run(capsys, *argv)
+        digest.update(f"{code}\n{out}".encode())
+    return digest.hexdigest()
+
+
+def test_word_artifacts_are_byte_identical(capsys):
+    """SHA-256 over the surface-certify artifacts of 200 random genus-2 words
+    and 20 relator products, and the prime artifacts of 50 unreduced free
+    words; recorded before free reduction worked a segment at a time and
+    the Dehn twist conjugated whole c/d runs."""
+    rng = random.Random(0)
+    surface = [random_reduced_word(rng, 40, "abcd").letters for _ in range(200)]
+    rng = random.Random(1)
+    surface += [relator_product(rng) for _ in range(20)]
+    rng = random.Random(2)
+    free = ["".join(rng.choice("abAB") for _ in range(rng.randrange(1, 61))) for _ in range(50)]
+    assert _artifacts_sha256(capsys, [["surface-certify", "--word", w] for w in surface]) == (
+        "c5d60b1443e4b7fedcd81a40d6ff8f4840616daeb224093dfc9355f0be6430ab"
+    )
+    assert _artifacts_sha256(capsys, [["prime", "--word", w] for w in free]) == (
+        "af7444c6c19c5fce57ca5ded1667793810d3130929e214db6e24c1d0dd2a206b"
+    )
+
+
+def test_expectedprime_many_terms_is_bounded(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "expectedprime", "--terms", "10000")
+    elapsed = time.perf_counter() - t0
+    assert (code, err) == (0, "") and json.loads(out)["terms"] == 10000
+    assert elapsed < 5, elapsed
 
 
 def test_default_root_walks_exactly():

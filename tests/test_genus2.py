@@ -15,6 +15,7 @@ from fig8.genus2 import (
 )
 from fig8.resfin import sanov_eval, smallest_excluding_prime
 from fig8.words import Word, random_reduced_word
+from oracles import _oracle_dehn_twist, relator_product
 
 
 def W(letters):
@@ -35,6 +36,16 @@ def test_dehn_twist_examples():
     assert len(twisted) <= 4 + 8 * 2
     with pytest.raises(Genus2Error):
         dehn_twist(W("c"), -1)
+
+
+def test_dehn_twist_equals_per_letter_oracle():
+    # run-level conjugation against conjugating each c, d letter on its own
+    rng = random.Random(17)
+    words = [random_reduced_word(rng, 40, "abcd") for _ in range(2000)]
+    words += [W("cdCD" * k) for k in range(1, 9)]
+    for w in words:
+        for m in range(13):
+            assert dehn_twist(w, m) == _oracle_dehn_twist(w, m), (w.letters, m)
 
 
 def test_dehn_twist_additivity():
@@ -62,18 +73,6 @@ def test_certify_examples():
 
     cert = certify_nontrivial(W("abAB"))
     assert cert.nontrivial and cert.witness.letters == "xyXY"
-
-
-def _relator_product(rng):
-    """A product of 1-3 conjugates of the relator or its inverse."""
-    letters = "abcdABCD"
-    inv = str.maketrans(letters, "ABCDabcd")
-    pieces = []
-    for _ in range(rng.randrange(1, 4)):
-        g = "".join(rng.choice(letters) for _ in range(rng.randrange(0, 4)))
-        base = RELATOR if rng.random() < 0.5 else RELATOR.translate(inv)[::-1]
-        pieces.append(g + base + g.translate(inv)[::-1])
-    return W("".join(pieces))
 
 
 def _free(u):
@@ -125,7 +124,7 @@ def test_dehn_oracle_answers_on_criterion_13_sample():
     words = [random_reduced_word(rng, 40, "abcd") for _ in range(10**4)]
     assert all(dehn_oracle(w) == "nontrivial" for w in words)
     for _ in range(100):
-        assert dehn_oracle(_relator_product(rng)) == "trivial"
+        assert dehn_oracle(W(relator_product(rng))) == "trivial"
 
 
 def test_certify_conjugation_stability():
@@ -140,7 +139,7 @@ def test_certify_conjugation_stability():
 def test_relator_products_are_trivial_consistent():
     rng = random.Random(14)
     for _ in range(50):
-        w = _relator_product(rng)
+        w = W(relator_product(rng))
         assert certify_nontrivial(w).verdict == "TRIVIAL-CONSISTENT"
         assert dehn_oracle(w) == "trivial"
 

@@ -18,10 +18,23 @@ from fig8.resfin import (
 )
 from fig8.sl2 import Mat2
 from fig8.words import Word, free_reduce, random_reduced_letters, random_reduced_word
+from oracles import _oracle_expected_min_prime
 
 
 def test_primes_sieve():
     assert list(itertools.islice(primes(), 10)) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    limit = 10**5
+    composite = bytearray(limit)
+    eratosthenes = []
+    for n in range(2, limit):
+        if not composite[n]:
+            eratosthenes.append(n)
+            composite[n * n :: n] = b"\x01" * len(range(n * n, limit, n))
+    assert list(itertools.takewhile(lambda p: p < limit, primes())) == eratosthenes
+
+
+def test_expected_min_prime_equals_fraction_oracle():
+    assert [expected_min_prime(t) for t in range(1, 301)] == _oracle_expected_min_prime(300)
 
 
 def test_sanov_eval_examples():

@@ -1,12 +1,17 @@
 import random
+import string
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fig8.magnus import MagnusSeries
 from fig8.perms import Permutation
 from fig8.selfint import TORUS_X, TORUS_Y
 from fig8.sl2 import SANOV_A, SANOV_B, Mat2
 from fig8.words import Word, WordError, evaluate, free_reduce, random_reduced_word
+from oracles import _oracle_free_reduce
 
 BACKENDS = {
     "sanov": ({"a": SANOV_A, "b": SANOV_B}, Mat2.identity()),
@@ -29,6 +34,43 @@ def test_free_reduce():
     assert free_reduce("aabAA") == "aabAA"
     assert free_reduce("abBc") == "ac"  # pure string operation, any letters
     assert free_reduce("") == ""
+
+
+def _inv(letters):
+    return letters.swapcase()[::-1]
+
+
+@settings(derandomize=True, database=None, max_examples=500)
+@given(st.text(alphabet="abcdxyABCDXY", max_size=80))
+def test_free_reduce_equals_per_letter_oracle(letters):
+    assert free_reduce(letters) == _oracle_free_reduce(letters)
+
+
+@settings(derandomize=True, database=None, max_examples=500)
+@given(
+    st.text(alphabet=string.ascii_letters, max_size=40),
+    st.text(alphabet=string.ascii_letters, max_size=40),
+)
+def test_free_reduce_equals_oracle_on_cancelling_products(u, v):
+    assert free_reduce(u + _inv(u)) == ""
+    for letters in (u, u + v, u + _inv(u), u + v + _inv(u), u + v + _inv(v) + _inv(u)):
+        assert free_reduce(letters) == _oracle_free_reduce(letters)
+
+
+N = 10**5
+
+
+@pytest.mark.parametrize(
+    "letters",
+    ["a" * N + "AbB" * N, "aA" * N, "ab" * N + "BA" * N],
+    ids=["long-segment-then-short-cancels", "all-cancel-pairwise", "cancel-from-middle"],
+)
+def test_free_reduce_is_linear_time(letters):
+    # the first input is quadratic for any kernel that re-slices a long segment
+    t0 = time.perf_counter()
+    reduced = free_reduce(letters)
+    elapsed = time.perf_counter() - t0
+    assert reduced == "" and elapsed < 1.0, elapsed
 
 
 def test_word_reduces_on_construction():
