@@ -70,10 +70,8 @@ def _cmd_census(args) -> int:
     root = _parse_root(args.root)
     if args.counts_at:
         lengths = [float(v) for v in args.counts_at.split(",")]
-        rows = []
-        for length in lengths:
-            n0, n1p, n1f = torus.count_census(root, length)
-            rows.append(f"{_fmt(length)},{n0},{n1p},{n1f}")
+        counts = torus.census_counts(root, lengths)
+        rows = [f"{_fmt(x)},{n0},{n1p},{n1f}" for x, (n0, n1p, n1f) in zip(lengths, counts)]
         _emit_csv(args, "L,N0,N1_paired,N1_full", rows)
         return 0
     rows, row, last = [], "", None

@@ -12,7 +12,9 @@ axis; the neighborhood radius is half the translation length plus
 MARGIN, which suffices because every crossing lift has a coset
 representative whose orbit point lands within half a period of the
 crossing.  A radius-stability assertion (MARGIN + 2 yields the same count)
-guards the cutoff at runtime.
+guards the cutoff at runtime.  The search walks on int tuples (a, b, c, d)
+and builds g w g^-1 exactly once per kept g, as g leaves the queue, so one
+sweep counts the crossings at both radii.
 """
 
 from __future__ import annotations
@@ -32,19 +34,15 @@ TORUS_Y = Mat2(1, -1, -1, 2).check()
 MODULAR_ASSIGNMENT = {"a": TORUS_X, "b": TORUS_Y}
 
 _GEN_BY_LETTER = {
-    "a": TORUS_X,
-    "A": TORUS_X.inverse(),
-    "b": TORUS_Y,
-    "B": TORUS_Y.inverse(),
+    "a": TORUS_X.entries(),
+    "A": TORUS_X.inverse().entries(),
+    "b": TORUS_Y.entries(),
+    "B": TORUS_Y.inverse().entries(),
 }
 
 
 class SelfIntersectionError(ValueError):
     pass
-
-
-def _mobius(m: Mat2, z: complex) -> complex:
-    return (m.a11 * z + m.a12) / (m.a21 * z + m.a22)
 
 
 def self_intersection(w: Word) -> int:
@@ -72,74 +70,62 @@ def self_intersection(w: Word) -> int:
     p1 = ((a - d) + disc) / (2 * c)
     p2 = ((a - d) - disc) / (2 * c)
     if p1 < p2:
-        p1, p2 = p2, p1  # frame map below then preserves the upper half-plane
-
-    def frame(z):
-        # sends the axis endpoints to 0 and infinity
-        return (z - p1) / (z - p2)
+        p1, p2 = p2, p1  # frame map z -> (z - p1) / (z - p2) then preserves the upper half-plane
 
     lam = (abs(trace) + disc) / 2.0
     dilation = lam * lam  # period of <w> acting on the framed axis
     period = 2.0 * math.acosh(abs(trace) / 2.0)
     base_frame = complex(0.0, math.sqrt(dilation))
     base_point = (p2 * base_frame - p1) / (base_frame - 1.0)
-
-    def segment_distance(z: complex) -> float:
-        fz = frame(z)
-        x, y = fz.real, abs(fz.imag)
-        r = math.hypot(x, y)
-        t = min(max(r, 1.0), dilation)  # clamp = orthogonal projection onto the segment
-        ch = 1.0 + (x * x + (y - t) ** 2) / (2.0 * y * t)
-        return math.acosh(max(ch, 1.0))
-
     radius = period / 2.0 + MARGIN
     radius_wide = radius + 2.0
 
-    identity = Mat2.identity()
-    kept: list[tuple[Mat2, float]] = [(identity, 0.0)]
-    visited = {identity.entries()}
-    queue: deque[tuple[Mat2, str]] = deque([(identity, "")])
+    crossings, crossings_wide = set(), set()
+    visited = {(1, 0, 0, 1)}
+    queue = deque([((1, 0, 0, 1), "", 0.0)])
     while queue:
-        g, last = queue.popleft()
-        for ch, gen in _GEN_BY_LETTER.items():
-            if last and ch == last.swapcase():
-                continue
-            g2 = g * gen
-            key = g2.entries()
-            if key in visited:
-                continue
-            dist = segment_distance(_mobius(g2, base_point))
-            if dist <= radius_wide:
-                visited.add(key)
-                kept.append((g2, dist))
-                queue.append((g2, ch))
-
-    def crossing_count(max_dist: float) -> int:
-        crossings = set()
-        for g, dist in kept:
-            if dist > max_dist:
-                continue
-            conj = g * big_w * g.inverse()
-            if conj * big_w == big_w * conj:
-                continue  # same axis, no transversal crossing
-            ca, cb, cc, cd = conj.entries()
-            if cc == 0:
-                continue  # axis through infinity cannot meet the framed segment
-            ct = ca + cd
-            disc2 = ct * ct - 4
-            if disc2 <= 0:
-                continue
-            s = math.sqrt(disc2)
-            u = frame(((ca - cd) + s) / (2 * cc))
-            v = frame(((ca - cd) - s) / (2 * cc))
+        g, last, dist = queue.popleft()
+        g11, g12, g21, g22 = g
+        m11, m12 = g11 * a + g12 * c, g11 * b + g12 * d
+        m21, m22 = g21 * a + g22 * c, g21 * b + g22 * d
+        ca, cb = m11 * g22 - m12 * g21, m12 * g11 - m11 * g12
+        cc, cd = m21 * g22 - m22 * g21, m22 * g11 - m21 * g12
+        # skip gWg^-1 if it commutes with W (same axis; their (x12, x21, x11 - x22)
+        # are proportional, and W's is not 0) or if its axis runs through infinity
+        e = ca - cd
+        if cc and (cb * c != cc * b or cb * (a - d) != e * b or cc * (a - d) != e * c):
+            end1 = (e + disc) / (2 * cc)  # gWg^-1 has the trace of W, so the same disc
+            end2 = (e - disc) / (2 * cc)
+            u = (end1 - p1) / (end1 - p2)
+            v = (end2 - p1) / (end2 - p2)
             if u * v < 0:
                 height = math.sqrt(-u * v)
                 if 1.0 - TOL <= height < dilation * (1.0 - TOL):
-                    crossings.add(conj.entries())
-        return len(crossings)
+                    crossings_wide.add((ca, cb, cc, cd))
+                    if dist <= radius:
+                        crossings.add((ca, cb, cc, cd))
+        back = last.swapcase()
+        for ch, (x11, x12, x21, x22) in _GEN_BY_LETTER.items():
+            if ch == back:
+                continue
+            h11, h12 = g11 * x11 + g12 * x21, g11 * x12 + g12 * x22
+            h21, h22 = g21 * x11 + g22 * x21, g21 * x12 + g22 * x22
+            g2 = (h11, h12, h21, h22)
+            if g2 in visited:
+                continue
+            # distance from the Mobius image of the base point to the framed segment
+            z = (h11 * base_point + h12) / (h21 * base_point + h22)
+            fz = (z - p1) / (z - p2)
+            x, y = fz.real, abs(fz.imag)
+            # clamp = orthogonal projection onto the segment
+            t = min(max(math.hypot(x, y), 1.0), dilation)
+            cosh_dist = 1.0 + (x * x + (y - t) ** 2) / (2.0 * y * t)
+            dist2 = math.acosh(max(cosh_dist, 1.0))
+            if dist2 <= radius_wide:
+                visited.add(g2)
+                queue.append((g2, ch, dist2))
 
-    count = crossing_count(radius)
-    count_wide = crossing_count(radius_wide)
+    count, count_wide = len(crossings), len(crossings_wide)
     if count != count_wide:
         raise SelfIntersectionError(
             f"crossing count unstable under radius increase: {count} vs {count_wide}"

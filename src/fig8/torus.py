@@ -13,6 +13,7 @@ arithmetic below stays exact.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .sl2 import length_to_trace, trace_to_length
@@ -217,16 +218,33 @@ def mc2_sum(simples: list[GeodesicRecord]) -> float:
 
 def count_census(root: TraceTriple, length_bound: float) -> tuple[int, int, int]:
     """(N0, N1_paired, N1_full) counts of geodesics with length <= L."""
-    if length_bound <= 0:
-        raise CensusError("length bound must be positive")
-    trace_bound = length_to_trace(length_bound)
-    if trace_bound < 3:
-        return (0, 0, 0)
-    simples = enumerate_simple(root, trace_bound)
-    n0 = len(simples)
-    n_paired = 2 * sum(1 for r in simples if 3 * r.trace <= trace_bound)
-    n_companion = sum(1 for r in simples if r.trace**2 + 2 <= trace_bound)
-    return (n0, n_paired, n_paired + n_companion)
+    return census_counts(root, [length_bound])[0]
+
+
+def census_counts(root: TraceTriple, length_bounds: list[float]) -> list[tuple[int, int, int]]:
+    """count_census at each bound, from one walk at the largest trace bound.
+
+    Bounds are converted in order before the walk, so a bad one raises as it
+    would alone.  Rows are counted in the sorted traces; every walked trace
+    lies above the three sink traces (about 3), listed at any cutoff >= 3.
+    """
+    trace_bounds, top = [], 0.0
+    for length in length_bounds:
+        if length <= 0:
+            raise CensusError("length bound must be positive")
+        bound = length_to_trace(length)
+        if bound >= 3 > top:
+            enumerate_simple(root, 3)  # a root that cannot be walked fails here, as it did
+        top = max(top, bound)
+        trace_bounds.append(bound)
+    traces = [r.trace for r in enumerate_simple(root, top)] if top >= 3 else []
+    rows = []
+    for bound in trace_bounds:
+        n0 = max(3, bisect_right(traces, bound)) if bound >= 3 else 0
+        n_paired = 2 * bisect_right(traces, bound, key=lambda t: 3 * t)
+        n_companion = bisect_right(traces, bound, key=lambda t: t**2 + 2)
+        rows.append((n0, n_paired, n_paired + n_companion))
+    return rows
 
 
 def growth_exponent(samples: list[tuple[float, int]]) -> float:
@@ -245,8 +263,3 @@ def growth_exponent(samples: list[tuple[float, int]]) -> float:
 
 def slope_str(s: Slope) -> str:
     return f"{s[0]}/{s[1]}"
-
-
-def parse_slope(text: str) -> Slope:
-    p, q = text.split("/")
-    return normalize_slope(int(p), int(q))

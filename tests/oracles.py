@@ -4,18 +4,29 @@
 yields images in lexicographic order.  The ``_oracle_*`` functions are the
 earlier implementations that faster code replaced (the class scans behind
 ``perms.class_elements``, the per-letter free reduction and Dehn twist, the
-rational expected-prime sum), kept as they were so that the tests can
+rational expected-prime sum, the ``Mat2`` self-intersection counter), kept
+as they were so that the tests can
 require equal output, order included.
 """
 
 import itertools
 import math
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 
 from fig8.genus2 import RELATOR
 from fig8.perms import Partition, PermError, Permutation, class_representative
-from fig8.words import Word
+from fig8.selfint import (
+    MARGIN,
+    MODULAR_ASSIGNMENT,
+    TOL,
+    TORUS_X,
+    TORUS_Y,
+    SelfIntersectionError,
+)
+from fig8.sl2 import Mat2
+from fig8.words import Word, evaluate
 
 
 def all_permutations(n: int):
@@ -114,6 +125,119 @@ def _oracle_expected_min_prime(terms: int) -> list[float]:
         primorial *= p
         sums.append(float(total))
     return sums
+
+
+_ORACLE_GEN_BY_LETTER = {
+    "a": TORUS_X,
+    "A": TORUS_X.inverse(),
+    "b": TORUS_Y,
+    "B": TORUS_Y.inverse(),
+}
+
+
+def _oracle_mobius(m: Mat2, z: complex) -> complex:
+    return (m.a11 * z + m.a12) / (m.a21 * z + m.a22)
+
+
+def _oracle_self_intersection(w: Word) -> int:
+    """The Mat2 crossing counter that the int-tuple sweep replaced: a
+    breadth-first search that keeps (Mat2, distance) pairs, then one
+    crossing pass per radius."""
+    if w.is_trivial:
+        raise SelfIntersectionError("trivial word")
+    if not w.is_cyclically_reduced():
+        raise SelfIntersectionError("word must be cyclically reduced")
+    if w.is_proper_power():
+        raise SelfIntersectionError("word is a proper power")
+    big_w = evaluate(w, MODULAR_ASSIGNMENT, Mat2.identity())
+    trace = big_w.trace
+    if abs(trace) <= 2:
+        raise SelfIntersectionError(f"trace {trace}: word is not hyperbolic")
+
+    a, b, c, d = big_w.entries()
+    if c == 0:
+        # conjugate once to move the axis off infinity
+        conj = Word("a" + w.letters + "A", w.gens).cyclically_reduced()
+        return _oracle_self_intersection(conj)
+    disc = math.sqrt(trace * trace - 4)
+    p1 = ((a - d) + disc) / (2 * c)
+    p2 = ((a - d) - disc) / (2 * c)
+    if p1 < p2:
+        p1, p2 = p2, p1  # frame map below then preserves the upper half-plane
+
+    def frame(z):
+        # sends the axis endpoints to 0 and infinity
+        return (z - p1) / (z - p2)
+
+    lam = (abs(trace) + disc) / 2.0
+    dilation = lam * lam  # period of <w> acting on the framed axis
+    period = 2.0 * math.acosh(abs(trace) / 2.0)
+    base_frame = complex(0.0, math.sqrt(dilation))
+    base_point = (p2 * base_frame - p1) / (base_frame - 1.0)
+
+    def segment_distance(z: complex) -> float:
+        fz = frame(z)
+        x, y = fz.real, abs(fz.imag)
+        r = math.hypot(x, y)
+        t = min(max(r, 1.0), dilation)  # clamp = orthogonal projection onto the segment
+        ch = 1.0 + (x * x + (y - t) ** 2) / (2.0 * y * t)
+        return math.acosh(max(ch, 1.0))
+
+    radius = period / 2.0 + MARGIN
+    radius_wide = radius + 2.0
+
+    identity = Mat2.identity()
+    kept: list[tuple[Mat2, float]] = [(identity, 0.0)]
+    visited = {identity.entries()}
+    queue: deque[tuple[Mat2, str]] = deque([(identity, "")])
+    while queue:
+        g, last = queue.popleft()
+        for ch, gen in _ORACLE_GEN_BY_LETTER.items():
+            if last and ch == last.swapcase():
+                continue
+            g2 = g * gen
+            key = g2.entries()
+            if key in visited:
+                continue
+            dist = segment_distance(_oracle_mobius(g2, base_point))
+            if dist <= radius_wide:
+                visited.add(key)
+                kept.append((g2, dist))
+                queue.append((g2, ch))
+
+    def crossing_count(max_dist: float) -> int:
+        crossings = set()
+        for g, dist in kept:
+            if dist > max_dist:
+                continue
+            conj = g * big_w * g.inverse()
+            if conj * big_w == big_w * conj:
+                continue  # same axis, no transversal crossing
+            ca, cb, cc, cd = conj.entries()
+            if cc == 0:
+                continue  # axis through infinity cannot meet the framed segment
+            ct = ca + cd
+            disc2 = ct * ct - 4
+            if disc2 <= 0:
+                continue
+            s = math.sqrt(disc2)
+            u = frame(((ca - cd) + s) / (2 * cc))
+            v = frame(((ca - cd) - s) / (2 * cc))
+            if u * v < 0:
+                height = math.sqrt(-u * v)
+                if 1.0 - TOL <= height < dilation * (1.0 - TOL):
+                    crossings.add(conj.entries())
+        return len(crossings)
+
+    count = crossing_count(radius)
+    count_wide = crossing_count(radius_wide)
+    if count != count_wide:
+        raise SelfIntersectionError(
+            f"crossing count unstable under radius increase: {count} vs {count_wide}"
+        )
+    if count % 2:
+        raise SelfIntersectionError(f"odd crossing count {count}")
+    return count // 2
 
 
 def relator_product(rng) -> str:

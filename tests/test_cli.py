@@ -5,10 +5,10 @@ import time
 
 import pytest
 
-from fig8 import cli, torus
+from fig8 import cli, selfint, torus
 from fig8.cli import main
-from fig8.sl2 import length_to_trace
-from fig8.words import random_reduced_word
+from fig8.sl2 import Mat2, length_to_trace
+from fig8.words import Word, evaluate, random_reduced_word
 from oracles import relator_product
 
 
@@ -261,6 +261,58 @@ def test_torus_artifacts_are_byte_identical(capsys, argv, digest):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of selfint artifacts, recorded before the crossing sweep walked int
+# tuples.  Each answer is one that the trace-family rule confirms (below), so
+# a later exact counter must keep these bytes too.
+SELFINT_ARTIFACT_SHA256 = [
+    ("aab", "c79d67abfeb20c4d3c15894ee610a5e4585a35f5bc07c6149b1f55dc8b06fc40"),
+    ("aaabaab", "9c0e1c295d12f7d1854f55cd4be4e66e35d3927f6a0f30aad079805dc8a5e797"),
+    ("aabAB", "6f6f0c06573bc0ce0155976289b7cb975ca6e38162eb12306d139e8af861bc3c"),
+    ("ABAb", "8fb5d9d24880a3d66054f3f4dc180cf71929ee6a4d4abdddb58d952c73ae8dc4"),
+    ("AABab", "70c801c7e494819efe2ffcdcc520c04c3e4d216e2c4b37765e1a656cf605ee21"),
+]
+
+
+@pytest.mark.parametrize("word,digest", SELFINT_ARTIFACT_SHA256)
+def test_selfint_artifacts_are_byte_identical(capsys, word, digest):
+    """A simple geodesic (answer 0) has a simple trace t; a one-double-point
+    geodesic (answer 1) has trace 3t or t^2 + 2 for a simple trace t."""
+    code, out, err = run(capsys, "selfint", "--word", word)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    answer = json.loads(out)["self_intersection"]
+    trace = abs(evaluate(Word(word), selfint.MODULAR_ASSIGNMENT, Mat2.identity()).trace)
+    simple = {r.trace for r in torus.enumerate_simple(torus.MODULAR_ROOT, trace)}
+    family = simple if answer == 0 else {3 * t for t in simple} | {t * t + 2 for t in simple}
+    assert answer in (0, 1) and trace in family
+
+
+@pytest.mark.parametrize("lengths", ["70,2,0.5,20,20", "45,12,8,12,70,3", "1.5,0.5"])
+def test_counts_at_walks_once_and_equals_per_length_counts(capsys, monkeypatch, lengths):
+    want = []
+    for text in lengths.split(","):
+        n0, n1p, n1f = torus.count_census(torus.MODULAR_ROOT, float(text))
+        want.append(f"{cli._fmt(float(text))},{n0},{n1p},{n1f}")
+    walks = []
+    walk = torus.enumerate_simple
+    monkeypatch.setattr(torus, "enumerate_simple", lambda r, t: walks.append(t) or walk(r, t))
+    code, out, _ = run(capsys, "census", "--counts-at", lengths)
+    assert (code, out.splitlines()) == (0, ["L,N0,N1_paired,N1_full", *want])
+    top = max(length_to_trace(float(text)) for text in lengths.split(","))
+    assert [t for t in walks if t > 3] == ([top] if top > 3 else [])
+
+
+@pytest.mark.parametrize(
+    "lengths,error",
+    [("20,nan", "Vieta flip gives trace 2.25 below 3"), ("1,nan,20", "length nan is not")],
+)
+def test_counts_at_fails_at_the_first_bad_step_in_order(capsys, lengths, error):
+    """A root that cannot be walked fails at the first length that walks,
+    before a bad length after it, as one walk per length did."""
+    code, out, err = run(capsys, "census", "--root", "18,4.5,4.5", "--counts-at", lengths)
+    assert (code, out) == (2, "") and err.startswith(f"error: {error}")
 
 
 def _artifacts_sha256(capsys, argvs):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fig8.selfint import (
@@ -9,6 +11,7 @@ from fig8.selfint import (
 )
 from fig8.sl2 import Mat2
 from fig8.words import Word, evaluate
+from oracles import _oracle_self_intersection
 
 
 def test_modular_torus_generators():
@@ -53,3 +56,43 @@ def test_rejects_bad_inputs():
         self_intersection(Word("abab"))  # proper power
     with pytest.raises(SelfIntersectionError):
         self_intersection(Word("Aba"))  # not cyclically reduced
+
+
+def _outcome(counter, w):
+    """The answer, or the type and text of what the counter raised."""
+    try:
+        return counter(w)
+    except Exception as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _reduced_words(max_len):
+    words = [""]
+    for letters in words:
+        if len(letters) < max_len:
+            words += [letters + ch for ch in "abAB" if not letters.endswith(ch.swapcase())]
+    return words
+
+
+def _cyclic_nonpower_words(rng, length, count):
+    words = []
+    while len(words) < count:
+        letters = rng.choice("abAB")
+        while len(letters) < length:
+            letters += rng.choice([ch for ch in "abAB" if ch != letters[-1].swapcase()])
+        w = Word(letters)
+        if w.is_cyclically_reduced() and not w.is_proper_power():
+            words.append(w)
+    return words
+
+
+def test_counter_equals_the_mat2_oracle():
+    """Answers and error texts equal the Mat2 counter's on every reduced word
+    of length <= 4 and on 40 seeded cyclically reduced non-powers at each
+    length 5..8 (the crossing sweep walks int tuples; the floats are the same)."""
+    rng = random.Random(18)
+    words = [Word(letters) for letters in _reduced_words(4)]
+    for length in range(5, 9):
+        words += _cyclic_nonpower_words(rng, length, 40)
+    for w in words:
+        assert _outcome(self_intersection, w) == _outcome(_oracle_self_intersection, w), w.letters

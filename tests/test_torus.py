@@ -9,6 +9,7 @@ from fig8.torus import (
     CensusError,
     GeodesicRecord,
     TraceTriple,
+    census_counts,
     count_census,
     enumerate_simple,
     growth_exponent,
@@ -17,7 +18,6 @@ from fig8.torus import (
     mcshane_term_trace,
     normalize_slope,
     one_intersection_census,
-    parse_slope,
     slope_str,
     vieta_flip,
 )
@@ -25,6 +25,11 @@ from fig8.sl2 import length_to_trace
 
 
 PERMUTED_ROOT = TraceTriple(3, 3, 3, ((1, 0), (1, 1), (0, 1)))
+
+
+def parse_slope(text: str):
+    p, q = text.split("/")
+    return normalize_slope(int(p), int(q))
 
 
 def _mcshane(cutoff, form="trace"):
@@ -199,6 +204,33 @@ def test_count_census():
     assert count_census(MODULAR_ROOT, 1) == (0, 0, 0)
     assert count_census(MODULAR_ROOT, 2)[0:2] == (3, 0)
     assert count_census(MODULAR_ROOT, 4.5)[1] == 6
+
+
+def _oracle_count_census(root, length_bound):
+    """The per-length count that census_counts replaced: one walk per bound,
+    each family counted by filtering its records."""
+    if length_bound <= 0:
+        raise CensusError("length bound must be positive")
+    trace_bound = length_to_trace(length_bound)
+    if trace_bound < 3:
+        return (0, 0, 0)
+    simples = enumerate_simple(root, trace_bound)
+    n0 = len(simples)
+    n_paired = 2 * sum(1 for r in simples if 3 * r.trace <= trace_bound)
+    n_companion = sum(1 for r in simples if r.trace**2 + 2 <= trace_bound)
+    return (n0, n_paired, n_paired + n_companion)
+
+
+def test_census_counts_equal_per_length_filtering():
+    """One walk at the largest bound counts every bound as the per-length
+    filter did, also at a float root whose sink traces lie just above 3,
+    where bounds in [3, 3 + 1e-10) still list all three sink traces."""
+    lengths = [0.5, 70, 2, 20, 20, 1.9248473002384139, 4.5] + [i / 2 for i in range(1, 101)]
+    near_three = TraceTriple(3.0000000001, 3, 3).check()
+    assert length_to_trace(1.9248473002384139) < 3.0000000001
+    for root in (MODULAR_ROOT, near_three):
+        want = [_oracle_count_census(root, length) for length in lengths]
+        assert census_counts(root, lengths) == want
 
 
 def test_growth_exponent():
