@@ -22,11 +22,13 @@ from .sl2 import SANOV_A, SANOV_B, Mat2
 from .words import GENUS2, Word, evaluate, free_reduce
 
 Z1 = "abAB"
-Z2 = "cdCD"
 RELATOR = "abABdcDC"  # [a,b][c,d]^{-1}
 
 _RETRACT = str.maketrans("abcdABCD", "xyxyXYXY")
 _CD_RUN = re.compile("[cdCD]+")
+_BLOCK = re.compile("[abAB]+|[cdCD]+")
+_Z_POWER = re.compile("(?:abAB)+|(?:baBA)+|(?:cdCD)+|(?:dcDC)+")
+_SWAP = str.maketrans("abcdABCD", "cdabCDAB")
 
 
 class Genus2Error(ValueError):
@@ -65,57 +67,27 @@ def dehn_twist(w: Word, power: int) -> Word:
     return Word(_CD_RUN.sub(lambda run: zmi + run.group() + zm, w.letters), GENUS2)
 
 
-def _blocks(letters: str) -> list[tuple[str, str]]:
-    out: list[list] = []
-    for ch in letters:
-        tag = "L" if ch in "abAB" else "R"
-        if out and out[-1][0] == tag:
-            out[-1][1].append(ch)
-        else:
-            out.append([tag, [ch]])
-    return [(tag, "".join(chars)) for tag, chars in out]
-
-
-def _power_of(block: str, z: str) -> int | None:
-    """Exponent p with block = z^p (p may be negative), or None."""
-    if len(block) % len(z):
-        return None
-    p = len(block) // len(z)
-    if block == z * p:
-        return p
-    if block == _inv(z) * p:
-        return -p
-    return None
-
-
 def rewrite_blocks(w: Word) -> Word:
     """The rewriting pass: swap commutator-power blocks between alphabets.
 
-    An L-block equal to z1^p becomes z2^p and an R-block equal to z2^p
-    becomes z1^p (both are the same element of the surface group); the
-    block count strictly decreases after reduction, so this terminates.
-    A lone L-block is never swapped, so a power of z1 is left as it is.
+    A block is a maximal run of a, b letters (L) or of c, d letters (R).
+    On an L-block equal to z1^p, that is (abAB)^p or (baBA)^p, the swap to
+    the same element z2^p is the letter substitution a <-> c, b <-> d, and
+    the reverse swap is the same substitution.  The first block that is such
+    a power is swapped and the word reduced, until none is left; a lone
+    L-block is never swapped, so a power of z1 is left as it is.  A swapped
+    block merges with its neighbours, so the block count strictly decreases.
     """
     letters = _check(w).letters
     while True:
-        blocks = _blocks(letters)
-        changed = False
-        for i, (tag, block) in enumerate(blocks):
-            if tag == "L":
-                p = _power_of(block, Z1)
-                if p is not None and len(blocks) > 1:
-                    blocks[i] = (tag, (Z2 if p > 0 else _inv(Z2)) * abs(p))
-                    changed = True
-                    break
-            else:
-                p = _power_of(block, Z2)
-                if p is not None:
-                    blocks[i] = (tag, (Z1 if p > 0 else _inv(Z1)) * abs(p))
-                    changed = True
-                    break
-        if not changed:
+        blocks = _BLOCK.findall(letters)
+        for i, block in enumerate(blocks):
+            if _Z_POWER.fullmatch(block) and (len(blocks) > 1 or block[0] in "cdCD"):
+                blocks[i] = block.translate(_SWAP)
+                letters = free_reduce("".join(blocks))
+                break
+        else:
             return Word(letters, GENUS2)
-        letters = free_reduce("".join(b for _, b in blocks))
 
 
 @dataclass(frozen=True)

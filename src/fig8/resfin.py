@@ -86,7 +86,11 @@ def expected_min_prime(terms: int) -> float:
     The expected smallest prime not dividing a uniformly random integer;
     converges rapidly to 2.920051...  The sum is kept as one integer
     numerator over the primorial, so no term needs a gcd; integer true
-    division rounds the exact quotient correctly.
+    division rounds the exact quotient correctly.  From p >= 5 on, each
+    term is under half the one before (term_{i+1} / term_i < 2 / (p_i - 1)
+    by Bertrand's postulate), so the tail lies below the last term added.
+    Once adding that term again leaves the rounded sum unchanged, no later
+    partial sum rounds differently (rounding is monotone), and the loop stops.
     """
     if terms < 1:
         raise ResFinError("need at least one term")
@@ -95,6 +99,8 @@ def expected_min_prime(terms: int) -> float:
     for p in itertools.islice(primes(), terms):
         num = (num + p - 1) * p
         primorial *= p
+        if p >= 5 and num / primorial == (num + (p - 1) * p) / primorial:
+            break
     return num / primorial
 
 

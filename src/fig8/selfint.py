@@ -61,11 +61,8 @@ def self_intersection(w: Word) -> int:
     if abs(trace) <= 2:
         raise SelfIntersectionError(f"trace {trace}: word is not hyperbolic")
 
+    # c != 0, also in every g W g^-1: det 1 with c = 0 forces a = d = +-1, trace +-2
     a, b, c, d = big_w.entries()
-    if c == 0:
-        # conjugate once to move the axis off infinity
-        conj = Word("a" + w.letters + "A", w.gens).cyclically_reduced()
-        return self_intersection(conj)
     disc = math.sqrt(trace * trace - 4)
     p1 = ((a - d) + disc) / (2 * c)
     p2 = ((a - d) - disc) / (2 * c)
@@ -91,9 +88,9 @@ def self_intersection(w: Word) -> int:
         ca, cb = m11 * g22 - m12 * g21, m12 * g11 - m11 * g12
         cc, cd = m21 * g22 - m22 * g21, m22 * g11 - m21 * g12
         # skip gWg^-1 if it commutes with W (same axis; their (x12, x21, x11 - x22)
-        # are proportional, and W's is not 0) or if its axis runs through infinity
+        # are proportional, and W's is not 0)
         e = ca - cd
-        if cc and (cb * c != cc * b or cb * (a - d) != e * b or cc * (a - d) != e * c):
+        if cb * c != cc * b or cb * (a - d) != e * b or cc * (a - d) != e * c:
             end1 = (e + disc) / (2 * cc)  # gWg^-1 has the trace of W, so the same disc
             end2 = (e - disc) / (2 * cc)
             u = (end1 - p1) / (end1 - p2)

@@ -137,7 +137,7 @@ def enumerate_simple(root: TraceTriple, trace_cutoff: float) -> list[GeodesicRec
         sink = vieta_flip(sink, lower[0])
         if sink.coords()[lower[0]] < 3 - TOL:
             raise CensusError(f"Vieta flip gives trace {sink.coords()[lower[0]]} below 3")
-    found = list(zip(sink.coords(), sink.slopes))
+    found = [(t, s) for t, s in zip(sink.coords(), sink.slopes) if t <= trace_cutoff]
     (x, y, z), (sx, sy, sz) = sink.coords(), sink.slopes
     stack = [(y, z, x, sy, sz, sx), (x, z, y, sx, sz, sy), (x, y, z, sx, sy, sz)]
     while stack:
@@ -225,8 +225,8 @@ def census_counts(root: TraceTriple, length_bounds: list[float]) -> list[tuple[i
     """count_census at each bound, from one walk at the largest trace bound.
 
     Bounds are converted in order before the walk, so a bad one raises as it
-    would alone.  Rows are counted in the sorted traces; every walked trace
-    lies above the three sink traces (about 3), listed at any cutoff >= 3.
+    would alone.  Rows are counted in the sorted traces of the walk; a bound
+    below 3, which no walk takes, counts nothing even if a sink trace is below it.
     """
     trace_bounds, top = [], 0.0
     for length in length_bounds:
@@ -240,7 +240,7 @@ def census_counts(root: TraceTriple, length_bounds: list[float]) -> list[tuple[i
     traces = [r.trace for r in enumerate_simple(root, top)] if top >= 3 else []
     rows = []
     for bound in trace_bounds:
-        n0 = max(3, bisect_right(traces, bound)) if bound >= 3 else 0
+        n0 = bisect_right(traces, bound) if bound >= 3 else 0
         n_paired = 2 * bisect_right(traces, bound, key=lambda t: 3 * t)
         n_companion = bisect_right(traces, bound, key=lambda t: t**2 + 2)
         rows.append((n0, n_paired, n_paired + n_companion))

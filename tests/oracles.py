@@ -4,7 +4,8 @@
 yields images in lexicographic order.  The ``_oracle_*`` functions are the
 earlier implementations that faster code replaced (the class scans behind
 ``perms.class_elements``, the per-letter free reduction and Dehn twist, the
-rational expected-prime sum, the ``Mat2`` self-intersection counter), kept
+run splitter and power test of ``genus2.rewrite_blocks``, the rational
+expected-prime sum, the ``Mat2`` self-intersection counter), kept
 as they were so that the tests can
 require equal output, order included.
 """
@@ -15,7 +16,7 @@ from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 
-from fig8.genus2 import RELATOR
+from fig8.genus2 import RELATOR, Z1, _inv
 from fig8.perms import Partition, PermError, Permutation, class_representative
 from fig8.selfint import (
     MARGIN,
@@ -26,7 +27,9 @@ from fig8.selfint import (
     SelfIntersectionError,
 )
 from fig8.sl2 import Mat2
-from fig8.words import Word, evaluate
+from fig8.words import GENUS2, Word, evaluate, free_reduce
+
+Z2 = "cdCD"
 
 
 def all_permutations(n: int):
@@ -106,6 +109,55 @@ def _oracle_dehn_twist(w: Word, power: int) -> Word:
     zm = "abAB" * power
     zmi = "baBA" * power
     return Word("".join((zmi + ch + zm) if ch in "cdCD" else ch for ch in w.letters), "abcd")
+
+
+def _oracle_blocks(letters: str) -> list[tuple[str, str]]:
+    out: list[list] = []
+    for ch in letters:
+        tag = "L" if ch in "abAB" else "R"
+        if out and out[-1][0] == tag:
+            out[-1][1].append(ch)
+        else:
+            out.append([tag, [ch]])
+    return [(tag, "".join(chars)) for tag, chars in out]
+
+
+def _oracle_power_of(block: str, z: str) -> int | None:
+    """Exponent p with block = z^p (p may be negative), or None."""
+    if len(block) % len(z):
+        return None
+    p = len(block) // len(z)
+    if block == z * p:
+        return p
+    if block == _inv(z) * p:
+        return -p
+    return None
+
+
+def _oracle_rewrite_blocks(w: Word) -> Word:
+    """The block rewriting pass as a per-letter run splitter and a power test:
+    the first L-block equal to z1^p (not alone) or R-block equal to z2^p is
+    rebuilt as the other power, then the word is reduced and scanned again."""
+    letters = w.letters
+    while True:
+        blocks = _oracle_blocks(letters)
+        changed = False
+        for i, (tag, block) in enumerate(blocks):
+            if tag == "L":
+                p = _oracle_power_of(block, Z1)
+                if p is not None and len(blocks) > 1:
+                    blocks[i] = (tag, (Z2 if p > 0 else _inv(Z2)) * abs(p))
+                    changed = True
+                    break
+            else:
+                p = _oracle_power_of(block, Z2)
+                if p is not None:
+                    blocks[i] = (tag, (Z1 if p > 0 else _inv(Z1)) * abs(p))
+                    changed = True
+                    break
+        if not changed:
+            return Word(letters, GENUS2)
+        letters = free_reduce("".join(b for _, b in blocks))
 
 
 def _oracle_expected_min_prime(terms: int) -> list[float]:

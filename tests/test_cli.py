@@ -350,6 +350,26 @@ def test_expectedprime_many_terms_is_bounded(capsys):
     assert elapsed < 5, elapsed
 
 
+def test_expectedprime_stops_once_the_float_is_fixed(capsys):
+    code, forty, _ = run(capsys, "expectedprime", "--terms", "40")
+    t0 = time.perf_counter()
+    code_m, million, err = run(capsys, "expectedprime", "--terms", "1000000")
+    elapsed = time.perf_counter() - t0
+    assert (code, code_m, err) == (0, 0, "")
+    assert json.loads(million)["value"] == json.loads(forty)["value"]
+    assert elapsed < 1, elapsed
+
+
+def test_sink_traces_above_the_cutoff_are_left_out(capsys):
+    # at root 3.0000000001,3,3 the sink trace 3.0000000001 lies above both bounds
+    code, out, _ = run(capsys, "mcshane", "--root", "3.0000000001,3,3", "--cutoff", "3")
+    assert code == 0 and json.loads(out)["terms"] == 2
+    code, out, _ = run(
+        capsys, "census", "--counts-at", "1.9248473002384139", "--root", "3.0000000001,3,3"
+    )
+    assert code == 0 and out.splitlines()[1] == "1.9248473,2,0,0"
+
+
 def test_default_root_walks_exactly():
     """Above 2^53 a float walk from 3,3,3 loses integrality; simple traces are 3m."""
     cutoff = length_to_trace(120)

@@ -15,7 +15,7 @@ from fig8.genus2 import (
 )
 from fig8.resfin import sanov_eval, smallest_excluding_prime
 from fig8.words import Word, random_reduced_word
-from oracles import _oracle_dehn_twist, relator_product
+from oracles import _oracle_dehn_twist, _oracle_rewrite_blocks, relator_product
 
 
 def W(letters):
@@ -62,6 +62,26 @@ def test_rewrite_blocks_examples():
     assert rewrite_blocks(W("ac")).letters == "ac"
     assert rewrite_blocks(W("abABabAB")).letters == "abABabAB"
     assert rewrite_blocks(W("cdCDcdCD")).letters == "abABabAB"
+
+
+def _block_power_word(rng):
+    """A product of 1-6 pieces z1^(+-k) or z2^(+-k), k <= 3, each conjugated
+    by a word of 0-3 letters."""
+    pieces = []
+    for _ in range(rng.randrange(1, 7)):
+        z = rng.choice(("abAB", "baBA", "cdCD", "dcDC")) * rng.randrange(1, 4)
+        g = "".join(rng.choices("abcdABCD", k=rng.randrange(4)))
+        pieces.append(g + z + g.swapcase()[::-1])
+    return W("".join(pieces))
+
+
+def test_rewrite_blocks_equals_run_splitter_oracle():
+    # regex split and letter swap against the per-letter runs and power test
+    rng = random.Random(19)
+    words = [random_reduced_word(rng, 40, "abcd") for _ in range(2000)]
+    words += [_block_power_word(rng) for _ in range(6000)]
+    for w in words:
+        assert rewrite_blocks(w) == _oracle_rewrite_blocks(w), w.letters
 
 
 def test_certify_examples():

@@ -223,12 +223,16 @@ def _oracle_count_census(root, length_bound):
 
 def test_census_counts_equal_per_length_filtering():
     """One walk at the largest bound counts every bound as the per-length
-    filter did, also at a float root whose sink traces lie just above 3,
-    where bounds in [3, 3 + 1e-10) still list all three sink traces."""
+    filter does, also at a float root with a sink trace just above 3, which
+    bounds in [3, 3 + 1e-10) leave out, and at one with a sink trace just
+    below 3, which a bound between it and 3 does not count."""
     lengths = [0.5, 70, 2, 20, 20, 1.9248473002384139, 4.5] + [i / 2 for i in range(1, 101)]
+    lengths.append(1.9248472999700856)
     near_three = TraceTriple(3.0000000001, 3, 3).check()
+    below_three = TraceTriple(2.9999999995, 3, 3).check()
     assert length_to_trace(1.9248473002384139) < 3.0000000001
-    for root in (MODULAR_ROOT, near_three):
+    assert 2.9999999995 < length_to_trace(1.9248472999700856) < 3
+    for root in (MODULAR_ROOT, near_three, below_three):
         want = [_oracle_count_census(root, length) for length in lengths]
         assert census_counts(root, lengths) == want
 
