@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import random
+import string
 import sys
 
 from . import covers, genus2, lps, magnus, resfin, selfint, torus
@@ -184,6 +185,9 @@ def _cmd_stripcover(args) -> int:
 
 
 def _cmd_stallings(args) -> int:
+    # the alphabet comes from the word, and free reduction knows only letters
+    if bad := set(args.word) - set(string.ascii_letters):
+        raise ValueError(f"letters {sorted(bad)} are not ASCII letters")
     gens = "".join(sorted({ch.lower() for ch in args.word}))
     w = Word(args.word, gens)
     rep = covers.stallings_excluding_subgroup(w)

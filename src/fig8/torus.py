@@ -31,42 +31,38 @@ def _orient(p: int, q: int) -> Slope:
     return (-p, -q) if q < 0 or (q == 0 and p < 0) else (p, q)
 
 
-def normalize_slope(p: int, q: int) -> Slope:
-    if p == 0 and q == 0:
-        raise CensusError("slope 0/0")
-    p, q = _orient(p, q)
-    g = math.gcd(p, q)
-    return (p // g, q // g)
+def _farey_flip(su: Slope, sv: Slope, sw: Slope) -> Slope:
+    """The Farey neighbour of su and sv other than sw: su + sv or su - sv.
 
-
-def are_farey_neighbors(s1: Slope, s2: Slope) -> bool:
-    return abs(s1[0] * s2[1] - s2[0] * s1[1]) == 1
+    Farey neighbours sum to primitive slopes, so only the sign is normalized.
+    """
+    (p1, q1), (p2, q2) = su, sv
+    st = _orient(p1 + p2, q1 + q2)
+    return _orient(p1 - p2, q1 - q2) if st == sw else st
 
 
 @dataclass(frozen=True)
 class TraceTriple:
-    """Traces of three simple geodesics whose slopes form a Farey triangle."""
+    """Traces of three simple geodesics, of the slopes ROOT_SLOPES."""
 
     x: float
     y: float
     z: float
-    slopes: tuple[Slope, Slope, Slope] = ((0, 1), (1, 0), (1, 1))
 
     def check(self) -> TraceTriple:
         """Raise CensusError unless this is a valid walk root; return self."""
-        coords = (self.x, self.y, self.z)
-        if min(coords) < 3 - TOL:
-            raise CensusError(f"trace triple {coords} has an entry below 3")
-        lhs = self.x**2 + self.y**2 + self.z**2
-        rhs = self.x * self.y * self.z
+        x, y, z = coords = self.coords()
+        if not all(3 - TOL <= c < math.inf for c in coords):  # NaN fails too
+            raise CensusError(f"trace triple {coords} needs finite entries >= 3")
+        # products, not powers: a float square overflows to inf instead of raising
+        try:
+            lhs, rhs = x * x + y * y + z * z, x * y * z
+        except OverflowError:  # an int beyond floats next to a float
+            lhs = rhs = math.nan
         # int and Fraction traces are judged exactly, at any size
         slack = TOL * max(1.0, abs(rhs)) if any(isinstance(c, float) for c in coords) else 0
-        if abs(lhs - rhs) > slack:
+        if not abs(lhs - rhs) <= slack < math.inf:  # NaN, as from inf - inf, fails too
             raise CensusError("cusp relation x^2 + y^2 + z^2 = xyz violated")
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if not are_farey_neighbors(self.slopes[i], self.slopes[j]):
-                    raise CensusError(f"slopes {self.slopes} are not pairwise Farey neighbors")
         return self
 
     def coords(self) -> tuple[float, float, float]:
@@ -74,23 +70,8 @@ class TraceTriple:
 
 
 MODULAR_ROOT = TraceTriple(3, 3, 3)
-
-
-def vieta_flip(t: TraceTriple, coordinate: int) -> TraceTriple:
-    """Replace coordinate k by the other root of the cusp relation, xy - z.
-
-    The slope label moves to the other Farey completion of the remaining
-    edge, i.e. the reflection of the Farey triangle across that edge.  Both
-    invariants of a checked triple carry over, so the child is not checked.
-    """
-    i, j = [k for k in range(3) if k != coordinate]
-    coords = list(t.coords())
-    coords[coordinate] = coords[i] * coords[j] - coords[coordinate]
-    (p1, q1), (p2, q2) = t.slopes[i], t.slopes[j]
-    plus, minus = normalize_slope(p1 + p2, q1 + q2), normalize_slope(p1 - p2, q1 - q2)
-    slopes = list(t.slopes)
-    slopes[coordinate] = minus if plus == t.slopes[coordinate] else plus
-    return TraceTriple(*coords, tuple(slopes))
+# The slopes of a root's three traces, a Farey triangle.
+ROOT_SLOPES: tuple[Slope, Slope, Slope] = ((0, 1), (1, 0), (1, 1))
 
 
 @dataclass(frozen=True)
@@ -114,41 +95,36 @@ def _maybe_int(x: float):
 def enumerate_simple(root: TraceTriple, trace_cutoff: float) -> list[GeodesicRecord]:
     """All simple closed geodesics with trace <= cutoff, one record per slope.
 
-    Checks the root and flips it down to the tree's sink with vieta_flip
-    while some flip lowers a coordinate; a descent below trace 3 raises
+    Checks the root, labels it ROOT_SLOPES, and flips it down to the tree's
+    sink while some flip lowers a coordinate; a descent below trace 3 raises
     CensusError.  From the sink every flip raises a trace, so the trivalent
-    Vieta tree is walked depth-first on plain tuples (u, v, w, su, sv, sw):
-    flipping w gives trace uv - w, in the operand types of the root, and the
-    slope of su +- sv that is not sw (Farey neighbours sum to primitive
-    slopes, so only the sign is normalized).  A branch is cut at the first
-    trace above the cutoff; each step introduces exactly one new slope, so
-    slope deduplication is structural.  Output is sorted by (trace, slope).
+    Vieta tree is walked depth-first.  Both walks work on plain tuples: the
+    flip of w across (u, v, su, sv) gives trace uv - w, in the operand types
+    of the root, and the slope _farey_flip(su, sv, sw).  A branch is cut at
+    the first trace above the cutoff, before its slope is formed; each step
+    introduces exactly one new slope, so slope deduplication is structural.
+    Output is sorted by (trace, slope).
     """
     root.check()
     if not 3 <= trace_cutoff < math.inf:  # NaN fails too
         raise CensusError(f"trace cutoff {trace_cutoff} is not a finite number >= 3")
-    sink = root
-    while True:
-        x = sink.coords()
-        # flipping x_k gives x_i x_j - x_k, lower than x_k iff xyz < 2 x_k^2
-        lower = [k for k in range(3) if math.prod(x) < 2 * x[k] ** 2]
-        if not lower:
-            break
-        sink = vieta_flip(sink, lower[0])
-        if sink.coords()[lower[0]] < 3 - TOL:
-            raise CensusError(f"Vieta flip gives trace {sink.coords()[lower[0]]} below 3")
-    found = [(t, s) for t, s in zip(sink.coords(), sink.slopes) if t <= trace_cutoff]
-    (x, y, z), (sx, sy, sz) = sink.coords(), sink.slopes
+    sink, s = list(root.coords()), list(ROOT_SLOPES)
+    # flipping x_k gives x_i x_j - x_k, lower than x_k iff xyz < 2 x_k^2
+    while lower := [k for k in range(3) if math.prod(sink) < 2 * sink[k] ** 2]:
+        k = lower[0]
+        i, j = (k + 1) % 3, (k + 2) % 3
+        sink[k], s[k] = sink[i] * sink[j] - sink[k], _farey_flip(s[i], s[j], s[k])
+        if sink[k] < 3 - TOL:
+            raise CensusError(f"Vieta flip gives trace {sink[k]} below 3")
+    found = [(t, st) for t, st in zip(sink, s) if t <= trace_cutoff]
+    (x, y, z), (sx, sy, sz) = sink, s
     stack = [(y, z, x, sy, sz, sx), (x, z, y, sx, sz, sy), (x, y, z, sx, sy, sz)]
     while stack:
         u, v, w, su, sv, sw = stack.pop()
         t = u * v - w
         if t > trace_cutoff:
             continue
-        (p1, q1), (p2, q2) = su, sv
-        st = _orient(p1 + p2, q1 + q2)
-        if st == sw:
-            st = _orient(p1 - p2, q1 - q2)
+        st = _farey_flip(su, sv, sw)
         found.append((t, st))
         stack.append((v, t, u, sv, st, su))
         stack.append((u, t, v, su, st, sv))
@@ -206,14 +182,11 @@ def mc2_sum(simples: list[GeodesicRecord]) -> float:
     """Partial sum of the one-double-point identity over the paired family.
 
     ``simples`` are the simple records up to a third of the paired trace
-    cutoff.  Termwise equal to twice the trace-form McShane sum over them,
-    and converges to 2.
+    cutoff.  Each simple trace t carries two paired terms of trace 3t, and
+    1 - sqrt(1 - (6/3t)^2) is the trace-form McShane term of t, so the sum is
+    twice the McShane sum over them, and converges to 2.
     """
-    total = 0.0
-    for rec in simples:
-        t = 3.0 * rec.trace
-        total += 2.0 * (1.0 - math.sqrt(1.0 - (6.0 / t) ** 2))
-    return total
+    return 2 * mcshane_sum(simples)
 
 
 def count_census(root: TraceTriple, length_bound: float) -> tuple[int, int, int]:

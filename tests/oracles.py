@@ -7,12 +7,16 @@ earlier implementations that faster code replaced (the class scans behind
 run splitter and power test of ``genus2.rewrite_blocks``, the rational
 expected-prime sum, the ``Mat2`` self-intersection counter), kept
 as they were so that the tests can
-require equal output, order included.
+require equal output, order included.  ``vieta_flip`` and
+``normalize_slope`` are the node-by-node Vieta flip that the torus walk
+replaced; they flip a ``LabelledTriple``, a trace triple that carries the
+slopes of its traces.
 """
 
 import itertools
 import math
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -27,6 +31,7 @@ from fig8.selfint import (
     SelfIntersectionError,
 )
 from fig8.sl2 import Mat2
+from fig8.torus import ROOT_SLOPES, CensusError, Slope, TraceTriple
 from fig8.words import GENUS2, Word, evaluate, free_reduce
 
 Z2 = "cdCD"
@@ -290,6 +295,37 @@ def _oracle_self_intersection(w: Word) -> int:
     if count % 2:
         raise SelfIntersectionError(f"odd crossing count {count}")
     return count // 2
+
+
+def normalize_slope(p: int, q: int) -> Slope:
+    if p == 0 and q == 0:
+        raise CensusError("slope 0/0")
+    p, q = (-p, -q) if q < 0 or (q == 0 and p < 0) else (p, q)
+    g = math.gcd(p, q)
+    return (p // g, q // g)
+
+
+@dataclass(frozen=True)
+class LabelledTriple(TraceTriple):
+    """Traces of three simple geodesics whose slopes form a Farey triangle."""
+
+    slopes: tuple[Slope, Slope, Slope] = ROOT_SLOPES
+
+
+def vieta_flip(t: LabelledTriple, coordinate: int) -> LabelledTriple:
+    """Replace coordinate k by the other root of the cusp relation, xy - z.
+
+    The slope label moves to the other Farey completion of the remaining
+    edge, i.e. the reflection of the Farey triangle across that edge.
+    """
+    i, j = [k for k in range(3) if k != coordinate]
+    coords = list(t.coords())
+    coords[coordinate] = coords[i] * coords[j] - coords[coordinate]
+    (p1, q1), (p2, q2) = t.slopes[i], t.slopes[j]
+    plus, minus = normalize_slope(p1 + p2, q1 + q2), normalize_slope(p1 - p2, q1 - q2)
+    slopes = list(t.slopes)
+    slopes[coordinate] = minus if plus == t.slopes[coordinate] else plus
+    return LabelledTriple(*coords, tuple(slopes))
 
 
 def relator_product(rng) -> str:

@@ -1,9 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fig8 import cli, selfint, torus
 from fig8.cli import main
@@ -263,6 +271,34 @@ def test_torus_artifacts_are_byte_identical(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 over (exit code, stdout, stderr) of the torus commands at roots
+# other than 3,3,3, where the walk first descends to its sink (a flip changes
+# the slope labels), or walks floats; recorded before the descent and the
+# ascent shared one slope rule.  The last root cannot be walked.
+NON_MODULAR_ROOT_SHA256 = [
+    ("15,87,1299", "d5762ba0b8e832d357eaf1ad2fcbaa23af0324d917faf3dede0aa5fca9ebe485"),
+    ("3,6,15", "99e8b92b8e2dd1b789a443c2109869909a4826ba4f0397b679b417aeb7c68d11"),
+    ("3.0,3,3", "caadc1e8d6ec833000b3c66a257d8933d3e8719503b359cb93f19fd9bafc1834"),
+    ("3.0000000001,3,3", "24b8fbc73eb19fc6ae247c55b1f67c102a94629057652593a1ee7efc0ecb1373"),
+    ("4,4,13.65685424949238", "fcd73b80a4ce49e453a63e5c2ce47015acaff1f862e17693bcb5de173e134a7c"),
+]
+
+
+@pytest.mark.parametrize("root,digest", NON_MODULAR_ROOT_SHA256)
+def test_non_modular_root_artifacts_are_byte_identical(capsys, root, digest):
+    sha = hashlib.sha256()
+    for argv in (
+        ["census", "--root", root, "--cutoff", "30", "--mode", "full"],
+        ["census", "--root", root, "--counts-at", "2,20,45,70"],
+        ["mcshane", "--root", root, "--cutoff", "1e9"],
+        ["mcshane", "--root", root, "--cutoff", "1e9", "--form", "length"],
+        ["mc2", "--root", root, "--cutoff", "1e9"],
+    ):
+        code, out, err = run(capsys, *argv)
+        sha.update(f"{code}\n{out}{err}".encode())
+    assert sha.hexdigest() == digest
+
+
 # SHA-256 of selfint artifacts, recorded before the crossing sweep walked int
 # tuples.  Each answer is one that the trace-family rule confirms (below), so
 # a later exact counter must keep these bytes too.
@@ -435,6 +471,63 @@ def test_unusable_cutoffs_exit_2(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "root", ["nan,nan,nan", "inf,inf,inf", "3,3,nan", "1e400,3,3", "1e200,3,3", "1e160,1e160,1e160"]
+)
+def test_non_finite_roots_exit_2(root):
+    """In a subprocess with a timeout: a NaN root once walked forever."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    for argv in (["census"], ["mcshane", "--cutoff", "100"], ["mc2", "--cutoff", "100"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fig8.cli", *argv, f"--root={root}"],
+            capture_output=True, text=True, timeout=20, env=env,
+        )
+        assert (proc.returncode, proc.stdout) == (2, ""), (argv, proc.stderr)
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+# Pools of the torus fuzz: root entries, whole roots that can be walked,
+# length cutoffs and trace cutoffs, each with junk text.
+ROOT_ENTRIES = ["nan", "inf", "1e400", "1e200", "0", "-3", "2.9", "3", "3.0", "4.5", "15", "87",
+                "1299", "x"]
+WALKABLE_ROOTS = ["3,3,3", "3.0,3,3", "3,3.0,3", "15,87,1299", "1299,15,87"]
+LENGTHS = ["nan", "inf", "1e400", "1e200", "0", "-3", "2.9", "3", "4.5", "15", "40", "x"]
+TRACES = ["nan", "inf", "1e400", "0", "-3", "2.9", "3", "3.0", "4.5", "15", "87", "1299", "1e9", "x"]
+
+
+@st.composite
+def torus_argvs(draw):
+    entries = st.lists(st.sampled_from(ROOT_ENTRIES), min_size=1, max_size=4)
+    root = draw(st.one_of(st.sampled_from(WALKABLE_ROOTS), entries.map(",".join)))
+    command = draw(st.sampled_from(["census", "counts-at", "mcshane", "mc2"]))
+    if command == "census":
+        mode = draw(st.sampled_from(["paired", "full"]))
+        argv = ["census", f"--cutoff={draw(st.sampled_from(LENGTHS))}", f"--mode={mode}"]
+    elif command == "counts-at":
+        lengths = draw(st.lists(st.sampled_from(LENGTHS), min_size=1, max_size=4))
+        argv = ["census", f"--counts-at={','.join(lengths)}"]
+    else:
+        argv = [command, f"--cutoff={draw(st.sampled_from(TRACES))}"]
+        if command == "mcshane":
+            argv.append(f"--form={draw(st.sampled_from(['trace', 'length']))}")
+    return [*argv, f"--root={root}"]
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(torus_argvs())
+def test_torus_commands_keep_the_exit_contract(argv):
+    """Lengths stay <= 40 and trace cutoffs <= 1e9, so every walk is short."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a junk --cutoff
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    assert (code == 0) == (err.getvalue() == ""), argv
+
+
 def test_unexpected_exception_exits_4(capsys, monkeypatch):
     def broken(w):
         raise ZeroDivisionError("boom")
@@ -442,6 +535,14 @@ def test_unexpected_exception_exits_4(capsys, monkeypatch):
     monkeypatch.setattr(cli.selfint, "self_intersection", broken)
     code, out, err = run(capsys, "selfint", "--word", "ab")
     assert (code, out, err) == (4, "", "internal error: ZeroDivisionError: boom\n")
+
+
+@pytest.mark.parametrize("word", ["a1", "a b", "aé", "a-A"])
+def test_stallings_rejects_non_letters(capsys, word):
+    """stallings takes its alphabet from the word, and free reduction is
+    defined on ASCII letters only."""
+    code, out, err = run(capsys, "stallings", "--word", word)
+    assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_stallings_twocycles_stripcover(capsys):

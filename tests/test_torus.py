@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -16,15 +17,11 @@ from fig8.torus import (
     mc2_sum,
     mcshane_sum,
     mcshane_term_trace,
-    normalize_slope,
     one_intersection_census,
     slope_str,
-    vieta_flip,
 )
 from fig8.sl2 import length_to_trace
-
-
-PERMUTED_ROOT = TraceTriple(3, 3, 3, ((1, 0), (1, 1), (0, 1)))
+from oracles import LabelledTriple, normalize_slope, vieta_flip
 
 
 def parse_slope(text: str):
@@ -47,19 +44,34 @@ def test_trace_triple_validation():
     with pytest.raises(CensusError):
         TraceTriple(2, 2, 2).check()  # below 3
     with pytest.raises(CensusError):
-        TraceTriple(3, 3, 3, ((0, 1), (1, 0), (1, 2))).check()  # not Farey neighbors
-    with pytest.raises(CensusError):
         enumerate_simple(TraceTriple(3, 3, 4), 10)  # the walk checks its root
 
 
+@pytest.mark.parametrize(
+    "coords",
+    [
+        (math.nan,) * 3,
+        (math.inf,) * 3,
+        (3, 3, math.nan),
+        (1e200, 3, 3),  # x^2 overflows a float
+        (1e160, 1e160, 1e160),  # lhs and rhs both overflow: inf - inf is NaN
+        (1e150, 1e150, 1e150),  # rhs alone overflows
+        (10**400, 3.0, 3),  # an int beyond floats next to a float
+    ],
+)
+def test_non_finite_roots_are_rejected(coords):
+    with pytest.raises(CensusError):
+        TraceTriple(*coords).check()
+
+
 def test_exact_triples_are_judged_exactly():
-    node = MODULAR_ROOT
+    node = LabelledTriple(3, 3, 3)
     for _ in range(18):  # flipping the least trace roughly squares the largest
         node = vieta_flip(node, node.coords().index(min(node.coords())))
     assert max(node.coords()) > 10**2600  # beyond floats; x^2 beyond int-to-str
     assert node.check() is node
     with pytest.raises(CensusError):
-        TraceTriple(node.x, node.y, node.z + 1, node.slopes).check()
+        TraceTriple(node.x, node.y, node.z + 1).check()
     half = Fraction(9, 2)
     assert TraceTriple(18, half, half).check()  # a rational cusped torus
     with pytest.raises(CensusError):
@@ -83,7 +95,7 @@ def test_root_above_the_sink_gives_the_modular_census(root, cutoff):
     assert len({r.slope for r in records}) == len(records)
 
 
-@pytest.mark.parametrize("root", [MODULAR_ROOT, PERMUTED_ROOT])
+@pytest.mark.parametrize("root", [LabelledTriple(3, 3, 3), LabelledTriple(15, 87, 1299)])
 def test_random_flips_keep_every_node_valid(root):
     """Flips preserve what check() tests, so walks need not check each node."""
     rng = random.Random(5)
@@ -97,14 +109,14 @@ def test_random_flips_keep_every_node_valid(root):
 
 
 def test_vieta_flip_examples():
-    t = vieta_flip(MODULAR_ROOT, 2)
+    t = vieta_flip(LabelledTriple(3, 3, 3), 2)
     assert t.coords() == (3, 3, 6)
     assert vieta_flip(t, 2).coords() == (3, 3, 3)  # involution
     assert vieta_flip(t, 1).coords() == (3, 15, 6)
 
 
 def test_vieta_flip_preserves_cusp_relation():
-    t = MODULAR_ROOT
+    t = LabelledTriple(3, 3, 3)
     for k in (0, 1, 2, 0, 2, 1, 1):
         t = vieta_flip(t, k)
         x, y, z = t.coords()
@@ -149,8 +161,9 @@ def test_enumerate_simple_against_bruteforce_oracle():
 
 
 def test_trace_multiset_invariant_under_root_permutation():
-    base = sorted(r.trace for r in enumerate_simple(MODULAR_ROOT, 500))
-    assert sorted(r.trace for r in enumerate_simple(PERMUTED_ROOT, 500)) == base
+    base = [r.trace for r in enumerate_simple(TraceTriple(3, 6, 15), 500)]
+    for coords in itertools.permutations((3, 6, 15)):
+        assert [r.trace for r in enumerate_simple(TraceTriple(*coords), 500)] == base
 
 
 def test_one_intersection_census():
@@ -263,7 +276,7 @@ def _oracle_enumerate_simple(root, trace_cutoff):
     def maybe_int(x):
         return int(x) if float(x).is_integer() else x
 
-    sink = root
+    sink = LabelledTriple(*root.coords())
     while True:
         x = sink.coords()
         lower = [k for k in range(3) if math.prod(x) < 2 * x[k] ** 2]
@@ -295,7 +308,7 @@ def _oracle_enumerate_simple(root, trace_cutoff):
     "root",
     [
         MODULAR_ROOT,
-        PERMUTED_ROOT,
+        TraceTriple(3, 15, 6),  # coordinates permuted, two flips above the sink
         TraceTriple(15, 87, 1299),
         TraceTriple(3, 6, 15),
         TraceTriple(3.0, 3.0, 3.0),
