@@ -175,7 +175,7 @@ def _cmd_stripcover(args) -> int:
     _emit_json(
         args,
         {
-            "degree": cover.degree,
+            "degree": sigma.degree,
             "boundary_monodromy": str(cover.boundary),
             "boundary_components": cover.boundary_components,
             "cover_genus": cover.cover_genus,
@@ -211,7 +211,7 @@ def _cmd_prime(args) -> int:
         for _ in range(args.samples):
             w = random_reduced_word(rng, args.maxlen)
             witness = resfin.smallest_excluding_prime(w)
-            rows.append(f"{witness.word_length},{witness.prime}")
+            rows.append(f"{len(w)},{witness.prime}")
         _emit_csv(args, "length,prime", rows)
         return 0
     w = Word(args.word, "ab")
@@ -236,9 +236,9 @@ def _cmd_depth(args) -> int:
 
 def _cmd_witness(args) -> int:
     w = Word(args.word, "ab")
-    k = args.k if args.k is not None else magnus.lcs_depth(w, args.max_k)
+    k = magnus.lcs_depth(w, args.max_k)
     if k is None:
-        raise ValueError(f"depth exceeds --max-k {args.max_k}; pass --k explicitly")
+        raise ValueError(f"depth exceeds --max-k {args.max_k}; raise --max-k")
     witness = magnus.unipotent_witness(w, k)
     _emit_json(
         args,
@@ -270,7 +270,7 @@ def _cmd_avgindex(args) -> int:
             "mean": float(_fmt(result.mean)),
             "samples_used": result.samples_used,
             "excluded_zero_abelianization": result.excluded_zero_abelianization,
-            "seed": result.seed,
+            "seed": args.seed,
         },
     )
     return 0
@@ -380,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="unipotent finite-quotient witness")
     p.add_argument("--word", required=True)
-    p.add_argument("--k", type=int)
     p.add_argument("--max-k", type=int, default=8)
     p.set_defaults(func=_cmd_witness)
 

@@ -188,7 +188,6 @@ def _is_transitive(decision: ExtendDecision) -> bool:
 class StripCover:
     """Degree-n cover of the once-punctured torus built from n strip domains."""
 
-    degree: int
     boundary: Permutation
     boundary_components: int
     cover_genus: int
@@ -216,7 +215,7 @@ def strip_cover(sigma: Permutation, tau: Permutation) -> StripCover:
     genus = (2 + n - components) // 2
     if genus < 0:
         raise CoverError("negative cover genus")
-    return StripCover(n, boundary, components, genus)
+    return StripCover(boundary, components, genus)
 
 
 def boundary_lift_components(

@@ -142,7 +142,7 @@ def certify_nontrivial(w: Word) -> Certificate:
     u = retract(dehn_twist(w0, m))
     if u.is_trivial:
         return Certificate("TRIVIAL-CONSISTENT", w, w0, m, None, None)
-    prime_witness = excluding_prime(twisted_sanov_image(w0, m), len(u))
+    prime_witness = excluding_prime(twisted_sanov_image(w0, m))
     return Certificate("NONTRIVIAL", w, w0, m, u, prime_witness)
 
 
@@ -186,19 +186,3 @@ def dehn_oracle(w: Word) -> str:
                 break
         if not replaced:
             return "nontrivial"
-
-
-@dataclass(frozen=True)
-class LengthBoundReport:
-    witness_length: int
-    bound: int
-    passed: bool
-
-
-def length_bound_check(w: Word) -> LengthBoundReport:
-    """Compare the free witness length against the l^2 + l bound."""
-    cert = certify_nontrivial(w)
-    if not cert.nontrivial:
-        raise Genus2Error("length bound applies to nontrivial words only")
-    bound = len(w) ** 2 + len(w)
-    return LengthBoundReport(len(cert.witness), bound, len(cert.witness) <= bound)

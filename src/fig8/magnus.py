@@ -2,9 +2,9 @@
 
 The expansion sends a -> 1 + x, b -> 1 + y into the ring of noncommutative
 integer power series in x, y truncated at a fixed degree; inverses expand by
-the finite geometric series, exact in the truncated ring.  A word lies at
-depth k of the lower central series iff its expansion is 1 + (terms of
-degree exactly k and higher).
+the geometric series in Horner form, exact in the truncated ring.  A word
+lies at depth k of the lower central series iff its expansion is 1 + (terms
+of degree exactly k and higher).
 """
 
 from __future__ import annotations
@@ -55,31 +55,17 @@ class MagnusSeries:
                     out[key] = out.get(key, 0) + c1 * c2
         return MagnusSeries.from_dict(out, self.degree)
 
-    def __add__(self, other: "MagnusSeries") -> "MagnusSeries":
-        if self.degree != other.degree:
-            raise MagnusError("truncation degree mismatch")
-        out = self.as_dict()
-        for m, c in other.coeffs:
-            out[m] = out.get(m, 0) + c
-        return MagnusSeries.from_dict(out, self.degree)
-
-    def constant_term(self) -> int:
-        return self.as_dict().get("", 0)
-
     def inverse(self) -> "MagnusSeries":
-        """Geometric-series inverse of 1 + r; exact in the truncated ring."""
-        if self.constant_term() != 1:
+        """1/(1 + r) = 1 - r(1 - r(...)) in Horner form; exact in the truncated ring."""
+        r = self.as_dict()
+        if r.pop("", 0) != 1:
             raise MagnusError("only series with constant term 1 are inverted")
-        r = MagnusSeries.from_dict({m: c for m, c in self.coeffs if m}, self.degree)
+        r = MagnusSeries.from_dict(r, self.degree)
         result = MagnusSeries.one(self.degree)
-        power = MagnusSeries.one(self.degree)
-        for i in range(1, self.degree + 1):
-            power = power * r
-            if not power.coeffs:
-                break
-            sign = -1 if i % 2 else 1
-            result = result + MagnusSeries.from_dict(
-                {m: sign * c for m, c in power.coeffs}, self.degree
+        for _ in range(self.degree):
+            # r has no constant term, so neither has r * result
+            result = MagnusSeries.from_dict(
+                {"": 1, **{m: -c for m, c in (r * result).coeffs}}, self.degree
             )
         return result
 
@@ -120,7 +106,6 @@ def lcs_depth(w: Word, max_k: int = 8) -> int | None:
 class UnipotentWitness:
     """Finite nilpotent quotient separating w, from its depth-k Magnus image."""
 
-    word: Word
     depth: int
     modulus: int
     monomial: str
@@ -149,6 +134,4 @@ def unipotent_witness(w: Word, k: int) -> UnipotentWitness:
         raise MagnusError("reduced image unexpectedly trivial")
     ambient_index = modulus ** (k * (k + 1) // 2)
     # image = 1 + N with N^2 = 0 below the truncation, so image^j = 1 + jN
-    return UnipotentWitness(
-        w, k, modulus, monomial, coefficient, image, modulus, ambient_index
-    )
+    return UnipotentWitness(k, modulus, monomial, coefficient, image, modulus, ambient_index)

@@ -218,9 +218,6 @@ class Permutation:
     def is_even(self) -> bool:
         return class_parity(self.cycle_type()) == "even"
 
-    def order(self) -> int:
-        return math.lcm(*[p for p in self.cycle_type().parts]) if self.degree else 1
-
     def __str__(self) -> str:
         cyc = self.cycles()
         if not cyc:

@@ -56,27 +56,25 @@ def sanov_eval(w: Word) -> Mat2:
 class PrimeWitness:
     prime: int
     image: tuple[int, int, int, int]  # residues mod prime, not the identity
-    word_length: int
 
 
 def smallest_excluding_prime(w: Word) -> PrimeWitness:
     """Least prime p at which the Sanov image of w is not the identity mod p."""
-    return excluding_prime(sanov_eval(w), len(w))
+    return excluding_prime(sanov_eval(w))
 
 
-def excluding_prime(matrix: Mat2, word_length: int) -> PrimeWitness:
+def excluding_prime(matrix: Mat2) -> PrimeWitness:
     """Least prime p at which ``matrix`` is not the identity mod p.
 
-    ``matrix`` is the Sanov image of a reduced word of ``word_length``
-    letters, however it was computed.  Always p >= 3: both Sanov generators
-    reduce to the identity mod 2.
+    ``matrix`` is the Sanov image of a word, however it was computed.
+    Always p >= 3: both Sanov generators reduce to the identity mod 2.
     """
     if matrix.is_identity:
         raise ResFinError("trivial word has no excluding prime")
     for p in primes():
         residues = matrix.reduce_mod(p)
         if residues != (1, 0, 0, 1):
-            return PrimeWitness(p, residues, word_length)
+            return PrimeWitness(p, residues)
     raise AssertionError("unreachable: a nonidentity integer matrix survives some prime")
 
 
@@ -104,15 +102,11 @@ def expected_min_prime(terms: int) -> float:
     return num / primorial
 
 
-def abelian_excluding_prime(w: Word) -> int | None:
+def abelian_excluding_prime(letters: str, gens: str) -> int | None:
     """Least prime not dividing the first nonzero abelianization coordinate.
 
     None for words in the commutator subgroup (zero abelianization).
     """
-    return _abelian_prime(w.letters, w.gens)
-
-
-def _abelian_prime(letters: str, gens: str) -> int | None:
     first = next((x for x in exponent_sums(letters, gens) if x), None)
     if first is None:
         return None
@@ -124,7 +118,6 @@ class SimulationResult:
     mean: float
     samples_used: int
     excluded_zero_abelianization: int
-    seed: int
 
 
 def average_index_simulation(
@@ -146,7 +139,7 @@ def average_index_simulation(
     used = 0
     excluded = 0
     for letters in itertools.islice(stream, samples):
-        p = _abelian_prime(letters, gens)
+        p = abelian_excluding_prime(letters, gens)
         if p is None:
             excluded += 1
         else:
@@ -154,4 +147,4 @@ def average_index_simulation(
             used += 1
     if used == 0:
         raise ResFinError("every sample had zero abelianization")
-    return SimulationResult(total / used, used, excluded, seed)
+    return SimulationResult(total / used, used, excluded)

@@ -60,7 +60,23 @@ def self_intersection(w: Word) -> int:
     trace = big_w.trace
     if abs(trace) <= 2:
         raise SelfIntersectionError(f"trace {trace}: word is not hyperbolic")
+    try:
+        count, count_wide = _crossing_counts(big_w)
+    except (ZeroDivisionError, OverflowError) as exc:
+        # a float-framed point landed on the real line, or an entry outgrew a float
+        raise SelfIntersectionError(f"float sweep failed: {type(exc).__name__}: {exc}") from None
+    if count != count_wide:
+        raise SelfIntersectionError(
+            f"crossing count unstable under radius increase: {count} vs {count_wide}"
+        )
+    if count % 2:
+        raise SelfIntersectionError(f"odd crossing count {count}")
+    return count // 2
 
+
+def _crossing_counts(big_w: Mat2) -> tuple[int, int]:
+    """Crossing lifts of the axis of W, at the search radius and at radius + 2."""
+    trace = big_w.trace
     # c != 0, also in every g W g^-1: det 1 with c = 0 forces a = d = +-1, trace +-2
     a, b, c, d = big_w.entries()
     disc = math.sqrt(trace * trace - 4)
@@ -121,12 +137,4 @@ def self_intersection(w: Word) -> int:
             if dist2 <= radius_wide:
                 visited.add(g2)
                 queue.append((g2, ch, dist2))
-
-    count, count_wide = len(crossings), len(crossings_wide)
-    if count != count_wide:
-        raise SelfIntersectionError(
-            f"crossing count unstable under radius increase: {count} vs {count_wide}"
-        )
-    if count % 2:
-        raise SelfIntersectionError(f"odd crossing count {count}")
-    return count // 2
+    return len(crossings), len(crossings_wide)

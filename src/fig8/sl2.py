@@ -1,15 +1,13 @@
 """Exact SL(2, Z) matrices, and trace/length identities.
 
 All matrix arithmetic is in arbitrary-precision integers.  Real
-trace/length conversions use floats with a documented 1e-9 tolerance.
+trace/length conversions use floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-TOL = 1e-9
 
 
 class Sl2Error(ValueError):
@@ -83,25 +81,6 @@ class Mat2:
         return max(abs(x) for x in self.entries())
 
 
-def trace_third(t_a: float, t_b: float, t_ab: float) -> float:
-    """tr(A^-1 B) from the traces of A, B and AB."""
-    return t_a * t_b - t_ab
-
-
-@dataclass(frozen=True)
-class HypLength:
-    """Translation length of a closed geodesic together with its trace."""
-
-    value: float
-    trace: float
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise Sl2Error("length must be nonnegative")
-        if abs(abs(self.trace) - 2.0 * math.cosh(self.value / 2.0)) > TOL * max(1.0, abs(self.trace)):
-            raise Sl2Error("trace and length are inconsistent")
-
-
 def length_to_trace(length: float) -> float:
     if not 0 <= length < math.inf:  # NaN fails too
         raise Sl2Error(f"length {length} is not a finite number >= 0")
@@ -117,7 +96,7 @@ def trace_to_length(trace: float) -> float:
     return 2.0 * math.acosh(abs(trace) / 2.0)
 
 
-def fig8_length(la: float, lb: float, lc: float) -> HypLength:
+def fig8_length(la: float, lb: float, lc: float) -> float:
     """Length of the figure-eight geodesic in a pair of pants with cuff lengths la, lb, lc.
 
     A zero cuff length encodes a cusp.  The minimum over all pants is
@@ -127,7 +106,7 @@ def fig8_length(la: float, lb: float, lc: float) -> HypLength:
         if l < 0:
             raise Sl2Error("cuff lengths must be nonnegative")
     half_trace = 2.0 * math.cosh(la / 2.0) * math.cosh(lb / 2.0) + math.cosh(lc / 2.0)
-    return HypLength(2.0 * math.acosh(half_trace), 2.0 * half_trace)
+    return 2.0 * math.acosh(half_trace)
 
 
 # The Sanov pair: generators of a free subgroup of SL(2, Z).

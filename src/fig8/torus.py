@@ -195,25 +195,21 @@ def count_census(root: TraceTriple, length_bound: float) -> tuple[int, int, int]
 
 
 def census_counts(root: TraceTriple, length_bounds: list[float]) -> list[tuple[int, int, int]]:
-    """count_census at each bound, from one walk at the largest trace bound.
+    """count_census at each bound, from one walk at the largest trace bound or 3.
 
-    Bounds are converted in order before the walk, so a bad one raises as it
-    would alone.  Rows are counted in the sorted traces of the walk; a bound
-    below 3, which no walk takes, counts nothing even if a sink trace is below it.
+    Every bound is converted before the walk, so a bad length is reported
+    before a root that cannot be walked.  Rows are counted in the sorted
+    traces of the walk, a sink trace below 3 included.
     """
-    trace_bounds, top = [], 0.0
+    trace_bounds = []
     for length in length_bounds:
         if length <= 0:
             raise CensusError("length bound must be positive")
-        bound = length_to_trace(length)
-        if bound >= 3 > top:
-            enumerate_simple(root, 3)  # a root that cannot be walked fails here, as it did
-        top = max(top, bound)
-        trace_bounds.append(bound)
-    traces = [r.trace for r in enumerate_simple(root, top)] if top >= 3 else []
+        trace_bounds.append(length_to_trace(length))
+    traces = [r.trace for r in enumerate_simple(root, max(trace_bounds + [3]))]
     rows = []
     for bound in trace_bounds:
-        n0 = bisect_right(traces, bound) if bound >= 3 else 0
+        n0 = bisect_right(traces, bound)
         n_paired = 2 * bisect_right(traces, bound, key=lambda t: 3 * t)
         n_companion = bisect_right(traces, bound, key=lambda t: t**2 + 2)
         rows.append((n0, n_paired, n_paired + n_companion))

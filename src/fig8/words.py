@@ -110,10 +110,6 @@ class Word:
                 return True
         return False
 
-    def exponent_sums(self) -> tuple[int, ...]:
-        """Abelianization: one exponent sum per generator, in ``gens`` order."""
-        return tuple(exponent_sums(self.letters, self.gens))
-
 
 def exponent_sums(letters: str, gens: str):
     """Exponent sum of each generator in ``letters``, lazily, in ``gens`` order."""

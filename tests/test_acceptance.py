@@ -77,7 +77,7 @@ def test_criterion_02_self_intersection_identity(capsys):
 
 
 def test_criterion_03_minimal_fig8_length(capsys):
-    value = fig8_length(0, 0, 0).value
+    value = fig8_length(0, 0, 0)
     records = one_intersection_census(MODULAR_ROOT, 6.0, "full")
     min_trace = min(r.trace for r in records)
     ok = abs(value - 3.52549) < 5e-6 and abs(value - 2 * math.acosh(3)) < 1e-12 and min_trace == 9

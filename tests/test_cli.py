@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from fig8 import cli, selfint, torus
 from fig8.cli import main
+from fig8.perms import Permutation
 from fig8.sl2 import Mat2, length_to_trace
 from fig8.words import Word, evaluate, random_reduced_word
 from oracles import relator_product
@@ -164,6 +165,15 @@ def test_selfint(capsys):
     code, out, _ = run(capsys, "selfint", "--word", "aabAB")
     assert code == 0
     assert json.loads(out)["self_intersection"] == 1
+
+
+@pytest.mark.parametrize("word", ["AAAbbaaBaBABab", "abaaaBBBBB"])
+def test_selfint_float_sweep_failure_is_an_input_error(capsys, word):
+    """A float-framed orbit point on the real line divided by zero and
+    exited 4; the sweep now reports it as a word it cannot count."""
+    code, out, err = run(capsys, "selfint", "--word", word)
+    assert (code, out) == (2, "")
+    assert err == "error: float sweep failed: ZeroDivisionError: float division by zero\n"
 
 
 def test_prime_and_scatter(capsys):
@@ -342,11 +352,15 @@ def test_counts_at_walks_once_and_equals_per_length_counts(capsys, monkeypatch, 
 
 @pytest.mark.parametrize(
     "lengths,error",
-    [("20,nan", "Vieta flip gives trace 2.25 below 3"), ("1,nan,20", "length nan is not")],
+    [
+        ("20,nan", "length nan is not"),
+        ("1,nan,20", "length nan is not"),
+        ("1,20", "Vieta flip gives trace 2.25 below 3"),
+    ],
 )
 def test_counts_at_fails_at_the_first_bad_step_in_order(capsys, lengths, error):
-    """A root that cannot be walked fails at the first length that walks,
-    before a bad length after it, as one walk per length did."""
+    """Every length is converted before the one walk, so a bad length is
+    reported before a root that cannot be walked."""
     code, out, err = run(capsys, "census", "--root", "18,4.5,4.5", "--counts-at", lengths)
     assert (code, out) == (2, "") and err.startswith(f"error: {error}")
 
@@ -375,6 +389,54 @@ def test_word_artifacts_are_byte_identical(capsys):
     )
     assert _artifacts_sha256(capsys, [["prime", "--word", w] for w in free]) == (
         "af7444c6c19c5fce57ca5ded1667793810d3130929e214db6e24c1d0dd2a206b"
+    )
+
+
+def _bracket(u: str, v: str) -> str:
+    return u + v + u.swapcase()[::-1] + v.swapcase()[::-1]
+
+
+def _cycles(rng, n: int) -> str:
+    images = list(range(n))
+    rng.shuffle(images)
+    return str(Permutation(tuple(images)))
+
+
+def test_finite_quotient_artifacts_are_byte_identical(capsys):
+    """SHA-256 over the depth and witness artifacts of seeded free words and
+    commutators at --max-k 2..8, prime --scatter, avgindex and stripcover;
+    recorded before the echo fields left the result classes and before
+    witness lost its --k option."""
+    rng = random.Random(21)
+    words = [random_reduced_word(rng, 10).letters for _ in range(12)]
+    pairs = [
+        (random_reduced_word(rng, 4).letters, random_reduced_word(rng, 4).letters) for _ in range(8)
+    ]
+    words += [_bracket(u, v) for u, v in pairs]
+    words += [_bracket(_bracket(u, v), "b") for u, v in pairs[:4]] + ["aA"]
+    w = "a"
+    for _ in range(4):  # depths 2 to 5
+        w = _bracket(w, "b")
+        words.append(w)
+    argvs = [
+        [command, "--word", w, "--max-k", str(k)]
+        for w in words
+        for k in range(2, 9)
+        for command in ("depth", "witness")
+    ]
+    argvs += [
+        ["prime", "--scatter", "--samples", "40", "--maxlen", "60", "--seed", str(seed)]
+        for seed in (1, 2, 3)
+    ]
+    argvs += [
+        ["avgindex", "--rank", rank, "--radius", radius, "--samples", "200", "--seed", seed]
+        for rank, radius, seed in (("2", "20", "1"), ("3", "8", "2"), ("5", "30", "3"))
+    ]
+    for n in range(2, 9):
+        sigma = "(" + " ".join(map(str, rng.sample(range(1, n + 1), n))) + ")"
+        argvs.append(["stripcover", "--sigma", sigma, "--tau", _cycles(rng, n), "--degree", str(n)])
+    assert _artifacts_sha256(capsys, argvs) == (
+        "13ff9bab4ff7e57d731d0e076a696469ce6c78c090b6cf60d5fffc203cae5797"
     )
 
 
@@ -571,7 +633,7 @@ ARTIFACT_ARGVS = [
     ["prime", "--word", "abAB"],
     ["prime", "--scatter", "--samples", "3", "--maxlen", "20", "--seed", "5"],
     ["depth", "--word", "abAB"],
-    ["witness", "--word", "abAB", "--k", "2"],
+    ["witness", "--word", "abAB", "--max-k", "2"],
     ["expectedprime", "--terms", "12"],
     ["avgindex", "--rank", "3", "--radius", "6", "--samples", "50", "--seed", "3"],
     ["lpsgirth", "--p", "5", "--q", "13"],
@@ -583,6 +645,7 @@ ERROR_ARGVS = [
     (["nonsense"], 2, "usage: fig8"),  # argparse rejects the subcommand
     (["prime"], 2, "usage: fig8"),  # parser.error: no --word and no --scatter
     (["selfint", "--word", "axb"], 2, "error: "),  # ValueError
+    (["witness", "--word", "abAB", "--k", "2"], 2, "usage: fig8"),  # --max-k is the one depth knob
     (["selfint", "--word", "ab"], 4, "internal error: ZeroDivisionError: boom"),
 ]
 

@@ -8,7 +8,6 @@ from fig8.genus2 import (
     certify_nontrivial,
     dehn_oracle,
     dehn_twist,
-    length_bound_check,
     retract,
     rewrite_blocks,
     twisted_sanov_image,
@@ -174,16 +173,13 @@ def test_centralizer_sanity():
 
 
 def test_length_bound_check():
-    report = length_bound_check(W("ac"))
-    assert report.bound == 6
+    """The free witness of a word of length l has at most l^2 + l letters."""
     # the certificate witness of a very short word overshoots the bound;
     # the bound is honest only at corpus scale (see the acceptance suite)
-    assert report.witness_length == 16 and not report.passed
+    assert len(certify_nontrivial(W("ac")).witness) == 16 > 2**2 + 2
     rng = random.Random(77)
     for _ in range(50):
         w = random_reduced_word(rng, 40, "abcd")
         cert = certify_nontrivial(w)
         if cert.nontrivial and len(w) >= 30:
-            assert length_bound_check(w).passed
-    with pytest.raises(Genus2Error):
-        length_bound_check(W(RELATOR))
+            assert len(cert.witness) <= len(w) ** 2 + len(w)

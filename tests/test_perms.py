@@ -113,7 +113,10 @@ def test_permutation_right_action_convention():
 def test_permutation_basics():
     g = Permutation.parse("(1 2 3)(4 5)", 5)
     assert g.cycle_type() == Partition((3, 2))
-    assert g.order() == 6
+    h, order = g, 1
+    while h != Permutation.identity(5):
+        h, order = h * g, order + 1
+    assert order == 6
     assert not g.is_even()
     assert (g * g.inverse()) == Permutation.identity(5)
     assert g.cycle_count() == 2

@@ -64,12 +64,12 @@ def test_smallest_excluding_prime_examples():
 
 def test_excluding_prime_of_a_matrix():
     with pytest.raises(ResFinError):
-        excluding_prime(Mat2.identity(), 0)
+        excluding_prime(Mat2.identity())
     rng = random.Random(12)
     words = [Word("a"), Word("abAB"), Word("aaa")]
     words += [random_reduced_word(rng, 30) for _ in range(200)]
     for w in words:
-        assert excluding_prime(sanov_eval(w), len(w)) == smallest_excluding_prime(w)
+        assert excluding_prime(sanov_eval(w)) == smallest_excluding_prime(w)
 
 
 def test_excluding_prime_is_at_least_three():
@@ -104,9 +104,10 @@ def test_expected_min_prime_equals_term_by_term_division():
 
 
 def test_abelian_excluding_prime():
-    assert abelian_excluding_prime(Word("a" * 6)) == 5
-    assert abelian_excluding_prime(Word("a")) == 2
-    assert abelian_excluding_prime(Word("abAB")) is None  # commutator
+    assert abelian_excluding_prime("a" * 6, "ab") == 5
+    assert abelian_excluding_prime("a", "ab") == 2
+    assert abelian_excluding_prime("abAB", "ab") is None  # commutator
+    assert abelian_excluding_prime("abAbbbbb", "abc") == 5  # the sum of a is 0, of b 6
 
 
 def test_average_index_simulation():
@@ -150,7 +151,8 @@ def _oracle_average_index_simulation(rank, radius, samples, seed):
     rng = random.Random(seed)
     total = used = excluded = 0
     for _ in range(samples):
-        p = abelian_excluding_prime(_oracle_random_reduced_word(rng, radius, gens))
+        w = _oracle_random_reduced_word(rng, radius, gens)
+        p = abelian_excluding_prime(w.letters, w.gens)
         if p is None:
             excluded += 1
         else:
@@ -158,7 +160,7 @@ def _oracle_average_index_simulation(rank, radius, samples, seed):
             used += 1
     if used == 0:
         raise ResFinError("every sample had zero abelianization")
-    return SimulationResult(total / used, used, excluded, seed)
+    return SimulationResult(total / used, used, excluded)
 
 
 def _outcome(simulation, *args):
@@ -201,7 +203,7 @@ def test_random_reduced_letters_are_reduced_in_the_alphabet_and_ball(gens):
 
 def test_average_index_simulation_raises_when_every_sample_is_excluded():
     # seed 3's one reduced word of length <= 4 over "ab" has zero abelianization
-    assert abelian_excluding_prime(random_reduced_word(random.Random(3), 4)) is None
+    assert abelian_excluding_prime(random_reduced_word(random.Random(3), 4).letters, "ab") is None
     for simulation in (average_index_simulation, _oracle_average_index_simulation):
         with pytest.raises(ResFinError, match="every sample"):
             simulation(2, 4, 1, 3)

@@ -7,12 +7,10 @@ from fig8.selfint import TORUS_X, TORUS_Y
 from fig8.sl2 import (
     SANOV_A,
     SANOV_B,
-    HypLength,
     Mat2,
     Sl2Error,
     fig8_length,
     length_to_trace,
-    trace_third,
     trace_to_length,
 )
 from fig8.words import Word, WordError, evaluate, random_reduced_word
@@ -73,10 +71,9 @@ def test_word_inverse_cancellation_random():
 
 
 def test_trace_third_examples():
-    assert trace_third(2, 2, 6) == -2
-    t = 7.0
-    assert trace_third(t, t, t * t - 2) == 2
-    assert trace_third(3, 3, -2) == 11
+    # tr(A^-1 B) = trA trB - tr(AB)
+    for a, b, want in ((SANOV_A, SANOV_B, -2), (SANOV_A, SANOV_A, 2), (TORUS_X, TORUS_Y, 6)):
+        assert (a.inverse() * b).trace == a.trace * b.trace - (a * b).trace == want
 
 
 def test_trace_third_random_matrix_pairs():
@@ -84,17 +81,17 @@ def test_trace_third_random_matrix_pairs():
     for _ in range(1000):
         a = evaluate(random_reduced_word(rng, 12), SANOV, ONE)
         b = evaluate(random_reduced_word(rng, 12), SANOV, ONE)
-        assert trace_third(a.trace, b.trace, (a * b).trace) == (a.inverse() * b).trace
+        assert a.trace * b.trace - (a * b).trace == (a.inverse() * b).trace
 
 
 def test_fig8_length_examples():
     cusp = fig8_length(0, 0, 0)
-    assert abs(cusp.value - 2 * math.acosh(3)) < 1e-9
-    assert abs(cusp.value - 3.52549) < 1e-5
+    assert abs(cusp - 2 * math.acosh(3)) < 1e-9
+    assert abs(cusp - 3.52549) < 1e-5
     l3 = 2 * math.acosh(1.5)
-    assert abs(fig8_length(l3, 0, l3).trace - 9) < 1e-9
-    assert abs(fig8_length(l3, l3, 0).trace - 11) < 1e-9
-    assert abs(fig8_length(l3, l3, 0).trace - trace_third(3, 3, -2)) < 1e-9
+    assert abs(length_to_trace(fig8_length(l3, 0, l3)) - 9) < 1e-9
+    # two cuffs of trace 3 and a cusp, tr(AB) = -2: the trace is trA trB - tr(AB) = 11
+    assert abs(length_to_trace(fig8_length(l3, l3, 0)) - (3 * 3 - (-2))) < 1e-9
 
 
 def test_fig8_length_symmetry_monotonicity_minimality():
@@ -102,13 +99,13 @@ def test_fig8_length_symmetry_monotonicity_minimality():
     floor = 2 * math.acosh(3)
     for _ in range(200):
         x, y, z = (rng.uniform(0, 4) for _ in range(3))
-        assert abs(fig8_length(x, y, z).value - fig8_length(y, x, z).value) < 1e-12
-        assert fig8_length(x, y, z).value >= floor - 1e-12
+        assert abs(fig8_length(x, y, z) - fig8_length(y, x, z)) < 1e-12
+        assert fig8_length(x, y, z) >= floor - 1e-12
         eps = 0.1
-        base = fig8_length(x, y, z).value
-        assert fig8_length(x + eps, y, z).value > base
-        assert fig8_length(x, y + eps, z).value > base
-        assert fig8_length(x, y, z + eps).value > base
+        base = fig8_length(x, y, z)
+        assert fig8_length(x + eps, y, z) > base
+        assert fig8_length(x, y + eps, z) > base
+        assert fig8_length(x, y, z + eps) > base
     with pytest.raises(Sl2Error):
         fig8_length(-1, 0, 0)
 
@@ -122,8 +119,3 @@ def test_length_trace_conversions():
     with pytest.raises(Sl2Error):
         length_to_trace(-1)
 
-
-def test_hyplength_consistency():
-    HypLength(2 * math.acosh(1.5), 3.0)
-    with pytest.raises(Sl2Error):
-        HypLength(1.0, 3.0)

@@ -221,14 +221,12 @@ def test_count_census():
 
 def _oracle_count_census(root, length_bound):
     """The per-length count that census_counts replaced: one walk per bound,
-    each family counted by filtering its records."""
+    at 3 if the bound is lower, each family counted by filtering its records."""
     if length_bound <= 0:
         raise CensusError("length bound must be positive")
     trace_bound = length_to_trace(length_bound)
-    if trace_bound < 3:
-        return (0, 0, 0)
-    simples = enumerate_simple(root, trace_bound)
-    n0 = len(simples)
+    simples = enumerate_simple(root, max(trace_bound, 3))
+    n0 = sum(1 for r in simples if r.trace <= trace_bound)
     n_paired = 2 * sum(1 for r in simples if 3 * r.trace <= trace_bound)
     n_companion = sum(1 for r in simples if r.trace**2 + 2 <= trace_bound)
     return (n0, n_paired, n_paired + n_companion)
@@ -238,7 +236,7 @@ def test_census_counts_equal_per_length_filtering():
     """One walk at the largest bound counts every bound as the per-length
     filter does, also at a float root with a sink trace just above 3, which
     bounds in [3, 3 + 1e-10) leave out, and at one with a sink trace just
-    below 3, which a bound between it and 3 does not count."""
+    below 3, which a bound between it and 3 counts."""
     lengths = [0.5, 70, 2, 20, 20, 1.9248473002384139, 4.5] + [i / 2 for i in range(1, 101)]
     lengths.append(1.9248472999700856)
     near_three = TraceTriple(3.0000000001, 3, 3).check()
