@@ -84,26 +84,25 @@ class GeodesicRecord:
     def length(self) -> float:
         return trace_to_length(self.trace)
 
-    def sort_key(self):
-        return (self.trace, self.slope, self.family)
-
 
 def _maybe_int(x: float):
-    return int(x) if float(x).is_integer() else x
+    return int(x) if x == int(x) else x
 
 
-def enumerate_simple(root: TraceTriple, trace_cutoff: float) -> list[GeodesicRecord]:
-    """All simple closed geodesics with trace <= cutoff, one record per slope.
+def _walk(root: TraceTriple, trace_cutoff: float) -> list[tuple[float, Slope]]:
+    """The sorted (trace, slope) pairs of the simple geodesics with trace <= cutoff.
 
     Checks the root, labels it ROOT_SLOPES, and flips it down to the tree's
     sink while some flip lowers a coordinate; a descent below trace 3 raises
     CensusError.  From the sink every flip raises a trace, so the trivalent
-    Vieta tree is walked depth-first.  Both walks work on plain tuples: the
-    flip of w across (u, v, su, sv) gives trace uv - w, in the operand types
-    of the root, and the slope _farey_flip(su, sv, sw).  A branch is cut at
-    the first trace above the cutoff, before its slope is formed; each step
-    introduces exactly one new slope, so slope deduplication is structural.
-    Output is sorted by (trace, slope).
+    Vieta tree is walked depth-first on plain tuples: the flip of w across
+    (u, v) gives trace uv - w, in the operand types of the root.  Each of the
+    sink's three edges is stored with the sign of sv chosen so that
+    sw = +-(su - sv); the new slope is then su + sv, and both child edges keep
+    that form, so the ascent only adds slopes and orients the stored copy.
+    A branch is cut at the first trace above the cutoff; each step introduces
+    exactly one new slope, so slope deduplication is structural.  Traces of an
+    all-int root are ints; otherwise integral traces are turned into ints.
     """
     root.check()
     if not 3 <= trace_cutoff < math.inf:  # NaN fails too
@@ -118,18 +117,31 @@ def enumerate_simple(root: TraceTriple, trace_cutoff: float) -> list[GeodesicRec
             raise CensusError(f"Vieta flip gives trace {sink[k]} below 3")
     found = [(t, st) for t, st in zip(sink, s) if t <= trace_cutoff]
     (x, y, z), (sx, sy, sz) = sink, s
-    stack = [(y, z, x, sy, sz, sx), (x, z, y, sx, sz, sy), (x, y, z, sx, sy, sz)]
+    stack = []
+    for u, v, w, (p1, q1), (p2, q2), sw in (
+        (y, z, x, sy, sz, sx), (x, z, y, sx, sz, sy), (x, y, z, sx, sy, sz)
+    ):
+        sign = 1 if sw in ((p1 - p2, q1 - q2), (p2 - p1, q2 - q1)) else -1
+        stack.append((u, v, w, p1, q1, sign * p2, sign * q2))
     while stack:
-        u, v, w, su, sv, sw = stack.pop()
+        u, v, w, p1, q1, p2, q2 = stack.pop()
         t = u * v - w
         if t > trace_cutoff:
             continue
-        st = _farey_flip(su, sv, sw)
-        found.append((t, st))
-        stack.append((v, t, u, sv, st, su))
-        stack.append((u, t, v, su, st, sv))
+        p, q = p1 + p2, q1 + q2
+        found.append((t, (p, q) if q > 0 or (q == 0 and p > 0) else (-p, -q)))
+        stack.append((v, t, u, p2, q2, p, q))
+        stack.append((u, t, v, p1, q1, p, q))
     found.sort()
-    return [GeodesicRecord(_maybe_int(t), "simple", s) for t, s in found]
+    if all(type(c) is int for c in root.coords()):
+        return found
+    return [(_maybe_int(t), st) for t, st in found]
+
+
+def enumerate_simple(root: TraceTriple, trace_cutoff: float) -> list[GeodesicRecord]:
+    """All simple closed geodesics with trace <= cutoff, one record per slope,
+    sorted by (trace, slope); see _walk."""
+    return [GeodesicRecord(t, "simple", st) for t, st in _walk(root, trace_cutoff)]
 
 
 def one_intersection_census(
@@ -139,21 +151,24 @@ def one_intersection_census(
 
     "paired" emits the two trace-3t geodesics cut off each simple geodesic
     of trace t; "full" additionally emits the companion figure-eight of
-    trace t^2 + 2 living in the same pair of pants.
+    trace t^2 + 2 living in the same pair of pants.  Rows are sorted as
+    (trace, slope, family) and each becomes one record, twice if paired.
     """
     if mode not in ("paired", "full"):
         raise CensusError(f"unknown census mode {mode!r}")
     trace_cutoff = length_to_trace(length_cutoff)
-    simples = enumerate_simple(root, trace_cutoff / 3.0)
-    records: list[GeodesicRecord] = []
-    for rec in simples:
-        paired = GeodesicRecord(3 * rec.trace, "paired-fig8", rec.slope)
-        records += [paired, paired]
+    rows = []
+    for t, st in _walk(root, trace_cutoff / 3.0):
+        rows.append((3 * t, st, "paired-fig8"))
         # t^2 + 2 <= T gives t <= sqrt(T - 2) <= T/3 (T >= 9 here): no base is missed
-        companion = rec.trace**2 + 2
+        companion = t**2 + 2
         if mode == "full" and companion <= trace_cutoff:
-            records.append(GeodesicRecord(companion, "companion-fig8", rec.slope))
-    records.sort(key=GeodesicRecord.sort_key)
+            rows.append((companion, st, "companion-fig8"))
+    rows.sort()
+    records: list[GeodesicRecord] = []
+    for t, st, family in rows:
+        rec = GeodesicRecord(t, family, st)
+        records += (rec, rec) if family == "paired-fig8" else (rec,)
     return records
 
 
@@ -206,7 +221,7 @@ def census_counts(root: TraceTriple, length_bounds: list[float]) -> list[tuple[i
         if length <= 0:
             raise CensusError("length bound must be positive")
         trace_bounds.append(length_to_trace(length))
-    traces = [r.trace for r in enumerate_simple(root, max(trace_bounds + [3]))]
+    traces = [t for t, _ in _walk(root, max(trace_bounds + [3]))]
     rows = []
     for bound in trace_bounds:
         n0 = bisect_right(traces, bound)

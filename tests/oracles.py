@@ -5,8 +5,8 @@ yields images in lexicographic order.  The ``_oracle_*`` functions are the
 earlier implementations that faster code replaced (the class scans behind
 ``perms.class_elements``, the per-letter free reduction and Dehn twist, the
 run splitter and power test of ``genus2.rewrite_blocks``, the rational
-expected-prime sum, the ``Mat2`` self-intersection counter), kept
-as they were so that the tests can
+expected-prime sum, the ``Mat2`` self-intersection counter, the census
+that sorted its records), kept as they were so that the tests can
 require equal output, order included.  ``vieta_flip`` and
 ``normalize_slope`` are the node-by-node Vieta flip that the torus walk
 replaced; they flip a ``LabelledTriple``, a trace triple that carries the
@@ -30,8 +30,15 @@ from fig8.selfint import (
     TORUS_Y,
     SelfIntersectionError,
 )
-from fig8.sl2 import Mat2
-from fig8.torus import ROOT_SLOPES, CensusError, Slope, TraceTriple
+from fig8.sl2 import Mat2, length_to_trace
+from fig8.torus import (
+    ROOT_SLOPES,
+    CensusError,
+    GeodesicRecord,
+    Slope,
+    TraceTriple,
+    enumerate_simple,
+)
 from fig8.words import GENUS2, Word, evaluate, free_reduce
 
 Z2 = "cdCD"
@@ -326,6 +333,25 @@ def vieta_flip(t: LabelledTriple, coordinate: int) -> LabelledTriple:
     slopes = list(t.slopes)
     slopes[coordinate] = minus if plus == t.slopes[coordinate] else plus
     return LabelledTriple(*coords, tuple(slopes))
+
+
+def _oracle_one_intersection_census(
+    root: TraceTriple, length_cutoff: float, mode: str = "paired"
+) -> list[GeodesicRecord]:
+    """The census as records: two paired records and maybe a companion per
+    simple record, sorted by (trace, slope, family)."""
+    if mode not in ("paired", "full"):
+        raise CensusError(f"unknown census mode {mode!r}")
+    trace_cutoff = length_to_trace(length_cutoff)
+    records = []
+    for rec in enumerate_simple(root, trace_cutoff / 3.0):
+        paired = GeodesicRecord(3 * rec.trace, "paired-fig8", rec.slope)
+        records += [paired, paired]
+        companion = rec.trace**2 + 2
+        if mode == "full" and companion <= trace_cutoff:
+            records.append(GeodesicRecord(companion, "companion-fig8", rec.slope))
+    records.sort(key=lambda r: (r.trace, r.slope, r.family))
+    return records
 
 
 def relator_product(rng) -> str:

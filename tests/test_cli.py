@@ -342,8 +342,8 @@ def test_counts_at_walks_once_and_equals_per_length_counts(capsys, monkeypatch, 
         n0, n1p, n1f = torus.count_census(torus.MODULAR_ROOT, float(text))
         want.append(f"{cli._fmt(float(text))},{n0},{n1p},{n1f}")
     walks = []
-    walk = torus.enumerate_simple
-    monkeypatch.setattr(torus, "enumerate_simple", lambda r, t: walks.append(t) or walk(r, t))
+    walk = torus._walk
+    monkeypatch.setattr(torus, "_walk", lambda r, t: walks.append(t) or walk(r, t))
     code, out, _ = run(capsys, "census", "--counts-at", lengths)
     assert (code, out.splitlines()) == (0, ["L,N0,N1_paired,N1_full", *want])
     top = max(length_to_trace(float(text)) for text in lengths.split(","))

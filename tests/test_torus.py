@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from fig8 import torus
 from fig8.torus import (
     MODULAR_ROOT,
     CensusError,
     GeodesicRecord,
     TraceTriple,
+    _maybe_int,
     census_counts,
     count_census,
     enumerate_simple,
@@ -21,7 +23,12 @@ from fig8.torus import (
     slope_str,
 )
 from fig8.sl2 import length_to_trace
-from oracles import LabelledTriple, normalize_slope, vieta_flip
+from oracles import (
+    LabelledTriple,
+    _oracle_one_intersection_census,
+    normalize_slope,
+    vieta_flip,
+)
 
 
 def parse_slope(text: str):
@@ -266,7 +273,8 @@ def test_slope_helpers():
 
 def _oracle_enumerate_simple(root, trace_cutoff):
     """The node-by-node walk that enumerate_simple replaced: every step builds
-    a TraceTriple through vieta_flip, and the records are sorted by sort_key."""
+    a TraceTriple through vieta_flip, and the records are sorted by
+    (trace, slope, family)."""
     root.check()
     if not 3 <= trace_cutoff < math.inf:
         raise CensusError(f"trace cutoff {trace_cutoff} is not a finite number >= 3")
@@ -284,7 +292,9 @@ def _oracle_enumerate_simple(root, trace_cutoff):
         if sink.coords()[lower[0]] < 3 - 1e-9:
             raise CensusError(f"Vieta flip gives trace {sink.coords()[lower[0]]} below 3")
     records = [
-        GeodesicRecord(maybe_int(tr), "simple", s) for tr, s in zip(sink.coords(), sink.slopes)
+        GeodesicRecord(maybe_int(tr), "simple", s)
+        for tr, s in zip(sink.coords(), sink.slopes)
+        if tr <= trace_cutoff  # a float sink trace may lie above a cutoff of 3
     ]
     stack = [(sink, k) for k in range(3)]
     while stack:
@@ -298,26 +308,84 @@ def _oracle_enumerate_simple(root, trace_cutoff):
         for k2 in range(3):
             if k2 != k:
                 stack.append((child, k2))
-    records.sort(key=GeodesicRecord.sort_key)
+    records.sort(key=lambda r: (r.trace, r.slope, r.family))
     return records
 
 
-@pytest.mark.parametrize(
-    "root",
-    [
-        MODULAR_ROOT,
-        TraceTriple(3, 15, 6),  # coordinates permuted, two flips above the sink
-        TraceTriple(15, 87, 1299),
-        TraceTriple(3, 6, 15),
-        TraceTriple(3.0, 3.0, 3.0),
-    ],
-)
+def _float_roots(count, seed, spread):
+    """Seeded float roots (x, y, z) off the modular torus: x and y uniform in
+    [3, 3 + spread], z the larger root of z^2 - xyz + x^2 + y^2 = 0."""
+    rng = random.Random(seed)
+    roots = []
+    for _ in range(count):
+        x, y = 3 + rng.uniform(0, spread), 3 + rng.uniform(0, spread)
+        z = (x * y + math.sqrt((x * y) ** 2 - 4 * (x * x + y * y))) / 2
+        roots.append(TraceTriple(x, y, z).check())
+    return roots
+
+
+# Within TOL of the modular torus: the descent ends at a sink trace just below 3.
+NEAR_MODULAR_ROOTS = _float_roots(10, 23, 1e-10)
+EXACT_ROOTS = [
+    MODULAR_ROOT,
+    TraceTriple(3, 15, 6),  # coordinates permuted, two flips above the sink
+    TraceTriple(15, 87, 1299),
+    TraceTriple(3, 6, 15),
+    TraceTriple(3.0, 3.0, 3.0),
+]
+
+
+@pytest.mark.parametrize("root", EXACT_ROOTS + NEAR_MODULAR_ROOTS[:2])
 @pytest.mark.parametrize("cutoff", [3, 9, 10**3, 10**6, 10**15])
 def test_tuple_walk_matches_node_walk(root, cutoff):
     got = enumerate_simple(root, cutoff)
     want = _oracle_enumerate_simple(root, cutoff)
     assert got == want  # same records in the same order
     assert [type(r.trace) for r in got] == [type(r.trace) for r in want]
+
+
+def test_census_matches_the_sorted_record_census():
+    """The census sorts (trace, slope, family) rows and builds one record per
+    row; the oracle builds every record and sorts them.  Roots far from the
+    modular torus descend below trace 3, and both raise the same error, as
+    both do below the first paired trace (L < 4.369)."""
+    roots = EXACT_ROOTS + NEAR_MODULAR_ROOTS + _float_roots(10, 29, 9)
+    lengths = [0.5, 2, 4, 4.3, 4.4, 4.5, 6, 8, 10, 15, 20, 30, 45, 60, 75, 90]
+    outcomes = {"equal": 0, "raise": 0}
+    for root, mode, length in itertools.product(roots, ("paired", "full"), lengths):
+        try:
+            want = _oracle_one_intersection_census(root, length, mode)
+        except CensusError as error:
+            with pytest.raises(CensusError) as got:
+                one_intersection_census(root, length, mode)
+            assert str(got.value) == str(error)
+            outcomes["raise"] += 1
+            continue
+        got = one_intersection_census(root, length, mode)
+        assert got == want  # same records in the same order
+        assert [type(r.trace) for r in got] == [type(r.trace) for r in want]
+        outcomes["equal"] += 1
+    # 15 walkable roots at the 12 lengths >= 4.4 in both modes; the far roots always raise
+    assert outcomes == {"equal": 15 * 2 * 12, "raise": 15 * 2 * 4 + 10 * 2 * 16}
+
+
+@pytest.mark.parametrize(
+    "root,flips", [(MODULAR_ROOT, 0), (TraceTriple(15, 87, 1299), 4), (TraceTriple(3, 6, 15), 2)]
+)
+def test_only_the_descent_flips_slopes(monkeypatch, root, flips):
+    """The ascent adds the two parent slopes; _farey_flip serves the descent only."""
+    calls = []
+    flip = torus._farey_flip
+    monkeypatch.setattr(torus, "_farey_flip", lambda *args: calls.append(args) or flip(*args))
+    enumerate_simple(root, 1e15)
+    assert len(calls) == flips
+
+
+def test_maybe_int_tests_integrality_exactly():
+    assert _maybe_int(10**400) == 10**400  # beyond floats
+    near_one = Fraction(10**20 + 1, 10**20)
+    assert _maybe_int(near_one) is near_one
+    assert [type(_maybe_int(x)) for x in (6.0, Fraction(6, 2), 2.5)] == [int, int, float]
 
 
 # Census lengths L of ROADMAP item 12, with trace cutoff T = 2 cosh(L/2).
