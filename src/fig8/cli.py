@@ -236,10 +236,9 @@ def _cmd_depth(args) -> int:
 
 def _cmd_witness(args) -> int:
     w = Word(args.word, "ab")
-    k = magnus.lcs_depth(w, args.max_k)
-    if k is None:
+    witness = magnus.unipotent_witness(w, args.max_k)
+    if witness is None:
         raise ValueError(f"depth exceeds --max-k {args.max_k}; raise --max-k")
-    witness = magnus.unipotent_witness(w, k)
     _emit_json(
         args,
         {

@@ -14,10 +14,14 @@ reported is the number of vertices the search reached.
 
 The search works on integers.  A row (x, y) over F_q is the int x*q + y,
 and right multiplication by a generator maps each row of a matrix on its
-own, so each generator is one table of q^2 row images.  A vertex is the key
-row1*q^2 + row2 of its canonical representative, whose first row has its
-first nonzero entry equal to 1: tables give that row and the scalar that
-takes it there, and the second row is scaled inline.
+own, so each generator is one table of q^2 row images.  The canonical
+representative of a vertex has a first row whose first nonzero entry is 1,
+one of the q + 1 points of the projective line, so the vertex is the int
+point*q^2 + row2.  Per generator and point, tables give the point of the
+image's first row and the scalar that makes it canonical; a table of scaled
+rows gives the new second row.  Distances are bytes in a bytearray of
+(q + 1) q^2 entries, one per possible vertex, holding distance + 1, with 0
+for a vertex not yet reached.
 """
 
 from __future__ import annotations
@@ -27,9 +31,12 @@ from dataclasses import dataclass
 
 ProjMat = tuple[int, int, int, int]
 
-# The search keeps a dict entry per vertex, q(q^2-1) of them, and visits
-# p+1 edges at each.  The cap admits q <= 61: (29, 61) has 226,920 vertices
-# and takes about 8 s and 45 MB on a 2-core VM.
+# The search keeps a byte for each of (q+1)q^2 possible vertices, reaches
+# q(q^2-1) of them, and visits p+1 edges at each.  The cap admits q <= 61:
+# (29, 61) has 226,920 vertices and takes about 3.5 s and 37 MB (peak RSS
+# of the whole process) on a 2-core VM.  The deepest distances at the
+# admitted extremes, 6 at (29, 61) and 10 at (5, 53), are far below the 254
+# that a byte of distance + 1 holds.
 MAX_VERTICES = 250_000
 
 
@@ -144,43 +151,53 @@ def lps_girth_check(p: int, q: int) -> LpsGirthResult:
     tables = [
         [(x * e + y * g) % q * q + (x * f + y * h) % q for x, y in rows] for e, f, g, h in gens
     ]
-    # for a nonzero row: the inverse of its first nonzero entry, and the
-    # row scaled by it, shifted into a vertex key's first-row place
-    scale = [inv[x or y] for x, y in rows]
-    canon = [(x * s % q * q + y * s % q) * qq for (x, y), s in zip(rows, scale)]
+    # point 0 is the first row (0, 1) and point 1 + y is (1, y).  A generator
+    # sends point t's first row to one of point points[t], made canonical by
+    # the scalar scales[t]; both are kept times q^2, and
+    # scaled[s * q^2 + row] is the row times s.
+    first_rows = [1] + [q + y for y in range(q)]
+    scaled = [x * s % q * q + y * s % q for s in range(q) for x, y in rows]
+    edges = []
+    for gi, table in enumerate(tables):
+        images = [rows[table[r]] for r in first_rows]
+        points = [(1 + y * inv[x] % q if x else 0) * qq for x, y in images]
+        scales = [inv[x or y] * qq for x, y in images]
+        edges.append((gi, table, points, scales, inverse[gi]))
     # a frontier entry is vertex * base + index of the generator back to its
     # parent; the identity's index, len(gens), matches no generator
     base = len(gens) + 1
-    identity = q * qq + 1
-    dist = {identity: 0}
+    identity = qq + 1  # first row (1, 0) is point 1, second row (0, 1)
+    dist = bytearray((q + 1) * qq)
+    dist[identity] = 1
     frontier = [identity * base + len(gens)]
-    best = math.inf
-    level = 0
+    best = math.inf  # least dist(u) + dist(v) + 3 over non-tree edges (u, v)
+    level = 1
     while frontier:
-        level += 1
+        level += 1  # the byte of the vertices found in this pass
+        if level > 255:
+            raise LpsError(f"search reached distance {level - 1}; a byte holds at most 254")
         queued = []
         for entry in frontier:
             u, back = divmod(entry, base)
-            row1, row2 = divmod(u, qq)
-            for gi, table in enumerate(tables):
+            t, row2 = divmod(u, qq)
+            for gi, table, points, scales, gi_inverse in edges:
                 if gi == back:
                     continue  # the tree edge, traversed backwards
-                r1 = table[row1]
-                s = scale[r1]
-                x, y = divmod(table[row2], q)
-                v = canon[r1] + x * s % q * q + y * s % q
-                seen = dist.get(v)
-                if seen is None:
+                v = points[t] + scaled[scales[t] + table[row2]]
+                seen = dist[v]
+                if not seen:
                     dist[v] = level
-                    queued.append(v * base + inverse[gi])
+                    queued.append(v * base + gi_inverse)
                 elif level + seen < best:
-                    best = level + seen  # dist(u) + dist(v) + 1
+                    best = level + seen
         frontier = queued
     if best == math.inf:
         raise LpsError("acyclic Cayley graph: generator set degenerate")
+    girth = best - 2  # dist(u) + dist(v) + 1
     bound = (4 * math.log(q) - math.log(4)) / math.log(p)
     bound_ceil = math.ceil(bound)
     psl_order = q * (q * q - 1) // 2
+    order = len(dist) - dist.count(0)  # the vertices the search reached
     return LpsGirthResult(
-        p, q, len(gens), len(dist), psl_order, best, bound, bound_ceil, best >= bound_ceil
+        p, q, len(gens), order, psl_order, girth, bound, bound_ceil, girth >= bound_ceil
     )

@@ -115,18 +115,24 @@ class UnipotentWitness:
     ambient_index: int
 
 
-def unipotent_witness(w: Word, k: int) -> UnipotentWitness:
-    """Witness that w survives in a finite quotient of the k-step nilpotent group.
+def unipotent_witness(w: Word, max_k: int) -> UnipotentWitness | None:
+    """Witness that w survives in a finite quotient of the k-step nilpotent
+    group, k = lcs_depth(w), or None if k > max_k.
 
-    Requires lcs_depth(w) = k.  The modulus is the least prime not dividing
-    the first (lexicographic) nonzero degree-k coefficient; the ambient
-    index is the order m^(k(k+1)/2) of the full (k+1)x(k+1) unipotent group
-    over the integers mod m, and the image order is the modulus.
+    One expansion at max_k gives k, and its truncation to degree k is the
+    expansion at k, since truncation commutes with the product.  The
+    modulus is the least prime not dividing the first (lexicographic)
+    nonzero degree-k coefficient; the ambient index is the order
+    m^(k(k+1)/2) of the full (k+1)x(k+1) unipotent group over the integers
+    mod m, and the image order is the modulus.
     """
-    series = magnus_expand(w, k)
-    depth = series.lowest_degree()
-    if depth != k:
-        raise MagnusError(f"depth mismatch: lcs_depth is {depth}, expected {k}")
+    if w.is_trivial:
+        raise MagnusError("trivial word has no depth")
+    series = magnus_expand(w, max_k)
+    k = series.lowest_degree()
+    if k is None:
+        return None
+    series = MagnusSeries.from_dict(series.as_dict(), k)
     monomial, coefficient = min(series.degree_part(k).items())
     modulus = next(p for p in primes() if coefficient % p)
     image = series.reduce_mod(modulus)

@@ -3,7 +3,9 @@
 Permutations act on the right: (sigma * tau)(i) = tau(sigma(i)).  The
 commutator is [sigma, tau] = sigma tau sigma^-1 tau^-1 under this
 convention.  Characters are computed by the Murnaghan-Nakayama border-strip
-recursion on beta-sets, memoized, in exact integer arithmetic.
+recursion on beta-sets, memoized, in exact integer arithmetic.  The
+Frobenius count sums integer terms over partitions as plain tuples and
+divides once, exactly, at the end.
 
 Only ``Partition.parse`` and ``Permutation.parse`` check their input: every
 other constructor preserves the invariants and builds its values unchecked.
@@ -14,7 +16,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 
@@ -46,15 +47,20 @@ class Partition:
         return cls(tuple(parts))
 
 
-def partitions_of(n: int, max_part: int | None = None):
-    if max_part is None:
-        max_part = n
+def _partitions(n: int, max_part: int):
+    """Partitions of n into parts of at most max_part, as tuples, largest
+    part first, in reverse lexicographic order."""
     if n == 0:
-        yield Partition(())
+        yield ()
         return
     for first in range(min(n, max_part), 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield Partition((first,) + rest.parts)
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def partitions_of(n: int, max_part: int | None = None):
+    for parts in _partitions(n, n if max_part is None else max_part):
+        yield Partition(parts)
 
 
 def class_parity(p: Partition) -> str:
@@ -103,28 +109,34 @@ def character(lam: Partition, mu: Partition) -> int:
 
 
 def frobenius_count(classes: list[Partition]) -> int:
-    """Exact number of tuples (g_1, ..., g_k), g_i in class i, with product identity."""
+    """Exact number of tuples (g_1, ..., g_k), g_i in class i, with product identity.
+
+    Frobenius gives prod |C_i| / n! times the sum over lambda of
+    prod chi_lambda(mu_i) / dim_lambda^(k-2).  Since dim_lambda divides n!,
+    the sum scaled by n!^(k-2) has the integer terms
+    prod chi_lambda(mu_i) * (n!/dim_lambda)^(k-2), and one exact division by
+    n!^(k-1) follows.  For k = 1 the factor is dim_lambda and the divisor n!.
+    """
     if not classes:
         raise PermError("need at least one class")
     n = classes[0].n
     if any(c.n != n for c in classes):
         raise PermError("all classes must belong to the same S_n")
     k = len(classes)
-    one = Partition((1,) * n)
-    total = Fraction(0)
-    for lam in partitions_of(n):
-        dim = character(lam, one)
-        num = 1
+    order = math.factorial(n)
+    one = (1,) * n
+    total = 0
+    for lam in _partitions(n, n):
+        dim = _character(lam, one)
+        term = dim if k == 1 else (order // dim) ** (k - 2)
         for mu in classes:
-            num *= character(lam, mu)
-        total += Fraction(num) * Fraction(dim) ** (2 - k)
-    prefactor = Fraction(1, math.factorial(n))
-    for mu in classes:
-        prefactor *= class_size(mu)
-    result = prefactor * total
-    if result.denominator != 1:
-        raise PermError(f"character sum did not clear to an integer: {result}")
-    return result.numerator
+            term *= _character(lam, mu.parts)
+        total += term
+    divisor = order ** max(k - 1, 1)
+    count, rest = divmod(math.prod(map(class_size, classes)) * total, divisor)
+    if rest:
+        raise PermError(f"character sum did not clear to an integer: {count} + {rest}/{divisor}")
+    return count
 
 
 @dataclass(frozen=True)

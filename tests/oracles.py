@@ -10,7 +10,11 @@ that sorted its records), kept as they were so that the tests can
 require equal output, order included.  ``vieta_flip`` and
 ``normalize_slope`` are the node-by-node Vieta flip that the torus walk
 replaced; they flip a ``LabelledTriple``, a trace triple that carries the
-slopes of its traces.
+slopes of its traces.  ``_oracle_random_reduced_letters`` (the sampler
+that drew letters with ``rng.choice``), ``_oracle_frobenius_count`` (the
+``Fraction`` character sum) and ``_oracle_lps_girth_check`` (the search
+that kept a dict of distances and scaled second rows inline) are the
+finite-groups kernels before their table-driven and integer forms.
 """
 
 import itertools
@@ -21,7 +25,16 @@ from fractions import Fraction
 from functools import lru_cache
 
 from fig8.genus2 import RELATOR, Z1, _inv
-from fig8.perms import Partition, PermError, Permutation, class_representative
+from fig8.lps import LpsGirthResult, _canon, _inverses, lps_generators
+from fig8.perms import (
+    Partition,
+    PermError,
+    Permutation,
+    character,
+    class_representative,
+    class_size,
+    partitions_of,
+)
 from fig8.selfint import (
     MARGIN,
     MODULAR_ASSIGNMENT,
@@ -39,7 +52,7 @@ from fig8.torus import (
     TraceTriple,
     enumerate_simple,
 )
-from fig8.words import GENUS2, Word, evaluate, free_reduce
+from fig8.words import FREE_RANK2, GENUS2, Word, evaluate, free_reduce
 
 Z2 = "cdCD"
 
@@ -364,3 +377,96 @@ def relator_product(rng) -> str:
         base = RELATOR if rng.random() < 0.5 else RELATOR.translate(inv)[::-1]
         pieces.append(g + base + g.translate(inv)[::-1])
     return "".join(pieces)
+
+
+def _oracle_random_reduced_letters(rng, max_len: int, gens: str = FREE_RANK2):
+    """The reduced-word stream drawing each letter with ``rng.choice`` and
+    redrawing a letter that cancels the last one."""
+    r = 2 * len(gens)
+
+    def ball(l: int) -> int:
+        return r * ((r - 1) ** l - 1) // (r - 2) if r > 2 else 2 * l
+
+    size = ball(max(max_len, 0))
+    alphabet = gens + gens.upper()
+    inverse = dict(zip(alphabet, alphabet.swapcase()))
+    while True:
+        x = rng.randrange(size)
+        length = max_len
+        while x < ball(length - 1):
+            length -= 1
+        out = [rng.choice(alphabet)]
+        while len(out) < length:
+            ch = rng.choice(alphabet)
+            if ch != inverse[out[-1]]:
+                out.append(ch)
+        yield "".join(out)
+
+
+def _oracle_frobenius_count(classes: list[Partition]) -> int:
+    """Frobenius's count as a ``Fraction`` sum: prod |C_i| / n! times the sum
+    over lambda of prod chi_lambda(mu_i) / dim_lambda^(k-2)."""
+    n = classes[0].n
+    k = len(classes)
+    one = Partition((1,) * n)
+    total = Fraction(0)
+    for lam in partitions_of(n):
+        dim = character(lam, one)
+        num = 1
+        for mu in classes:
+            num *= character(lam, mu)
+        total += Fraction(num) * Fraction(dim) ** (2 - k)
+    prefactor = Fraction(1, math.factorial(n))
+    for mu in classes:
+        prefactor *= class_size(mu)
+    result = prefactor * total
+    if result.denominator != 1:
+        raise PermError(f"character sum did not clear to an integer: {result}")
+    return result.numerator
+
+
+def _oracle_lps_girth_check(p: int, q: int) -> LpsGirthResult:
+    """The girth search on vertex keys row1 * q^2 + row2 with a dict of
+    distances, scaling each image's second row inline."""
+    gens = lps_generators(p, q)
+    inv = _inverses(q)
+    inverse = [gens.index(_canon((d, -b % q, -c % q, a), inv)) for a, b, c, d in gens]
+    qq = q * q
+    rows = [divmod(r, q) for r in range(qq)]
+    tables = [
+        [(x * e + y * g) % q * q + (x * f + y * h) % q for x, y in rows] for e, f, g, h in gens
+    ]
+    scale = [inv[x or y] for x, y in rows]
+    canon = [(x * s % q * q + y * s % q) * qq for (x, y), s in zip(rows, scale)]
+    base = len(gens) + 1
+    identity = q * qq + 1
+    dist = {identity: 0}
+    frontier = [identity * base + len(gens)]
+    best = math.inf
+    level = 0
+    while frontier:
+        level += 1
+        queued = []
+        for entry in frontier:
+            u, back = divmod(entry, base)
+            row1, row2 = divmod(u, qq)
+            for gi, table in enumerate(tables):
+                if gi == back:
+                    continue
+                r1 = table[row1]
+                s = scale[r1]
+                x, y = divmod(table[row2], q)
+                v = canon[r1] + x * s % q * q + y * s % q
+                seen = dist.get(v)
+                if seen is None:
+                    dist[v] = level
+                    queued.append(v * base + inverse[gi])
+                elif level + seen < best:
+                    best = level + seen
+        frontier = queued
+    bound = (4 * math.log(q) - math.log(4)) / math.log(p)
+    bound_ceil = math.ceil(bound)
+    psl_order = q * (q * q - 1) // 2
+    return LpsGirthResult(
+        p, q, len(gens), len(dist), psl_order, best, bound, bound_ceil, best >= bound_ceil
+    )

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fig8 import cli, selfint, torus
+from fig8 import cli, magnus, selfint, torus
 from fig8.cli import main
 from fig8.perms import Permutation
 from fig8.sl2 import Mat2, length_to_trace
@@ -198,6 +198,24 @@ def test_depth_witness_expectedprime(capsys):
     assert code == 0 and payload["modulus"] == 2 and payload["ambient_index"] == "8"
     code, out, _ = run(capsys, "expectedprime", "--terms", "9")
     assert code == 0 and abs(json.loads(out)["value"] - 2.920051) < 1e-5
+
+
+def test_witness_expands_its_word_once(capsys, monkeypatch):
+    products = []
+    mul = magnus.MagnusSeries.__mul__
+
+    def counting_mul(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(magnus.MagnusSeries, "__mul__", counting_mul)
+    counts = {}
+    for command in ("depth", "witness"):
+        products.clear()
+        code, _, _ = run(capsys, command, "--word", "abAbaBAB")
+        assert code == 0
+        counts[command] = len(products)
+    assert counts["witness"] == counts["depth"] > 0, counts
 
 
 def test_lpsgirth(capsys):

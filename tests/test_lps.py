@@ -14,6 +14,7 @@ from fig8.lps import (
     lps_girth_check,
     quaternion_solutions,
 )
+from oracles import _oracle_lps_girth_check
 
 
 def _mul(x, y, q):
@@ -83,6 +84,12 @@ def test_quaternion_solutions_count_p_plus_1():
 @pytest.mark.parametrize("p, q", [(5, 13), (5, 17), (5, 37), (13, 37)])
 def test_girth_check_equals_tuple_bfs_oracle(p, q):
     assert lps_girth_check(p, q) == _oracle_girth_check(p, q)
+
+
+# (13, 29) is refused (13 is a square mod 29), so (13, 37) covers p = 13
+@pytest.mark.parametrize("p, q", [(5, 13), (5, 17), (13, 37), (5, 37)])
+def test_girth_check_equals_dict_bfs_oracle(p, q):
+    assert lps_girth_check(p, q) == _oracle_lps_girth_check(p, q)
 
 
 def test_girth_check_5_13():

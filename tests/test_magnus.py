@@ -81,8 +81,9 @@ def test_unipotent_witness_abelian_and_depth3():
     w3 = unipotent_witness(Word("abAbaBAB"), 3)
     assert w3.depth == 3
     assert w3.coefficient % w3.modulus != 0
-    with pytest.raises(MagnusError):
-        unipotent_witness(Word("abAB"), 3)
+    assert unipotent_witness(Word("abAbaBAB"), 2) is None  # depth 3 > max_k
+    with pytest.raises(MagnusError, match="trivial"):
+        unipotent_witness(Word("aA"), 3)
 
 
 def _brute_order(image, modulus):
@@ -104,6 +105,7 @@ def test_unipotent_witness_order_is_brute_force_order():
     for w in words:
         witness = unipotent_witness(w, lcs_depth(w))
         assert witness.image_order == _brute_order(witness.image_mod_m, witness.modulus), w
+        assert unipotent_witness(w, 8) == witness  # truncating the expansion at max_k
 
 
 def test_coefficient_growth_bracket_family():

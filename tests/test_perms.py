@@ -19,7 +19,7 @@ from fig8.perms import (
     partitions_of,
 )
 from fig8.words import evaluate, random_reduced_word
-from oracles import _oracle_class_elements, all_permutations
+from oracles import _oracle_class_elements, _oracle_frobenius_count, all_permutations
 
 
 def test_partition_validation_and_parse():
@@ -99,6 +99,38 @@ def test_frobenius_examples_and_bruteforce():
         frobenius_count([])
     with pytest.raises(PermError):
         frobenius_count([Partition((2,)), Partition((3,))])
+
+
+def _random_partition(rng, n):
+    parts = []
+    while n:
+        parts.append(rng.randint(1, n))
+        n -= parts[-1]
+    return Partition(tuple(sorted(parts, reverse=True)))
+
+
+def test_frobenius_count_equals_fraction_oracle():
+    for n in range(1, 8):
+        parts = list(partitions_of(n))
+        for k in (1, 2, 3):
+            for classes in product(parts, repeat=k):
+                assert frobenius_count(list(classes)) == _oracle_frobenius_count(list(classes))
+    rng = random.Random(23)
+    for _ in range(100):
+        n, k = rng.randint(1, 20), rng.randint(1, 4)
+        classes = [_random_partition(rng, n) for _ in range(k)]
+        assert frobenius_count(classes) == _oracle_frobenius_count(classes), classes
+
+
+def test_frobenius_closed_forms_for_one_and_two_classes():
+    # one class: only the identity has product e; two classes: g h = e means
+    # h = g^-1, and every S_n class is closed under inverses
+    for n in range(1, 9):
+        parts = list(partitions_of(n))
+        for c in parts:
+            assert frobenius_count([c]) == (1 if c.parts == (1,) * n else 0)
+            for d in parts:
+                assert frobenius_count([c, d]) == (class_size(c) if c == d else 0)
 
 
 def test_permutation_right_action_convention():

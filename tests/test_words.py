@@ -16,9 +16,10 @@ from fig8.words import (
     evaluate,
     exponent_sums,
     free_reduce,
+    random_reduced_letters,
     random_reduced_word,
 )
-from oracles import _oracle_free_reduce
+from oracles import _oracle_free_reduce, _oracle_random_reduced_letters
 
 BACKENDS = {
     "sanov": ({"a": SANOV_A, "b": SANOV_B}, Mat2.identity()),
@@ -127,6 +128,19 @@ def test_random_reduced_words_are_reduced_and_in_ball():
         w = random_reduced_word(rng, 30)
         assert 1 <= len(w) <= 30
         assert free_reduce(w.letters) == w.letters
+
+
+@pytest.mark.parametrize("gens", ["a", "ab", "abc", "abcd", "abcde"])
+def test_random_reduced_letters_equal_choice_oracle(gens):
+    # rank 1 takes the r = 2 branch of the ball sizes; equal final states
+    # show that both drew the same number of bits
+    for max_len in (1, 2, 5, 30):
+        for seed in range(100):
+            rng, oracle_rng = random.Random(seed), random.Random(seed)
+            stream = random_reduced_letters(rng, max_len, gens)
+            oracle = _oracle_random_reduced_letters(oracle_rng, max_len, gens)
+            assert [next(stream) for _ in range(5)] == [next(oracle) for _ in range(5)]
+            assert rng.getstate() == oracle_rng.getstate(), (gens, max_len, seed)
 
 
 def test_random_word_determinism():
