@@ -19,6 +19,7 @@ import sys
 
 from . import covers, genus2, lps, magnus, resfin, selfint, torus
 from .perms import Partition, Permutation, frobenius_count
+from .sl2 import trace_to_length
 from .words import Word, random_reduced_word
 
 SCHEMA = 1
@@ -75,28 +76,25 @@ def _cmd_census(args) -> int:
         rows = [f"{_fmt(x)},{n0},{n1p},{n1f}" for x, (n0, n1p, n1f) in zip(lengths, counts)]
         _emit_csv(args, "L,N0,N1_paired,N1_full", rows)
         return 0
-    rows, row, last = [], "", None
-    # each paired record appears twice in a row, as one object: format it once
-    for r in torus.one_intersection_census(root, args.cutoff, args.mode):
-        if r is not last:
-            slope = torus.slope_str(r.slope)
-            last, row = r, f"{_fmt(r.trace)},{_fmt(r.length)},{r.family},{slope}"
-        rows.append(row)
+    rows = []  # a paired row stands for two geodesics: it is written twice
+    for t, (p, q), family in torus.one_intersection_census(root, args.cutoff, args.mode):
+        row = f"{_fmt(t)},{_fmt(trace_to_length(t))},{family},{p}/{q}"
+        rows += (row, row) if family == "paired-fig8" else (row,)
     _emit_csv(args, "trace,length,family,slope", rows)
     return 0
 
 
 def _cmd_mcshane(args) -> int:
     root = _parse_root(args.root)
-    records = torus.enumerate_simple(root, args.cutoff)
-    total = torus.mcshane_sum(records, args.form)
+    traces = [t for t, _ in torus.enumerate_simple(root, args.cutoff)]
+    total = torus.mcshane_sum(traces, args.form)
     _emit_json(
         args,
         {
             "cutoff": args.cutoff,
             "form": args.form,
             "partial_sum": float(_fmt(total)),
-            "terms": len(records),
+            "terms": len(traces),
         },
     )
     return 0
@@ -104,11 +102,11 @@ def _cmd_mcshane(args) -> int:
 
 def _cmd_mc2(args) -> int:
     root = _parse_root(args.root)
-    simples = torus.enumerate_simple(root, args.cutoff / 3.0)
-    total = torus.mc2_sum(simples)
+    traces = [t for t, _ in torus.enumerate_simple(root, args.cutoff / 3.0)]
+    total = torus.mc2_sum(traces)
     _emit_json(
         args,
-        {"cutoff": args.cutoff, "partial_sum": float(_fmt(total)), "terms": 2 * len(simples)},
+        {"cutoff": args.cutoff, "partial_sum": float(_fmt(total)), "terms": 2 * len(traces)},
     )
     return 0
 

@@ -74,22 +74,11 @@ MODULAR_ROOT = TraceTriple(3, 3, 3)
 ROOT_SLOPES: tuple[Slope, Slope, Slope] = ((0, 1), (1, 0), (1, 1))
 
 
-@dataclass(frozen=True)
-class GeodesicRecord:
-    trace: float
-    family: str  # "simple" | "paired-fig8" | "companion-fig8"
-    slope: Slope
-
-    @property
-    def length(self) -> float:
-        return trace_to_length(self.trace)
-
-
 def _maybe_int(x: float):
     return int(x) if x == int(x) else x
 
 
-def _walk(root: TraceTriple, trace_cutoff: float) -> list[tuple[float, Slope]]:
+def enumerate_simple(root: TraceTriple, trace_cutoff: float) -> list[tuple[float, Slope]]:
     """The sorted (trace, slope) pairs of the simple geodesics with trace <= cutoff.
 
     Checks the root, labels it ROOT_SLOPES, and flips it down to the tree's
@@ -138,79 +127,62 @@ def _walk(root: TraceTriple, trace_cutoff: float) -> list[tuple[float, Slope]]:
     return [(_maybe_int(t), st) for t, st in found]
 
 
-def enumerate_simple(root: TraceTriple, trace_cutoff: float) -> list[GeodesicRecord]:
-    """All simple closed geodesics with trace <= cutoff, one record per slope,
-    sorted by (trace, slope); see _walk."""
-    return [GeodesicRecord(t, "simple", st) for t, st in _walk(root, trace_cutoff)]
-
-
 def one_intersection_census(
     root: TraceTriple, length_cutoff: float, mode: str = "paired"
-) -> list[GeodesicRecord]:
+) -> list[tuple[float, Slope, str]]:
     """Geodesics with a single double point, of length <= cutoff.
 
-    "paired" emits the two trace-3t geodesics cut off each simple geodesic
-    of trace t; "full" additionally emits the companion figure-eight of
-    trace t^2 + 2 living in the same pair of pants.  Rows are sorted as
-    (trace, slope, family) and each becomes one record, twice if paired.
+    "paired" gives the trace-3t row of the two geodesics cut off each simple
+    geodesic of trace t; "full" adds the companion figure-eight of trace
+    t^2 + 2 living in the same pair of pants.  The (trace, slope, family)
+    rows are sorted, one per row: a paired row stands for two geodesics.
     """
     if mode not in ("paired", "full"):
         raise CensusError(f"unknown census mode {mode!r}")
     trace_cutoff = length_to_trace(length_cutoff)
     rows = []
-    for t, st in _walk(root, trace_cutoff / 3.0):
+    for t, st in enumerate_simple(root, trace_cutoff / 3.0):
         rows.append((3 * t, st, "paired-fig8"))
         # t^2 + 2 <= T gives t <= sqrt(T - 2) <= T/3 (T >= 9 here): no base is missed
         companion = t**2 + 2
         if mode == "full" and companion <= trace_cutoff:
             rows.append((companion, st, "companion-fig8"))
     rows.sort()
-    records: list[GeodesicRecord] = []
-    for t, st, family in rows:
-        rec = GeodesicRecord(t, family, st)
-        records += (rec, rec) if family == "paired-fig8" else (rec,)
-    return records
+    return rows
 
 
-def mcshane_term_trace(t: float) -> float:
-    return 1.0 - math.sqrt(1.0 - (2.0 / t) ** 2)
-
-
-def mcshane_sum(simples: list[GeodesicRecord], form: str = "trace") -> float:
-    """Partial McShane sum over simple geodesic records (from enumerate_simple).
+def mcshane_sum(traces: list[float], form: str = "trace") -> float:
+    """Partial McShane sum over simple geodesic traces (from enumerate_simple).
 
     The trace form converges to 1, the length form to 1/2; the two forms
-    agree termwise via 1 - tanh(l/2) = 2/(1 + e^l).
+    agree termwise via 1 - tanh(l/2) = 2/(1 + e^l).  A length past 709 is
+    capped, where e^l would overflow: its term is below 1e-308.
     """
     if form not in ("trace", "length"):
         raise CensusError(f"unknown form {form!r}")
     total = 0.0
-    for rec in simples:
+    for t in traces:
         if form == "trace":
-            total += mcshane_term_trace(rec.trace)
+            total += 1.0 - math.sqrt(1.0 - (2.0 / t) ** 2)
         else:
-            total += 1.0 / (math.exp(rec.length) + 1.0)
+            total += 1.0 / (math.exp(min(trace_to_length(t), 709.0)) + 1.0)
     return total
 
 
-def mc2_sum(simples: list[GeodesicRecord]) -> float:
+def mc2_sum(traces: list[float]) -> float:
     """Partial sum of the one-double-point identity over the paired family.
 
-    ``simples`` are the simple records up to a third of the paired trace
+    ``traces`` are the simple traces up to a third of the paired trace
     cutoff.  Each simple trace t carries two paired terms of trace 3t, and
     1 - sqrt(1 - (6/3t)^2) is the trace-form McShane term of t, so the sum is
     twice the McShane sum over them, and converges to 2.
     """
-    return 2 * mcshane_sum(simples)
-
-
-def count_census(root: TraceTriple, length_bound: float) -> tuple[int, int, int]:
-    """(N0, N1_paired, N1_full) counts of geodesics with length <= L."""
-    return census_counts(root, [length_bound])[0]
+    return 2 * mcshane_sum(traces)
 
 
 def census_counts(root: TraceTriple, length_bounds: list[float]) -> list[tuple[int, int, int]]:
-    """count_census at each bound, from one walk at the largest trace bound or 3.
+    """(N0, N1_paired, N1_full) counts of geodesics with length <= L at each
+    bound L, from one walk at the largest trace bound or 3.
 
     Every bound is converted before the walk, so a bad length is reported
     before a root that cannot be walked.  Rows are counted in the sorted
@@ -221,7 +193,7 @@ def census_counts(root: TraceTriple, length_bounds: list[float]) -> list[tuple[i
         if length <= 0:
             raise CensusError("length bound must be positive")
         trace_bounds.append(length_to_trace(length))
-    traces = [t for t, _ in _walk(root, max(trace_bounds + [3]))]
+    traces = [t for t, _ in enumerate_simple(root, max(trace_bounds + [3]))]
     rows = []
     for bound in trace_bounds:
         n0 = bisect_right(traces, bound)
@@ -243,7 +215,3 @@ def growth_exponent(samples: list[tuple[float, int]]) -> float:
     if sxx == 0:
         raise CensusError("degenerate sample: all L equal")
     return sum((x - mx) * (y - my) for x, y in pts) / sxx
-
-
-def slope_str(s: Slope) -> str:
-    return f"{s[0]}/{s[1]}"

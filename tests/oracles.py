@@ -47,7 +47,6 @@ from fig8.sl2 import Mat2, length_to_trace
 from fig8.torus import (
     ROOT_SLOPES,
     CensusError,
-    GeodesicRecord,
     Slope,
     TraceTriple,
     enumerate_simple,
@@ -350,21 +349,20 @@ def vieta_flip(t: LabelledTriple, coordinate: int) -> LabelledTriple:
 
 def _oracle_one_intersection_census(
     root: TraceTriple, length_cutoff: float, mode: str = "paired"
-) -> list[GeodesicRecord]:
-    """The census as records: two paired records and maybe a companion per
-    simple record, sorted by (trace, slope, family)."""
+) -> list[tuple[float, Slope, str]]:
+    """The census rows: a paired row and maybe a companion per simple
+    geodesic, sorted by (trace, slope, family)."""
     if mode not in ("paired", "full"):
         raise CensusError(f"unknown census mode {mode!r}")
     trace_cutoff = length_to_trace(length_cutoff)
-    records = []
-    for rec in enumerate_simple(root, trace_cutoff / 3.0):
-        paired = GeodesicRecord(3 * rec.trace, "paired-fig8", rec.slope)
-        records += [paired, paired]
-        companion = rec.trace**2 + 2
+    rows = []
+    for trace, slope in enumerate_simple(root, trace_cutoff / 3.0):
+        rows.append((3 * trace, slope, "paired-fig8"))
+        companion = trace**2 + 2
         if mode == "full" and companion <= trace_cutoff:
-            records.append(GeodesicRecord(companion, "companion-fig8", rec.slope))
-    records.sort(key=lambda r: (r.trace, r.slope, r.family))
-    return records
+            rows.append((companion, slope, "companion-fig8"))
+    rows.sort()
+    return rows
 
 
 def relator_product(rng) -> str:

@@ -26,7 +26,7 @@ from fig8.selfint import self_intersection
 from fig8.sl2 import fig8_length
 from fig8.torus import (
     MODULAR_ROOT,
-    count_census,
+    census_counts,
     enumerate_simple,
     growth_exponent,
     mc2_sum,
@@ -43,12 +43,16 @@ def report(capsys, num, ok, detail):
     assert ok, f"criterion {num}: {detail}"
 
 
+def _traces(cutoff):
+    return [t for t, _ in enumerate_simple(MODULAR_ROOT, cutoff)]
+
+
 def _mcshane(cutoff):
-    return mcshane_sum(enumerate_simple(MODULAR_ROOT, cutoff))
+    return mcshane_sum(_traces(cutoff))
 
 
 def _mc2(cutoff):
-    return mc2_sum(enumerate_simple(MODULAR_ROOT, cutoff / 3))
+    return mc2_sum(_traces(cutoff / 3))
 
 
 def test_criterion_01_mcshane_identity(capsys):
@@ -78,8 +82,8 @@ def test_criterion_02_self_intersection_identity(capsys):
 
 def test_criterion_03_minimal_fig8_length(capsys):
     value = fig8_length(0, 0, 0)
-    records = one_intersection_census(MODULAR_ROOT, 6.0, "full")
-    min_trace = min(r.trace for r in records)
+    rows = one_intersection_census(MODULAR_ROOT, 6.0, "full")
+    min_trace = min(t for t, _, _ in rows)
     ok = abs(value - 3.52549) < 5e-6 and abs(value - 2 * math.acosh(3)) < 1e-12 and min_trace == 9
     report(
         capsys, 3, ok,
@@ -89,11 +93,11 @@ def test_criterion_03_minimal_fig8_length(capsys):
 
 def test_criterion_04_trace_relation(capsys):
     cutoff = 10**4
-    parent_traces = {r.slope: r.trace for r in enumerate_simple(MODULAR_ROOT, cutoff / 3)}
+    parent_traces = {st: t for t, st in enumerate_simple(MODULAR_ROOT, cutoff / 3)}
     length_cutoff = 2 * math.acosh(cutoff / 2)
     paired = one_intersection_census(MODULAR_ROOT, length_cutoff, "paired")
     ok = len(paired) > 0 and all(
-        isinstance(r.trace, int) and r.trace == 3 * parent_traces[r.slope] for r in paired
+        isinstance(t, int) and t == 3 * parent_traces[st] for t, st, _ in paired
     )
     report(
         capsys, 4, ok,
@@ -103,9 +107,9 @@ def test_criterion_04_trace_relation(capsys):
 
 
 def test_criterion_05_growth_exponent_and_ratio(capsys):
-    samples = [(l, count_census(MODULAR_ROOT, l)[0]) for l in (12, 14, 16, 18, 20, 22)]
+    samples = [(l, census_counts(MODULAR_ROOT, [l])[0][0]) for l in (12, 14, 16, 18, 20, 22)]
     slope = growth_exponent(samples)
-    n0, n1p, n1f = count_census(MODULAR_ROOT, 20)
+    n0, n1p, n1f = census_counts(MODULAR_ROOT, [20])[0]
     ratio = n1p / n0
     full_ratio = n1f / n0
     slope_ok = 1.8 <= slope <= 2.2

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from fig8 import cli, magnus, selfint, torus
 from fig8.cli import main
 from fig8.perms import Permutation
-from fig8.sl2 import Mat2, length_to_trace
+from fig8.sl2 import Mat2, length_to_trace, trace_to_length
 from fig8.words import Word, evaluate, random_reduced_word
 from oracles import relator_product
 
@@ -276,6 +276,10 @@ TORUS_ARTIFACT_SHA256 = [
         "26102fc37056f1464ed542fa65fbf9ff4193cc66ad6a144d51182ba26b37ac6f",
     ),
     (
+        ["census", "--cutoff", "70", "--mode", "paired"],
+        "bd04d181726e172ff159b2215ae996bc3e789c3b207dc5eb420793f001ef7286",
+    ),
+    (
         ["census", "--counts-at", "20,45,70"],
         "373c0189b076381d38e8cd810ed442c97fdf51287ea8e995b8c552661dbc4c12",
     ),
@@ -291,7 +295,9 @@ TORUS_ARTIFACT_SHA256 = [
 
 
 @pytest.mark.parametrize(
-    "argv,digest", TORUS_ARTIFACT_SHA256, ids=["census-full", "counts-at", "mcshane", "mc2"]
+    "argv,digest",
+    TORUS_ARTIFACT_SHA256,
+    ids=["census-full", "census-paired", "counts-at", "mcshane", "mc2"],
 )
 def test_torus_artifacts_are_byte_identical(capsys, argv, digest):
     code, out, err = run(capsys, *argv)
@@ -348,7 +354,7 @@ def test_selfint_artifacts_are_byte_identical(capsys, word, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     answer = json.loads(out)["self_intersection"]
     trace = abs(evaluate(Word(word), selfint.MODULAR_ASSIGNMENT, Mat2.identity()).trace)
-    simple = {r.trace for r in torus.enumerate_simple(torus.MODULAR_ROOT, trace)}
+    simple = {t for t, _ in torus.enumerate_simple(torus.MODULAR_ROOT, trace)}
     family = simple if answer == 0 else {3 * t for t in simple} | {t * t + 2 for t in simple}
     assert answer in (0, 1) and trace in family
 
@@ -357,11 +363,11 @@ def test_selfint_artifacts_are_byte_identical(capsys, word, digest):
 def test_counts_at_walks_once_and_equals_per_length_counts(capsys, monkeypatch, lengths):
     want = []
     for text in lengths.split(","):
-        n0, n1p, n1f = torus.count_census(torus.MODULAR_ROOT, float(text))
+        n0, n1p, n1f = torus.census_counts(torus.MODULAR_ROOT, [float(text)])[0]
         want.append(f"{cli._fmt(float(text))},{n0},{n1p},{n1f}")
     walks = []
-    walk = torus._walk
-    monkeypatch.setattr(torus, "_walk", lambda r, t: walks.append(t) or walk(r, t))
+    walk = torus.enumerate_simple
+    monkeypatch.setattr(torus, "enumerate_simple", lambda r, t: walks.append(t) or walk(r, t))
     code, out, _ = run(capsys, "census", "--counts-at", lengths)
     assert (code, out.splitlines()) == (0, ["L,N0,N1_paired,N1_full", *want])
     top = max(length_to_trace(float(text)) for text in lengths.split(","))
@@ -489,20 +495,19 @@ def test_sink_traces_above_the_cutoff_are_left_out(capsys):
 def test_default_root_walks_exactly():
     """Above 2^53 a float walk from 3,3,3 loses integrality; simple traces are 3m."""
     cutoff = length_to_trace(120)
-    records = torus.enumerate_simple(cli._parse_root("3,3,3"), cutoff)
-    assert records == torus.enumerate_simple(torus.MODULAR_ROOT, cutoff)
-    assert all(r.trace % 3 == 0 for r in records)
+    pairs = torus.enumerate_simple(cli._parse_root("3,3,3"), cutoff)
+    assert pairs == torus.enumerate_simple(torus.MODULAR_ROOT, cutoff)
+    assert all(t % 3 == 0 for t, _ in pairs)
     assert [type(c) for c in cli._parse_root("3.0,3,3").coords()] == [float, int, int]
 
 
 @pytest.mark.parametrize("cutoff", [6, 20, 40])
 def test_census_csv_has_one_row_per_record(capsys, cutoff):
     code, out, _ = run(capsys, "census", "--cutoff", str(cutoff), "--mode", "full")
-    records = torus.one_intersection_census(torus.MODULAR_ROOT, cutoff, "full")
-    rows = [
-        f"{cli._fmt(r.trace)},{cli._fmt(r.length)},{r.family},{torus.slope_str(r.slope)}"
-        for r in records
-    ]
+    rows = []
+    for t, (p, q), family in torus.one_intersection_census(torus.MODULAR_ROOT, cutoff, "full"):
+        row = f"{cli._fmt(t)},{cli._fmt(trace_to_length(t))},{family},{p}/{q}"
+        rows += [row] * (2 if family == "paired-fig8" else 1)
     assert code == 0 and out.splitlines() == ["trace,length,family,slope"] + rows
 
 

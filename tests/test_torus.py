@@ -9,18 +9,14 @@ from fig8 import torus
 from fig8.torus import (
     MODULAR_ROOT,
     CensusError,
-    GeodesicRecord,
     TraceTriple,
     _maybe_int,
     census_counts,
-    count_census,
     enumerate_simple,
     growth_exponent,
     mc2_sum,
     mcshane_sum,
-    mcshane_term_trace,
     one_intersection_census,
-    slope_str,
 )
 from fig8.sl2 import length_to_trace
 from oracles import (
@@ -36,12 +32,16 @@ def parse_slope(text: str):
     return normalize_slope(int(p), int(q))
 
 
+def _traces(root, cutoff):
+    return [t for t, _ in enumerate_simple(root, cutoff)]
+
+
 def _mcshane(cutoff, form="trace"):
-    return mcshane_sum(enumerate_simple(MODULAR_ROOT, cutoff), form)
+    return mcshane_sum(_traces(MODULAR_ROOT, cutoff), form)
 
 
 def _mc2(cutoff):
-    return mc2_sum(enumerate_simple(MODULAR_ROOT, cutoff / 3))
+    return mc2_sum(_traces(MODULAR_ROOT, cutoff / 3))
 
 
 def test_trace_triple_validation():
@@ -97,9 +97,9 @@ def test_non_sink_root_is_valid_but_not_walked():
 def test_root_above_the_sink_gives_the_modular_census(root, cutoff):
     """The walk starts at the sink, so a root above it neither lists its own
     traces past the cutoff nor misses the regions below it."""
-    records = enumerate_simple(root, cutoff)
-    assert [r.trace for r in records] == [r.trace for r in enumerate_simple(MODULAR_ROOT, cutoff)]
-    assert len({r.slope for r in records}) == len(records)
+    pairs = enumerate_simple(root, cutoff)
+    assert [t for t, _ in pairs] == _traces(MODULAR_ROOT, cutoff)
+    assert len({st for _, st in pairs}) == len(pairs)
 
 
 @pytest.mark.parametrize("root", [LabelledTriple(3, 3, 3), LabelledTriple(15, 87, 1299)])
@@ -131,10 +131,7 @@ def test_vieta_flip_preserves_cusp_relation():
 
 
 def test_enumerate_simple_base():
-    records = enumerate_simple(MODULAR_ROOT, 5)
-    assert len(records) == 3
-    assert {r.slope for r in records} == {(0, 1), (1, 0), (1, 1)}
-    assert all(r.trace == 3 for r in records)
+    assert enumerate_simple(MODULAR_ROOT, 5) == [(3, (0, 1)), (3, (1, 0)), (3, (1, 1))]
     with pytest.raises(CensusError):
         enumerate_simple(MODULAR_ROOT, 2)
 
@@ -158,28 +155,27 @@ def _markov_traces_brute(cutoff):
 
 def test_enumerate_simple_against_bruteforce_oracle():
     cutoff = 10**4
-    records = enumerate_simple(MODULAR_ROOT, cutoff)
+    pairs = enumerate_simple(MODULAR_ROOT, cutoff)
     got = {}
-    for r in records:
-        got[r.trace] = got.get(r.trace, 0) + 1
+    for t, _ in pairs:
+        got[t] = got.get(t, 0) + 1
     assert got == _markov_traces_brute(cutoff)
-    slopes = [r.slope for r in records]
+    slopes = [st for _, st in pairs]
     assert len(slopes) == len(set(slopes))  # no duplicate slope
 
 
 def test_trace_multiset_invariant_under_root_permutation():
-    base = [r.trace for r in enumerate_simple(TraceTriple(3, 6, 15), 500)]
+    base = _traces(TraceTriple(3, 6, 15), 500)
     for coords in itertools.permutations((3, 6, 15)):
-        assert [r.trace for r in enumerate_simple(TraceTriple(*coords), 500)] == base
+        assert _traces(TraceTriple(*coords), 500) == base
 
 
 def test_one_intersection_census():
-    records = one_intersection_census(MODULAR_ROOT, 4.5, "paired")
-    assert len(records) == 6
-    assert all(r.trace == 9 and r.family == "paired-fig8" for r in records)
+    rows = one_intersection_census(MODULAR_ROOT, 4.5, "paired")
+    assert rows == [(9, st, "paired-fig8") for st in ((0, 1), (1, 0), (1, 1))]
     full = one_intersection_census(MODULAR_ROOT, 10.0, "full")
-    assert min(r.trace for r in full) == 9
-    assert any(r.family == "companion-fig8" and r.trace == 11 for r in full)
+    assert min(t for t, _, _ in full) == 9
+    assert any(family == "companion-fig8" and t == 11 for t, _, family in full)
     with pytest.raises(CensusError):
         one_intersection_census(MODULAR_ROOT, 4.5, "bogus")
 
@@ -193,14 +189,14 @@ def test_full_census_below_first_companion_equals_paired():
 
 def test_paired_traces_are_triples_of_parents():
     cutoff = 10**4
-    parents = {3 * r.trace for r in enumerate_simple(MODULAR_ROOT, cutoff / 3)}
+    parents = {3 * t for t in _traces(MODULAR_ROOT, cutoff / 3)}
     length_cutoff = 2 * math.acosh(cutoff / 2)
     paired = one_intersection_census(MODULAR_ROOT, length_cutoff, "paired")
-    assert all(isinstance(r.trace, int) and r.trace in parents for r in paired)
+    assert all(isinstance(t, int) and t in parents for t, _, _ in paired)
 
 
 def test_mcshane_values_and_monotonicity():
-    assert abs(mcshane_term_trace(3) - 0.254644) < 1e-6
+    assert abs(mcshane_sum([3]) - 0.254644) < 1e-6
     assert abs(_mcshane(3) - 3 * 0.2546440) < 1e-5
     prev = 0.0
     for cutoff in (3, 10, 100, 1000, 10000):
@@ -212,6 +208,12 @@ def test_mcshane_values_and_monotonicity():
         assert abs(_mcshane(cutoff, "trace") - 2 * _mcshane(cutoff, "length")) < 1e-9
 
 
+def test_length_form_term_past_float_range_is_finite():
+    """e^l overflows a float past l = 709, that is past trace 1.6e154."""
+    term = mcshane_sum([1e160], "length")
+    assert math.isfinite(term) and term >= 0
+
+
 def test_mc2_identity_and_values():
     assert abs(_mc2(9) - 1.527864) < 1e-6
     for cutoff in (9, 100, 10000):
@@ -221,21 +223,21 @@ def test_mc2_identity_and_values():
 
 
 def test_count_census():
-    assert count_census(MODULAR_ROOT, 1) == (0, 0, 0)
-    assert count_census(MODULAR_ROOT, 2)[0:2] == (3, 0)
-    assert count_census(MODULAR_ROOT, 4.5)[1] == 6
+    assert census_counts(MODULAR_ROOT, [1])[0] == (0, 0, 0)
+    assert census_counts(MODULAR_ROOT, [2])[0][0:2] == (3, 0)
+    assert census_counts(MODULAR_ROOT, [4.5])[0][1] == 6
 
 
 def _oracle_count_census(root, length_bound):
     """The per-length count that census_counts replaced: one walk per bound,
-    at 3 if the bound is lower, each family counted by filtering its records."""
+    at 3 if the bound is lower, each family counted by filtering its traces."""
     if length_bound <= 0:
         raise CensusError("length bound must be positive")
     trace_bound = length_to_trace(length_bound)
-    simples = enumerate_simple(root, max(trace_bound, 3))
-    n0 = sum(1 for r in simples if r.trace <= trace_bound)
-    n_paired = 2 * sum(1 for r in simples if 3 * r.trace <= trace_bound)
-    n_companion = sum(1 for r in simples if r.trace**2 + 2 <= trace_bound)
+    traces = _traces(root, max(trace_bound, 3))
+    n0 = sum(1 for t in traces if t <= trace_bound)
+    n_paired = 2 * sum(1 for t in traces if 3 * t <= trace_bound)
+    n_companion = sum(1 for t in traces if t**2 + 2 <= trace_bound)
     return (n0, n_paired, n_paired + n_companion)
 
 
@@ -268,13 +270,11 @@ def test_slope_helpers():
     assert normalize_slope(-2, -4) == (1, 2)
     assert normalize_slope(3, 0) == (1, 0)
     assert parse_slope("2/-4") == (-1, 2)
-    assert slope_str((1, 0)) == "1/0"
 
 
 def _oracle_enumerate_simple(root, trace_cutoff):
     """The node-by-node walk that enumerate_simple replaced: every step builds
-    a TraceTriple through vieta_flip, and the records are sorted by
-    (trace, slope, family)."""
+    a TraceTriple through vieta_flip, and the (trace, slope) pairs are sorted."""
     root.check()
     if not 3 <= trace_cutoff < math.inf:
         raise CensusError(f"trace cutoff {trace_cutoff} is not a finite number >= 3")
@@ -291,8 +291,8 @@ def _oracle_enumerate_simple(root, trace_cutoff):
         sink = vieta_flip(sink, lower[0])
         if sink.coords()[lower[0]] < 3 - 1e-9:
             raise CensusError(f"Vieta flip gives trace {sink.coords()[lower[0]]} below 3")
-    records = [
-        GeodesicRecord(maybe_int(tr), "simple", s)
+    pairs = [
+        (maybe_int(tr), s)
         for tr, s in zip(sink.coords(), sink.slopes)
         if tr <= trace_cutoff  # a float sink trace may lie above a cutoff of 3
     ]
@@ -304,12 +304,12 @@ def _oracle_enumerate_simple(root, trace_cutoff):
         if new_trace > trace_cutoff:
             continue
         child = vieta_flip(node, k)
-        records.append(GeodesicRecord(maybe_int(new_trace), "simple", child.slopes[k]))
+        pairs.append((maybe_int(new_trace), child.slopes[k]))
         for k2 in range(3):
             if k2 != k:
                 stack.append((child, k2))
-    records.sort(key=lambda r: (r.trace, r.slope, r.family))
-    return records
+    pairs.sort()
+    return pairs
 
 
 def _float_roots(count, seed, spread):
@@ -340,13 +340,13 @@ EXACT_ROOTS = [
 def test_tuple_walk_matches_node_walk(root, cutoff):
     got = enumerate_simple(root, cutoff)
     want = _oracle_enumerate_simple(root, cutoff)
-    assert got == want  # same records in the same order
-    assert [type(r.trace) for r in got] == [type(r.trace) for r in want]
+    assert got == want  # same pairs in the same order
+    assert [type(t) for t, _ in got] == [type(t) for t, _ in want]
 
 
 def test_census_matches_the_sorted_record_census():
-    """The census sorts (trace, slope, family) rows and builds one record per
-    row; the oracle builds every record and sorts them.  Roots far from the
+    """The census equals the oracle's sorted (trace, slope, family) rows,
+    trace types included.  Roots far from the
     modular torus descend below trace 3, and both raise the same error, as
     both do below the first paired trace (L < 4.369)."""
     roots = EXACT_ROOTS + NEAR_MODULAR_ROOTS + _float_roots(10, 29, 9)
@@ -362,8 +362,8 @@ def test_census_matches_the_sorted_record_census():
             outcomes["raise"] += 1
             continue
         got = one_intersection_census(root, length, mode)
-        assert got == want  # same records in the same order
-        assert [type(r.trace) for r in got] == [type(r.trace) for r in want]
+        assert got == want  # same rows in the same order
+        assert [type(t) for t, _, _ in got] == [type(t) for t, _, _ in want]
         outcomes["equal"] += 1
     # 15 walkable roots at the 12 lengths >= 4.4 in both modes; the far roots always raise
     assert outcomes == {"equal": 15 * 2 * 12, "raise": 15 * 2 * 4 + 10 * 2 * 16}
@@ -410,9 +410,9 @@ def _markov_numbers(bound):
 
 def test_simple_traces_are_three_times_markov_numbers():
     cutoff = length_to_trace(120)
-    records = enumerate_simple(MODULAR_ROOT, cutoff)
-    assert all(type(r.trace) is int and r.trace % 3 == 0 for r in records)
-    assert {r.trace // 3 for r in records} == _markov_numbers(cutoff / 3)
+    traces = _traces(MODULAR_ROOT, cutoff)
+    assert all(type(t) is int and t % 3 == 0 for t in traces)
+    assert {t // 3 for t in traces} == _markov_numbers(cutoff / 3)
 
 
 @pytest.mark.parametrize("length", MARKOV_LENGTHS)
@@ -421,7 +421,7 @@ def test_simple_count_is_six_per_markov_number(length):
     k Markov numbers m > 2 with 3m <= T."""
     trace_cutoff = length_to_trace(length)
     k = sum(1 for m in _markov_numbers(trace_cutoff / 3) if m > 2)
-    assert count_census(MODULAR_ROOT, length)[0] == 6 + 6 * k
+    assert census_counts(MODULAR_ROOT, [length])[0][0] == 6 + 6 * k
 
 
 def test_simple_count_follows_zagier_asymptotic():
@@ -430,7 +430,7 @@ def test_simple_count_follows_zagier_asymptotic():
     zagier_c = 0.180717
     for length in range(60, 201, 20):
         trace_cutoff = length_to_trace(length)
-        n0 = count_census(MODULAR_ROOT, length)[0]
+        n0 = census_counts(MODULAR_ROOT, [length])[0][0]
         ratio = n0 / (6 * zagier_c * math.log(trace_cutoff) ** 2)
         assert abs(ratio - 1) < 0.02, (length, ratio)
 
@@ -441,7 +441,7 @@ def test_paired_count_is_twice_the_simple_count_at_a_third_of_the_trace():
     for i in range(285):
         length = 9 + i / 4  # 9, 9.25, ..., 80
         third = len(enumerate_simple(MODULAR_ROOT, length_to_trace(length) / 3))
-        assert count_census(MODULAR_ROOT, length)[1] == 2 * third, length
+        assert census_counts(MODULAR_ROOT, [length])[0][1] == 2 * third, length
 
 
 def test_criterion_5_ratio_is_the_finite_cutoff_model():
@@ -449,7 +449,7 @@ def test_criterion_5_ratio_is_the_finite_cutoff_model():
     168/108, below criterion 5's window: the ratio tends to 2 only as
     about 2 (1 - 2 ln 3 / L)^2.  Criterion 5 itself is left as it is."""
     trace_cutoff = length_to_trace(20)
-    n0, n1_paired, _ = count_census(MODULAR_ROOT, 20)
+    n0, n1_paired, _ = census_counts(MODULAR_ROOT, [20])[0]
     model = Fraction(
         2 * len(enumerate_simple(MODULAR_ROOT, trace_cutoff / 3)),
         len(enumerate_simple(MODULAR_ROOT, trace_cutoff)),
