@@ -18,7 +18,7 @@ import string
 import sys
 
 from . import covers, genus2, lps, magnus, resfin, selfint, torus
-from .perms import Partition, Permutation, frobenius_count
+from .perms import Partition, Permutation, frobenius_count, parse_partition
 from .sl2 import trace_to_length
 from .words import Word, random_reduced_word
 
@@ -52,7 +52,7 @@ def _mat_json(entries: tuple[int, int, int, int]) -> list[list[str]]:
 
 
 def _parse_classes(text: str) -> list[Partition]:
-    return [Partition.parse(chunk) for chunk in text.split(";")]
+    return [parse_partition(chunk) for chunk in text.split(";")]
 
 
 def _number(text: str) -> int | float:
@@ -142,10 +142,8 @@ def _cmd_regular_extend(args) -> int:
 
 def _cmd_frobenius(args) -> int:
     classes = _parse_classes(args.classes)
-    _emit_json(
-        args,
-        {"classes": [str(c) for c in classes], "count": str(frobenius_count(classes))},
-    )
+    text = [",".join(map(str, c)) for c in classes]
+    _emit_json(args, {"classes": text, "count": str(frobenius_count(classes))})
     return 0
 
 

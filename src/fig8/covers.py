@@ -44,20 +44,20 @@ class CoverSpec:
             raise CoverError("genus must be nonnegative")
         if not self.boundary_classes:
             raise CoverError("need at least one boundary class")
-        degrees = {p.n for p in self.boundary_classes}
+        degrees = {sum(p) for p in self.boundary_classes}
         if len(degrees) != 1:
             raise CoverError(f"boundary classes of mixed degree: {sorted(degrees)}")
 
     @property
     def degree(self) -> int:
-        return self.boundary_classes[0].n
+        return sum(self.boundary_classes[0])
 
 
 def two_n_cycles(sigma: Permutation) -> tuple[Permutation, Permutation]:
     """n-cycles c1, c2 with c1 * c2 = sigma; exists for every even permutation."""
     if not sigma.is_even():
         raise PermError(f"{sigma} is odd: not a product of two n-cycles of equal parity")
-    full = Partition((sigma.degree,))
+    full = (sigma.degree,)
     # c1^-1 * sigma is the inverse of sigma^-1 * c1, a conjugate of c1 * sigma^-1
     c1 = next(class_elements(full, sigma.inverse(), full))
     c2 = c1.inverse() * sigma
@@ -118,7 +118,7 @@ def _identity_product_tuples(classes: tuple[Partition, ...], head=()):
     """
     if not head and len(classes) > 1:
         head = (class_representative(classes[0]),)
-    product = math.prod(head, start=Permutation.identity(classes[0].n))
+    product = math.prod(head, start=Permutation.identity(sum(classes[0])))
     rest = classes[len(head) :]
     if len(rest) == 1:
         if product.inverse().cycle_type() == rest[0]:
@@ -162,7 +162,7 @@ def extends_cover(spec: CoverSpec, transitive: bool = False) -> ExtendDecision:
         decision = ExtendDecision(True, "parity", handles, boundaries)
         if transitive and not _is_transitive(decision):
             # the product is e, else alpha is an n-cycle: an (n-cycle, e) handle connects
-            cycle = class_representative(Partition((spec.degree,)))
+            cycle = class_representative((spec.degree,))
             decision = ExtendDecision(True, "parity", ((cycle, identity),) + handles[1:], boundaries)
     if not decision.verify():
         raise CoverError("witness relation check failed")
@@ -204,7 +204,7 @@ def strip_cover(sigma: Permutation, tau: Permutation) -> StripCover:
     n = sigma.degree
     if tau.degree != n:
         raise CoverError("degree mismatch")
-    if sigma.cycle_type() != Partition((n,)):
+    if sigma.cycle_type() != (n,):
         raise CoverError(f"{sigma} is not an {n}-cycle")
     boundary = commutator(sigma, tau)
     components = boundary.cycle_count()
@@ -271,7 +271,7 @@ def _regular_overgroups(seed: list[Permutation], n: int):
     j = min(set(range(1, n + 1)) - orbit)
     for d in range(2, n + 1):
         if n % d == 0:
-            for g in class_elements(Partition((d,) * (n // d)), first=j - 1):
+            for g in class_elements((d,) * (n // d), first=j - 1):
                 yield from _regular_overgroups(seed + [g], n)
 
 
@@ -311,7 +311,7 @@ def regular_extends(spec: CoverSpec, budget: int = 8) -> RegularDecision:
     above the budget return "unknown".
     """
     n = spec.degree
-    if any(len(set(c.parts)) > 1 for c in spec.boundary_classes):
+    if any(len(set(c)) > 1 for c in spec.boundary_classes):
         return RegularDecision("does-not-extend", None)
     if n > budget:
         return RegularDecision("unknown", None)

@@ -4,11 +4,13 @@ Permutations act on the right: (sigma * tau)(i) = tau(sigma(i)).  The
 commutator is [sigma, tau] = sigma tau sigma^-1 tau^-1 under this
 convention.  Characters are computed by the Murnaghan-Nakayama border-strip
 recursion on beta-sets, memoized, in exact integer arithmetic.  The
-Frobenius count sums integer terms over partitions as plain tuples and
-divides once, exactly, at the end.
+Frobenius count sums integer terms over partitions and divides once,
+exactly, at the end.
 
-Only ``Partition.parse`` and ``Permutation.parse`` check their input: every
-other constructor preserves the invariants and builds its values unchecked.
+A partition is its tuple of parts, largest first.  Only ``parse_partition``
+and ``Permutation.parse`` check their input, and both refuse a degree above
+MAX_DEGREE: every other constructor preserves the invariants and builds its
+values unchecked.
 """
 
 from __future__ import annotations
@@ -19,32 +21,26 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 
-# A permutation holds n images, so a parsed degree is capped: a typed degree
-# of 10^8 would otherwise allocate gigabytes before any search starts.
+# A permutation, and a class representative, holds n images, so a parsed
+# degree is capped: a typed degree of 10^8 would otherwise allocate gigabytes
+# before any search starts.
 MAX_DEGREE = 1000
+
+Partition = tuple[int, ...]
 
 
 class PermError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Partition:
-    parts: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-    def __str__(self) -> str:
-        return ",".join(str(p) for p in self.parts)
-
-    @classmethod
-    def parse(cls, text: str) -> "Partition":
-        parts = sorted((int(p) for p in text.split(",")), reverse=True)
-        if parts[-1] < 1:
-            raise PermError(f"partition {text!r} has a part below 1")
-        return cls(tuple(parts))
+def parse_partition(text: str) -> Partition:
+    """Parse comma-separated parts, in any order, into a partition."""
+    parts = sorted((int(p) for p in text.split(",")), reverse=True)
+    if parts[-1] < 1:
+        raise PermError(f"partition {text!r} has a part below 1")
+    if sum(parts) > MAX_DEGREE:
+        raise PermError(f"degree {sum(parts)} is above the cap {MAX_DEGREE}")
+    return tuple(parts)
 
 
 def _partitions(n: int, max_part: int):
@@ -59,21 +55,20 @@ def _partitions(n: int, max_part: int):
 
 
 def partitions_of(n: int, max_part: int | None = None):
-    for parts in _partitions(n, n if max_part is None else max_part):
-        yield Partition(parts)
+    return _partitions(n, n if max_part is None else max_part)
 
 
 def class_parity(p: Partition) -> str:
     """Parity of any permutation with cycle type p."""
-    return "odd" if (p.n - len(p.parts)) % 2 else "even"
+    return "odd" if (sum(p) - len(p)) % 2 else "even"
 
 
 def class_size(p: Partition) -> int:
     """Number of permutations of cycle type p in S_n."""
     denom = 1
-    for part, mult in Counter(p.parts).items():
+    for part, mult in Counter(p).items():
         denom *= part**mult * math.factorial(mult)
-    return math.factorial(p.n) // denom
+    return math.factorial(sum(p)) // denom
 
 
 @lru_cache(maxsize=None)
@@ -103,9 +98,9 @@ def _character(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
 
 def character(lam: Partition, mu: Partition) -> int:
     """Irreducible S_n character chi_lambda evaluated on the class mu."""
-    if lam.n != mu.n:
-        raise PermError(f"partition sizes differ: {lam.n} vs {mu.n}")
-    return _character(lam.parts, mu.parts)
+    if sum(lam) != sum(mu):
+        raise PermError(f"partition sizes differ: {sum(lam)} vs {sum(mu)}")
+    return _character(lam, mu)
 
 
 def frobenius_count(classes: list[Partition]) -> int:
@@ -119,8 +114,8 @@ def frobenius_count(classes: list[Partition]) -> int:
     """
     if not classes:
         raise PermError("need at least one class")
-    n = classes[0].n
-    if any(c.n != n for c in classes):
+    n = sum(classes[0])
+    if any(sum(c) != n for c in classes):
         raise PermError("all classes must belong to the same S_n")
     k = len(classes)
     order = math.factorial(n)
@@ -130,7 +125,7 @@ def frobenius_count(classes: list[Partition]) -> int:
         dim = _character(lam, one)
         term = dim if k == 1 else (order // dim) ** (k - 2)
         for mu in classes:
-            term *= _character(lam, mu.parts)
+            term *= _character(lam, mu)
         total += term
     divisor = order ** max(k - 1, 1)
     count, rest = divmod(math.prod(map(class_size, classes)) * total, divisor)
@@ -225,7 +220,7 @@ class Permutation:
     def cycle_type(self) -> Partition:
         lengths = [len(c) for c in self.cycles()]
         lengths += [1] * (self.degree - sum(lengths))
-        return Partition(tuple(sorted(lengths, reverse=True)))
+        return tuple(sorted(lengths, reverse=True))
 
     def is_even(self) -> bool:
         return class_parity(self.cycle_type()) == "even"
@@ -270,9 +265,9 @@ def class_elements(p: Partition, t=None, q=None, first=None):
     open path with endpoint x, and left holds the parts, largest first,
     that no closed cycle has taken.
     """
-    n = p.n
+    n = sum(p)
     pairs = [(range(n), p)] + ([(t.images, q)] if t is not None else [])
-    tracks = [(relabel, [(x, 1) for x in range(n)], c.parts) for relabel, c in pairs]
+    tracks = [(relabel, [(x, 1) for x in range(n)], c) for relabel, c in pairs]
     g, used = [], [False] * n
     stack = [(tracks, iter(range(n) if first is None else [first]))]
     while stack:
@@ -295,7 +290,7 @@ def class_elements(p: Partition, t=None, q=None, first=None):
 def class_representative(p: Partition) -> Permutation:
     cycles = []
     next_pt = 1
-    for part in p.parts:
+    for part in p:
         cycles.append(tuple(range(next_pt, next_pt + part)))
         next_pt += part
-    return Permutation.from_cycles(p.n, [c for c in cycles if len(c) > 1])
+    return Permutation.from_cycles(sum(p), [c for c in cycles if len(c) > 1])

@@ -3,6 +3,8 @@
 Simple closed geodesics correspond to rational slopes; the trace of the
 slope-p/q geodesic is read off a tree of trace triples generated by Vieta
 flips from a root triple satisfying the cusp relation x^2+y^2+z^2 = xyz.
+The walk carries each slope signed, the three of a Farey triangle summing
+to zero, and orients it (q > 0, or p > 0 if q = 0) only when it is listed.
 Each simple geodesic of trace t carries two one-double-point geodesics of
 trace 3t and a companion figure-eight of trace t^2+2.
 
@@ -25,20 +27,6 @@ Slope = tuple[int, int]
 
 class CensusError(ValueError):
     pass
-
-
-def _orient(p: int, q: int) -> Slope:
-    return (-p, -q) if q < 0 or (q == 0 and p < 0) else (p, q)
-
-
-def _farey_flip(su: Slope, sv: Slope, sw: Slope) -> Slope:
-    """The Farey neighbour of su and sv other than sw: su + sv or su - sv.
-
-    Farey neighbours sum to primitive slopes, so only the sign is normalized.
-    """
-    (p1, q1), (p2, q2) = su, sv
-    st = _orient(p1 + p2, q1 + q2)
-    return _orient(p1 - p2, q1 - q2) if st == sw else st
 
 
 @dataclass(frozen=True)
@@ -70,8 +58,8 @@ class TraceTriple:
 
 
 MODULAR_ROOT = TraceTriple(3, 3, 3)
-# The slopes of a root's three traces, a Farey triangle.
-ROOT_SLOPES: tuple[Slope, Slope, Slope] = ((0, 1), (1, 0), (1, 1))
+# The slopes of a root's three traces, a Farey triangle, signed to sum to zero.
+ROOT_SLOPES: tuple[Slope, Slope, Slope] = ((0, 1), (1, 0), (-1, -1))
 
 
 def _maybe_int(x: float):
@@ -85,13 +73,14 @@ def enumerate_simple(root: TraceTriple, trace_cutoff: float) -> list[tuple[float
     sink while some flip lowers a coordinate; a descent below trace 3 raises
     CensusError.  From the sink every flip raises a trace, so the trivalent
     Vieta tree is walked depth-first on plain tuples: the flip of w across
-    (u, v) gives trace uv - w, in the operand types of the root.  Each of the
-    sink's three edges is stored with the sign of sv chosen so that
-    sw = +-(su - sv); the new slope is then su + sv, and both child edges keep
-    that form, so the ascent only adds slopes and orients the stored copy.
-    A branch is cut at the first trace above the cutoff; each step introduces
-    exactly one new slope, so slope deduplication is structural.  Traces of an
-    all-int root are ints; otherwise integral traces are turned into ints.
+    (u, v) gives trace uv - w, in the operand types of the root.  As the
+    slopes of a triangle sum to zero, the other Farey neighbour of su and sv
+    is su - sv: a descent flip of k sets s[k] = s[j] - s[i], then negates
+    s[j], and each sink edge is stored as (su, -sv), so the ascent only
+    adds its two stored slopes, and both child edges keep that form.  A
+    branch is cut at the first trace above the cutoff; each step introduces
+    exactly one new slope, so slope deduplication is structural.  Traces of
+    an all-int root are ints; otherwise integral traces are turned into ints.
     """
     root.check()
     if not 3 <= trace_cutoff < math.inf:  # NaN fails too
@@ -101,17 +90,19 @@ def enumerate_simple(root: TraceTriple, trace_cutoff: float) -> list[tuple[float
     while lower := [k for k in range(3) if math.prod(sink) < 2 * sink[k] ** 2]:
         k = lower[0]
         i, j = (k + 1) % 3, (k + 2) % 3
-        sink[k], s[k] = sink[i] * sink[j] - sink[k], _farey_flip(s[i], s[j], s[k])
+        (pi, qi), (pj, qj) = s[i], s[j]
+        sink[k], s[j], s[k] = sink[i] * sink[j] - sink[k], (-pj, -qj), (pj - pi, qj - qi)
         if sink[k] < 3 - TOL:
             raise CensusError(f"Vieta flip gives trace {sink[k]} below 3")
-    found = [(t, st) for t, st in zip(sink, s) if t <= trace_cutoff]
-    (x, y, z), (sx, sy, sz) = sink, s
-    stack = []
-    for u, v, w, (p1, q1), (p2, q2), sw in (
-        (y, z, x, sy, sz, sx), (x, z, y, sx, sz, sy), (x, y, z, sx, sy, sz)
-    ):
-        sign = 1 if sw in ((p1 - p2, q1 - q2), (p2 - p1, q2 - q1)) else -1
-        stack.append((u, v, w, p1, q1, sign * p2, sign * q2))
+    found = [
+        (t, (p, q) if q > 0 or (q == 0 and p > 0) else (-p, -q))
+        for t, (p, q) in zip(sink, s)
+        if t <= trace_cutoff
+    ]
+    (x, y, z), ((px, qx), (py, qy), (pz, qz)) = sink, s
+    stack = [
+        (y, z, x, py, qy, -pz, -qz), (x, z, y, px, qx, -pz, -qz), (x, y, z, px, qx, -py, -qy)
+    ]
     while stack:
         u, v, w, p1, q1, p2, q2 = stack.pop()
         t = u * v - w

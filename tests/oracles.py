@@ -45,7 +45,6 @@ from fig8.selfint import (
 )
 from fig8.sl2 import Mat2, length_to_trace
 from fig8.torus import (
-    ROOT_SLOPES,
     CensusError,
     Slope,
     TraceTriple,
@@ -69,7 +68,7 @@ def _oracle_class_elements(p: Partition) -> tuple[Permutation, ...]:
     opens a cycle of each distinct remaining length, its other points an
     ordered choice of unused points.  Cached; intended for small n.
     """
-    images = list(range(p.n))
+    images = list(range(sum(p)))
 
     def build(unused, lengths):
         if not unused:
@@ -85,13 +84,13 @@ def _oracle_class_elements(p: Partition) -> tuple[Permutation, ...]:
                     images[a] = b
                 yield from build([u for u in rest if u not in others], left)
 
-    return tuple(map(Permutation, sorted(build(list(range(p.n)), p.parts))))
+    return tuple(map(Permutation, sorted(build(list(range(sum(p))), p))))
 
 
 def _oracle_two_n_cycles(sigma: Permutation) -> tuple[Permutation, Permutation]:
     """The first n-cycle c1, by images, for which c1^-1 * sigma is an n-cycle."""
     n = sigma.degree
-    full = Partition((n,))
+    full = (n,)
     for c1 in _oracle_class_elements(full):
         c2 = c1.inverse() * sigma
         if c2.cycle_type() == full:
@@ -328,7 +327,7 @@ def normalize_slope(p: int, q: int) -> Slope:
 class LabelledTriple(TraceTriple):
     """Traces of three simple geodesics whose slopes form a Farey triangle."""
 
-    slopes: tuple[Slope, Slope, Slope] = ROOT_SLOPES
+    slopes: tuple[Slope, Slope, Slope] = ((0, 1), (1, 0), (1, 1))
 
 
 def vieta_flip(t: LabelledTriple, coordinate: int) -> LabelledTriple:
@@ -404,9 +403,9 @@ def _oracle_random_reduced_letters(rng, max_len: int, gens: str = FREE_RANK2):
 def _oracle_frobenius_count(classes: list[Partition]) -> int:
     """Frobenius's count as a ``Fraction`` sum: prod |C_i| / n! times the sum
     over lambda of prod chi_lambda(mu_i) / dim_lambda^(k-2)."""
-    n = classes[0].n
+    n = sum(classes[0])
     k = len(classes)
-    one = Partition((1,) * n)
+    one = (1,) * n
     total = Fraction(0)
     for lam in partitions_of(n):
         dim = character(lam, one)

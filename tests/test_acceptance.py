@@ -15,7 +15,6 @@ from fig8.genus2 import RELATOR, certify_nontrivial, dehn_oracle
 from fig8.lps import lps_girth_check
 from fig8.magnus import lcs_depth, unipotent_witness
 from fig8.perms import (
-    Partition,
     Permutation,
     class_elements,
     frobenius_count,
@@ -246,14 +245,14 @@ def test_criterion_08_constructions(capsys):
 
     euler = 0
     for n in range(2, 8):
-        sigma0 = class_representative(Partition((n,)))
+        sigma0 = class_representative((n,))
         for tau in all_permutations(n):
             cover = strip_cover(sigma0, tau)
             if 2 - 2 * cover.cover_genus - cover.boundary_components != -n:
                 ok = False
             euler += 1
     for n in (2, 3, 4, 5):
-        for sigma in (g for g in all_permutations(n) if g.cycle_type() == Partition((n,))):
+        for sigma in (g for g in all_permutations(n) if g.cycle_type() == (n,)):
             for tau in all_permutations(n):
                 strip_cover(sigma, tau)
     report(

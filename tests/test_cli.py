@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -72,6 +73,22 @@ def test_extend_exit_codes(capsys):
     code, out, _ = run(capsys, "extend", "--genus", "0", "--classes", "2;2")
     assert code == 0
     assert json.loads(out)["extends"] is True
+
+
+def test_frobenius_artifact(capsys):
+    code, out, err = run(capsys, "frobenius", "--classes", "1,3,1;2,2,1;5")
+    assert (code, err) == (0, "")
+    assert out == '{"classes": ["3,1,1", "2,2,1", "5"], "count": "120", "schema": 1}\n'
+
+
+def test_readme_examples_run(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("fig8 ")]
+    assert len(lines) >= 19
+    for line in lines:
+        code, _, err = run(capsys, *shlex.split(line, comments=True)[1:])
+        assert code in (0, 1), (line, err)
 
 
 def test_extend_transitive_answers_carry_witnesses(capsys):
@@ -306,9 +323,9 @@ def test_torus_artifacts_are_byte_identical(capsys, argv, digest):
 
 
 # SHA-256 over (exit code, stdout, stderr) of the torus commands at roots
-# other than 3,3,3, where the walk first descends to its sink (a flip changes
-# the slope labels), or walks floats; recorded before the descent and the
-# ascent shared one slope rule.  The last root cannot be walked.
+# other than 3,3,3.  They guard the slope labels of the descent, which runs
+# only where the root is not the sink, and the walks of float roots.  The
+# last root cannot be walked.
 NON_MODULAR_ROOT_SHA256 = [
     ("15,87,1299", "d5762ba0b8e832d357eaf1ad2fcbaa23af0324d917faf3dede0aa5fca9ebe485"),
     ("3,6,15", "99e8b92b8e2dd1b789a443c2109869909a4826ba4f0397b679b417aeb7c68d11"),
@@ -524,6 +541,9 @@ def test_input_errors_exit_2(capsys):
         ["twocycles", "--perm", "(1 -2)", "--degree", "2"],
         ["stripcover", "--sigma", "(1 2)", "--tau", "(1 2)(2 1)", "--degree", "2"],
         ["twocycles", "--perm", "e", "--degree", "100000000"],  # above the degree cap
+        ["extend", "--genus", "0", "--classes", "3000;3000"],  # partitions above the cap
+        ["frobenius", "--classes", "1001"],
+        ["extend", "--genus", "1", "--classes", "1001"],
         ["lpsgirth", "--p", "7", "--q", "29"],  # p = 3 mod 4
         ["lpsgirth", "--p", "5", "--q", "73"],  # above the vertex cap
     ):

@@ -16,10 +16,10 @@ from fig8.covers import (
     two_n_cycles,
 )
 from fig8.perms import (
-    Partition,
     PermError,
     Permutation,
     commutator,
+    parse_partition,
     partitions_of,
 )
 from fig8.words import Word, evaluate
@@ -28,18 +28,18 @@ from oracles import _oracle_identity_product_tuples, _oracle_two_n_cycles, all_p
 
 def test_cover_spec_validation():
     with pytest.raises(CoverError):
-        CoverSpec(-1, (Partition((2,)),))
+        CoverSpec(-1, ((2,),))
     with pytest.raises(CoverError):
         CoverSpec(0, ())
     with pytest.raises(CoverError):
-        CoverSpec(0, (Partition((2,)), Partition((3,))))
+        CoverSpec(0, ((2,), (3,)))
 
 
 def test_extends_cover_spec_examples():
-    assert not extends_cover(CoverSpec(1, (Partition((2,)),))).extends
-    d = extends_cover(CoverSpec(0, (Partition((2,)), Partition((2,)))))
+    assert not extends_cover(CoverSpec(1, ((2,),))).extends
+    d = extends_cover(CoverSpec(0, ((2,), (2,))))
     assert d.extends and d.verify()
-    d = extends_cover(CoverSpec(1, (Partition((3,)),)))
+    d = extends_cover(CoverSpec(1, ((3,),)))
     assert d.extends and d.verify()
     # witness: the 3-cycle is a commutator
     assert commutator(*d.handles[0]) == d.boundaries[0].inverse()
@@ -47,7 +47,7 @@ def test_extends_cover_spec_examples():
 
 def _brute_extends(genus, classes):
     """Independent oracle: exhaustive over commutator products and class tuples."""
-    n = classes[0].n
+    n = sum(classes[0])
     identity = Permutation.identity(n)
     if genus == 0:
         targets = {identity}
@@ -87,7 +87,7 @@ def test_extends_cover_against_bruteforce_small():
 
 def test_extends_cover_transitive_flag():
     for genus, classes in product((1, 2), ("1,1,1", "1,1,1;1,1,1", "2,1;2,1")):
-        spec = CoverSpec(genus, tuple(Partition.parse(c) for c in classes.split(";")))
+        spec = CoverSpec(genus, tuple(parse_partition(c) for c in classes.split(";")))
         d = extends_cover(spec, transitive=True)
         assert d.extends and d.boundaries is not None and d.verify(), (genus, classes)
         assert [g.cycle_type() for g in d.boundaries] == list(spec.boundary_classes)
@@ -105,7 +105,7 @@ def _brute_transitive_extends(genus, classes):
     the last."""
     from fig8.perms import class_elements
 
-    n = classes[0].n
+    n = sum(classes[0])
     perms = list(all_permutations(n))
     for pair in product(perms, perms) if genus else [()]:
         start = commutator(*pair) if pair else Permutation.identity(n)
@@ -141,7 +141,7 @@ def test_extends_cover_transitive_against_bruteforce():
             assert d.verify(), (genus, classes)
             assert [g.cycle_type() for g in d.boundaries] == list(classes), (genus, classes)
             perms = [g for pair in d.handles for g in pair] + list(d.boundaries)
-            assert _orbit_of_1(perms) == classes[0].n, (genus, classes)
+            assert _orbit_of_1(perms) == sum(classes[0]), (genus, classes)
         else:
             assert d.handles is None and d.boundaries is None
 
@@ -149,13 +149,13 @@ def test_extends_cover_transitive_against_bruteforce():
 def test_two_n_cycles_examples():
     e3 = Permutation.identity(3)
     c1, c2 = two_n_cycles(e3)
-    assert c1 * c2 == e3 and c1.cycle_type() == Partition((3,))
+    assert c1 * c2 == e3 and c1.cycle_type() == (3,)
     s = Permutation.parse("(1 2 3)", 3)
     c1, c2 = two_n_cycles(s)
     assert c1 * c2 == s
     s4 = Permutation.parse("(1 2)(3 4)", 4)
     c1, c2 = two_n_cycles(s4)
-    assert c1 * c2 == s4 and c1.cycle_type() == Partition((4,))
+    assert c1 * c2 == s4 and c1.cycle_type() == (4,)
     with pytest.raises(PermError):
         two_n_cycles(Permutation.parse("(1 2)", 3))
 
@@ -206,7 +206,7 @@ def test_strip_cover_examples():
 
 def test_strip_cover_euler_identity_small():
     for n in (2, 3, 4, 5):
-        ncycles = [g for g in all_permutations(n) if g.cycle_type() == Partition((n,))]
+        ncycles = [g for g in all_permutations(n) if g.cycle_type() == (n,)]
         for sigma in ncycles:
             for tau in all_permutations(n):
                 cover = strip_cover(sigma, tau)  # raises if chi fails
@@ -231,11 +231,11 @@ def test_boundary_lift_fourfold_composition():
 
 
 def test_regular_extends_spec_examples():
-    assert regular_extends(CoverSpec(1, (Partition((2,)),))).status == "does-not-extend"
-    assert regular_extends(CoverSpec(1, (Partition((1, 1)),))).status == "extends"
-    d = regular_extends(CoverSpec(0, (Partition((2,)), Partition((2,)))))
+    assert regular_extends(CoverSpec(1, ((2,),))).status == "does-not-extend"
+    assert regular_extends(CoverSpec(1, ((1, 1),))).status == "extends"
+    d = regular_extends(CoverSpec(0, ((2,), (2,))))
     assert d.status == "extends"
-    assert regular_extends(CoverSpec(1, (Partition((9,)),)), budget=8).status == "unknown"
+    assert regular_extends(CoverSpec(1, ((9,),)), budget=8).status == "unknown"
 
 
 def _is_regular(perms, n):
@@ -274,7 +274,7 @@ def _brute_regular_genus1(classes):
     such that [a, b] * product = e and the whole assignment is regular."""
     from fig8.perms import class_elements, class_representative
 
-    n = classes[0].n
+    n = sum(classes[0])
     identity = Permutation.identity(n)
     perms = list(all_permutations(n))
     pools = [(class_representative(classes[0]),), *map(class_elements, classes[1:])]
@@ -302,7 +302,7 @@ def _brute_regular_genus0(classes):
     image has order n and acts transitively."""
     from fig8.perms import class_elements, class_representative
 
-    n = classes[0].n
+    n = sum(classes[0])
     identity = Permutation.identity(n)
     pools = [(class_representative(classes[0]),), *map(class_elements, classes[1:])]
     for boundaries in product(*pools):
@@ -333,7 +333,7 @@ INTRANSITIVE_SPECS = [(0, "2,2;2,1,1;2,1,1")] + [
 
 @pytest.mark.parametrize("genus,classes", INTRANSITIVE_SPECS)
 def test_regular_extends_rejects_intransitive_images(genus, classes):
-    spec = CoverSpec(genus, tuple(Partition.parse(c) for c in classes.split(";")))
+    spec = CoverSpec(genus, tuple(parse_partition(c) for c in classes.split(";")))
     assert regular_extends(spec) == RegularDecision("does-not-extend", None)
 
 
@@ -342,7 +342,7 @@ def test_regular_witness_generates_order_n():
     # (1 2)(3 4)(5 6)(7 8) and (1 2 3 4)(5 6 7 8) generate a dihedral group of
     # order 8 acting on {1..4} and {5..8}.  The witness must be transitive.
     for classes in ("2;2", "2,2,2,2;2,2,2,2;4,4;4,4"):
-        spec = CoverSpec(0, tuple(Partition.parse(c) for c in classes.split(";")))
+        spec = CoverSpec(0, tuple(parse_partition(c) for c in classes.split(";")))
         d = regular_extends(spec)
         assert d.status == "extends" and _is_regular(d.witness, spec.degree), classes
 
@@ -375,7 +375,7 @@ def _oracle_regular_extends(spec, budget=8):
 
     n = spec.degree
     classes = spec.boundary_classes
-    if any(len(set(c.parts)) > 1 for c in classes):
+    if any(len(set(c)) > 1 for c in classes):
         return RegularDecision("does-not-extend", None)
     if n > budget or spec.genus > 4:
         return RegularDecision("unknown", None)
@@ -415,7 +415,7 @@ def test_handles_reach_needs_a_layer_per_missing_generator():
 
 
 def _uniform_classes(n):
-    return [p for p in partitions_of(n) if len(set(p.parts)) == 1]
+    return [p for p in partitions_of(n) if len(set(p)) == 1]
 
 
 def test_regular_extends_against_boundary_tuple_oracle():

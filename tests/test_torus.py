@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from fig8 import torus
 from fig8.torus import (
     MODULAR_ROOT,
     CensusError,
@@ -367,18 +366,6 @@ def test_census_matches_the_sorted_record_census():
         outcomes["equal"] += 1
     # 15 walkable roots at the 12 lengths >= 4.4 in both modes; the far roots always raise
     assert outcomes == {"equal": 15 * 2 * 12, "raise": 15 * 2 * 4 + 10 * 2 * 16}
-
-
-@pytest.mark.parametrize(
-    "root,flips", [(MODULAR_ROOT, 0), (TraceTriple(15, 87, 1299), 4), (TraceTriple(3, 6, 15), 2)]
-)
-def test_only_the_descent_flips_slopes(monkeypatch, root, flips):
-    """The ascent adds the two parent slopes; _farey_flip serves the descent only."""
-    calls = []
-    flip = torus._farey_flip
-    monkeypatch.setattr(torus, "_farey_flip", lambda *args: calls.append(args) or flip(*args))
-    enumerate_simple(root, 1e15)
-    assert len(calls) == flips
 
 
 def test_maybe_int_tests_integrality_exactly():
