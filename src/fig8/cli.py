@@ -1,11 +1,13 @@
 """Command-line frontend: one subcommand per operation cluster.
 
-Exit codes: 0 success / positive decision, 1 negative decision, 2 input
-error, 3 search budget exhausted ("unknown"), 4 internal error (any other
-exception, reported as one line).  Output is deterministic JSON (sorted
-keys, schema-versioned) or CSV with 9-significant-digit floats;
-randomized subcommands require an explicit --seed.  ``main`` builds the
-parser once per process and reuses it for every later call.
+Each subcommand returns its exit code and artifact text; ``main`` alone
+writes the artifact, to --output or stdout.  Exit codes: 0 success /
+positive decision, 1 negative decision, 2 input error (an unwritable
+--output too), 3 search budget exhausted ("unknown"), 4 internal error
+(any other exception, reported as one line).  Output is deterministic
+JSON (sorted keys, schema-versioned) or CSV with 9-significant-digit
+floats; randomized subcommands require an explicit --seed.  ``main``
+builds the parser once per process and reuses it for every later call.
 """
 
 from __future__ import annotations
@@ -29,21 +31,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
-def _emit(args, text: str) -> None:
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _json(payload: dict) -> str:
+    return json.dumps({"schema": SCHEMA, **payload}, sort_keys=True) + "\n"
 
 
-def _emit_json(args, payload: dict) -> None:
-    payload = {"schema": SCHEMA, **payload}
-    _emit(args, json.dumps(payload, sort_keys=True) + "\n")
-
-
-def _emit_csv(args, header: str, rows: list[str]) -> None:
-    _emit(args, "\n".join([header] + rows) + "\n")
+def _csv(header: str, rows: list[str]) -> str:
+    return "\n".join([header] + rows) + "\n"
 
 
 def _mat_json(entries: tuple[int, int, int, int]) -> list[list[str]]:
@@ -68,28 +61,25 @@ def _parse_root(text: str) -> torus.TraceTriple:
     return torus.TraceTriple(x, y, z).check()
 
 
-def _cmd_census(args) -> int:
+def _cmd_census(args) -> tuple[int, str]:
     root = _parse_root(args.root)
     if args.counts_at:
         lengths = [float(v) for v in args.counts_at.split(",")]
         counts = torus.census_counts(root, lengths)
         rows = [f"{_fmt(x)},{n0},{n1p},{n1f}" for x, (n0, n1p, n1f) in zip(lengths, counts)]
-        _emit_csv(args, "L,N0,N1_paired,N1_full", rows)
-        return 0
+        return 0, _csv("L,N0,N1_paired,N1_full", rows)
     rows = []  # a paired row stands for two geodesics: it is written twice
     for t, (p, q), family in torus.one_intersection_census(root, args.cutoff, args.mode):
         row = f"{_fmt(t)},{_fmt(trace_to_length(t))},{family},{p}/{q}"
         rows += (row, row) if family == "paired-fig8" else (row,)
-    _emit_csv(args, "trace,length,family,slope", rows)
-    return 0
+    return 0, _csv("trace,length,family,slope", rows)
 
 
-def _cmd_mcshane(args) -> int:
+def _cmd_mcshane(args) -> tuple[int, str]:
     root = _parse_root(args.root)
     traces = [t for t, _ in torus.enumerate_simple(root, args.cutoff)]
     total = torus.mcshane_sum(traces, args.form)
-    _emit_json(
-        args,
+    return 0, _json(
         {
             "cutoff": args.cutoff,
             "form": args.form,
@@ -97,27 +87,23 @@ def _cmd_mcshane(args) -> int:
             "terms": len(traces),
         },
     )
-    return 0
 
 
-def _cmd_mc2(args) -> int:
+def _cmd_mc2(args) -> tuple[int, str]:
     root = _parse_root(args.root)
     traces = [t for t, _ in torus.enumerate_simple(root, args.cutoff / 3.0)]
     total = torus.mc2_sum(traces)
-    _emit_json(
-        args,
+    return 0, _json(
         {"cutoff": args.cutoff, "partial_sum": float(_fmt(total)), "terms": 2 * len(traces)},
     )
-    return 0
 
 
-def _cmd_selfint(args) -> int:
+def _cmd_selfint(args) -> tuple[int, str]:
     w = Word(args.word, "ab")
-    _emit_json(args, {"word": w.letters, "self_intersection": selfint.self_intersection(w)})
-    return 0
+    return 0, _json({"word": w.letters, "self_intersection": selfint.self_intersection(w)})
 
 
-def _cmd_extend(args) -> int:
+def _cmd_extend(args) -> tuple[int, str]:
     spec = covers.CoverSpec(args.genus, tuple(_parse_classes(args.classes)))
     decision = covers.extends_cover(spec, transitive=args.transitive)
     payload = {"extends": decision.extends, "reason": decision.reason}
@@ -126,33 +112,29 @@ def _cmd_extend(args) -> int:
             "handles": [[str(a), str(b)] for a, b in decision.handles],
             "boundaries": [str(g) for g in decision.boundaries],
         }
-    _emit_json(args, payload)
-    return 0 if decision.extends else 1
+    return (0 if decision.extends else 1), _json(payload)
 
 
-def _cmd_regular_extend(args) -> int:
+def _cmd_regular_extend(args) -> tuple[int, str]:
     spec = covers.CoverSpec(args.genus, tuple(_parse_classes(args.classes)))
     decision = covers.regular_extends(spec, budget=args.budget)
     payload = {"status": decision.status}
     if decision.witness is not None:
         payload["witness"] = [str(g) for g in decision.witness]
-    _emit_json(args, payload)
-    return {"extends": 0, "does-not-extend": 1, "unknown": 3}[decision.status]
+    return {"extends": 0, "does-not-extend": 1, "unknown": 3}[decision.status], _json(payload)
 
 
-def _cmd_frobenius(args) -> int:
+def _cmd_frobenius(args) -> tuple[int, str]:
     classes = _parse_classes(args.classes)
     text = [",".join(map(str, c)) for c in classes]
-    _emit_json(args, {"classes": text, "count": str(frobenius_count(classes))})
-    return 0
+    return 0, _json({"classes": text, "count": str(frobenius_count(classes))})
 
 
-def _cmd_twocycles(args) -> int:
+def _cmd_twocycles(args) -> tuple[int, str]:
     sigma = Permutation.parse(args.perm, args.degree)
     c1, c2 = covers.two_n_cycles(sigma)
     alpha, beta = covers.commutator_witness(sigma)
-    _emit_json(
-        args,
+    return 0, _json(
         {
             "sigma": str(sigma),
             "c1": str(c1),
@@ -161,15 +143,13 @@ def _cmd_twocycles(args) -> int:
             "beta": str(beta),
         },
     )
-    return 0
 
 
-def _cmd_stripcover(args) -> int:
+def _cmd_stripcover(args) -> tuple[int, str]:
     sigma = Permutation.parse(args.sigma, args.degree)
     tau = Permutation.parse(args.tau, args.degree)
     cover = covers.strip_cover(sigma, tau)
-    _emit_json(
-        args,
+    return 0, _json(
         {
             "degree": sigma.degree,
             "boundary_monodromy": str(cover.boundary),
@@ -177,28 +157,25 @@ def _cmd_stripcover(args) -> int:
             "cover_genus": cover.cover_genus,
         },
     )
-    return 0
 
 
-def _cmd_stallings(args) -> int:
+def _cmd_stallings(args) -> tuple[int, str]:
     # the alphabet comes from the word, and free reduction knows only letters
     if bad := set(args.word) - set(string.ascii_letters):
         raise ValueError(f"letters {sorted(bad)} are not ASCII letters")
     gens = "".join(sorted({ch.lower() for ch in args.word}))
     w = Word(args.word, gens)
     rep = covers.stallings_excluding_subgroup(w)
-    _emit_json(
-        args,
+    return 0, _json(
         {
             "word": w.letters,
             "degree": rep.degree,
             "assignment": {g: str(p) for g, p in sorted(rep.assignment.items())},
         },
     )
-    return 0
 
 
-def _cmd_prime(args) -> int:
+def _cmd_prime(args) -> tuple[int, str]:
     if args.scatter:
         if args.seed is None:
             raise ValueError("--seed is required for --scatter")
@@ -208,35 +185,30 @@ def _cmd_prime(args) -> int:
             w = random_reduced_word(rng, args.maxlen)
             witness = resfin.smallest_excluding_prime(w)
             rows.append(f"{len(w)},{witness.prime}")
-        _emit_csv(args, "length,prime", rows)
-        return 0
+        return 0, _csv("length,prime", rows)
     w = Word(args.word, "ab")
     witness = resfin.smallest_excluding_prime(w)
-    _emit_json(
-        args,
+    return 0, _json(
         {
             "word": w.letters,
             "prime": witness.prime,
             "matrix_mod_p": _mat_json(witness.image),
         },
     )
-    return 0
 
 
-def _cmd_depth(args) -> int:
+def _cmd_depth(args) -> tuple[int, str]:
     w = Word(args.word, "ab")
     depth = magnus.lcs_depth(w, args.max_k)
-    _emit_json(args, {"word": w.letters, "depth": depth if depth is not None else "deeper"})
-    return 0
+    return 0, _json({"word": w.letters, "depth": depth if depth is not None else "deeper"})
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args) -> tuple[int, str]:
     w = Word(args.word, "ab")
     witness = magnus.unipotent_witness(w, args.max_k)
     if witness is None:
         raise ValueError(f"depth exceeds --max-k {args.max_k}; raise --max-k")
-    _emit_json(
-        args,
+    return 0, _json(
         {
             "word": w.letters,
             "depth": witness.depth,
@@ -248,19 +220,16 @@ def _cmd_witness(args) -> int:
             "ambient_index": str(witness.ambient_index),
         },
     )
-    return 0
 
 
-def _cmd_expectedprime(args) -> int:
+def _cmd_expectedprime(args) -> tuple[int, str]:
     value = resfin.expected_min_prime(args.terms)
-    _emit_json(args, {"terms": args.terms, "value": float(_fmt(value))})
-    return 0
+    return 0, _json({"terms": args.terms, "value": float(_fmt(value))})
 
 
-def _cmd_avgindex(args) -> int:
+def _cmd_avgindex(args) -> tuple[int, str]:
     result = resfin.average_index_simulation(args.rank, args.radius, args.samples, args.seed)
-    _emit_json(
-        args,
+    return 0, _json(
         {
             "mean": float(_fmt(result.mean)),
             "samples_used": result.samples_used,
@@ -268,13 +237,11 @@ def _cmd_avgindex(args) -> int:
             "seed": args.seed,
         },
     )
-    return 0
 
 
-def _cmd_lpsgirth(args) -> int:
+def _cmd_lpsgirth(args) -> tuple[int, str]:
     result = lps.lps_girth_check(args.p, args.q)
-    _emit_json(
-        args,
+    return (0 if result.passed else 1), _json(
         {
             "p": result.p,
             "q": result.q,
@@ -287,10 +254,9 @@ def _cmd_lpsgirth(args) -> int:
             "passed": result.passed,
         },
     )
-    return 0 if result.passed else 1
 
 
-def _cmd_surface_certify(args) -> int:
+def _cmd_surface_certify(args) -> tuple[int, str]:
     w = Word(args.word, "abcd")
     cert = genus2.certify_nontrivial(w)
     payload = {"word": w.letters, "verdict": cert.verdict}
@@ -298,8 +264,7 @@ def _cmd_surface_certify(args) -> int:
         payload["witness_free_word"] = cert.witness.letters
         payload["witness_prime"] = cert.prime_witness.prime
         payload["witness_matrix_mod_p"] = _mat_json(cert.prime_witness.image)
-    _emit_json(args, payload)
-    return 0 if cert.nontrivial else 1
+    return (0 if cert.nontrivial else 1), _json(payload)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,8 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_stallings)
 
     p = sub.add_parser("prime", help="smallest excluding prime of a free word")
-    p.add_argument("--word")
-    p.add_argument("--scatter", action="store_true", help="emit (length,prime) CSV for random words")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--word")
+    source.add_argument("--scatter", action="store_true", help="emit (length,prime) CSV for random words")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--maxlen", type=int, default=300)
     p.add_argument("--seed", type=int)
@@ -410,13 +376,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
-    if args.command == "prime" and not args.scatter and args.word is None:
-        parser.error("prime requires --word unless --scatter is given")
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ValueError as exc:
+        code, artifact = args.func(args)
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(artifact)
+        else:
+            sys.stdout.write(artifact)
+        return code
+    except (ValueError, OSError) as exc:  # an unwritable output is invalid input
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

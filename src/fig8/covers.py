@@ -367,7 +367,10 @@ def stallings_excluding_subgroup(w: Word) -> StallingsRep:
         for s, t in images:
             perm[s] = t
         assignment[gen] = Permutation(tuple(perm))
-    image = evaluate(w, assignment, Permutation.identity(d))
-    if image(1) == 1:
+    inverse = {g: p.inverse().images for g, p in assignment.items()}
+    point = 0  # traced letter by letter: multiplying out w would cost |w| products of degree d
+    for ch in w.letters:
+        point = assignment[ch].images[point] if ch.islower() else inverse[ch.lower()][point]
+    if point == 0:
         raise CoverError("completion failed to move the basepoint")
     return StallingsRep(d, assignment)

@@ -686,7 +686,8 @@ ARTIFACT_ARGVS = [
 # (argv, exit code, start of stderr) of jobs that write no artifact.
 ERROR_ARGVS = [
     (["nonsense"], 2, "usage: fig8"),  # argparse rejects the subcommand
-    (["prime"], 2, "usage: fig8"),  # parser.error: no --word and no --scatter
+    (["prime"], 2, "usage: fig8"),  # argparse group: one of --word and --scatter is required
+    (["prime", "--word", "abAB", "--scatter"], 2, "usage: fig8"),  # and not both
     (["selfint", "--word", "axb"], 2, "error: "),  # ValueError
     (["witness", "--word", "abAB", "--k", "2"], 2, "usage: fig8"),  # --max-k is the one depth knob
     (["selfint", "--word", "ab"], 4, "internal error: ZeroDivisionError: boom"),
@@ -702,10 +703,9 @@ def test_parser_is_built_once_and_reused(capsys, monkeypatch, tmp_path):
     build = cli.build_parser
     expected = {}
     for argv in ARTIFACT_ARGVS:  # a fresh parser per job, as before the reuse
-        args = build().parse_args(["--output", str(path), *argv])
-        expected[tuple(argv)] = (args.func(args), "", path.read_bytes())
-        path.unlink()
-    capsys.readouterr()
+        args = build().parse_args(argv)
+        code, artifact = args.func(args)
+        expected[tuple(argv)] = (code, "", artifact.encode())
 
     # Wrap build_parser as the benchmark's tracer does: each call re-wraps
     # parse_args of the parser it returns, so a parser built once but wrapped
@@ -746,3 +746,36 @@ def test_parser_is_built_once_and_reused(capsys, monkeypatch, tmp_path):
     finally:
         cli._parser.cache_clear()
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("argv", ARTIFACT_ARGVS)
+def test_stdout_and_output_file_get_the_same_bytes(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *argv)
+    path = tmp_path / "artifact"
+    assert run(capsys, "--output", str(path), *argv) == (code, "", err)
+    assert path.read_bytes() == out.encode()
+
+
+def test_unwritable_output_exits_2(capsys, tmp_path):
+    for target in (tmp_path / "missing" / "x", tmp_path):  # no such folder; a folder
+        code, out, err = run(capsys, "--output", str(target), "selfint", "--word", "aabAB")
+        assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_stallings_traces_a_long_word_in_bounded_time(capsys):
+    """The basepoint check once multiplied out the word: quadratic in |w|."""
+    word = "abAB" * 2000
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "stallings", "--word", word)
+    assert code == 0 and time.perf_counter() - start < 1.0
+    payload = json.loads(out)
+    d = payload["degree"]
+    images, inverses = {}, {}
+    for g, text in payload["assignment"].items():  # Permutation.parse caps the degree at 1000
+        cycles = [tuple(map(int, c.split())) for c in text[1:-1].split(")(")]
+        images[g] = Permutation.from_cycles(d, cycles).images
+        inverses[g] = {v: i for i, v in enumerate(images[g])}
+    point = 0
+    for ch in payload["word"]:
+        point = images[ch][point] if ch.islower() else inverses[ch.lower()][point]
+    assert (d, point) == (8001, 8000)
