@@ -18,6 +18,7 @@ import json
 import random
 import string
 import sys
+from fractions import Fraction
 
 from . import covers, genus2, lps, magnus, resfin, selfint, torus
 from .perms import Partition, Permutation, frobenius_count, parse_partition
@@ -48,17 +49,19 @@ def _parse_classes(text: str) -> list[Partition]:
     return [parse_partition(chunk) for chunk in text.split(";")]
 
 
-def _number(text: str) -> int | float:
+def _number(text: str) -> int | Fraction | float:
     try:
-        return int(text)
+        return Fraction(text) if "/" in text else int(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text}") from None
     except ValueError:
         return float(text)
 
 
 def _parse_root(text: str) -> torus.TraceTriple:
-    """Integer coordinates stay int, so the walk from them is exact."""
+    """Integer coordinates stay int and p/q ones Fraction, so walks from them are exact."""
     x, y, z = (_number(v) for v in text.split(","))
-    return torus.TraceTriple(x, y, z).check()
+    return torus.check_root((x, y, z))
 
 
 def _cmd_census(args) -> tuple[int, str]:
@@ -215,8 +218,8 @@ def _cmd_witness(args) -> tuple[int, str]:
             "modulus": witness.modulus,
             "monomial": witness.monomial,
             "coefficient": str(witness.coefficient),
-            "image_mod_m": {m: c for m, c in witness.image_mod_m.coeffs},
-            "image_order": witness.image_order,
+            "image_mod_m": witness.image_mod_m.coeffs,
+            "image_order": witness.modulus,
             "ambient_index": str(witness.ambient_index),
         },
     )

@@ -23,62 +23,51 @@ class MagnusError(ValueError):
 
 @dataclass(frozen=True)
 class MagnusSeries:
-    """Truncated noncommutative series; keys are monomials over {x, y}."""
+    """Truncated noncommutative series: monomial over {x, y} -> nonzero coefficient."""
 
-    coeffs: tuple[tuple[str, int], ...]
+    coeffs: dict[str, int]
     degree: int
 
     @classmethod
-    def from_dict(cls, coeffs: dict[str, int], degree: int) -> "MagnusSeries":
-        clean = {m: c for m, c in coeffs.items() if c and len(m) <= degree}
-        return cls(tuple(sorted(clean.items())), degree)
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.coeffs)
-
-    @classmethod
     def one(cls, degree: int) -> "MagnusSeries":
-        return cls.from_dict({"": 1}, degree)
+        return cls({"": 1}, degree)
 
     @classmethod
     def generator(cls, var: str, degree: int) -> "MagnusSeries":
-        return cls.from_dict({"": 1, var: 1}, degree)
+        return cls({"": 1, var: 1}, degree)
 
     def __mul__(self, other: "MagnusSeries") -> "MagnusSeries":
         if self.degree != other.degree:
             raise MagnusError("truncation degree mismatch")
         out: dict[str, int] = {}
-        for m1, c1 in self.coeffs:
-            for m2, c2 in other.coeffs:
-                if len(m1) + len(m2) <= self.degree:
+        right = other.coeffs.items()
+        for m1, c1 in self.coeffs.items():
+            room = self.degree - len(m1)
+            for m2, c2 in right:
+                if len(m2) <= room:
                     key = m1 + m2
                     out[key] = out.get(key, 0) + c1 * c2
-        return MagnusSeries.from_dict(out, self.degree)
+        return MagnusSeries({m: c for m, c in out.items() if c}, self.degree)
 
     def inverse(self) -> "MagnusSeries":
         """1/(1 + r) = 1 - r(1 - r(...)) in Horner form; exact in the truncated ring."""
-        r = self.as_dict()
-        if r.pop("", 0) != 1:
+        if self.coeffs.get("") != 1:
             raise MagnusError("only series with constant term 1 are inverted")
-        r = MagnusSeries.from_dict(r, self.degree)
+        r = MagnusSeries({m: c for m, c in self.coeffs.items() if m}, self.degree)
         result = MagnusSeries.one(self.degree)
         for _ in range(self.degree):
             # r has no constant term, so neither has r * result
-            result = MagnusSeries.from_dict(
-                {"": 1, **{m: -c for m, c in (r * result).coeffs}}, self.degree
+            result = MagnusSeries(
+                {"": 1, **{m: -c for m, c in (r * result).coeffs.items()}}, self.degree
             )
         return result
 
     def lowest_degree(self) -> int | None:
         """Least positive degree carrying a nonzero coefficient, or None."""
-        degs = [len(m) for m, _ in self.coeffs if m]
-        return min(degs) if degs else None
-
-    def degree_part(self, k: int) -> dict[str, int]:
-        return {m: c for m, c in self.coeffs if len(m) == k}
+        return min((len(m) for m in self.coeffs if m), default=None)
 
     def reduce_mod(self, p: int) -> "MagnusSeries":
-        return MagnusSeries.from_dict({m: c % p for m, c in self.coeffs}, self.degree)
+        return MagnusSeries({m: c % p for m, c in self.coeffs.items() if c % p}, self.degree)
 
 
 def magnus_expand(w: Word, depth: int) -> MagnusSeries:
@@ -111,7 +100,6 @@ class UnipotentWitness:
     monomial: str
     coefficient: int
     image_mod_m: MagnusSeries
-    image_order: int
     ambient_index: int
 
 
@@ -124,7 +112,8 @@ def unipotent_witness(w: Word, max_k: int) -> UnipotentWitness | None:
     modulus is the least prime not dividing the first (lexicographic)
     nonzero degree-k coefficient; the ambient index is the order
     m^(k(k+1)/2) of the full (k+1)x(k+1) unipotent group over the integers
-    mod m, and the image order is the modulus.
+    mod m.  The image is 1 + N with N^2 = 0 below the truncation, so its
+    j-th power is 1 + jN, and its order is the modulus.
     """
     if w.is_trivial:
         raise MagnusError("trivial word has no depth")
@@ -132,12 +121,11 @@ def unipotent_witness(w: Word, max_k: int) -> UnipotentWitness | None:
     k = series.lowest_degree()
     if k is None:
         return None
-    series = MagnusSeries.from_dict(series.as_dict(), k)
-    monomial, coefficient = min(series.degree_part(k).items())
+    series = MagnusSeries({m: c for m, c in series.coeffs.items() if len(m) <= k}, k)
+    monomial, coefficient = min((m, c) for m, c in series.coeffs.items() if len(m) == k)
     modulus = next(p for p in primes() if coefficient % p)
     image = series.reduce_mod(modulus)
-    if image == MagnusSeries.one(k).reduce_mod(modulus):
+    if image == MagnusSeries.one(k):
         raise MagnusError("reduced image unexpectedly trivial")
     ambient_index = modulus ** (k * (k + 1) // 2)
-    # image = 1 + N with N^2 = 0 below the truncation, so image^j = 1 + jN
-    return UnipotentWitness(k, modulus, monomial, coefficient, image, modulus, ambient_index)
+    return UnipotentWitness(k, modulus, monomial, coefficient, image, ambient_index)

@@ -16,48 +16,37 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 
 from .sl2 import length_to_trace, trace_to_length
 
 TOL = 1e-9
 
 Slope = tuple[int, int]
+TraceTriple = tuple[float, float, float]  # the traces of the slopes ROOT_SLOPES
 
 
 class CensusError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TraceTriple:
-    """Traces of three simple geodesics, of the slopes ROOT_SLOPES."""
-
-    x: float
-    y: float
-    z: float
-
-    def check(self) -> TraceTriple:
-        """Raise CensusError unless this is a valid walk root; return self."""
-        x, y, z = coords = self.coords()
-        if not all(3 - TOL <= c < math.inf for c in coords):  # NaN fails too
-            raise CensusError(f"trace triple {coords} needs finite entries >= 3")
-        # products, not powers: a float square overflows to inf instead of raising
-        try:
-            lhs, rhs = x * x + y * y + z * z, x * y * z
-        except OverflowError:  # an int beyond floats next to a float
-            lhs = rhs = math.nan
-        # int and Fraction traces are judged exactly, at any size
-        slack = TOL * max(1.0, abs(rhs)) if any(isinstance(c, float) for c in coords) else 0
-        if not abs(lhs - rhs) <= slack < math.inf:  # NaN, as from inf - inf, fails too
-            raise CensusError("cusp relation x^2 + y^2 + z^2 = xyz violated")
-        return self
-
-    def coords(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
+def check_root(root: TraceTriple) -> TraceTriple:
+    """Raise CensusError unless root is a valid walk root; return root."""
+    x, y, z = root
+    if not all(2 < c < math.inf for c in root):  # NaN fails too
+        raise CensusError(f"trace triple {root} needs finite entries > 2")
+    # products, not powers: a float square overflows to inf instead of raising
+    try:
+        lhs, rhs = x * x + y * y + z * z, x * y * z
+    except OverflowError:  # an int beyond floats next to a float
+        lhs = rhs = math.nan
+    # int and Fraction traces are judged exactly, at any size
+    slack = TOL * max(1.0, abs(rhs)) if any(isinstance(c, float) for c in root) else 0
+    if not abs(lhs - rhs) <= slack < math.inf:  # NaN, as from inf - inf, fails too
+        raise CensusError("cusp relation x^2 + y^2 + z^2 = xyz violated")
+    return root
 
 
-MODULAR_ROOT = TraceTriple(3, 3, 3)
+MODULAR_ROOT: TraceTriple = (3, 3, 3)
 # The slopes of a root's three traces, a Farey triangle, signed to sum to zero.
 ROOT_SLOPES: tuple[Slope, Slope, Slope] = ((0, 1), (1, 0), (-1, -1))
 
@@ -70,7 +59,7 @@ def enumerate_simple(root: TraceTriple, trace_cutoff: float) -> list[tuple[float
     """The sorted (trace, slope) pairs of the simple geodesics with trace <= cutoff.
 
     Checks the root, labels it ROOT_SLOPES, and flips it down to the tree's
-    sink while some flip lowers a coordinate; a descent below trace 3 raises
+    sink while some flip lowers a coordinate; a flip to a trace <= 2 raises
     CensusError.  From the sink every flip raises a trace, so the trivalent
     Vieta tree is walked depth-first on plain tuples: the flip of w across
     (u, v) gives trace uv - w, in the operand types of the root.  As the
@@ -82,18 +71,18 @@ def enumerate_simple(root: TraceTriple, trace_cutoff: float) -> list[tuple[float
     exactly one new slope, so slope deduplication is structural.  Traces of
     an all-int root are ints; otherwise integral traces are turned into ints.
     """
-    root.check()
+    check_root(root)
     if not 3 <= trace_cutoff < math.inf:  # NaN fails too
         raise CensusError(f"trace cutoff {trace_cutoff} is not a finite number >= 3")
-    sink, s = list(root.coords()), list(ROOT_SLOPES)
+    sink, s = list(root), list(ROOT_SLOPES)
     # flipping x_k gives x_i x_j - x_k, lower than x_k iff xyz < 2 x_k^2
     while lower := [k for k in range(3) if math.prod(sink) < 2 * sink[k] ** 2]:
         k = lower[0]
         i, j = (k + 1) % 3, (k + 2) % 3
         (pi, qi), (pj, qj) = s[i], s[j]
         sink[k], s[j], s[k] = sink[i] * sink[j] - sink[k], (-pj, -qj), (pj - pi, qj - qi)
-        if sink[k] < 3 - TOL:
-            raise CensusError(f"Vieta flip gives trace {sink[k]} below 3")
+        if not sink[k] > 2:
+            raise CensusError(f"Vieta flip gives trace {sink[k]}, not above 2")
     found = [
         (t, (p, q) if q > 0 or (q == 0 and p > 0) else (-p, -q))
         for t, (p, q) in zip(sink, s)
@@ -113,7 +102,7 @@ def enumerate_simple(root: TraceTriple, trace_cutoff: float) -> list[tuple[float
         stack.append((v, t, u, p2, q2, p, q))
         stack.append((u, t, v, p1, q1, p, q))
     found.sort()
-    if all(type(c) is int for c in root.coords()):
+    if all(type(c) is int for c in root):
         return found
     return [(_maybe_int(t), st) for t, st in found]
 

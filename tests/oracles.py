@@ -324,10 +324,16 @@ def normalize_slope(p: int, q: int) -> Slope:
 
 
 @dataclass(frozen=True)
-class LabelledTriple(TraceTriple):
+class LabelledTriple:
     """Traces of three simple geodesics whose slopes form a Farey triangle."""
 
+    x: float
+    y: float
+    z: float
     slopes: tuple[Slope, Slope, Slope] = ((0, 1), (1, 0), (1, 1))
+
+    def coords(self) -> TraceTriple:
+        return (self.x, self.y, self.z)
 
 
 def vieta_flip(t: LabelledTriple, coordinate: int) -> LabelledTriple:

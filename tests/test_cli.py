@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -322,32 +323,56 @@ def test_torus_artifacts_are_byte_identical(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# SHA-256 over (exit code, stdout, stderr) of the torus commands at roots
-# other than 3,3,3.  They guard the slope labels of the descent, which runs
-# only where the root is not the sink, and the walks of float roots.  The
-# last root cannot be walked.
+# The torus commands of the artifact pins at roots other than 3,3,3.
+NON_MODULAR_ROOT_ARGVS = [
+    ["census", "--cutoff", "30", "--mode", "full"],
+    ["census", "--counts-at", "2,20,45,70"],
+    ["mcshane", "--cutoff", "1e9"],
+    ["mcshane", "--cutoff", "1e9", "--form", "length"],
+    ["mc2", "--cutoff", "1e9"],
+]
+# SHA-256 over (exit code, stdout, stderr) of those commands.  They guard
+# the slope labels of the descent, which runs only where the root is not
+# the sink, and the walks of float roots.  The last root's sink holds a
+# trace of 2.34.
 NON_MODULAR_ROOT_SHA256 = [
     ("15,87,1299", "d5762ba0b8e832d357eaf1ad2fcbaa23af0324d917faf3dede0aa5fca9ebe485"),
     ("3,6,15", "99e8b92b8e2dd1b789a443c2109869909a4826ba4f0397b679b417aeb7c68d11"),
     ("3.0,3,3", "caadc1e8d6ec833000b3c66a257d8933d3e8719503b359cb93f19fd9bafc1834"),
     ("3.0000000001,3,3", "24b8fbc73eb19fc6ae247c55b1f67c102a94629057652593a1ee7efc0ecb1373"),
-    ("4,4,13.65685424949238", "fcd73b80a4ce49e453a63e5c2ce47015acaff1f862e17693bcb5de173e134a7c"),
+    ("4,4,13.65685424949238", "22d0af0f342b27a571dbaef75d5470f3ec83e9ce965ac46c726da1effd7bbebb"),
 ]
 
 
 @pytest.mark.parametrize("root,digest", NON_MODULAR_ROOT_SHA256)
 def test_non_modular_root_artifacts_are_byte_identical(capsys, root, digest):
     sha = hashlib.sha256()
-    for argv in (
-        ["census", "--root", root, "--cutoff", "30", "--mode", "full"],
-        ["census", "--root", root, "--counts-at", "2,20,45,70"],
-        ["mcshane", "--root", root, "--cutoff", "1e9"],
-        ["mcshane", "--root", root, "--cutoff", "1e9", "--form", "length"],
-        ["mc2", "--root", root, "--cutoff", "1e9"],
-    ):
-        code, out, err = run(capsys, *argv)
+    for argv in NON_MODULAR_ROOT_ARGVS:
+        code, out, err = run(capsys, *argv, "--root", root)
         sha.update(f"{code}\n{out}{err}".encode())
     assert sha.hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "rational,decimal", [("18,9/2,9/2", "18,4.5,4.5"), ("9/4,9/2,9/2", "2.25,4.5,4.5")]
+)
+def test_rational_roots_give_the_artifacts_of_their_decimals(capsys, rational, decimal):
+    """A p/q coordinate walks exactly in Fractions; these decimal roots walk
+    in floats, and every artifact is the same."""
+    for argv in NON_MODULAR_ROOT_ARGVS:
+        got = run(capsys, *argv, "--root", rational)
+        assert got[0] == 0 and got == run(capsys, *argv, "--root", decimal), argv
+
+
+@pytest.mark.parametrize("root", ["18,4.5,4.5", "4,4,13.65685424949238", "9/4,9/2,9/2"])
+@pytest.mark.parametrize("cutoff", [9.0, 100.0, 1e4, 1e9])
+def test_mc2_is_twice_mcshane_at_a_third_of_the_cutoff(capsys, root, cutoff):
+    """At roots whose sinks hold a trace below 3, in terms and in sum."""
+    _, mc2, _ = run(capsys, "mc2", "--root", root, "--cutoff", repr(cutoff))
+    _, mcshane, _ = run(capsys, "mcshane", "--root", root, "--cutoff", repr(cutoff / 3))
+    mc2, mcshane = json.loads(mc2), json.loads(mcshane)
+    assert mc2["terms"] == 2 * mcshane["terms"] > 0
+    assert abs(mc2["partial_sum"] - 2 * mcshane["partial_sum"]) <= 2e-8  # 9 digits each
 
 
 # SHA-256 of selfint artifacts, recorded before the crossing sweep walked int
@@ -396,13 +421,15 @@ def test_counts_at_walks_once_and_equals_per_length_counts(capsys, monkeypatch, 
     [
         ("20,nan", "length nan is not"),
         ("1,nan,20", "length nan is not"),
-        ("1,20", "Vieta flip gives trace 2.25 below 3"),
+        ("1,20", "Vieta flip gives trace 0.0, not above 2"),
     ],
 )
 def test_counts_at_fails_at_the_first_bad_step_in_order(capsys, lengths, error):
     """Every length is converted before the one walk, so a bad length is
-    reported before a root that cannot be walked."""
-    code, out, err = run(capsys, "census", "--root", "18,4.5,4.5", "--counts-at", lengths)
+    reported before a root that cannot be walked.  This float root meets
+    the cusp relation only within the float slack, and its first flip
+    cancels to 0."""
+    code, out, err = run(capsys, "census", "--root", "1e16,1e8,1e8", "--counts-at", lengths)
     assert (code, out) == (2, "") and err.startswith(f"error: {error}")
 
 
@@ -515,7 +542,8 @@ def test_default_root_walks_exactly():
     pairs = torus.enumerate_simple(cli._parse_root("3,3,3"), cutoff)
     assert pairs == torus.enumerate_simple(torus.MODULAR_ROOT, cutoff)
     assert all(t % 3 == 0 for t, _ in pairs)
-    assert [type(c) for c in cli._parse_root("3.0,3,3").coords()] == [float, int, int]
+    assert [type(c) for c in cli._parse_root("3.0,3,3")] == [float, int, int]
+    assert [type(c) for c in cli._parse_root("9/4,9/2,4.5")] == [Fraction, Fraction, float]
 
 
 @pytest.mark.parametrize("cutoff", [6, 20, 40])
@@ -595,8 +623,9 @@ def test_non_finite_roots_exit_2(root):
 # Pools of the torus fuzz: root entries, whole roots that can be walked,
 # length cutoffs and trace cutoffs, each with junk text.
 ROOT_ENTRIES = ["nan", "inf", "1e400", "1e200", "0", "-3", "2.9", "3", "3.0", "4.5", "15", "87",
-                "1299", "x"]
-WALKABLE_ROOTS = ["3,3,3", "3.0,3,3", "3,3.0,3", "15,87,1299", "1299,15,87"]
+                "1299", "x", "9/2", "1/0", "18"]
+WALKABLE_ROOTS = ["3,3,3", "3.0,3,3", "3,3.0,3", "15,87,1299", "1299,15,87", "18,9/2,9/2",
+                  "4,4,13.65685424949238"]
 LENGTHS = ["nan", "inf", "1e400", "1e200", "0", "-3", "2.9", "3", "4.5", "15", "40", "x"]
 TRACES = ["nan", "inf", "1e400", "0", "-3", "2.9", "3", "3.0", "4.5", "15", "87", "1299", "1e9", "x"]
 
@@ -689,6 +718,7 @@ ERROR_ARGVS = [
     (["prime"], 2, "usage: fig8"),  # argparse group: one of --word and --scatter is required
     (["prime", "--word", "abAB", "--scatter"], 2, "usage: fig8"),  # and not both
     (["selfint", "--word", "axb"], 2, "error: "),  # ValueError
+    (["census", "--root", "1/0,3,3"], 2, "error: zero denominator"),  # not ZeroDivisionError
     (["witness", "--word", "abAB", "--k", "2"], 2, "usage: fig8"),  # --max-k is the one depth knob
     (["selfint", "--word", "ab"], 4, "internal error: ZeroDivisionError: boom"),
 ]

@@ -17,9 +17,9 @@ def bracket(u: Word, v: Word) -> Word:
 
 
 def test_expand_examples():
-    assert magnus_expand(Word("a"), 2).as_dict() == {"": 1, "x": 1}
-    assert magnus_expand(Word("abAB"), 2).as_dict() == {"": 1, "xy": 1, "yx": -1}
-    assert magnus_expand(Word("ab"), 1).as_dict() == {"": 1, "x": 1, "y": 1}
+    assert magnus_expand(Word("a"), 2).coeffs == {"": 1, "x": 1}
+    assert magnus_expand(Word("abAB"), 2).coeffs == {"": 1, "xy": 1, "yx": -1}
+    assert magnus_expand(Word("ab"), 1).coeffs == {"": 1, "x": 1, "y": 1}
     with pytest.raises(MagnusError):
         magnus_expand(Word("a"), 0)
     with pytest.raises(MagnusError):
@@ -29,7 +29,7 @@ def test_expand_examples():
 def test_inverse_is_exact_in_truncation():
     for letters in ("a", "b", "aB", "abA"):
         s = magnus_expand(Word(letters), 4)
-        assert (s * s.inverse()).as_dict() == {"": 1}
+        assert (s * s.inverse()).coeffs == {"": 1}
 
 
 def test_homomorphism_property_random_pairs():
@@ -71,13 +71,12 @@ def test_unipotent_witness_heisenberg():
     witness = unipotent_witness(Word("abAB"), 2)
     assert witness.modulus == 2
     assert witness.ambient_index == 8
-    assert witness.image_order == 2
-    assert witness.image_mod_m.as_dict() != {"": 1}
+    assert witness.image_mod_m.coeffs != {"": 1}
 
 
 def test_unipotent_witness_abelian_and_depth3():
     witness = unipotent_witness(Word("a"), 1)
-    assert witness.modulus == 2 and witness.ambient_index == 2 and witness.image_order == 2
+    assert witness.modulus == 2 and witness.ambient_index == 2
     w3 = unipotent_witness(Word("abAbaBAB"), 3)
     assert w3.depth == 3
     assert w3.coefficient % w3.modulus != 0
@@ -104,7 +103,7 @@ def test_unipotent_witness_order_is_brute_force_order():
         words.append(w)
     for w in words:
         witness = unipotent_witness(w, lcs_depth(w))
-        assert witness.image_order == _brute_order(witness.image_mod_m, witness.modulus), w
+        assert _brute_order(witness.image_mod_m, witness.modulus) == witness.modulus, w
         assert unipotent_witness(w, 8) == witness  # truncating the expansion at max_k
 
 
@@ -115,7 +114,7 @@ def test_coefficient_growth_bracket_family():
         w = bracket(w, Word("b"))
         k = j + 1
         series = magnus_expand(w, k)
-        biggest = max(abs(c) for c in series.degree_part(k).values())
+        biggest = max(abs(c) for m, c in series.coeffs.items() if len(m) == k)
         assert biggest <= len(w) ** k
 
 
@@ -125,4 +124,4 @@ def test_series_arithmetic_errors():
     with pytest.raises(MagnusError):
         s2 * s3
     with pytest.raises(MagnusError):
-        MagnusSeries.from_dict({"": 0}, 2).inverse()
+        MagnusSeries({}, 2).inverse()

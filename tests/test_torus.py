@@ -8,8 +8,8 @@ import pytest
 from fig8.torus import (
     MODULAR_ROOT,
     CensusError,
-    TraceTriple,
     _maybe_int,
+    check_root,
     census_counts,
     enumerate_simple,
     growth_exponent,
@@ -44,13 +44,15 @@ def _mc2(cutoff):
 
 
 def test_trace_triple_validation():
-    assert MODULAR_ROOT.check() is MODULAR_ROOT
+    assert check_root(MODULAR_ROOT) is MODULAR_ROOT
+    root = (Fraction(9, 4), Fraction(9, 2), Fraction(9, 2))
+    assert check_root(root) is root  # entries need only exceed 2
     with pytest.raises(CensusError):
-        TraceTriple(3, 3, 4).check()  # cusp relation fails
+        check_root((3, 3, 4))  # cusp relation fails
     with pytest.raises(CensusError):
-        TraceTriple(2, 2, 2).check()  # below 3
+        check_root((2, 2, 2))  # not above 2
     with pytest.raises(CensusError):
-        enumerate_simple(TraceTriple(3, 3, 4), 10)  # the walk checks its root
+        enumerate_simple((3, 3, 4), 10)  # the walk checks its root
 
 
 @pytest.mark.parametrize(
@@ -67,7 +69,7 @@ def test_trace_triple_validation():
 )
 def test_non_finite_roots_are_rejected(coords):
     with pytest.raises(CensusError):
-        TraceTriple(*coords).check()
+        check_root(coords)
 
 
 def test_exact_triples_are_judged_exactly():
@@ -75,23 +77,24 @@ def test_exact_triples_are_judged_exactly():
     for _ in range(18):  # flipping the least trace roughly squares the largest
         node = vieta_flip(node, node.coords().index(min(node.coords())))
     assert max(node.coords()) > 10**2600  # beyond floats; x^2 beyond int-to-str
-    assert node.check() is node
+    assert check_root(node.coords()) == node.coords()
     with pytest.raises(CensusError):
-        TraceTriple(node.x, node.y, node.z + 1).check()
+        check_root((node.x, node.y, node.z + 1))
     half = Fraction(9, 2)
-    assert TraceTriple(18, half, half).check()  # a rational cusped torus
+    assert check_root((18, half, half))  # a rational cusped torus
     with pytest.raises(CensusError):
-        TraceTriple(18, half, half + Fraction(1, 10**30)).check()
+        check_root((18, half, half + Fraction(1, 10**30)))
 
 
-def test_non_sink_root_is_valid_but_not_walked():
-    root = TraceTriple(4, 4, 8 + 32**0.5)  # a cusped torus whose first flip gives 2.34
-    assert root.check() is root
-    with pytest.raises(CensusError):
-        enumerate_simple(root, 20)
+def test_non_sink_root_descends_below_three():
+    root = (4, 4, 8 + 32**0.5)  # a cusped torus whose first flip gives 2.34
+    pairs = enumerate_simple(root, 20)
+    assert pairs == _oracle_enumerate_simple(root, 20)
+    assert 2.34 < pairs[0][0] < 2.35 and pairs[0][1] == (-1, 1)  # the flip of slope 1/1
+    assert len({st for _, st in pairs}) == len(pairs)
 
 
-@pytest.mark.parametrize("root", [TraceTriple(15, 87, 1299), TraceTriple(3, 6, 15)])
+@pytest.mark.parametrize("root", [(15, 87, 1299), (3, 6, 15)])
 @pytest.mark.parametrize("cutoff", [5, 10, 1000, 10**6])
 def test_root_above_the_sink_gives_the_modular_census(root, cutoff):
     """The walk starts at the sink, so a root above it neither lists its own
@@ -103,14 +106,14 @@ def test_root_above_the_sink_gives_the_modular_census(root, cutoff):
 
 @pytest.mark.parametrize("root", [LabelledTriple(3, 3, 3), LabelledTriple(15, 87, 1299)])
 def test_random_flips_keep_every_node_valid(root):
-    """Flips preserve what check() tests, so walks need not check each node."""
+    """Flips preserve what check_root tests, so walks need not check each node."""
     rng = random.Random(5)
     checked = 0
     for _ in range(200):
         node = root
         for _ in range(rng.randint(1, 30)):
             node = vieta_flip(node, rng.randrange(3))
-            checked += node.check() is node
+            checked += check_root(node.coords()) == node.coords()
     assert checked > 2000
 
 
@@ -164,9 +167,9 @@ def test_enumerate_simple_against_bruteforce_oracle():
 
 
 def test_trace_multiset_invariant_under_root_permutation():
-    base = _traces(TraceTriple(3, 6, 15), 500)
+    base = _traces((3, 6, 15), 500)
     for coords in itertools.permutations((3, 6, 15)):
-        assert _traces(TraceTriple(*coords), 500) == base
+        assert _traces(coords, 500) == base
 
 
 def test_one_intersection_census():
@@ -247,8 +250,8 @@ def test_census_counts_equal_per_length_filtering():
     below 3, which a bound between it and 3 counts."""
     lengths = [0.5, 70, 2, 20, 20, 1.9248473002384139, 4.5] + [i / 2 for i in range(1, 101)]
     lengths.append(1.9248472999700856)
-    near_three = TraceTriple(3.0000000001, 3, 3).check()
-    below_three = TraceTriple(2.9999999995, 3, 3).check()
+    near_three = check_root((3.0000000001, 3, 3))
+    below_three = check_root((2.9999999995, 3, 3))
     assert length_to_trace(1.9248473002384139) < 3.0000000001
     assert 2.9999999995 < length_to_trace(1.9248472999700856) < 3
     for root in (MODULAR_ROOT, near_three, below_three):
@@ -273,23 +276,23 @@ def test_slope_helpers():
 
 def _oracle_enumerate_simple(root, trace_cutoff):
     """The node-by-node walk that enumerate_simple replaced: every step builds
-    a TraceTriple through vieta_flip, and the (trace, slope) pairs are sorted."""
-    root.check()
+    a LabelledTriple through vieta_flip, and the (trace, slope) pairs are sorted."""
+    check_root(root)
     if not 3 <= trace_cutoff < math.inf:
         raise CensusError(f"trace cutoff {trace_cutoff} is not a finite number >= 3")
 
     def maybe_int(x):
         return int(x) if float(x).is_integer() else x
 
-    sink = LabelledTriple(*root.coords())
+    sink = LabelledTriple(*root)
     while True:
         x = sink.coords()
         lower = [k for k in range(3) if math.prod(x) < 2 * x[k] ** 2]
         if not lower:
             break
         sink = vieta_flip(sink, lower[0])
-        if sink.coords()[lower[0]] < 3 - 1e-9:
-            raise CensusError(f"Vieta flip gives trace {sink.coords()[lower[0]]} below 3")
+        if not sink.coords()[lower[0]] > 2:
+            raise CensusError(f"Vieta flip gives trace {sink.coords()[lower[0]]}, not above 2")
     pairs = [
         (maybe_int(tr), s)
         for tr, s in zip(sink.coords(), sink.slopes)
@@ -319,7 +322,7 @@ def _float_roots(count, seed, spread):
     for _ in range(count):
         x, y = 3 + rng.uniform(0, spread), 3 + rng.uniform(0, spread)
         z = (x * y + math.sqrt((x * y) ** 2 - 4 * (x * x + y * y))) / 2
-        roots.append(TraceTriple(x, y, z).check())
+        roots.append(check_root((x, y, z)))
     return roots
 
 
@@ -327,14 +330,17 @@ def _float_roots(count, seed, spread):
 NEAR_MODULAR_ROOTS = _float_roots(10, 23, 1e-10)
 EXACT_ROOTS = [
     MODULAR_ROOT,
-    TraceTriple(3, 15, 6),  # coordinates permuted, two flips above the sink
-    TraceTriple(15, 87, 1299),
-    TraceTriple(3, 6, 15),
-    TraceTriple(3.0, 3.0, 3.0),
+    (3, 15, 6),  # coordinates permuted, two flips above the sink
+    (15, 87, 1299),
+    (3, 6, 15),
+    (3.0, 3.0, 3.0),
 ]
+# Roots whose sinks hold a trace between 2 and 3: rational, the same in
+# floats, and irrational.
+BELOW_THREE_ROOTS = [(18, Fraction(9, 2), Fraction(9, 2)), (18, 4.5, 4.5), (4, 4, 8 + 32**0.5)]
 
 
-@pytest.mark.parametrize("root", EXACT_ROOTS + NEAR_MODULAR_ROOTS[:2])
+@pytest.mark.parametrize("root", EXACT_ROOTS + NEAR_MODULAR_ROOTS[:2] + BELOW_THREE_ROOTS[1:])
 @pytest.mark.parametrize("cutoff", [3, 9, 10**3, 10**6, 10**15])
 def test_tuple_walk_matches_node_walk(root, cutoff):
     got = enumerate_simple(root, cutoff)
@@ -343,12 +349,32 @@ def test_tuple_walk_matches_node_walk(root, cutoff):
     assert [type(t) for t, _ in got] == [type(t) for t, _ in want]
 
 
+def test_rational_root_walks_exactly():
+    """The oracle's float integrality test rounds a large Fraction, so the
+    rational walk meets it only at a small cutoff.  Up to 1e15 it lists the
+    slopes of the float walk from the same root in the same order, each
+    trace a dyadic Fraction or int within 1e-14 of the float trace."""
+    rational, decimal = BELOW_THREE_ROOTS[:2]
+    assert enumerate_simple(rational, 10**6) == _oracle_enumerate_simple(rational, 10**6)
+    exact, approx = enumerate_simple(rational, 10**15), enumerate_simple(decimal, 10**15)
+    assert [st for _, st in exact] == [st for _, st in approx]
+    for (t, _), (f, _) in zip(exact, approx):
+        assert type(t) in (int, Fraction) and Fraction(t).denominator.bit_count() == 1
+        assert abs(t - Fraction(f)) <= 1e-14 * f
+
+
+@pytest.mark.parametrize("root", BELOW_THREE_ROOTS)
+def test_mcshane_identity_holds_at_roots_below_three(root):
+    """McShane's identity holds on every cusped torus (Bowditch 1996)."""
+    assert abs(1 - mcshane_sum(_traces(root, 10**12))) < 1e-13
+
+
 def test_census_matches_the_sorted_record_census():
     """The census equals the oracle's sorted (trace, slope, family) rows,
-    trace types included.  Roots far from the
-    modular torus descend below trace 3, and both raise the same error, as
-    both do below the first paired trace (L < 4.369)."""
-    roots = EXACT_ROOTS + NEAR_MODULAR_ROOTS + _float_roots(10, 29, 9)
+    trace types included.  Roots far from the modular torus descend below
+    trace 3 and are walked too.  Both raise the same error below the first
+    paired trace (L < 4.369)."""
+    roots = EXACT_ROOTS + NEAR_MODULAR_ROOTS + _float_roots(10, 29, 9) + BELOW_THREE_ROOTS
     lengths = [0.5, 2, 4, 4.3, 4.4, 4.5, 6, 8, 10, 15, 20, 30, 45, 60, 75, 90]
     outcomes = {"equal": 0, "raise": 0}
     for root, mode, length in itertools.product(roots, ("paired", "full"), lengths):
@@ -364,8 +390,8 @@ def test_census_matches_the_sorted_record_census():
         assert got == want  # same rows in the same order
         assert [type(t) for t, _, _ in got] == [type(t) for t, _, _ in want]
         outcomes["equal"] += 1
-    # 15 walkable roots at the 12 lengths >= 4.4 in both modes; the far roots always raise
-    assert outcomes == {"equal": 15 * 2 * 12, "raise": 15 * 2 * 4 + 10 * 2 * 16}
+    # all 28 roots walk at the 12 lengths >= 4.4 in both modes, and raise at the 4 below
+    assert outcomes == {"equal": 28 * 2 * 12, "raise": 28 * 2 * 4}
 
 
 def test_maybe_int_tests_integrality_exactly():
