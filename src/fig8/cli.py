@@ -13,6 +13,7 @@ builds the parser once per process and reuses it for every later call.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import random
@@ -95,7 +96,9 @@ def _cmd_mcshane(args) -> tuple[int, str]:
 def _cmd_mc2(args) -> tuple[int, str]:
     root = _parse_root(args.root)
     traces = [t for t, _ in torus.enumerate_simple(root, args.cutoff / 3.0)]
-    total = torus.mc2_sum(traces)
+    # each simple trace t carries two paired terms of trace 3t, and the term
+    # 1 - sqrt(1 - (6/3t)^2) of each is the McShane term of t: the sum tends to 2
+    total = 2 * torus.mcshane_sum(traces)
     return 0, _json(
         {"cutoff": args.cutoff, "partial_sum": float(_fmt(total)), "terms": 2 * len(traces)},
     )
@@ -232,31 +235,14 @@ def _cmd_expectedprime(args) -> tuple[int, str]:
 
 def _cmd_avgindex(args) -> tuple[int, str]:
     result = resfin.average_index_simulation(args.rank, args.radius, args.samples, args.seed)
-    return 0, _json(
-        {
-            "mean": float(_fmt(result.mean)),
-            "samples_used": result.samples_used,
-            "excluded_zero_abelianization": result.excluded_zero_abelianization,
-            "seed": args.seed,
-        },
-    )
+    payload = dataclasses.asdict(result)
+    return 0, _json({**payload, "mean": float(_fmt(result.mean)), "seed": args.seed})
 
 
 def _cmd_lpsgirth(args) -> tuple[int, str]:
     result = lps.lps_girth_check(args.p, args.q)
-    return (0 if result.passed else 1), _json(
-        {
-            "p": result.p,
-            "q": result.q,
-            "generator_count": result.generator_count,
-            "group_order": result.group_order,
-            "psl_order": result.psl_order,
-            "girth": result.girth,
-            "bound": float(_fmt(result.bound)),
-            "bound_ceil": result.bound_ceil,
-            "passed": result.passed,
-        },
-    )
+    payload = dataclasses.asdict(result)
+    return (0 if result.passed else 1), _json({**payload, "bound": float(_fmt(result.bound))})
 
 
 def _cmd_surface_certify(args) -> tuple[int, str]:

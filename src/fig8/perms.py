@@ -86,9 +86,7 @@ def _character(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
         if nb < 0 or nb in beta_set:
             continue
         height = sum(1 for x in beta if nb < x < b)
-        new_beta = sorted((x for x in beta if x != b), reverse=True)
-        new_beta.append(nb)
-        new_beta.sort(reverse=True)
+        new_beta = sorted([x for x in beta if x != b] + [nb], reverse=True)
         new_lam = tuple(
             x - (length - 1 - i) for i, x in enumerate(new_beta) if x - (length - 1 - i) > 0
         )

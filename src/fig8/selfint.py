@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from .sl2 import Mat2
+from .sl2 import Mat2, trace_to_length
 from .words import Word, evaluate
 
 TOL = 1e-9
@@ -87,7 +87,7 @@ def _crossing_counts(big_w: Mat2) -> tuple[int, int]:
 
     lam = (abs(trace) + disc) / 2.0
     dilation = lam * lam  # period of <w> acting on the framed axis
-    period = 2.0 * math.acosh(abs(trace) / 2.0)
+    period = trace_to_length(trace)
     base_frame = complex(0.0, math.sqrt(dilation))
     base_point = (p2 * base_frame - p1) / (base_frame - 1.0)
     radius = period / 2.0 + MARGIN

@@ -77,9 +77,6 @@ class Mat2:
     def entries(self) -> tuple[int, int, int, int]:
         return (self.a11, self.a12, self.a21, self.a22)
 
-    def max_entry(self) -> int:
-        return max(abs(x) for x in self.entries())
-
 
 def length_to_trace(length: float) -> float:
     if not 0 <= length < math.inf:  # NaN fails too

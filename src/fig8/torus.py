@@ -51,10 +51,6 @@ MODULAR_ROOT: TraceTriple = (3, 3, 3)
 ROOT_SLOPES: tuple[Slope, Slope, Slope] = ((0, 1), (1, 0), (-1, -1))
 
 
-def _maybe_int(x: float):
-    return int(x) if x == int(x) else x
-
-
 def enumerate_simple(root: TraceTriple, trace_cutoff: float) -> list[tuple[float, Slope]]:
     """The sorted (trace, slope) pairs of the simple geodesics with trace <= cutoff.
 
@@ -68,8 +64,8 @@ def enumerate_simple(root: TraceTriple, trace_cutoff: float) -> list[tuple[float
     s[j], and each sink edge is stored as (su, -sv), so the ascent only
     adds its two stored slopes, and both child edges keep that form.  A
     branch is cut at the first trace above the cutoff; each step introduces
-    exactly one new slope, so slope deduplication is structural.  Traces of
-    an all-int root are ints; otherwise integral traces are turned into ints.
+    exactly one new slope, so slope deduplication is structural.  Traces
+    keep the number type of the root: exact for int and Fraction roots.
     """
     check_root(root)
     if not 3 <= trace_cutoff < math.inf:  # NaN fails too
@@ -102,9 +98,7 @@ def enumerate_simple(root: TraceTriple, trace_cutoff: float) -> list[tuple[float
         stack.append((v, t, u, p2, q2, p, q))
         stack.append((u, t, v, p1, q1, p, q))
     found.sort()
-    if all(type(c) is int for c in root):
-        return found
-    return [(_maybe_int(t), st) for t, st in found]
+    return found
 
 
 def one_intersection_census(
@@ -147,17 +141,6 @@ def mcshane_sum(traces: list[float], form: str = "trace") -> float:
         else:
             total += 1.0 / (math.exp(min(trace_to_length(t), 709.0)) + 1.0)
     return total
-
-
-def mc2_sum(traces: list[float]) -> float:
-    """Partial sum of the one-double-point identity over the paired family.
-
-    ``traces`` are the simple traces up to a third of the paired trace
-    cutoff.  Each simple trace t carries two paired terms of trace 3t, and
-    1 - sqrt(1 - (6/3t)^2) is the trace-form McShane term of t, so the sum is
-    twice the McShane sum over them, and converges to 2.
-    """
-    return 2 * mcshane_sum(traces)
 
 
 def census_counts(root: TraceTriple, length_bounds: list[float]) -> list[tuple[int, int, int]]:

@@ -4,8 +4,8 @@ A word is a string over lowercase generators and their uppercase inverses
 (a <-> A, b <-> B, ...).  Words are freely reduced on construction and the
 unreduced input is never retained.  ``evaluate`` sends a word into any
 group through the images of its generators.  The random reduced words
-draw their letters with ``getrandbits`` and one table lookup each, making
-exactly the draws that ``rng.choice`` would, so a seed's samples are fixed.
+draw each letter with ``getrandbits``, making exactly the draws that
+``rng.choice`` would, so a seed's samples are fixed.
 """
 
 from __future__ import annotations
@@ -143,11 +143,11 @@ def random_reduced_letters(rng: random.Random, max_len: int, gens: str = FREE_RA
     draw below the ball of radius max_len walks its length down without a
     table of the sizes.
 
-    A letter is one ``rng.getrandbits(k)`` draw, k = r.bit_length(), looked
-    up in ``step[last << k | draw]``: the next letter's index, or -1 for a
-    draw of r or more or of the inverse of the last letter, to be repeated.
-    ``rng.choice`` over the alphabet, redrawn on an inverse, makes exactly
-    these draws, so each seed's samples and final state are as with it.
+    A letter is one ``rng.getrandbits(k)`` draw, k = r.bit_length(), of the
+    next letter's index, repeated while it is r or more or the inverse of
+    the last letter.  ``rng.choice`` over the alphabet, redrawn on an
+    inverse, makes exactly these draws, so each seed's samples and final
+    state are as with it.
     """
     r = 2 * len(gens)
 
@@ -156,12 +156,8 @@ def random_reduced_letters(rng: random.Random, max_len: int, gens: str = FREE_RA
 
     size = ball(max(max_len, 0))  # no words below radius 1: randrange raises
     alphabet = gens + gens.upper()
+    inverse = [(i + len(gens)) % r for i in range(r)]
     k = r.bit_length()
-    row = list(range(r)) + [-1] * ((1 << k) - r)
-    step = []
-    for last in range(r):
-        step += row
-        step[last << k | (last + len(gens)) % r] = -1  # the inverse letter
     getrandbits = rng.getrandbits
     while True:
         x = rng.randrange(size)
@@ -173,9 +169,9 @@ def random_reduced_letters(rng: random.Random, max_len: int, gens: str = FREE_RA
             last = getrandbits(k)
         out = [alphabet[last]]
         for _ in range(length - 1):
-            i = step[last << k | getrandbits(k)]
-            while i < 0:
-                i = step[last << k | getrandbits(k)]
+            i = getrandbits(k)
+            while i >= r or i == inverse[last]:
+                i = getrandbits(k)
             last = i
             out.append(alphabet[last])
         yield "".join(out)

@@ -248,6 +248,21 @@ def test_lpsgirth(capsys):
     assert (payload["girth"], payload["bound_ceil"]) == (8, 6)
 
 
+# SHA-256 of lpsgirth artifacts, recorded while the subcommand still named
+# each LpsGirthResult field itself.
+@pytest.mark.parametrize(
+    "q,digest",
+    [
+        ("13", "c764c05f469340d81b6ab1390d2bf0d99d11fbd83959e82c6ec653db25063d81"),
+        ("17", "be68a1f5882fdd1253f8ba4d1555a472a9098786e1f179818300fb533534e7e8"),
+    ],
+)
+def test_lpsgirth_artifacts_are_byte_identical(capsys, q, digest):
+    code, out, err = run(capsys, "lpsgirth", "--p", "5", "--q", q)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_surface_certify_exit_codes(capsys):
     code, out, _ = run(capsys, "surface-certify", "--word", "ac")
     assert code == 0 and json.loads(out)["verdict"] == "NONTRIVIAL"

@@ -8,12 +8,10 @@ import pytest
 from fig8.torus import (
     MODULAR_ROOT,
     CensusError,
-    _maybe_int,
     check_root,
     census_counts,
     enumerate_simple,
     growth_exponent,
-    mc2_sum,
     mcshane_sum,
     one_intersection_census,
 )
@@ -40,7 +38,7 @@ def _mcshane(cutoff, form="trace"):
 
 
 def _mc2(cutoff):
-    return mc2_sum(_traces(MODULAR_ROOT, cutoff / 3))
+    return 2 * mcshane_sum(_traces(MODULAR_ROOT, cutoff / 3))
 
 
 def test_trace_triple_validation():
@@ -280,10 +278,6 @@ def _oracle_enumerate_simple(root, trace_cutoff):
     check_root(root)
     if not 3 <= trace_cutoff < math.inf:
         raise CensusError(f"trace cutoff {trace_cutoff} is not a finite number >= 3")
-
-    def maybe_int(x):
-        return int(x) if float(x).is_integer() else x
-
     sink = LabelledTriple(*root)
     while True:
         x = sink.coords()
@@ -294,7 +288,7 @@ def _oracle_enumerate_simple(root, trace_cutoff):
         if not sink.coords()[lower[0]] > 2:
             raise CensusError(f"Vieta flip gives trace {sink.coords()[lower[0]]}, not above 2")
     pairs = [
-        (maybe_int(tr), s)
+        (tr, s)
         for tr, s in zip(sink.coords(), sink.slopes)
         if tr <= trace_cutoff  # a float sink trace may lie above a cutoff of 3
     ]
@@ -306,7 +300,7 @@ def _oracle_enumerate_simple(root, trace_cutoff):
         if new_trace > trace_cutoff:
             continue
         child = vieta_flip(node, k)
-        pairs.append((maybe_int(new_trace), child.slopes[k]))
+        pairs.append((new_trace, child.slopes[k]))
         for k2 in range(3):
             if k2 != k:
                 stack.append((child, k2))
@@ -350,13 +344,12 @@ def test_tuple_walk_matches_node_walk(root, cutoff):
 
 
 def test_rational_root_walks_exactly():
-    """The oracle's float integrality test rounds a large Fraction, so the
-    rational walk meets it only at a small cutoff.  Up to 1e15 it lists the
-    slopes of the float walk from the same root in the same order, each
-    trace a dyadic Fraction or int within 1e-14 of the float trace."""
+    """Up to 1e15 the rational walk is the oracle's, and lists the slopes of
+    the float walk from the same root in the same order, each trace a
+    dyadic Fraction or int within 1e-14 of the float trace."""
     rational, decimal = BELOW_THREE_ROOTS[:2]
-    assert enumerate_simple(rational, 10**6) == _oracle_enumerate_simple(rational, 10**6)
     exact, approx = enumerate_simple(rational, 10**15), enumerate_simple(decimal, 10**15)
+    assert exact == _oracle_enumerate_simple(rational, 10**15)
     assert [st for _, st in exact] == [st for _, st in approx]
     for (t, _), (f, _) in zip(exact, approx):
         assert type(t) in (int, Fraction) and Fraction(t).denominator.bit_count() == 1
@@ -394,11 +387,15 @@ def test_census_matches_the_sorted_record_census():
     assert outcomes == {"equal": 28 * 2 * 12, "raise": 28 * 2 * 4}
 
 
-def test_maybe_int_tests_integrality_exactly():
-    assert _maybe_int(10**400) == 10**400  # beyond floats
-    near_one = Fraction(10**20 + 1, 10**20)
-    assert _maybe_int(near_one) is near_one
-    assert [type(_maybe_int(x)) for x in (6.0, Fraction(6, 2), 2.5)] == [int, int, float]
+def test_traces_keep_the_number_type_of_the_root():
+    """Int and Fraction roots walk exactly, and a float root gives floats
+    equal to the int walk's traces."""
+    exact = enumerate_simple(MODULAR_ROOT, 10**6)
+    rational = enumerate_simple((18, Fraction(9, 2), Fraction(9, 2)), 10**6)
+    assert not any(isinstance(t, float) for t, _ in exact + rational)
+    floats = enumerate_simple((3.0, 3.0, 3.0), 10**6)
+    assert all(type(t) is float for t, _ in floats)
+    assert floats == exact
 
 
 # Census lengths L of ROADMAP item 12, with trace cutoff T = 2 cosh(L/2).
