@@ -185,6 +185,8 @@ def _cmd_prime(args) -> tuple[int, str]:
     if args.scatter:
         if args.seed is None:
             raise ValueError("--seed is required for --scatter")
+        if args.maxlen < 1:
+            raise ValueError(f"--maxlen must be at least 1, not {args.maxlen}")
         rng = random.Random(args.seed)
         rows = []
         for _ in range(args.samples):

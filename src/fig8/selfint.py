@@ -34,10 +34,10 @@ TORUS_Y = Mat2(1, -1, -1, 2).check()
 MODULAR_ASSIGNMENT = {"a": TORUS_X, "b": TORUS_Y}
 
 _GEN_BY_LETTER = {
-    "a": TORUS_X.entries(),
-    "A": TORUS_X.inverse().entries(),
-    "b": TORUS_Y.entries(),
-    "B": TORUS_Y.inverse().entries(),
+    "a": TORUS_X,
+    "A": TORUS_X.inverse(),
+    "b": TORUS_Y,
+    "B": TORUS_Y.inverse(),
 }
 
 
@@ -78,7 +78,7 @@ def _crossing_counts(big_w: Mat2) -> tuple[int, int]:
     """Crossing lifts of the axis of W, at the search radius and at radius + 2."""
     trace = big_w.trace
     # c != 0, also in every g W g^-1: det 1 with c = 0 forces a = d = +-1, trace +-2
-    a, b, c, d = big_w.entries()
+    a, b, c, d = big_w
     disc = math.sqrt(trace * trace - 4)
     p1 = ((a - d) + disc) / (2 * c)
     p2 = ((a - d) - disc) / (2 * c)

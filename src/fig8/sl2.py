@@ -7,19 +7,19 @@ trace/length conversions use floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class Sl2Error(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Mat2:
-    """A 2x2 integer matrix of determinant 1.
+class Mat2(NamedTuple):
+    """A 2x2 integer matrix of determinant 1, as its entries tuple.
 
     Literal matrices are checked once (``check``); products, inverses and
-    powers keep det = 1, so they are built unchecked.
+    powers keep det = 1, so they are built unchecked.  A product is one
+    tuple; a Mat2 equals, and hashes as, its tuple (a11, a12, a21, a22).
     """
 
     a11: int
@@ -44,15 +44,12 @@ class Mat2:
 
     @property
     def is_identity(self) -> bool:
-        return self == Mat2.identity()
+        return self == (1, 0, 0, 1)
 
     def __mul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a11 * other.a11 + self.a12 * other.a21,
-            self.a11 * other.a12 + self.a12 * other.a22,
-            self.a21 * other.a11 + self.a22 * other.a21,
-            self.a21 * other.a12 + self.a22 * other.a22,
-        )
+        a, b, c, d = self
+        e, f, g, h = other
+        return Mat2(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
     def inverse(self) -> "Mat2":
         # adjugate; exact because det = 1
@@ -73,9 +70,6 @@ class Mat2:
     def reduce_mod(self, m: int) -> tuple[int, int, int, int]:
         """Canonical residues of the entries in [0, m)."""
         return (self.a11 % m, self.a12 % m, self.a21 % m, self.a22 % m)
-
-    def entries(self) -> tuple[int, int, int, int]:
-        return (self.a11, self.a12, self.a21, self.a22)
 
 
 def length_to_trace(length: float) -> float:

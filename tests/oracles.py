@@ -229,7 +229,7 @@ def _oracle_self_intersection(w: Word) -> int:
     if abs(trace) <= 2:
         raise SelfIntersectionError(f"trace {trace}: word is not hyperbolic")
 
-    a, b, c, d = big_w.entries()
+    a, b, c, d = big_w
     if c == 0:
         # conjugate once to move the axis off infinity
         conj = Word("a" + w.letters + "A", w.gens).cyclically_reduced()
@@ -263,7 +263,7 @@ def _oracle_self_intersection(w: Word) -> int:
 
     identity = Mat2.identity()
     kept: list[tuple[Mat2, float]] = [(identity, 0.0)]
-    visited = {identity.entries()}
+    visited = {identity}
     queue: deque[tuple[Mat2, str]] = deque([(identity, "")])
     while queue:
         g, last = queue.popleft()
@@ -271,12 +271,11 @@ def _oracle_self_intersection(w: Word) -> int:
             if last and ch == last.swapcase():
                 continue
             g2 = g * gen
-            key = g2.entries()
-            if key in visited:
+            if g2 in visited:
                 continue
             dist = segment_distance(_oracle_mobius(g2, base_point))
             if dist <= radius_wide:
-                visited.add(key)
+                visited.add(g2)
                 kept.append((g2, dist))
                 queue.append((g2, ch))
 
@@ -288,7 +287,7 @@ def _oracle_self_intersection(w: Word) -> int:
             conj = g * big_w * g.inverse()
             if conj * big_w == big_w * conj:
                 continue  # same axis, no transversal crossing
-            ca, cb, cc, cd = conj.entries()
+            ca, cb, cc, cd = conj
             if cc == 0:
                 continue  # axis through infinity cannot meet the framed segment
             ct = ca + cd
@@ -301,7 +300,7 @@ def _oracle_self_intersection(w: Word) -> int:
             if u * v < 0:
                 height = math.sqrt(-u * v)
                 if 1.0 - TOL <= height < dilation * (1.0 - TOL):
-                    crossings.add(conj.entries())
+                    crossings.add(conj)
         return len(crossings)
 
     count = crossing_count(radius)

@@ -269,7 +269,7 @@ def test_criterion_09_excluding_primes(capsys, tmp_path):
     for _ in range(1000):
         w = random_reduced_word(rng, 300)
         matrix = sanov_eval(w)
-        if max(map(abs, matrix.entries())) > 2 ** len(w):
+        if max(map(abs, matrix)) > 2 ** len(w):
             ok = False
         witness = smallest_excluding_prime(w)
         worst = max(worst, witness.prime / len(w))

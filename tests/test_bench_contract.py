@@ -39,6 +39,13 @@ def test_every_kernel_target_resolves(target):
     assert callable(getattr(cls, method))
 
 
+def test_mat2_product_has_the_fields_the_kernel_counter_reads():
+    """bench/tracing.py counts entry bits from product.a11 .. product.a22."""
+    sl2 = importlib.import_module("fig8.sl2")
+    product = sl2.SANOV_A * sl2.SANOV_B
+    assert (product.a11, product.a12, product.a21, product.a22) == (5, 2, 2, 1)
+
+
 def test_the_checks_find_word_and_dehn_oracle():
     """bench/checks.py decides a surface-certify verdict with
     genus2.dehn_oracle(words.Word(letters, "abcd"))."""

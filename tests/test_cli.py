@@ -208,6 +208,12 @@ def test_prime_and_scatter(capsys):
     assert code == 2 and "seed" in err
 
 
+@pytest.mark.parametrize("maxlen", ["0", "-3"])
+def test_prime_scatter_rejects_a_maxlen_below_1(capsys, maxlen):
+    code, out, err = run(capsys, "prime", "--scatter", "--seed", "1", "--maxlen", maxlen)
+    assert (code, out, err) == (2, "", f"error: --maxlen must be at least 1, not {maxlen}\n")
+
+
 def test_depth_witness_expectedprime(capsys):
     code, out, _ = run(capsys, "depth", "--word", "abAB")
     assert code == 0 and json.loads(out)["depth"] == 2

@@ -120,6 +120,7 @@ def test_certificate_reverifies_against_its_witness():
         matrix = twisted_sanov_image(cert.rewritten, cert.twist_power)
         assert matrix == sanov_eval(free), w.letters
         assert cert.prime_witness == smallest_excluding_prime(free), w.letters
+        assert cert.witness == retract(dehn_twist(cert.rewritten, cert.twist_power)), w.letters
 
 
 def test_dehn_oracle_examples():

@@ -38,9 +38,9 @@ def test_expected_min_prime_equals_fraction_oracle():
 
 
 def test_sanov_eval_examples():
-    assert sanov_eval(Word("ab")).entries() == (5, 2, 2, 1)
+    assert sanov_eval(Word("ab")) == (5, 2, 2, 1)
     assert sanov_eval(Word("")).is_identity
-    assert sanov_eval(Word("abAB")).entries() == (21, -8, 8, -3)
+    assert sanov_eval(Word("abAB")) == (21, -8, 8, -3)
 
 
 def test_sanov_freeness_random():

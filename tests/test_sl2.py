@@ -20,9 +20,9 @@ ONE = Mat2.identity()
 
 
 def test_eval_word_examples():
-    assert evaluate(Word("ab"), SANOV, ONE).entries() == (5, 2, 2, 1)
+    assert evaluate(Word("ab"), SANOV, ONE) == (5, 2, 2, 1)
     assert evaluate(Word(""), SANOV, ONE).is_identity
-    assert evaluate(Word("abAB"), SANOV, ONE).entries() == (21, -8, 8, -3)
+    assert evaluate(Word("abAB"), SANOV, ONE) == (21, -8, 8, -3)
 
 
 def test_eval_word_errors():
@@ -35,6 +35,16 @@ def test_determinant_invariant_and_modulus():
     assert Mat2(-1, 12, 0, -1).reduce_mod(7) == (6, 5, 0, 6)
     with pytest.raises(Sl2Error):
         Mat2(2, 0, 0, 1).check()
+
+
+def test_mat2_is_an_immutable_entries_tuple():
+    m = Mat2(1, 2, 0, 1)
+    with pytest.raises(AttributeError):
+        m.a12 = 3
+    assert repr(ONE) == "Mat2(a11=1, a12=0, a21=0, a22=1)"
+    assert m == (1, 2, 0, 1) and hash(m) == hash((1, 2, 0, 1))
+    with pytest.raises(Sl2Error):
+        Mat2(1, 2, 1, 1).check()
 
 
 @pytest.mark.parametrize("pair", [(SANOV_A, SANOV_B), (TORUS_X, TORUS_Y)], ids=["sanov", "torus"])
