@@ -67,7 +67,7 @@ def _parse_root(text: str) -> torus.TraceTriple:
 
 def _cmd_census(args) -> tuple[int, str]:
     root = _parse_root(args.root)
-    if args.counts_at:
+    if args.counts_at is not None:
         lengths = [float(v) for v in args.counts_at.split(",")]
         counts = torus.census_counts(root, lengths)
         rows = [f"{_fmt(x)},{n0},{n1p},{n1f}" for x, (n0, n1p, n1f) in zip(lengths, counts)]

@@ -27,7 +27,7 @@ from .perms import (
     commutator,
     frobenius_count,
 )
-from .words import Word, evaluate
+from .words import Word, evaluate, letter_images
 
 
 class CoverError(ValueError):
@@ -154,7 +154,7 @@ def extends_cover(spec: CoverSpec, transitive: bool = False) -> ExtendDecision:
         if decision is None:
             return ExtendDecision(False, "transitive", None, None)
     else:
-        if sum(class_parity(c) == "odd" for c in classes) % 2:
+        if sum(map(class_parity, classes)) % 2:
             return ExtendDecision(False, "parity", None, None)
         boundaries = tuple(map(class_representative, classes))
         product = math.prod(boundaries, start=identity)
@@ -341,36 +341,29 @@ class StallingsRep:
 def stallings_excluding_subgroup(w: Word) -> StallingsRep:
     """A point-stabilizer subgroup of index <= |w| + 1 excluding w.
 
-    The word is traced along a line of |w| + 1 points; each generator's
-    partial injection is completed to a permutation by matching the leftover
-    sources and targets in increasing order.  The resulting representation
-    moves the basepoint by w, so w is excluded from the stabilizer of 1.
+    Letter i of w sends point i to i + 1 on a line of |w| + 1 points; each
+    generator's partial injection is completed to a permutation by matching
+    the leftover sources and targets in increasing order.  The result moves
+    the basepoint by w, so w is excluded from the stabilizer of 1.
     """
     if w.is_trivial:
         raise CoverError("trivial word has no excluding subgroup")
     d = len(w) + 1
-    partial: dict[str, dict[int, int]] = {g: {} for g in w.gens}
+    partial = {ch: [None] * d for ch in w.gens + w.gens.upper()}
     for i, ch in enumerate(w.letters):
-        gen = ch.lower()
-        src, dst = (i, i + 1) if ch.islower() else (i + 1, i)
-        # free reduction guarantees the partial maps stay injective
-        if partial[gen].get(src, dst) != dst:
+        # free reduction guarantees that no slot is filled twice
+        if partial[ch][i] is not None:
             raise CoverError("inconsistent trace of a reduced word")
-        partial[gen][src] = dst
+        partial[ch][i], partial[ch.swapcase()][i + 1] = i + 1, i
     assignment = {}
-    for gen, pmap in partial.items():
-        images = list(pmap.items())
-        free_src = sorted(set(range(d)) - set(pmap.keys()))
-        free_dst = sorted(set(range(d)) - set(pmap.values()))
-        images += list(zip(free_src, free_dst))
-        perm = [0] * d
-        for s, t in images:
-            perm[s] = t
-        assignment[gen] = Permutation(tuple(perm))
-    inverse = {g: p.inverse().images for g, p in assignment.items()}
+    for gen in w.gens:
+        free_dst = iter(sorted(set(range(d)) - set(partial[gen])))
+        images = tuple(next(free_dst) if t is None else t for t in partial[gen])
+        assignment[gen] = Permutation(images)
+    table = letter_images(assignment)
     point = 0  # traced letter by letter: multiplying out w would cost |w| products of degree d
     for ch in w.letters:
-        point = assignment[ch].images[point] if ch.islower() else inverse[ch.lower()][point]
+        point = table[ch].images[point]
     if point == 0:
         raise CoverError("completion failed to move the basepoint")
     return StallingsRep(d, assignment)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .resfin import PrimeWitness, excluding_prime, sanov_eval
 from .sl2 import SANOV_A, SANOV_B, Mat2
-from .words import GENUS2, Word, evaluate, free_reduce
+from .words import GENUS2, Word, evaluate, free_reduce, inverse_letters
 
 Z1 = "abAB"
 RELATOR = "abABdcDC"  # [a,b][c,d]^{-1}
@@ -35,10 +35,6 @@ class Genus2Error(ValueError):
     pass
 
 
-def _inv(letters: str) -> str:
-    return letters.swapcase()[::-1]
-
-
 def _check(w: Word) -> Word:
     if w.gens != GENUS2:
         raise Genus2Error("expected a word over the genus-2 alphabet a-d")
@@ -52,7 +48,7 @@ def retract(w: Word) -> Word:
 
 def _twisted_letters(letters: str, power: int) -> str:
     """phi^power on letters, unreduced: each c, d run conjugated by z^power."""
-    zm, zmi = Z1 * power, _inv(Z1) * power
+    zm, zmi = Z1 * power, inverse_letters(Z1) * power
     return _CD_RUN.sub(lambda run: zmi + run.group() + zm, letters)
 
 
@@ -151,7 +147,7 @@ def certify_nontrivial(w: Word) -> Certificate:
 
 # The 16 cyclic conjugates of the relator and its inverse, in a fixed order.
 _SYMMETRIZED = tuple(
-    base[i:] + base[:i] for base in (RELATOR, _inv(RELATOR)) for i in range(len(base))
+    base[i:] + base[:i] for base in (RELATOR, inverse_letters(RELATOR)) for i in range(len(base))
 )
 
 
@@ -165,27 +161,25 @@ def dehn_oracle(w: Word) -> str:
     """
     _check(w)
     letters = w.cyclically_reduced().letters
-    while True:
-        if not letters:
-            return "trivial"
-        n = len(letters)
-        doubled = letters + letters
-        replaced = False
-        for rel in _SYMMETRIZED:
-            for cut in range(min(len(rel), n), len(rel) // 2, -1):
-                piece, rest = rel[:cut], rel[cut:]
-                idx = doubled.find(piece)
-                while idx != -1 and idx < n:
-                    candidate = Word(doubled[idx + cut : idx + n] + _inv(rest), GENUS2)
-                    candidate = candidate.cyclically_reduced().letters
-                    if len(candidate) < n:
-                        letters = candidate
-                        replaced = True
-                        break
-                    idx = doubled.find(piece, idx + 1)
-                if replaced:
-                    break
-            if replaced:
-                break
-        if not replaced:
+    while letters:
+        letters = _dehn_step(letters)
+        if letters is None:
             return "nontrivial"
+    return "trivial"
+
+
+def _dehn_step(letters: str) -> str | None:
+    """The first shorter cyclic word that one replacement gives, or None."""
+    n = len(letters)
+    doubled = letters + letters
+    for rel in _SYMMETRIZED:
+        for cut in range(min(len(rel), n), len(rel) // 2, -1):
+            piece, rest = rel[:cut], rel[cut:]
+            idx = doubled.find(piece)
+            while idx != -1 and idx < n:
+                candidate = Word(doubled[idx + cut : idx + n] + inverse_letters(rest), GENUS2)
+                candidate = candidate.cyclically_reduced().letters
+                if len(candidate) < n:
+                    return candidate
+                idx = doubled.find(piece, idx + 1)
+    return None

@@ -26,8 +26,11 @@ for a vertex not yet reached.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+
+from .resfin import primes
 
 ProjMat = tuple[int, int, int, int]
 
@@ -45,14 +48,7 @@ class LpsError(ValueError):
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
+    return n > 1 and all(n % f for f in itertools.takewhile(lambda f: f * f <= n, primes()))
 
 
 def quaternion_solutions(p: int) -> list[tuple[int, int, int, int]]:

@@ -43,24 +43,20 @@ def parse_partition(text: str) -> Partition:
     return tuple(parts)
 
 
-def _partitions(n: int, max_part: int):
-    """Partitions of n into parts of at most max_part, as tuples, largest
-    part first, in reverse lexicographic order."""
+def partitions_of(n: int, max_part: int | None = None):
+    """Partitions of n into parts of at most max_part (default n), as tuples,
+    largest part first, in reverse lexicographic order."""
     if n == 0:
         yield ()
         return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _partitions(n - first, first):
+    for first in range(min(n, n if max_part is None else max_part), 0, -1):
+        for rest in partitions_of(n - first, first):
             yield (first,) + rest
 
 
-def partitions_of(n: int, max_part: int | None = None):
-    return _partitions(n, n if max_part is None else max_part)
-
-
-def class_parity(p: Partition) -> str:
-    """Parity of any permutation with cycle type p."""
-    return "odd" if (sum(p) - len(p)) % 2 else "even"
+def class_parity(p: Partition) -> int:
+    """Parity of any permutation with cycle type p: 1 if odd, 0 if even."""
+    return (sum(p) - len(p)) % 2
 
 
 def class_size(p: Partition) -> int:
@@ -119,7 +115,7 @@ def frobenius_count(classes: list[Partition]) -> int:
     order = math.factorial(n)
     one = (1,) * n
     total = 0
-    for lam in _partitions(n, n):
+    for lam in partitions_of(n):
         dim = _character(lam, one)
         term = dim if k == 1 else (order // dim) ** (k - 2)
         for mu in classes:
@@ -221,7 +217,7 @@ class Permutation:
         return tuple(sorted(lengths, reverse=True))
 
     def is_even(self) -> bool:
-        return class_parity(self.cycle_type()) == "even"
+        return not class_parity(self.cycle_type())
 
     def __str__(self) -> str:
         cyc = self.cycles()

@@ -23,7 +23,7 @@ import math
 from collections import deque
 
 from .sl2 import Mat2, trace_to_length
-from .words import Word, evaluate
+from .words import Word, evaluate, letter_images
 
 TOL = 1e-9
 MARGIN = 2.0
@@ -33,12 +33,8 @@ TORUS_X = Mat2(1, 1, 1, 2).check()
 TORUS_Y = Mat2(1, -1, -1, 2).check()
 MODULAR_ASSIGNMENT = {"a": TORUS_X, "b": TORUS_Y}
 
-_GEN_BY_LETTER = {
-    "a": TORUS_X,
-    "A": TORUS_X.inverse(),
-    "b": TORUS_Y,
-    "B": TORUS_Y.inverse(),
-}
+# The search's neighbours; the set it keeps does not depend on their order.
+_GEN_BY_LETTER = letter_images(MODULAR_ASSIGNMENT)
 
 
 class SelfIntersectionError(ValueError):

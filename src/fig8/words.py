@@ -79,7 +79,7 @@ class Word:
         return Word(self.letters + other.letters, self.gens)
 
     def inverse(self) -> "Word":
-        return Word(self.letters.swapcase()[::-1], self.gens)
+        return Word(inverse_letters(self.letters), self.gens)
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
@@ -113,10 +113,20 @@ class Word:
         return False
 
 
+def inverse_letters(letters: str) -> str:
+    """The letters of the inverse word, unreduced: reversed, each letter inverted."""
+    return letters.swapcase()[::-1]
+
+
 def exponent_sums(letters: str, gens: str):
     """Exponent sum of each generator in ``letters``, lazily, in ``gens`` order."""
     for g in gens:
         yield letters.count(g) - letters.count(g.upper())
+
+
+def letter_images(images: dict) -> dict:
+    """Each letter's image: x's from ``images``, X's its ``inverse()``."""
+    return {**images, **{g.upper(): x.inverse() for g, x in images.items()}}
 
 
 def evaluate(word: Word, images: dict, identity):
@@ -129,8 +139,7 @@ def evaluate(word: Word, images: dict, identity):
     missing = set(word.letters.lower()) - images.keys()
     if missing:
         raise WordError(f"generators {sorted(missing)} have no image")
-    table = {**images, **{g.upper(): x.inverse() for g, x in images.items()}}
-    return math.prod(map(table.__getitem__, word.letters), start=identity)
+    return math.prod(map(letter_images(images).__getitem__, word.letters), start=identity)
 
 
 def random_reduced_letters(rng: random.Random, max_len: int, gens: str = FREE_RANK2):

@@ -3,11 +3,12 @@
 ``all_permutations`` runs over S_n through ``itertools.permutations``, which
 yields images in lexicographic order.  The ``_oracle_*`` functions are the
 earlier implementations that faster code replaced (the class scans behind
-``perms.class_elements``, the per-letter free reduction and Dehn twist, the
-run splitter and power test of ``genus2.rewrite_blocks``, the rational
-expected-prime sum, the ``Mat2`` self-intersection counter, the census
-that sorted its records), kept as they were so that the tests can
-require equal output, order included.  ``vieta_flip`` and
+``perms.class_elements``, the dict-of-dicts completion of
+``covers.stallings_excluding_subgroup``, the per-letter free reduction and
+Dehn twist, the run splitter and power test of ``genus2.rewrite_blocks``,
+the rational expected-prime sum, the ``Mat2`` self-intersection counter,
+the census that sorted its records), kept as they were so that the tests
+can require equal output, order included.  ``vieta_flip`` and
 ``normalize_slope`` are the node-by-node Vieta flip that the torus walk
 replaced; they flip a ``LabelledTriple``, a trace triple that carries the
 slopes of its traces.  ``_oracle_random_reduced_letters`` (the sampler
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from fig8.genus2 import RELATOR, Z1, _inv
+from fig8.genus2 import RELATOR, Z1
 from fig8.lps import LpsGirthResult, _canon, _inverses, lps_generators
 from fig8.perms import (
     Partition,
@@ -50,7 +51,7 @@ from fig8.torus import (
     TraceTriple,
     enumerate_simple,
 )
-from fig8.words import FREE_RANK2, GENUS2, Word, evaluate, free_reduce
+from fig8.words import FREE_RANK2, GENUS2, Word, evaluate, free_reduce, inverse_letters
 
 Z2 = "cdCD"
 
@@ -98,6 +99,28 @@ def _oracle_two_n_cycles(sigma: Permutation) -> tuple[Permutation, Permutation]:
                 raise PermError("two_n_cycles composition check failed")
             return (c1, c2)
     raise PermError(f"no two-n-cycle factorization found for {sigma}")
+
+
+def _oracle_stallings_assignment(w: Word) -> dict[str, Permutation]:
+    """Each generator's completed permutation: partial maps as dicts from
+    the trace of w along points 0..|w|, the free sources zipped with the
+    free targets, both in increasing order."""
+    d = len(w) + 1
+    partial: dict[str, dict[int, int]] = {g: {} for g in w.gens}
+    for i, ch in enumerate(w.letters):
+        src, dst = (i, i + 1) if ch.islower() else (i + 1, i)
+        partial[ch.lower()][src] = dst
+    assignment = {}
+    for gen, pmap in partial.items():
+        images = list(pmap.items())
+        free_src = sorted(set(range(d)) - set(pmap.keys()))
+        free_dst = sorted(set(range(d)) - set(pmap.values()))
+        images += list(zip(free_src, free_dst))
+        perm = [0] * d
+        for s, t in images:
+            perm[s] = t
+        assignment[gen] = Permutation(tuple(perm))
+    return assignment
 
 
 def _oracle_identity_product_tuples(classes: tuple[Partition, ...]):
@@ -152,7 +175,7 @@ def _oracle_power_of(block: str, z: str) -> int | None:
     p = len(block) // len(z)
     if block == z * p:
         return p
-    if block == _inv(z) * p:
+    if block == inverse_letters(z) * p:
         return -p
     return None
 
@@ -169,13 +192,13 @@ def _oracle_rewrite_blocks(w: Word) -> Word:
             if tag == "L":
                 p = _oracle_power_of(block, Z1)
                 if p is not None and len(blocks) > 1:
-                    blocks[i] = (tag, (Z2 if p > 0 else _inv(Z2)) * abs(p))
+                    blocks[i] = (tag, (Z2 if p > 0 else inverse_letters(Z2)) * abs(p))
                     changed = True
                     break
             else:
                 p = _oracle_power_of(block, Z2)
                 if p is not None:
-                    blocks[i] = (tag, (Z1 if p > 0 else _inv(Z1)) * abs(p))
+                    blocks[i] = (tag, (Z1 if p > 0 else inverse_letters(Z1)) * abs(p))
                     changed = True
                     break
         if not changed:

@@ -617,6 +617,7 @@ def test_input_errors_exit_2(capsys):
         ["mcshane", "--cutoff", "nan"],
         ["mc2", "--cutoff", "inf"],
         ["mc2", "--cutoff", "nan"],
+        ["census", "--counts-at", ""],  # an empty list of lengths
     ],
 )
 def test_unusable_cutoffs_exit_2(capsys, argv):

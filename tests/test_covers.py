@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import product
 
 import pytest
@@ -22,8 +23,13 @@ from fig8.perms import (
     parse_partition,
     partitions_of,
 )
-from fig8.words import Word, evaluate
-from oracles import _oracle_identity_product_tuples, _oracle_two_n_cycles, all_permutations
+from fig8.words import Word, evaluate, random_reduced_word
+from oracles import (
+    _oracle_identity_product_tuples,
+    _oracle_stallings_assignment,
+    _oracle_two_n_cycles,
+    all_permutations,
+)
 
 
 def test_cover_spec_validation():
@@ -440,13 +446,17 @@ def test_stallings_examples_and_properties():
 
 
 def test_stallings_random_words():
-    import random
-
-    from fig8.words import random_reduced_word
-
     rng = random.Random(31)
     for _ in range(300):
         w = random_reduced_word(rng, 25)
         rep = stallings_excluding_subgroup(w)
         assert rep.degree <= len(w) + 1
         assert evaluate(w, rep.assignment, Permutation.identity(rep.degree))(1) != 1
+
+
+@pytest.mark.parametrize("gens", ["ab", "abc"])
+def test_stallings_assignment_equals_the_dict_completion_oracle(gens):
+    rng = random.Random(37)
+    for _ in range(2000):
+        w = random_reduced_word(rng, 20, gens)
+        assert stallings_excluding_subgroup(w).assignment == _oracle_stallings_assignment(w), w

@@ -36,9 +36,9 @@ def test_partitions_of_counts():
 
 
 def test_class_parity():
-    assert class_parity((2, 1, 1)) == "odd"
-    assert class_parity((1, 1, 1, 1)) == "even"
-    assert class_parity((3,)) == "even"
+    assert class_parity((2, 1, 1)) == 1
+    assert class_parity((1, 1, 1, 1)) == 0
+    assert class_parity((3,)) == 0
 
 
 def test_class_size():

@@ -16,6 +16,7 @@ from fig8.words import (
     evaluate,
     exponent_sums,
     free_reduce,
+    letter_images,
     random_reduced_letters,
     random_reduced_word,
 )
@@ -154,6 +155,8 @@ def test_evaluate_is_a_homomorphism(backend):
     images, identity = BACKENDS[backend]
     rng = random.Random(2009)
     assert evaluate(Word(""), images, identity) == identity
+    table = letter_images(images)
+    assert all(table[g] * table[g.upper()] == identity for g in images)
     for _ in range(30):
         u = random_reduced_word(rng, 15)
         v = random_reduced_word(rng, 15)
