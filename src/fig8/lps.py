@@ -12,16 +12,17 @@ non-tree edge (u, v) closes a cycle of length dist(u) + dist(v) + 1, and
 vertex transitivity puts the identity on a shortest cycle.  The group order
 reported is the number of vertices the search reached.
 
-The search works on integers.  A row (x, y) over F_q is the int x*q + y,
-and right multiplication by a generator maps each row of a matrix on its
-own, so each generator is one table of q^2 row images.  The canonical
-representative of a vertex has a first row whose first nonzero entry is 1,
-one of the q + 1 points of the projective line, so the vertex is the int
-point*q^2 + row2.  Per generator and point, tables give the point of the
-image's first row and the scalar that makes it canonical; a table of scaled
-rows gives the new second row.  Distances are bytes in a bytearray of
-(q + 1) q^2 entries, one per possible vertex, holding distance + 1, with 0
-for a vertex not yet reached.
+A vertex g is stored by where it sends three points of the projective
+line, (g(0), g(1), g(infinity)): a Möbius map is fixed by three images and
+scalars act trivially, so no canonical form is needed.  The points are
+numbered 0 .. q-1, with q for infinity, and the triple is one int below
+(q + 1)^3.  The search multiplies on the left, so a step by a generator is
+three lookups in its table of q + 1 point images.  Inversion maps this left
+Cayley graph onto the right one, since the generators are closed under
+inverse, so the girth and the order are the same.  Distances are bytes in
+a bytearray of (q + 1)^3 entries holding distance + 1, with 0 for a vertex
+not yet reached.  A neighbour one level nearer the identity is skipped: the
+edge is the tree edge, or its cycle is counted from the nearer end.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from .resfin import primes
 
 ProjMat = tuple[int, int, int, int]
 
-# The search keeps a byte for each of (q+1)q^2 possible vertices, reaches
+# The search keeps a byte for each of (q+1)^3 possible triples, reaches
 # q(q^2-1) of them, and visits p+1 edges at each.  The cap admits q <= 61:
-# (29, 61) has 226,920 vertices and takes about 3.5 s and 37 MB (peak RSS
+# (29, 61) has 226,920 vertices and takes about 0.8 s and 23 MB (peak RSS
 # of the whole process) on a 2-core VM.  The deepest distances at the
 # admitted extremes, 6 at (29, 61) and 10 at (5, 53), are far below the 254
 # that a byte of distance + 1 holds.
@@ -140,51 +141,35 @@ def lps_girth_check(p: int, q: int) -> LpsGirthResult:
         raise LpsError(f"p = {p} is a quadratic residue mod {q}")
     gens = lps_generators(p, q)
     inv = _inverses(q)
-    # the adjugate is the projective inverse
-    inverse = [gens.index(_canon((d, -b % q, -c % q, a), inv)) for a, b, c, d in gens]
-    qq = q * q
-    rows = [divmod(r, q) for r in range(qq)]
-    tables = [
-        [(x * e + y * g) % q * q + (x * f + y * h) % q for x, y in rows] for e, f, g, h in gens
-    ]
-    # point 0 is the first row (0, 1) and point 1 + y is (1, y).  A generator
-    # sends point t's first row to one of point points[t], made canonical by
-    # the scalar scales[t]; both are kept times q^2, and
-    # scaled[s * q^2 + row] is the row times s.
-    first_rows = [1] + [q + y for y in range(q)]
-    scaled = [x * s % q * q + y * s % q for s in range(q) for x, y in rows]
-    edges = []
-    for gi, table in enumerate(tables):
-        images = [rows[table[r]] for r in first_rows]
-        points = [(1 + y * inv[x] % q if x else 0) * qq for x, y in images]
-        scales = [inv[x or y] * qq for x, y in images]
-        edges.append((gi, table, points, scales, inverse[gi]))
-    # a frontier entry is vertex * base + index of the generator back to its
-    # parent; the identity's index, len(gens), matches no generator
-    base = len(gens) + 1
-    identity = qq + 1  # first row (1, 0) is point 1, second row (0, 1)
-    dist = bytearray((q + 1) * qq)
+    n = q + 1  # the points of the projective line: 0 .. q-1, and q for infinity
+    tables = []
+    for a, b, c, d in gens:
+        # z -> (az + b)/(cz + d) on 0 .. q-1, then infinity -> a/c
+        fracs = [((a * z + b) % q, (c * z + d) % q) for z in range(q)] + [(a, c)]
+        image = [x * inv[y] % q if y else q for x, y in fracs]
+        tables.append(([t * n * n for t in image], [t * n for t in image], image))
+    identity = n + q  # the triple (0, 1, infinity)
+    dist = bytearray(n**3)
     dist[identity] = 1
-    frontier = [identity * base + len(gens)]
+    frontier = [identity]
     best = math.inf  # least dist(u) + dist(v) + 3 over non-tree edges (u, v)
     level = 1
     while frontier:
         level += 1  # the byte of the vertices found in this pass
         if level > 255:
             raise LpsError(f"search reached distance {level - 1}; a byte holds at most 254")
+        nearer = level - 2  # the byte of the vertices one level nearer the identity
         queued = []
-        for entry in frontier:
-            u, back = divmod(entry, base)
-            t, row2 = divmod(u, qq)
-            for gi, table, points, scales, gi_inverse in edges:
-                if gi == back:
-                    continue  # the tree edge, traversed backwards
-                v = points[t] + scaled[scales[t] + table[row2]]
+        for u in frontier:
+            x, yz = divmod(u, n * n)
+            y, z = divmod(yz, n)
+            for tx, ty, tz in tables:
+                v = tx[x] + ty[y] + tz[z]
                 seen = dist[v]
                 if not seen:
                     dist[v] = level
-                    queued.append(v * base + gi_inverse)
-                elif level + seen < best:
+                    queued.append(v)
+                elif seen != nearer and level + seen < best:
                     best = level + seen
         frontier = queued
     if best == math.inf:

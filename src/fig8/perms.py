@@ -102,9 +102,9 @@ def frobenius_count(classes: list[Partition]) -> int:
 
     Frobenius gives prod |C_i| / n! times the sum over lambda of
     prod chi_lambda(mu_i) / dim_lambda^(k-2).  Since dim_lambda divides n!,
-    the sum scaled by n!^(k-2) has the integer terms
-    prod chi_lambda(mu_i) * (n!/dim_lambda)^(k-2), and one exact division by
-    n!^(k-1) follows.  For k = 1 the factor is dim_lambda and the divisor n!.
+    the sum scaled by n!^k has the integer terms
+    prod chi_lambda(mu_i) * dim_lambda^2 * (n!/dim_lambda)^k, and one exact
+    division by n!^(k+1) follows.
     """
     if not classes:
         raise PermError("need at least one class")
@@ -117,11 +117,11 @@ def frobenius_count(classes: list[Partition]) -> int:
     total = 0
     for lam in partitions_of(n):
         dim = _character(lam, one)
-        term = dim if k == 1 else (order // dim) ** (k - 2)
+        term = dim * dim * (order // dim) ** k
         for mu in classes:
             term *= _character(lam, mu)
         total += term
-    divisor = order ** max(k - 1, 1)
+    divisor = order ** (k + 1)
     count, rest = divmod(math.prod(map(class_size, classes)) * total, divisor)
     if rest:
         raise PermError(f"character sum did not clear to an integer: {count} + {rest}/{divisor}")

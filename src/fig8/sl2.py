@@ -7,6 +7,7 @@ trace/length conversions use floats.
 from __future__ import annotations
 
 import math
+from types import NotImplementedType
 from typing import NamedTuple
 
 
@@ -19,7 +20,8 @@ class Mat2(NamedTuple):
 
     Literal matrices are checked once (``check``); products, inverses and
     powers keep det = 1, so they are built unchecked.  A product is one
-    tuple; a Mat2 equals, and hashes as, its tuple (a11, a12, a21, a22).
+    tuple; a Mat2 equals, and hashes as, its tuple (a11, a12, a21, a22), but
+    has no tuple sum or repetition.
     """
 
     a11: int
@@ -50,6 +52,11 @@ class Mat2(NamedTuple):
         a, b, c, d = self
         e, f, g, h = other
         return Mat2(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+    def __add__(self, other: object) -> NotImplementedType:
+        return NotImplemented  # no tuple concatenation: m + m raises TypeError
+
+    __rmul__ = __add__  # nor repetition: 2 * m
 
     def inverse(self) -> "Mat2":
         # adjugate; exact because det = 1

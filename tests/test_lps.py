@@ -92,6 +92,23 @@ def test_girth_check_equals_dict_bfs_oracle(p, q):
     assert lps_girth_check(p, q) == _oracle_lps_girth_check(p, q)
 
 
+# the admitted pairs above that the oracles do not reach, pinned field by field
+@pytest.mark.parametrize(
+    "expected",
+    [
+        LpsGirthResult(17, 37, 18, 50_616, 25_308, 6, 4.608681275926506, 5, True),
+        LpsGirthResult(13, 41, 14, 68_880, 34_440, 6, 5.250783555050873, 6, True),
+        LpsGirthResult(17, 41, 18, 68_880, 34_440, 6, 4.753610925189159, 5, True),
+        LpsGirthResult(5, 53, 6, 148_824, 74_412, 12, 9.006171149011069, 10, True),
+        LpsGirthResult(17, 61, 18, 226_920, 113_460, 6, 5.314531334945807, 6, True),
+        LpsGirthResult(29, 61, 30, 226_920, 113_460, 6, 4.471600315447733, 5, True),
+    ],
+    ids=lambda r: f"{r.p}-{r.q}",
+)
+def test_girth_check_pinned_results(expected):
+    assert lps_girth_check(expected.p, expected.q) == expected
+
+
 def test_girth_check_5_13():
     result = lps_girth_check(5, 13)
     assert result.generator_count == 6

@@ -45,6 +45,10 @@ def test_mat2_is_an_immutable_entries_tuple():
     assert m == (1, 2, 0, 1) and hash(m) == hash((1, 2, 0, 1))
     with pytest.raises(Sl2Error):
         Mat2(1, 2, 1, 1).check()
+    with pytest.raises(TypeError):
+        2 * SANOV_A  # no tuple repetition
+    with pytest.raises(TypeError):
+        SANOV_A + SANOV_B  # no tuple concatenation
 
 
 @pytest.mark.parametrize("pair", [(SANOV_A, SANOV_B), (TORUS_X, TORUS_Y)], ids=["sanov", "torus"])

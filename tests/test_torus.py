@@ -402,20 +402,26 @@ def test_traces_keep_the_number_type_of_the_root():
 MARKOV_LENGTHS = [12, 20, 30, 40, 60, 80, 100, 120]
 
 
-def _markov_numbers(bound):
-    """Markov numbers m <= bound, from the Markov tree of integer solutions of
-    a^2 + b^2 + c^2 = 3abc; each child c' = 3ab - c exceeds its parent's max."""
-    numbers = {1, 2}
-    stack = [(1, 2, 5)] if bound >= 5 else []
+def _markov_triples(bound):
+    """The Markov triples x <= y <= z <= bound of x^2 + y^2 + z^2 = 3xyz.
+
+    Past (1, 1, 1) and (1, 1, 2) the Markov tree from (1, 2, 5) is binary:
+    (x, y, z) has the children (x, z, 3xz - y) and (y, z, 3yz - x), each
+    with a larger maximum than its parent.
+    """
+    yield from [(1, 1, 1), (1, 1, 2)][: (bound >= 1) + (bound >= 2)]
+    stack = [(1, 2, 5)]
     while stack:
-        a, b, c = stack.pop()
-        assert a * a + b * b + c * c == 3 * a * b * c
-        numbers.add(c)
-        for x, y, old in ((a, c, b), (b, c, a)):
-            child = 3 * x * y - old
-            if child <= bound:
-                stack.append((x, y, child))
-    return numbers
+        x, y, z = stack.pop()
+        if z <= bound:
+            assert x * x + y * y + z * z == 3 * x * y * z
+            yield x, y, z
+            stack += [(x, z, 3 * x * z - y), (y, z, 3 * y * z - x)]
+
+
+def _markov_numbers(bound):
+    """Markov numbers m <= bound: the largest entries of the Markov triples."""
+    return {z for _, _, z in _markov_triples(bound)}
 
 
 def test_simple_traces_are_three_times_markov_numbers():
@@ -443,6 +449,22 @@ def test_simple_count_follows_zagier_asymptotic():
         n0 = census_counts(MODULAR_ROOT, [length])[0][0]
         ratio = n0 / (6 * zagier_c * math.log(trace_cutoff) ** 2)
         assert abs(ratio - 1) < 0.02, (length, ratio)
+
+
+@pytest.mark.parametrize("k", [3, 10, 50, 100])
+def test_simple_slopes_count_markov_triples(k):
+    """A simple trace is 3z for a Markov triple (x, y, z): a triple with three
+    distinct entries gives 6 slopes, (1, 1, 1) and (1, 1, 2) give 3 each."""
+    n = 10**k
+    triples = sum(1 for _ in _markov_triples(n))
+    assert len(enumerate_simple(MODULAR_ROOT, 3 * n)) == 6 * triples - 6
+
+
+def test_markov_count_meets_zagiers_constant():
+    """Zagier: M(n) = C log^2(3n) + O(log n (log log n)^2), C = 0.180717..."""
+    n = 10**200
+    triples = sum(1 for _ in _markov_triples(n))
+    assert abs(triples / math.log(3 * n) ** 2 - 0.180717) < 1e-4
 
 
 def test_paired_count_is_twice_the_simple_count_at_a_third_of_the_trace():
