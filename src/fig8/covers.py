@@ -234,7 +234,7 @@ class RegularDecision:
     witness: tuple[Permutation, ...] | None
 
 
-def _subgroup_closure(gens: list[Permutation], cap: int) -> set[Permutation] | None:
+def _subgroup_closure(gens: list[Permutation], cap: int) -> frozenset[Permutation] | None:
     """Generated subgroup, or None as soon as its order exceeds cap."""
     n = gens[0].degree
     group = {Permutation.identity(n)}
@@ -248,7 +248,7 @@ def _subgroup_closure(gens: list[Permutation], cap: int) -> set[Permutation] | N
                 if len(group) > cap:
                     return None
                 frontier.append(h)
-    return group
+    return frozenset(group)
 
 
 def _regular_overgroups(seed: list[Permutation], n: int):
@@ -275,7 +275,7 @@ def _regular_overgroups(seed: list[Permutation], n: int):
                 yield from _regular_overgroups(seed + [g], n)
 
 
-def _handles_reach(group: set[Permutation], genus: int, boundaries: tuple[Permutation, ...]) -> bool:
+def _handles_reach(group: frozenset[Permutation], genus: int, boundaries: tuple[Permutation, ...]) -> bool:
     """Whether genus handle pairs in the group absorb the boundary product,
     the whole assignment generating the group.  Layered search over the
     states (commutator product so far, subgroup generated so far), one
@@ -285,11 +285,11 @@ def _handles_reach(group: set[Permutation], genus: int, boundaries: tuple[Permut
     n = boundaries[0].degree
     identity = Permutation.identity(n)
     target = math.prod(boundaries, start=identity).inverse()
-    states = {(identity, frozenset(_subgroup_closure(list(boundaries), n)))}
+    states = {(identity, _subgroup_closure(list(boundaries), n))}
 
     @lru_cache(maxsize=None)
     def join(sub, g):
-        return sub if g in sub else frozenset(_subgroup_closure([*sub, g], n))
+        return sub if g in sub else _subgroup_closure([*sub, g], n)
 
     pairs = [(a, b, commutator(a, b)) for a in group for b in group] if genus else []
     for _ in range(genus):
@@ -297,7 +297,7 @@ def _handles_reach(group: set[Permutation], genus: int, boundaries: tuple[Permut
         if grown == states:
             break
         states = grown
-    return (target, frozenset(group)) in states
+    return (target, group) in states
 
 
 def regular_extends(spec: CoverSpec, budget: int = 8) -> RegularDecision:
@@ -318,11 +318,11 @@ def regular_extends(spec: CoverSpec, budget: int = 8) -> RegularDecision:
     first = class_representative(spec.boundary_classes[0])
     best = None
     for group in _regular_overgroups([first], n):
-        elements = sorted(group, key=lambda g: g.images)
+        elements = sorted(group)
         pools = [[g for g in elements if g.cycle_type() == c] for c in spec.boundary_classes[1:]]
         for rest in itertools.product(*pools):
             # the pools are sorted, so no later tuple of this group is smaller
-            if best is not None and [g.images for g in rest] >= [g.images for g in best[1:]]:
+            if best is not None and rest >= best[1:]:
                 break
             if _handles_reach(group, spec.genus, (first, *rest)):
                 best = (first, *rest)

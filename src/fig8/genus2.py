@@ -14,6 +14,7 @@ validates the certificate at corpus scale.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -114,7 +115,9 @@ def twisted_sanov_image(w: Word, power: int) -> Mat2:
     Z the image of z.  Free reduction does not change an image, so this is
     the matrix of the twisted free word, at one product per letter of w.
     """
-    zm = _Z ** power
+    if power < 0:
+        raise Genus2Error("twist power must be nonnegative")
+    zm = math.prod((_Z,) * power, start=Mat2.identity())
     zmi = zm.inverse()
     images = {"a": SANOV_A, "b": SANOV_B, "c": zmi * SANOV_A * zm, "d": zmi * SANOV_B * zm}
     return evaluate(_check(w), images, Mat2.identity())

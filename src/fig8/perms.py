@@ -128,9 +128,9 @@ def frobenius_count(classes: list[Partition]) -> int:
     return count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Permutation:
-    """Bijection of {1..n}, stored 0-indexed; right-action composition."""
+    """Bijection of {1..n}, stored 0-indexed; right-action composition; ordered by images."""
 
     images: tuple[int, ...]
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from types import NotImplementedType
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 
 class Sl2Error(ValueError):
@@ -18,10 +18,10 @@ class Sl2Error(ValueError):
 class Mat2(NamedTuple):
     """A 2x2 integer matrix of determinant 1, as its entries tuple.
 
-    Literal matrices are checked once (``check``); products, inverses and
-    powers keep det = 1, so they are built unchecked.  A product is one
-    tuple; a Mat2 equals, and hashes as, its tuple (a11, a12, a21, a22), but
-    has no tuple sum or repetition.
+    Literal matrices are checked once (``check``); products and inverses
+    keep det = 1, so they are built unchecked.  A product takes two Mat2 and
+    is one tuple; a Mat2 equals, and hashes as, its tuple (a11, a12, a21,
+    a22), but has no tuple sum or repetition.
     """
 
     a11: int
@@ -49,6 +49,8 @@ class Mat2(NamedTuple):
         return self == (1, 0, 0, 1)
 
     def __mul__(self, other: "Mat2") -> "Mat2":
+        if not isinstance(other, Mat2):
+            return NotImplemented  # m * 2 and m * (entries tuple) raise TypeError
         a, b, c, d = self
         e, f, g, h = other
         return Mat2(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
@@ -58,21 +60,13 @@ class Mat2(NamedTuple):
 
     __rmul__ = __add__  # nor repetition: 2 * m
 
+    def __radd__(self, other: object) -> NoReturn:
+        # NotImplemented here would fall back to tuple.__add__: (1,) + m
+        raise TypeError(f"cannot add {type(other).__name__} and Mat2")
+
     def inverse(self) -> "Mat2":
         # adjugate; exact because det = 1
         return Mat2(self.a22, -self.a12, -self.a21, self.a11)
-
-    def __pow__(self, n: int) -> "Mat2":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = Mat2.identity()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def reduce_mod(self, m: int) -> tuple[int, int, int, int]:
         """Canonical residues of the entries in [0, m)."""

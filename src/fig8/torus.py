@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 
-from .sl2 import length_to_trace, trace_to_length
+from .sl2 import length_to_trace
 
 TOL = 1e-9
 
@@ -128,19 +128,18 @@ def one_intersection_census(
 def mcshane_sum(traces: list[float], form: str = "trace") -> float:
     """Partial McShane sum over simple geodesic traces (from enumerate_simple).
 
-    The trace form converges to 1, the length form to 1/2; the two forms
-    agree termwise via 1 - tanh(l/2) = 2/(1 + e^l).  A length past 709 is
-    capped, where e^l would overflow: its term is below 1e-308.
+    The trace form converges to 1, the length form to 1/2.  The term of
+    trace t = 2 cosh(l/2) is 1 - tanh(l/2) = x^2/(1 + sqrt(1 - x^2)) with
+    x = 2/t, a form free of cancellation, and the length term 1/(1 + e^l)
+    is exactly half of it.
     """
     if form not in ("trace", "length"):
         raise CensusError(f"unknown form {form!r}")
     total = 0.0
     for t in traces:
-        if form == "trace":
-            total += 1.0 - math.sqrt(1.0 - (2.0 / t) ** 2)
-        else:
-            total += 1.0 / (math.exp(min(trace_to_length(t), 709.0)) + 1.0)
-    return total
+        x = 2.0 / t
+        total += x * x / (1.0 + math.sqrt(1.0 - x * x))
+    return total if form == "trace" else total / 2
 
 
 def census_counts(root: TraceTriple, length_bounds: list[float]) -> list[tuple[int, int, int]]:

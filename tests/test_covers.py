@@ -420,6 +420,17 @@ def test_handles_reach_needs_a_layer_per_missing_generator():
     assert _handles_reach(group, 0, tuple(gens) + (gens[0] * gens[1] * gens[2],))
 
 
+def test_permutation_order_is_image_order_on_a_regular_group():
+    from fig8.covers import _subgroup_closure
+
+    # Z2 x Z4 acting regularly on 8 points
+    gens = [Permutation.parse(t, 8) for t in ("(1 2)(3 4)(5 6)(7 8)", "(1 3 5 7)(2 4 6 8)")]
+    group = _subgroup_closure(gens, 8)
+    assert len(group) == 8
+    assert sorted(group) == sorted(group, key=lambda g: g.images)
+    assert all((g < h) == (g.images < h.images) for g in group for h in group)
+
+
 def _uniform_classes(n):
     return [p for p in partitions_of(n) if len(set(p)) == 1]
 

@@ -107,6 +107,8 @@ def test_twisted_sanov_image_is_the_twisted_witness_matrix():
         for m in range(13):
             expected = sanov_eval(_free(retract(dehn_twist(w, m))))
             assert twisted_sanov_image(w, m) == expected, (w.letters, m)
+    with pytest.raises(Genus2Error):
+        twisted_sanov_image(W("c"), -1)  # as dehn_twist: the twist power is nonnegative
 
 
 def test_certificate_reverifies_against_its_witness():

@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 import random
@@ -15,7 +16,7 @@ from fig8.torus import (
     mcshane_sum,
     one_intersection_census,
 )
-from fig8.sl2 import length_to_trace
+from fig8.sl2 import length_to_trace, trace_to_length
 from oracles import (
     LabelledTriple,
     _oracle_one_intersection_census,
@@ -209,9 +210,25 @@ def test_mcshane_values_and_monotonicity():
 
 
 def test_length_form_term_past_float_range_is_finite():
-    """e^l overflows a float past l = 709, that is past trace 1.6e154."""
+    """A trace of 1e160 has a length whose e^l overflows a float; its term does not."""
     term = mcshane_sum([1e160], "length")
     assert math.isfinite(term) and term >= 0
+
+
+@pytest.mark.parametrize(
+    "trace", [3, 7, 10**4, 10**8, 10**9, 10**150], ids=["3", "7", "1e4", "1e8", "1e9", "1e150"]
+)
+def test_mcshane_term_matches_a_decimal_reference(trace):
+    """The term 1 - sqrt(1 - (2/t)^2), in decimal with 60 significant digits
+    left after its cancellation, against the float sum of one term; the
+    length term 1/(1 + e^l) = (1 - tanh(l/2))/2 is exactly its half."""
+    term = mcshane_sum([trace])
+    assert 2 * mcshane_sum([trace], "length") == term
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60 + 2 * len(str(trace))
+        x = decimal.Decimal(2) / trace
+        reference = 1 - (1 - x * x).sqrt()
+        assert abs(decimal.Decimal(term) / reference - 1) < decimal.Decimal("1e-15")
 
 
 def test_mc2_identity_and_values():
@@ -465,6 +482,57 @@ def test_markov_count_meets_zagiers_constant():
     n = 10**200
     triples = sum(1 for _ in _markov_triples(n))
     assert abs(triples / math.log(3 * n) ** 2 - 0.180717) < 1e-4
+
+
+def test_markov_count_at_length_1000_meets_the_census_constant():
+    """N0(L) = 6 M(T/3) - 6 with T = 2 cosh(L/2), and N0(L)/L^2 tends to
+    1.5 C, C = 0.180717 Zagier's constant: 2.6e-5 off at L = 1000."""
+    n0 = 6 * sum(1 for _ in _markov_triples(length_to_trace(1000) / 3)) - 6
+    assert abs(n0 / 1000**2 - 1.5 * 0.180717) < 2e-4
+
+
+# Two rational roots of one torus: (18, 9/2, 9/2) is the Vieta flip of the first entry.
+RATIONAL_ROOT = (Fraction(9, 4), Fraction(9, 2), Fraction(9, 2))
+RATIONAL_ROOT_FLIPPED = (Fraction(18), Fraction(9, 2), Fraction(9, 2))
+
+
+def test_vieta_related_roots_count_the_same_geodesics():
+    lengths = [2, 5, 10, 20, 45, 70, 120]
+    assert census_counts(RATIONAL_ROOT, lengths) == census_counts(RATIONAL_ROOT_FLIPPED, lengths)
+
+
+def _hull_area(points):
+    """Area of the convex hull of the points, by Andrew's monotone chain."""
+
+    def turn(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def chain(pts):
+        out = []
+        for p in pts:
+            while len(out) >= 2 and turn(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    pts = sorted(set(points))
+    hull = chain(pts) + chain(pts[::-1])
+    return abs(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1]))) / 2
+
+
+def test_stable_norm_area_matches_the_simple_count():
+    """McShane-Rivin: the length of slope v is |v|_X + o(|v|) for a norm on
+    R^2, so N0(L)/L^2 tends to (3/pi^2) Area{|v|_X <= 1}.  The unit ball is
+    the hull of +-v/l(v) over the slopes with l(v) > L/3."""
+    length = 200
+    walk = enumerate_simple(RATIONAL_ROOT, length_to_trace(length))
+    points = []
+    for t, (p, q) in walk:
+        l = trace_to_length(t)
+        if l > length / 3:
+            points += [(p / l, q / l), (-p / l, -q / l)]
+    area = 3 / math.pi**2 * _hull_area(points)
+    assert abs(area - len(walk) / length**2) < 1e-3
 
 
 def test_paired_count_is_twice_the_simple_count_at_a_third_of_the_trace():
