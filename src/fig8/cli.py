@@ -133,7 +133,14 @@ def _cmd_regular_extend(args) -> tuple[int, str]:
 def _cmd_frobenius(args) -> tuple[int, str]:
     classes = _parse_classes(args.classes)
     text = [",".join(map(str, c)) for c in classes]
-    return 0, _json({"classes": text, "count": str(frobenius_count(classes))})
+    count = frobenius_count(classes)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # a count at degree 995 has over 5,000 digits
+    try:
+        digits = str(count)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    return 0, _json({"classes": text, "count": digits})
 
 
 def _cmd_twocycles(args) -> tuple[int, str]:

@@ -3,9 +3,12 @@
 Permutations act on the right: (sigma * tau)(i) = tau(sigma(i)).  The
 commutator is [sigma, tau] = sigma tau sigma^-1 tau^-1 under this
 convention.  Characters are computed by the Murnaghan-Nakayama border-strip
-recursion on beta-sets, memoized, in exact integer arithmetic.  The
-Frobenius count sums integer terms over partitions and divides once,
-exactly, at the end.
+recursion on beta-sets, memoized, in exact integer arithmetic, and a class
+of 1s returns the dimension by the hook-length formula.  The Frobenius
+count sums integer terms over the character support of one class, the
+one with the fewest fixed points, built by adding that class's parts as
+rim hooks to the partitions of its fixed points (Murnaghan-Nakayama run
+backwards), and divides once, exactly, at the end.
 
 A partition is its tuple of parts, largest first.  Only ``parse_partition``
 and ``Permutation.parse`` check their input, and both refuse a degree above
@@ -67,10 +70,19 @@ def class_size(p: Partition) -> int:
     return math.factorial(sum(p)) // denom
 
 
+def _dimension(lam: Partition) -> int:
+    """dim lambda by the hook-length formula: n! over the product of hook lengths."""
+    conj = []  # the conjugate partition, built from the shortest row up
+    for i in range(len(lam) - 1, -1, -1):
+        conj += [i + 1] * (lam[i] - len(conj))
+    hooks = math.prod(part - j + conj[j] - i - 1 for i, part in enumerate(lam) for j in range(part))
+    return math.factorial(sum(lam)) // hooks
+
+
 @lru_cache(maxsize=None)
 def _character(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
-    if not lam:
-        return 1
+    if len(mu) == sum(lam):  # mu is all 1s, or both are empty
+        return _dimension(lam)
     strip = mu[0]
     rest = mu[1:]
     length = len(lam)
@@ -97,6 +109,30 @@ def character(lam: Partition, mu: Partition) -> int:
     return _character(lam, mu)
 
 
+def _add_rim_hooks(chars: dict[Partition, int], m: int) -> dict[Partition, int]:
+    """lambda -> sum of (-1)^height chars[rho] over the rim hooks lambda/rho of size m.
+
+    On a beta-set of len(rho) + m beads, adding a hook moves the bead b of
+    row i to the free spot b + m, which lands at row j <= i; its height is
+    i - j, the beads strictly between, and rows j..i-1 each gain 1.
+    """
+    out: dict[Partition, int] = {}
+    for rho, weight in chars.items():
+        parts = rho + (0,) * m
+        length = len(parts)
+        beta = [part + length - 1 - i for i, part in enumerate(parts)]
+        for i, b in enumerate(beta):
+            j = i
+            while j and beta[j - 1] < b + m:
+                j -= 1
+            if j and beta[j - 1] == b + m:
+                continue
+            moved = (parts[i] + m - (i - j),) + tuple(part + 1 for part in parts[j:i])
+            lam = tuple(part for part in parts[:j] + moved + parts[i + 1 :] if part)
+            out[lam] = out.get(lam, 0) + (weight if (i - j) % 2 == 0 else -weight)
+    return {lam: chi for lam, chi in out.items() if chi}
+
+
 def frobenius_count(classes: list[Partition]) -> int:
     """Exact number of tuples (g_1, ..., g_k), g_i in class i, with product identity.
 
@@ -104,7 +140,10 @@ def frobenius_count(classes: list[Partition]) -> int:
     prod chi_lambda(mu_i) / dim_lambda^(k-2).  Since dim_lambda divides n!,
     the sum scaled by n!^k has the integer terms
     prod chi_lambda(mu_i) * dim_lambda^2 * (n!/dim_lambda)^k, and one exact
-    division by n!^(k+1) follows.
+    division by n!^(k+1) follows.  A term is 0 wherever the pivot class,
+    the one with the fewest fixed points, has character 0, so the sum runs
+    over its support only: from the partitions of its fixed points, each
+    weighted by its dimension, its other parts are added as rim hooks.
     """
     if not classes:
         raise PermError("need at least one class")
@@ -113,12 +152,18 @@ def frobenius_count(classes: list[Partition]) -> int:
         raise PermError("all classes must belong to the same S_n")
     k = len(classes)
     order = math.factorial(n)
-    one = (1,) * n
+    pivot = min(classes, key=lambda mu: mu.count(1))
+    fixed = pivot.count(1)
+    support = {nu: _dimension(nu) for nu in partitions_of(fixed)}
+    for m in reversed(pivot[: len(pivot) - fixed]):
+        support = _add_rim_hooks(support, m)
+    others = list(classes)
+    others.remove(pivot)
     total = 0
-    for lam in partitions_of(n):
-        dim = _character(lam, one)
-        term = dim * dim * (order // dim) ** k
-        for mu in classes:
+    for lam, chi in support.items():
+        dim = _dimension(lam)
+        term = chi * dim * dim * (order // dim) ** k
+        for mu in others:
             term *= _character(lam, mu)
         total += term
     divisor = order ** (k + 1)

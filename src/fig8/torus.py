@@ -137,7 +137,10 @@ def mcshane_sum(traces: list[float], form: str = "trace") -> float:
         raise CensusError(f"unknown form {form!r}")
     total = 0.0
     for t in traces:
-        x = 2.0 / t
+        try:
+            x = 2.0 / t
+        except OverflowError:  # an exact trace above the float range: x is 0.0
+            x = float(2 / t)
         total += x * x / (1.0 + math.sqrt(1.0 - x * x))
     return total if form == "trace" else total / 2
 

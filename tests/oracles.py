@@ -13,7 +13,8 @@ can require equal output, order included.  ``vieta_flip`` and
 replaced; they flip a ``LabelledTriple``, a trace triple that carries the
 slopes of its traces.  ``_oracle_random_reduced_letters`` (the sampler
 that drew letters with ``rng.choice``), ``_oracle_frobenius_count`` (the
-``Fraction`` character sum) and ``_oracle_lps_girth_check`` (the search
+``Fraction`` character sum over every partition, with dimensions from
+``standard_tableaux``) and ``_oracle_lps_girth_check`` (the search
 that kept a dict of distances and scaled second rows inline) are the
 finite-groups kernels before their table-driven and integer forms.
 """
@@ -428,15 +429,28 @@ def _oracle_random_reduced_letters(rng, max_len: int, gens: str = FREE_RANK2):
         yield "".join(out)
 
 
+@lru_cache(maxsize=None)
+def standard_tableaux(lam: Partition) -> int:
+    """Number of standard Young tableaux of shape lam, by removing the corner
+    that holds the largest entry in every possible way."""
+    if sum(lam) <= 1:
+        return 1
+    total = 0
+    for i, part in enumerate(lam):
+        if i + 1 == len(lam) or lam[i + 1] < part:
+            total += standard_tableaux(tuple(p for p in lam[:i] + (part - 1,) + lam[i + 1 :] if p))
+    return total
+
+
 def _oracle_frobenius_count(classes: list[Partition]) -> int:
-    """Frobenius's count as a ``Fraction`` sum: prod |C_i| / n! times the sum
-    over lambda of prod chi_lambda(mu_i) / dim_lambda^(k-2)."""
+    """Frobenius's count as a ``Fraction`` sum over all partitions: prod |C_i| / n!
+    times the sum over lambda of prod chi_lambda(mu_i) / dim_lambda^(k-2), with
+    dim_lambda counted as standard tableaux."""
     n = sum(classes[0])
     k = len(classes)
-    one = (1,) * n
     total = Fraction(0)
     for lam in partitions_of(n):
-        dim = character(lam, one)
+        dim = standard_tableaux(lam)
         num = 1
         for mu in classes:
             num *= character(lam, mu)

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import shlex
@@ -80,6 +81,40 @@ def test_frobenius_artifact(capsys):
     code, out, err = run(capsys, "frobenius", "--classes", "1,3,1;2,2,1;5")
     assert (code, err) == (0, "")
     assert out == '{"classes": ["3,1,1", "2,2,1", "5"], "count": "120", "schema": 1}\n'
+
+
+@pytest.mark.parametrize(
+    "argv, code, count, seconds",
+    [
+        (("frobenius", "--classes", "995"), 0, "0", 3),  # exited 4 on RecursionError
+        (("frobenius", "--classes", "70"), 0, "0", 1),  # ran past 30 s
+        (("frobenius", "--classes", "40;40"), 0, str(math.factorial(39)), 1),  # took 7.3 s
+        (("extend", "--genus", "0", "--classes", "40;40"), 0, None, 1),
+        (("extend", "--genus", "0", "--classes", "70"), 1, None, 1),
+    ],
+)
+def test_large_cycle_counts_in_bounded_time(capsys, argv, code, count, seconds):
+    t0 = time.perf_counter()
+    got, out, _ = run(capsys, *argv)
+    assert time.perf_counter() - t0 < seconds
+    assert got == code
+    if count is not None:
+        assert json.loads(out)["count"] == count
+
+
+def test_frobenius_count_past_the_int_to_str_limit(capsys):
+    # three 995-cycles: (n-1)! * 2(n-1)!/(n+1), 5,097 digits
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "frobenius", "--classes", "995;995;995")
+    assert sys.get_int_max_str_digits() == limit
+    digits = json.loads(out)["count"]
+    assert code == 0 and len(digits) == 5097
+    f = math.factorial(994)
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(digits) == f * 2 * f // 996
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_readme_examples_run(capsys):

@@ -19,7 +19,12 @@ from fig8.perms import (
     partitions_of,
 )
 from fig8.words import evaluate, random_reduced_word
-from oracles import _oracle_class_elements, _oracle_frobenius_count, all_permutations
+from oracles import (
+    _oracle_class_elements,
+    _oracle_frobenius_count,
+    all_permutations,
+    standard_tableaux,
+)
 
 
 def test_partition_validation_and_parse():
@@ -115,11 +120,36 @@ def test_frobenius_count_equals_fraction_oracle():
         for k in (1, 2, 3):
             for classes in product(parts, repeat=k):
                 assert frobenius_count(list(classes)) == _oracle_frobenius_count(list(classes))
+        if n <= 5:
+            for classes in product(parts, repeat=4):
+                assert frobenius_count(list(classes)) == _oracle_frobenius_count(list(classes))
     rng = random.Random(23)
-    for _ in range(100):
-        n, k = rng.randint(1, 20), rng.randint(1, 4)
+    for _ in range(200):
+        n, k = rng.randint(1, 30), rng.randint(1, 4)
         classes = [_random_partition(rng, n) for _ in range(k)]
         assert frobenius_count(classes) == _oracle_frobenius_count(classes), classes
+
+
+def test_three_n_cycles_closed_form():
+    # an n-cycle is a product of two n-cycles in 2(n-1)!/(n+1) ways for odd n
+    # and in none for even n (Stanley, European J. Combin. 2011)
+    for n in range(1, 102):
+        f = math.factorial(n - 1)
+        expected = f * 2 * f // (n + 1) if n % 2 else 0
+        assert frobenius_count([(n,)] * 3) == expected, n
+
+
+def test_dimensions_count_standard_tableaux():
+    for n in range(13):
+        for lam in partitions_of(n):
+            assert character(lam, (1,) * n) == standard_tableaux(lam), lam
+
+
+def test_dimension_at_the_degree_cap_needs_no_deep_recursion():
+    n = 995
+    assert character((n,), (1,) * n) == 1
+    hook = (500,) + (1,) * 495
+    assert character(hook, (1,) * n) == math.comb(n - 1, 495)
 
 
 def test_frobenius_closed_forms_for_one_and_two_classes():

@@ -215,6 +215,12 @@ def test_length_form_term_past_float_range_is_finite():
     assert math.isfinite(term) and term >= 0
 
 
+def test_exact_trace_past_float_range_adds_nothing():
+    """2.0 / t converts an exact t to a float first, which overflows past 1.8e308."""
+    assert mcshane_sum([3, 10**400]) == mcshane_sum([3])
+    assert mcshane_sum([3, Fraction(10**400, 7)]) == mcshane_sum([3])
+
+
 @pytest.mark.parametrize(
     "trace", [3, 7, 10**4, 10**8, 10**9, 10**150], ids=["3", "7", "1e4", "1e8", "1e9", "1e150"]
 )
