@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .resfin import primes
+from .resfin import least_prime_not_dividing
 from .words import FREE_RANK2, Word, evaluate
 
 _VARS = {"a": "x", "b": "y"}
@@ -123,7 +123,7 @@ def unipotent_witness(w: Word, max_k: int) -> UnipotentWitness | None:
         return None
     series = MagnusSeries({m: c for m, c in series.coeffs.items() if len(m) <= k}, k)
     monomial, coefficient = min((m, c) for m, c in series.coeffs.items() if len(m) == k)
-    modulus = next(p for p in primes() if coefficient % p)
+    modulus = least_prime_not_dividing(coefficient)
     image = series.reduce_mod(modulus)
     if image == MagnusSeries.one(k):
         raise MagnusError("reduced image unexpectedly trivial")

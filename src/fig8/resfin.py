@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 import string
+from collections import Counter
 from dataclasses import dataclass
 
 from .sl2 import SANOV_A, SANOV_B, Mat2
@@ -102,6 +103,13 @@ def expected_min_prime(terms: int) -> float:
     return num / primorial
 
 
+def least_prime_not_dividing(n: int) -> int:
+    """Least prime that does not divide the nonzero integer n."""
+    if n == 0:
+        raise ResFinError("every prime divides 0")
+    return next(p for p in primes() if n % p)
+
+
 def abelian_excluding_prime(letters: str, gens: str) -> int | None:
     """Least prime not dividing the first nonzero abelianization coordinate.
 
@@ -110,7 +118,7 @@ def abelian_excluding_prime(letters: str, gens: str) -> int | None:
     first = next((x for x in exponent_sums(letters, gens) if x), None)
     if first is None:
         return None
-    return next(p for p in primes() if first % p)
+    return least_prime_not_dividing(first)
 
 
 @dataclass(frozen=True)
@@ -127,7 +135,9 @@ def average_index_simulation(
 
     Words are uniform over the ball of reduced words of length <= radius;
     words with zero abelianization are excluded from the mean and counted
-    separately.  Deterministic for a fixed seed.
+    separately.  Deterministic for a fixed seed.  The samples are tallied
+    by their first nonzero exponent sum, so the least prime not dividing it
+    is found once per distinct value.
     """
     if not 2 <= rank <= len(string.ascii_lowercase):
         raise ResFinError(f"rank must be between 2 and {len(string.ascii_lowercase)}")
@@ -135,16 +145,17 @@ def average_index_simulation(
         raise ResFinError("radius and sample count must be positive")
     gens = string.ascii_lowercase[:rank]
     stream = random_reduced_letters(random.Random(seed), radius, gens)
-    total = 0
-    used = 0
-    excluded = 0
+    inverses = [(g, g.upper()) for g in gens]
+    firsts: Counter[int] = Counter()  # first nonzero coordinate -> samples, 0 if none
     for letters in itertools.islice(stream, samples):
-        p = abelian_excluding_prime(letters, gens)
-        if p is None:
-            excluded += 1
-        else:
-            total += p
-            used += 1
+        for g, inverse in inverses:
+            first = letters.count(g) - letters.count(inverse)
+            if first:
+                break
+        firsts[first] += 1
+    excluded = firsts.pop(0, 0)
+    used = samples - excluded
     if used == 0:
         raise ResFinError("every sample had zero abelianization")
+    total = sum(count * least_prime_not_dividing(x) for x, count in firsts.items())
     return SimulationResult(total / used, used, excluded)

@@ -4,12 +4,14 @@ A word is a string over lowercase generators and their uppercase inverses
 (a <-> A, b <-> B, ...).  Words are freely reduced on construction and the
 unreduced input is never retained.  ``evaluate`` sends a word into any
 group through the images of its generators.  The random reduced words
-draw each letter with ``getrandbits``, making exactly the draws that
+draw each letter with ``getrandbits`` and look it up in the last letter's
+transition row, built once per alphabet, making exactly the draws that
 ``rng.choice`` would, so a seed's samples are fixed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import re
@@ -91,10 +93,17 @@ class Word:
         return not self.letters
 
     def cyclically_reduced(self) -> "Word":
+        """The word with its end pairs x ... X stripped, in one slice.
+
+        The i-th letter and the i-th from the end form such a pair iff the
+        word and its inverse agree at i, so the pairs are the common prefix.
+        """
         w = self.letters
-        while len(w) > 1 and w[0] == w[-1].swapcase():
-            w = w[1:-1]
-        return Word(w, self.gens)
+        inverse = inverse_letters(w)
+        i = 0
+        while i < len(w) // 2 and w[i] == inverse[i]:
+            i += 1
+        return Word(w[i : len(w) - i], self.gens)
 
     def is_cyclically_reduced(self) -> bool:
         w = self.letters
@@ -152,11 +161,13 @@ def random_reduced_letters(rng: random.Random, max_len: int, gens: str = FREE_RA
     draw below the ball of radius max_len walks its length down without a
     table of the sizes.
 
-    A letter is one ``rng.getrandbits(k)`` draw, k = r.bit_length(), of the
-    next letter's index, repeated while it is r or more or the inverse of
-    the last letter.  ``rng.choice`` over the alphabet, redrawn on an
+    A letter is one ``rng.getrandbits(k)`` draw, k = r.bit_length(),
+    looked up in the last letter's row of ``_transition_rows(gens)``, and
+    redrawn while the row refuses it: while it is r or more or the inverse
+    of the last letter.  ``rng.choice`` over the alphabet, redrawn on an
     inverse, makes exactly these draws, so each seed's samples and final
-    state are as with it.
+    state are as with it.  The rows are cached per alphabet, so a stream
+    started per word does not rebuild them.
     """
     r = 2 * len(gens)
 
@@ -164,8 +175,7 @@ def random_reduced_letters(rng: random.Random, max_len: int, gens: str = FREE_RA
         return r * ((r - 1) ** l - 1) // (r - 2) if r > 2 else 2 * l
 
     size = ball(max(max_len, 0))  # no words below radius 1: randrange raises
-    alphabet = gens + gens.upper()
-    inverse = [(i + len(gens)) % r for i in range(r)]
+    rows = _transition_rows(gens)
     k = r.bit_length()
     getrandbits = rng.getrandbits
     while True:
@@ -173,17 +183,29 @@ def random_reduced_letters(rng: random.Random, max_len: int, gens: str = FREE_RA
         length = max_len
         while x < ball(length - 1):
             length -= 1
-        last = getrandbits(k)
-        while last >= r:
-            last = getrandbits(k)
-        out = [alphabet[last]]
-        for _ in range(length - 1):
-            i = getrandbits(k)
-            while i >= r or i == inverse[last]:
-                i = getrandbits(k)
-            last = i
-            out.append(alphabet[last])
+        out = []
+        ch = ""
+        for _ in range(length):
+            row = rows[ch]
+            ch = row[getrandbits(k)]
+            while not ch:
+                ch = row[getrandbits(k)]
+            out.append(ch)
         yield "".join(out)
+
+
+@functools.cache
+def _transition_rows(gens: str) -> dict[str, tuple[str, ...]]:
+    """The sampler's row after each letter over ``gens``, and under "" the
+    first letter's row.  Entry j of a row is the letter that the k-bit draw
+    j gives, or "" where the draw is refused: j >= r, or the inverse of the
+    last letter."""
+    alphabet = gens + gens.upper()
+    pad = ("",) * ((1 << len(alphabet).bit_length()) - len(alphabet))
+    rows = {"": tuple(alphabet) + pad}
+    for last in alphabet:
+        rows[last] = tuple("" if ch == last.swapcase() else ch for ch in alphabet) + pad
+    return rows
 
 
 def random_reduced_word(rng: random.Random, max_len: int, gens: str = FREE_RANK2) -> Word:

@@ -564,6 +564,21 @@ def test_finite_quotient_artifacts_are_byte_identical(capsys):
     )
 
 
+def test_avgindex_artifacts_at_benchmark_sizes_are_byte_identical(capsys):
+    """SHA-256 over avgindex at 1,000 samples, the benchmark's largest job:
+    radius 30 and 17 at ranks 2 and 3, radius 5 at rank 26, three seeds
+    each; recorded before the sampler drew letters from transition rows and
+    the simulation looked up one prime per distinct coordinate."""
+    argvs = [
+        ["avgindex", "--rank", rank, "--radius", radius, "--samples", "1000", "--seed", seed]
+        for rank, radius in (("2", "30"), ("2", "17"), ("3", "30"), ("3", "17"), ("26", "5"))
+        for seed in ("7", "11", "123456")
+    ]
+    assert _artifacts_sha256(capsys, argvs) == (
+        "9448e3f48f16ecd5b564bd78449b3dfa1170180b7d651994bd5e8d354bc3886f"
+    )
+
+
 def test_expectedprime_many_terms_is_bounded(capsys):
     t0 = time.perf_counter()
     code, out, err = run(capsys, "expectedprime", "--terms", "10000")

@@ -12,6 +12,7 @@ from fig8.resfin import (
     average_index_simulation,
     excluding_prime,
     expected_min_prime,
+    least_prime_not_dividing,
     primes,
     sanov_eval,
     smallest_excluding_prime,
@@ -108,6 +109,17 @@ def test_abelian_excluding_prime():
     assert abelian_excluding_prime("a", "ab") == 2
     assert abelian_excluding_prime("abAB", "ab") is None  # commutator
     assert abelian_excluding_prime("abAbbbbb", "abc") == 5  # the sum of a is 0, of b 6
+    assert abelian_excluding_prime("A" * 6, "ab") == 5  # a negative coordinate
+    assert abelian_excluding_prime("a" * 30030, "ab") == 17  # 30030 = 2 * 3 * 5 * 7 * 11 * 13
+    assert abelian_excluding_prime("aBBBBBBA", "ab") == 5  # the sum of a is 0, of b -6
+
+
+def test_least_prime_not_dividing():
+    assert [least_prime_not_dividing(n) for n in (1, -1, 2, 3, 6, -6, 12, 30, 210)] == [
+        2, 2, 3, 2, 5, 5, 5, 7, 11,
+    ]
+    with pytest.raises(ResFinError):
+        least_prime_not_dividing(0)
 
 
 def test_average_index_simulation():

@@ -110,6 +110,31 @@ def test_cyclic_reduction():
     assert Word("abAB").is_cyclically_reduced()
 
 
+def _strip_end_pairs(letters):
+    # the per-pair loop that cyclically_reduced replaced, quadratic in the pairs
+    while len(letters) > 1 and letters[0] == letters[-1].swapcase():
+        letters = letters[1:-1]
+    return letters
+
+
+def test_cyclically_reduced_equals_the_per_pair_loop():
+    words = ["", "a", "aA", "ab", "aBA", "abA", "abBA", "abaBA", "AbaBa", "abcCBA"]
+    words += [random_reduced_word(random.Random(seed), 12).letters for seed in range(300)]
+    for letters in words:
+        for u in (letters, "a" + letters + "A", "cb" + letters + "BC"):
+            w = Word(u, "abc")
+            assert w.cyclically_reduced().letters == _strip_end_pairs(w.letters), w.letters
+
+
+def test_cyclically_reduced_is_linear_time():
+    n = 3 * 10**5
+    w = Word("a" * n + "b" + "A" * n)
+    t0 = time.perf_counter()
+    reduced = w.cyclically_reduced()
+    elapsed = time.perf_counter() - t0
+    assert reduced.letters == "b" and elapsed < 0.5, elapsed
+
+
 def test_proper_power():
     assert Word("abab").is_proper_power()
     assert Word("aaa").is_proper_power()
@@ -131,10 +156,11 @@ def test_random_reduced_words_are_reduced_and_in_ball():
         assert free_reduce(w.letters) == w.letters
 
 
-@pytest.mark.parametrize("gens", ["a", "ab", "abc", "abcd", "abcde"])
+@pytest.mark.parametrize("gens", ["a", "ab", "abc", "abcd", "abcde", string.ascii_lowercase])
 def test_random_reduced_letters_equal_choice_oracle(gens):
-    # rank 1 takes the r = 2 branch of the ball sizes; equal final states
-    # show that both drew the same number of bits
+    # rank 1 takes the r = 2 branch of the ball sizes, and rank 26, the
+    # widest that avgindex admits, draws 6 bits into 64-entry rows; equal
+    # final states show that both drew the same number of bits
     for max_len in (1, 2, 5, 30):
         for seed in range(100):
             rng, oracle_rng = random.Random(seed), random.Random(seed)
