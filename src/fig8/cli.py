@@ -146,7 +146,7 @@ def _cmd_frobenius(args) -> tuple[int, str]:
 def _cmd_twocycles(args) -> tuple[int, str]:
     sigma = Permutation.parse(args.perm, args.degree)
     c1, c2 = covers.two_n_cycles(sigma)
-    alpha, beta = covers.commutator_witness(sigma)
+    alpha, beta = covers.commutator_witness(sigma, (c1, c2))
     return 0, _json(
         {
             "sigma": str(sigma),

@@ -66,15 +66,20 @@ def two_n_cycles(sigma: Permutation) -> tuple[Permutation, Permutation]:
     return (c1, c2)
 
 
-def commutator_witness(sigma: Permutation) -> tuple[Permutation, Permutation]:
-    """(alpha, beta) with [alpha, beta] = alpha*beta*alpha^-1*beta^-1 = sigma."""
+def commutator_witness(
+    sigma: Permutation, cycles: tuple[Permutation, Permutation] | None = None
+) -> tuple[Permutation, Permutation]:
+    """(alpha, beta) with [alpha, beta] = alpha*beta*alpha^-1*beta^-1 = sigma.
+
+    cycles is two_n_cycles(sigma) when the caller already has it.
+    """
     if not sigma.is_even():
         raise PermError(f"{sigma} is odd: not a commutator")
     n = sigma.degree
     identity = Permutation.identity(n)
     if sigma == identity:
         return (identity, identity)
-    c1, c2 = two_n_cycles(sigma)
+    c1, c2 = cycles or two_n_cycles(sigma)
     # Any two n-cycles are conjugate: align the cycle of c1^-1 with that of
     # c2.  Under right action, conjugation by beta relabels the cycle
     # (p1 p2 ...) of x as (beta^-1(p1) beta^-1(p2) ...), so beta must send
@@ -198,8 +203,8 @@ def strip_cover(sigma: Permutation, tau: Permutation) -> StripCover:
 
     sigma must be an n-cycle (the horizontal strip gluing).  The boundary
     monodromy is the commutator [sigma, tau]; its cycles are the boundary
-    components of the cover.  The Euler characteristic identity
-    n * chi(torus) = 2 - 2g - b is asserted.
+    components of the cover, and the genus follows from the Euler
+    characteristic identity n * chi(torus) = 2 - 2g - b.
     """
     n = sigma.degree
     if tau.degree != n:
@@ -209,13 +214,9 @@ def strip_cover(sigma: Permutation, tau: Permutation) -> StripCover:
     boundary = commutator(sigma, tau)
     components = boundary.cycle_count()
     # chi of the once-punctured torus is -1; the cover is connected since
-    # sigma is transitive, so chi = -n = 2 - 2g - b.
-    if (2 + n - components) % 2:
-        raise CoverError("Euler characteristic parity violated")
-    genus = (2 + n - components) // 2
-    if genus < 0:
-        raise CoverError("negative cover genus")
-    return StripCover(boundary, components, genus)
+    # sigma is transitive, so chi = -n = 2 - 2g - b.  The boundary is even,
+    # so n - b is even, and b <= n gives g >= 1.
+    return StripCover(boundary, components, (2 + n - components) // 2)
 
 
 def boundary_lift_components(

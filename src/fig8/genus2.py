@@ -91,7 +91,6 @@ def rewrite_blocks(w: Word) -> Word:
 @dataclass(frozen=True)
 class Certificate:
     verdict: str  # "NONTRIVIAL" | "TRIVIAL-CONSISTENT"
-    word: Word
     rewritten: Word
     twist_power: int
     witness: Word | None  # free word over x, y
@@ -136,16 +135,16 @@ def certify_nontrivial(w: Word) -> Certificate:
     """
     _check(w)
     if w.is_trivial:
-        return Certificate("TRIVIAL-CONSISTENT", w, w, 0, None, None)
+        return Certificate("TRIVIAL-CONSISTENT", w, 0, None, None)
     w0 = rewrite_blocks(w)
     m = -(-len(w0) // 4) + 1
     # retract(dehn_twist(w0, m)) with one free reduction: the retraction
     # sends inverse letters to inverse letters, so it commutes with reduction
     u = Word(_twisted_letters(w0.letters, m).translate(_RETRACT), "xy")
     if u.is_trivial:
-        return Certificate("TRIVIAL-CONSISTENT", w, w0, m, None, None)
+        return Certificate("TRIVIAL-CONSISTENT", w0, m, None, None)
     prime_witness = excluding_prime(twisted_sanov_image(w0, m))
-    return Certificate("NONTRIVIAL", w, w0, m, u, prime_witness)
+    return Certificate("NONTRIVIAL", w0, m, u, prime_witness)
 
 
 # The 16 cyclic conjugates of the relator and its inverse, in a fixed order.

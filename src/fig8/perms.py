@@ -2,13 +2,13 @@
 
 Permutations act on the right: (sigma * tau)(i) = tau(sigma(i)).  The
 commutator is [sigma, tau] = sigma tau sigma^-1 tau^-1 under this
-convention.  Characters are computed by the Murnaghan-Nakayama border-strip
-recursion on beta-sets, memoized, in exact integer arithmetic, and a class
-of 1s returns the dimension by the hook-length formula.  The Frobenius
-count sums integer terms over the character support of one class, the
-one with the fewest fixed points, built by adding that class's parts as
-rim hooks to the partitions of its fixed points (Murnaghan-Nakayama run
-backwards), and divides once, exactly, at the end.
+convention.  Characters follow the Murnaghan-Nakayama rule, memoized, in
+exact integer arithmetic: one rim-hook move on beta-sets (the abacus of
+James and Kerber) strips a class's parts, and a class of 1s gives the
+dimension by the hook-length formula.  The Frobenius count sums integer
+terms over the character support of the class with the fewest fixed points,
+which the same move run backwards builds from the partitions of its fixed
+points, and divides once, exactly, at the end.
 
 A partition is its tuple of parts, largest first.  Only ``parse_partition``
 and ``Permutation.parse`` check their input, and both refuse a degree above
@@ -22,6 +22,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import takewhile
+from operator import sub
 
 
 # A permutation, and a class representative, holds n images, so a parsed
@@ -79,26 +81,34 @@ def _dimension(lam: Partition) -> int:
     return math.factorial(sum(lam)) // hooks
 
 
+def _rim_hooks(lam: Partition, m: int):
+    """(rho, sign) for each rim hook of size |m| added to lam (m > 0) or removed (m < 0).
+
+    On the beta-set of lam padded with max(m, 0) zero parts, the hook moves
+    one bead from b to a free b + m; its sign is -1 to the number of beads
+    passed, the hook's height.
+    """
+    parts = lam + (0,) * max(m, 0)
+    length = len(parts)
+    beta = [part + length - 1 - i for i, part in enumerate(parts)]
+    taken = set(beta)
+    for i, b in enumerate(beta):
+        if b + m < 0 or b + m in taken:
+            continue
+        moved = sorted(beta[:i] + [b + m] + beta[i + 1 :], reverse=True)
+        # a part is its bead less the bead's row offset; the zero parts come last
+        rho = tuple(takewhile(bool, map(sub, moved, range(length - 1, -1, -1))))
+        yield rho, -1 if abs(moved.index(b + m) - i) % 2 else 1
+
+
 @lru_cache(maxsize=None)
 def _character(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     if len(mu) == sum(lam):  # mu is all 1s, or both are empty
         return _dimension(lam)
-    strip = mu[0]
-    rest = mu[1:]
-    length = len(lam)
-    beta = [lam[i] + (length - 1 - i) for i in range(length)]
-    beta_set = set(beta)
+    # a plain loop, not sum() over a generator, keeps one frame per part of mu
     total = 0
-    for b in beta:
-        nb = b - strip
-        if nb < 0 or nb in beta_set:
-            continue
-        height = sum(1 for x in beta if nb < x < b)
-        new_beta = sorted([x for x in beta if x != b] + [nb], reverse=True)
-        new_lam = tuple(
-            x - (length - 1 - i) for i, x in enumerate(new_beta) if x - (length - 1 - i) > 0
-        )
-        total += (-1) ** height * _character(new_lam, rest)
+    for rho, sign in _rim_hooks(lam, -mu[0]):
+        total += sign * _character(rho, mu[1:])
     return total
 
 
@@ -107,30 +117,6 @@ def character(lam: Partition, mu: Partition) -> int:
     if sum(lam) != sum(mu):
         raise PermError(f"partition sizes differ: {sum(lam)} vs {sum(mu)}")
     return _character(lam, mu)
-
-
-def _add_rim_hooks(chars: dict[Partition, int], m: int) -> dict[Partition, int]:
-    """lambda -> sum of (-1)^height chars[rho] over the rim hooks lambda/rho of size m.
-
-    On a beta-set of len(rho) + m beads, adding a hook moves the bead b of
-    row i to the free spot b + m, which lands at row j <= i; its height is
-    i - j, the beads strictly between, and rows j..i-1 each gain 1.
-    """
-    out: dict[Partition, int] = {}
-    for rho, weight in chars.items():
-        parts = rho + (0,) * m
-        length = len(parts)
-        beta = [part + length - 1 - i for i, part in enumerate(parts)]
-        for i, b in enumerate(beta):
-            j = i
-            while j and beta[j - 1] < b + m:
-                j -= 1
-            if j and beta[j - 1] == b + m:
-                continue
-            moved = (parts[i] + m - (i - j),) + tuple(part + 1 for part in parts[j:i])
-            lam = tuple(part for part in parts[:j] + moved + parts[i + 1 :] if part)
-            out[lam] = out.get(lam, 0) + (weight if (i - j) % 2 == 0 else -weight)
-    return {lam: chi for lam, chi in out.items() if chi}
 
 
 def frobenius_count(classes: list[Partition]) -> int:
@@ -156,7 +142,11 @@ def frobenius_count(classes: list[Partition]) -> int:
     fixed = pivot.count(1)
     support = {nu: _dimension(nu) for nu in partitions_of(fixed)}
     for m in reversed(pivot[: len(pivot) - fixed]):
-        support = _add_rim_hooks(support, m)
+        grown: dict[Partition, int] = {}
+        for rho, weight in support.items():
+            for lam, sign in _rim_hooks(rho, m):
+                grown[lam] = grown.get(lam, 0) + sign * weight
+        support = {lam: chi for lam, chi in grown.items() if chi}
     others = list(classes)
     others.remove(pivot)
     total = 0

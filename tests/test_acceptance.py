@@ -236,7 +236,7 @@ def test_criterion_08_constructions(capsys):
             if c1 * c2 != sigma or commutator(a, b) != sigma:
                 ok = False
             verified += 1
-    # Euler identity: strip_cover asserts chi internally.  Conjugating
+    # Euler identity 2 - 2g - b = -n for every strip cover.  Conjugating
     # (sigma, tau) -> (g sigma g^-1, g tau g^-1) preserves both sides and acts
     # transitively on n-cycles, so the standard n-cycle with all tau covers
     # every (sigma, tau) pair; the full product is also swept for n <= 5.
@@ -253,7 +253,9 @@ def test_criterion_08_constructions(capsys):
     for n in (2, 3, 4, 5):
         for sigma in (g for g in all_permutations(n) if g.cycle_type() == (n,)):
             for tau in all_permutations(n):
-                strip_cover(sigma, tau)
+                cover = strip_cover(sigma, tau)
+                if 2 - 2 * cover.cover_genus - cover.boundary_components != -n:
+                    ok = False
     report(
         capsys, 8, ok,
         f"two_n_cycles and commutator_witness verified on all {verified} even "

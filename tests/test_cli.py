@@ -102,6 +102,18 @@ def test_large_cycle_counts_in_bounded_time(capsys, argv, code, count, seconds):
         assert json.loads(out)["count"] == count
 
 
+@pytest.mark.xfail(raises=AssertionError, reason="_character recurses once per part above 1")
+def test_classes_of_many_twos_keep_the_exit_contract(capsys):
+    """A class with 497 parts of size 2 exhausts the recursion limit, and
+    both commands exit 4 on RecursionError."""
+    twos = ",".join(["2"] * 497 + ["1"])
+    codes = [
+        run(capsys, "frobenius", "--classes", f"995;{twos}")[0],
+        run(capsys, "extend", "--genus", "0", "--classes", f"{twos};995")[0],
+    ]
+    assert all(code in (0, 1, 2, 3) for code in codes), codes
+
+
 def test_frobenius_count_past_the_int_to_str_limit(capsys):
     # three 995-cycles: (n-1)! * 2(n-1)!/(n+1), 5,097 digits
     limit = sys.get_int_max_str_digits()
@@ -562,6 +574,32 @@ def test_finite_quotient_artifacts_are_byte_identical(capsys):
     assert _artifacts_sha256(capsys, argvs) == (
         "13ff9bab4ff7e57d731d0e076a696469ce6c78c090b6cf60d5fffc203cae5797"
     )
+
+
+def test_twocycles_searches_once_and_keeps_its_artifacts(capsys, monkeypatch):
+    """One two_n_cycles search per job, and SHA-256 over the twocycles
+    artifacts and exit codes of e at degrees 1, 2 and 5, 48 seeded
+    permutations of degree 1 to 12 (odd ones exit 2) and (1 2 3) at degree
+    1000; recorded while commutator_witness searched a second time."""
+    search, calls = cli.covers.two_n_cycles, []
+
+    def counted(sigma):
+        calls.append(sigma)
+        return search(sigma)
+
+    monkeypatch.setattr(cli.covers, "two_n_cycles", counted)
+    rng = random.Random(35)
+    argvs = [["twocycles", "--perm", "e", "--degree", str(n)] for n in (1, 2, 5)]
+    argvs += [
+        ["twocycles", "--perm", _cycles(rng, n), "--degree", str(n)]
+        for n in range(1, 13)
+        for _ in range(4)
+    ]
+    argvs.append(["twocycles", "--perm", "(1 2 3)", "--degree", "1000"])
+    assert _artifacts_sha256(capsys, argvs) == (
+        "f4ea4c1e1d856a3de0cb25bf97b181f73ac9fa253354c80ccdfd7aecb4ca1e93"
+    )
+    assert len(calls) == len(argvs)
 
 
 def test_avgindex_artifacts_at_benchmark_sizes_are_byte_identical(capsys):

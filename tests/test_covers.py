@@ -215,8 +215,9 @@ def test_strip_cover_euler_identity_small():
         ncycles = [g for g in all_permutations(n) if g.cycle_type() == (n,)]
         for sigma in ncycles:
             for tau in all_permutations(n):
-                cover = strip_cover(sigma, tau)  # raises if chi fails
+                cover = strip_cover(sigma, tau)
                 assert 2 - 2 * cover.cover_genus - cover.boundary_components == -n
+                assert cover.cover_genus >= 1
 
 
 def test_boundary_lift_gamma2_pattern():

@@ -17,6 +17,7 @@ from fig8.perms import (
     frobenius_count,
     parse_partition,
     partitions_of,
+    _rim_hooks,
 )
 from fig8.words import evaluate, random_reduced_word
 from oracles import (
@@ -150,6 +151,45 @@ def test_dimension_at_the_degree_cap_needs_no_deep_recursion():
     assert character((n,), (1,) * n) == 1
     hook = (500,) + (1,) * 495
     assert character(hook, (1,) * n) == math.comb(n - 1, 495)
+
+
+def test_character_recursion_keeps_one_frame_per_part():
+    # 400 parts of size 2 fit under the recursion limit only if each part
+    # costs one level of _character and nothing more
+    assert character((801,), (2,) * 400 + (1,)) == 1
+
+
+def _diagram_rim_hook_sign(lam, rho):
+    """(-1)^(rows - 1) if lam/rho is a rim hook: a connected skew diagram
+    with no 2x2 square; None otherwise, or if rho is not inside lam."""
+    rho = rho + (0,) * (len(lam) - len(rho))
+    if len(rho) > len(lam) or any(r > part for r, part in zip(rho, lam)):
+        return None
+    cells = {(i, j) for i, part in enumerate(lam) for j in range(rho[i], part)}
+    if not cells or any({(i, j + 1), (i + 1, j), (i + 1, j + 1)} <= cells for i, j in cells):
+        return None
+    seen, stack = set(), [min(cells)]
+    while stack:
+        i, j = stack.pop()
+        if (i, j) in cells and (i, j) not in seen:
+            seen.add((i, j))
+            stack += [(i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)]
+    if seen != cells:
+        return None
+    return (-1) ** (len({i for i, _ in cells}) - 1)
+
+
+def test_rim_hooks_equal_the_diagram_oracle_both_ways():
+    for n in range(10):
+        for rho in partitions_of(n):
+            for m in range(1, 6):
+                added = {}
+                for lam in partitions_of(n + m):
+                    if (sign := _diagram_rim_hook_sign(lam, rho)) is not None:
+                        added[lam] = sign
+                assert sorted(_rim_hooks(rho, m)) == sorted(added.items()), (rho, m)
+                for lam, sign in added.items():
+                    assert (rho, sign) in list(_rim_hooks(lam, -m)), (lam, m)
 
 
 def test_frobenius_closed_forms_for_one_and_two_classes():
