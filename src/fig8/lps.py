@@ -5,24 +5,17 @@ with a odd positive and b, c, d even, mapped to 2x2 matrices over the field
 with q elements through a fixed square root of -1.  Matrices are handled
 projectively (scalars quotiented out); when p is a quadratic non-residue
 mod q the generated group is the full projective general linear group, of
-order q(q^2-1) = twice the projective special linear order.
+order q(q^2-1) = twice the projective special linear order.  The result
+reports that order and Jacobi's count p+1 of generators as theorem values.
 
-Girth is computed by a full breadth-first search from the identity: every
-non-tree edge (u, v) closes a cycle of length dist(u) + dist(v) + 1, and
-vertex transitivity puts the identity on a shortest cycle.  The group order
-reported is the number of vertices the search reached.
-
-A vertex g is stored by where it sends three points of the projective
-line, (g(0), g(1), g(infinity)): a Möbius map is fixed by three images and
-scalars act trivially, so no canonical form is needed.  The points are
-numbered 0 .. q-1, with q for infinity, and the triple is one int below
-(q + 1)^3.  The search multiplies on the left, so a step by a generator is
-three lookups in its table of q + 1 point images.  Inversion maps this left
-Cayley graph onto the right one, since the generators are closed under
-inverse, so the girth and the order are the same.  Distances are bytes in
-a bytearray of (q + 1)^3 entries holding distance + 1, with 0 for a vertex
-not yet reached.  A neighbour one level nearer the identity is skipped: the
-edge is the tree edge, or its cycle is counted from the nearer end.
+The girth solves the norm equation of the proof of the girth bound
+(Lubotzky, Phillips and Sarnak, Combinatorica 8, 1988, §3).  A closed
+reduced walk of length m is an integer quaternion a0 + 2q(b1 i + b2 j + b3 k)
+of norm p^m with b != 0, and a solution divisible by p is p times a walk
+two steps shorter, so the girth is the least m with a solution.  p is a
+non-residue mod q, so m is even and a0 = ±p^(m/2) mod 2q^2; each such a0
+leaves s = (p^m - a0^2)/4q^2, a sum of three squares iff it is not of the
+form 4^a(8b + 7) (Gauss–Legendre).
 """
 
 from __future__ import annotations
@@ -35,13 +28,11 @@ from .resfin import primes
 
 ProjMat = tuple[int, int, int, int]
 
-# The search keeps a byte for each of (q+1)^3 possible triples, reaches
-# q(q^2-1) of them, and visits p+1 edges at each.  The cap admits q <= 61:
-# (29, 61) has 226,920 vertices and takes about 0.8 s and 23 MB (peak RSS
-# of the whole process) on a 2-core VM.  The deepest distances at the
-# admitted extremes, 6 at (29, 61) and 10 at (5, 53), are far below the 254
-# that a byte of distance + 1 holds.
-MAX_VERTICES = 250_000
+# The one cost that grows with q is the trial division of q and p by the
+# primes up to sqrt(q): about 30 ms at q = 10^10 on a 2-core VM, so every
+# admitted pair answers in well under 0.1 s.  The girth itself takes a few
+# candidates at each even m up to about 4 log_p q.
+MAX_Q = 10**10
 
 
 class LpsError(ValueError):
@@ -120,17 +111,30 @@ class LpsGirthResult:
     passed: bool
 
 
-def lps_girth_check(p: int, q: int) -> LpsGirthResult:
-    """Build the LPS Cayley graph, measure its girth, compare to the bound.
+def _girth(p: int, q: int) -> int:
+    """The least m with p^m = a0^2 + 4q^2 s, a0 = ±p^(m/2) mod 2q^2 and s > 0
+    a sum of three squares."""
+    for m in itertools.count(2, 2):
+        h = p ** (m // 2)
+        # the a0 = h mod 2q^2 in (-h, h); their negatives, the a0 = -h, give the same s
+        for a0 in range(h - 2 * q * q, -h, -2 * q * q):
+            s = (h * h - a0 * a0) // (4 * q * q)
+            while s % 4 == 0:
+                s //= 4
+            if s % 8 != 7:
+                return m
 
-    Requires p >= 5 and q > 2p both prime, p = 1 mod 4, p a quadratic
-    non-residue mod q, and q(q^2-1) <= MAX_VERTICES; the girth bound is
-    4 log_p q - log_p 4.
+
+def lps_girth_check(p: int, q: int) -> LpsGirthResult:
+    """The girth of the LPS Cayley graph, compared to the bound.
+
+    Requires q <= MAX_Q, p >= 5 and q > 2p both prime and 1 mod 4, and p a
+    quadratic non-residue mod q; the girth bound is 4 log_p q - log_p 4.
     """
     # the cap comes first: it bounds q, and q > 2p then bounds p, so the
     # trial divisions below stay short
-    if q * (q * q - 1) > MAX_VERTICES:
-        raise LpsError(f"q = {q}: the q(q^2-1) vertices exceed the cap {MAX_VERTICES}")
+    if q > MAX_Q:
+        raise LpsError(f"q = {q} is above the cap {MAX_Q}")
     if not _is_prime(q) or q <= 2 * p:
         raise LpsError(f"q = {q} must be a prime > 2p")
     if not _is_prime(p) or p < 5:
@@ -139,46 +143,12 @@ def lps_girth_check(p: int, q: int) -> LpsGirthResult:
         raise LpsError(f"p = {p} must be 1 mod 4 for the LPS generators")
     if pow(p, (q - 1) // 2, q) != q - 1:
         raise LpsError(f"p = {p} is a quadratic residue mod {q}")
-    gens = lps_generators(p, q)
-    inv = _inverses(q)
-    n = q + 1  # the points of the projective line: 0 .. q-1, and q for infinity
-    tables = []
-    for a, b, c, d in gens:
-        # z -> (az + b)/(cz + d) on 0 .. q-1, then infinity -> a/c
-        fracs = [((a * z + b) % q, (c * z + d) % q) for z in range(q)] + [(a, c)]
-        image = [x * inv[y] % q if y else q for x, y in fracs]
-        tables.append(([t * n * n for t in image], [t * n for t in image], image))
-    identity = n + q  # the triple (0, 1, infinity)
-    dist = bytearray(n**3)
-    dist[identity] = 1
-    frontier = [identity]
-    best = math.inf  # least dist(u) + dist(v) + 3 over non-tree edges (u, v)
-    level = 1
-    while frontier:
-        level += 1  # the byte of the vertices found in this pass
-        if level > 255:
-            raise LpsError(f"search reached distance {level - 1}; a byte holds at most 254")
-        nearer = level - 2  # the byte of the vertices one level nearer the identity
-        queued = []
-        for u in frontier:
-            x, yz = divmod(u, n * n)
-            y, z = divmod(yz, n)
-            for tx, ty, tz in tables:
-                v = tx[x] + ty[y] + tz[z]
-                seen = dist[v]
-                if not seen:
-                    dist[v] = level
-                    queued.append(v)
-                elif seen != nearer and level + seen < best:
-                    best = level + seen
-        frontier = queued
-    if best == math.inf:
-        raise LpsError("acyclic Cayley graph: generator set degenerate")
-    girth = best - 2  # dist(u) + dist(v) + 1
+    if q % 4 != 1:
+        raise LpsError(f"-1 is not a square mod {q} (need q = 1 mod 4)")
+    girth = _girth(p, q)
     bound = (4 * math.log(q) - math.log(4)) / math.log(p)
     bound_ceil = math.ceil(bound)
     psl_order = q * (q * q - 1) // 2
-    order = len(dist) - dist.count(0)  # the vertices the search reached
     return LpsGirthResult(
-        p, q, len(gens), order, psl_order, girth, bound, bound_ceil, girth >= bound_ceil
+        p, q, p + 1, 2 * psl_order, psl_order, girth, bound, bound_ceil, girth >= bound_ceil
     )

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .sl2 import SANOV_A, SANOV_B, Mat2
-from .words import Word, evaluate, exponent_sums, random_reduced_letters
+from .words import Word, evaluate, random_reduced_letters
 
 SANOV_ASSIGNMENT = {"a": SANOV_A, "b": SANOV_B}
 
@@ -108,17 +108,6 @@ def least_prime_not_dividing(n: int) -> int:
     if n == 0:
         raise ResFinError("every prime divides 0")
     return next(p for p in primes() if n % p)
-
-
-def abelian_excluding_prime(letters: str, gens: str) -> int | None:
-    """Least prime not dividing the first nonzero abelianization coordinate.
-
-    None for words in the commutator subgroup (zero abelianization).
-    """
-    first = next((x for x in exponent_sums(letters, gens) if x), None)
-    if first is None:
-        return None
-    return least_prime_not_dividing(first)
 
 
 @dataclass(frozen=True)

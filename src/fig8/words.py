@@ -127,12 +127,6 @@ def inverse_letters(letters: str) -> str:
     return letters.swapcase()[::-1]
 
 
-def exponent_sums(letters: str, gens: str):
-    """Exponent sum of each generator in ``letters``, lazily, in ``gens`` order."""
-    for g in gens:
-        yield letters.count(g) - letters.count(g.upper())
-
-
 def letter_images(images: dict) -> dict:
     """Each letter's image: x's from ``images``, X's its ``inverse()``."""
     return {**images, **{g.upper(): x.inverse() for g, x in images.items()}}

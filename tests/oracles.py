@@ -12,11 +12,13 @@ can require equal output, order included.  ``vieta_flip`` and
 ``normalize_slope`` are the node-by-node Vieta flip that the torus walk
 replaced; they flip a ``LabelledTriple``, a trace triple that carries the
 slopes of its traces.  ``_oracle_random_reduced_letters`` (the sampler
-that drew letters with ``rng.choice``), ``_oracle_frobenius_count`` (the
+that drew letters with ``rng.choice``) and ``_oracle_frobenius_count`` (the
 ``Fraction`` character sum over every partition, with dimensions from
-``standard_tableaux``) and ``_oracle_lps_girth_check`` (the search
-that kept a dict of distances and scaled second rows inline) are the
-finite-groups kernels before their table-driven and integer forms.
+``standard_tableaux``) are the finite-groups kernels before their
+table-driven and integer forms.  ``_oracle_lps_girth_check``, a
+breadth-first search of the Cayley graph that keeps a dict of distances
+and scales second rows inline, is the reference for the girth that
+``lps.lps_girth_check`` computes from the quaternion norm equation.
 """
 
 import itertools

@@ -329,8 +329,8 @@ def test_criterion_12_lps_girth(capsys):
         if not (result.passed and elapsed < 10 and result.group_order == 2 * result.psl_order):
             ok = False
         details.append(
-            f"({p},{q}): girth {result.girth} >= {result.bound_ceil}, BFS over "
-            f"{result.group_order} elements (PSL order {result.psl_order}), {elapsed:.2f}s"
+            f"({p},{q}): girth {result.girth} >= {result.bound_ceil} from the norm equation, "
+            f"PGL order {result.group_order} (PSL order {result.psl_order}), {elapsed:.2f}s"
         )
     report(capsys, 12, ok, "; ".join(details))
 

@@ -682,7 +682,8 @@ def test_input_errors_exit_2(capsys):
         ["frobenius", "--classes", "1001"],
         ["extend", "--genus", "1", "--classes", "1001"],
         ["lpsgirth", "--p", "7", "--q", "29"],  # p = 3 mod 4
-        ["lpsgirth", "--p", "5", "--q", "73"],  # above the vertex cap
+        ["lpsgirth", "--p", "5", "--q", "10000000033"],  # above MAX_Q
+        ["lpsgirth", "--p", "5", "--q", "23"],  # q = 3 mod 4, 5 a non-residue
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1

@@ -1,10 +1,12 @@
 import math
+import time
 from collections import deque
 
 import pytest
 
+from fig8 import lps
 from fig8.lps import (
-    MAX_VERTICES,
+    MAX_Q,
     LpsError,
     LpsGirthResult,
     _canon,
@@ -86,8 +88,9 @@ def test_girth_check_equals_tuple_bfs_oracle(p, q):
     assert lps_girth_check(p, q) == _oracle_girth_check(p, q)
 
 
-# (13, 29) is refused (13 is a square mod 29), so (13, 37) covers p = 13
-@pytest.mark.parametrize("p, q", [(5, 13), (5, 17), (13, 37), (5, 37)])
+# (13, 29) is refused (13 is a square mod 29), so (13, 37) covers p = 13;
+# (5, 73), 388,944 vertices, is the first pair above the old search's cap
+@pytest.mark.parametrize("p, q", [(5, 13), (5, 17), (13, 37), (5, 37), (5, 73)])
 def test_girth_check_equals_dict_bfs_oracle(p, q):
     assert lps_girth_check(p, q) == _oracle_lps_girth_check(p, q)
 
@@ -142,9 +145,33 @@ def test_precondition_errors():
         lps_girth_check(7, 29)  # no quaternions with a odd and b, c, d even
 
 
-def test_vertex_cap():
-    assert 61 * (61**2 - 1) <= MAX_VERTICES  # (29, 61) is admitted
+# p and the first admitted q above 10^k for k = 2 .. 9, with the girth
+GIRTH_TABLE = [
+    (5, 113, 12), (5, 1013, 18), (5, 10037, 24), (5, 100057, 30),
+    (5, 1000033, 36), (5, 10000253, 42), (5, 100000037, 46), (5, 1000000033, 52),
+    (13, 109, 8), (13, 1009, 12), (13, 10069, 16), (13, 100069, 18),
+    (13, 1000033, 22), (13, 10000141, 26), (13, 100000037, 30), (13, 1000000009, 34),
+    (17, 109, 8), (17, 1009, 12), (17, 10037, 14), (17, 100057, 18),
+    (17, 1000037, 20), (17, 10000121, 24), (17, 100000049, 28), (17, 1000000021, 30),
+    (29, 101, 6), (29, 1013, 10), (29, 10037, 12), (29, 100069, 16),
+    (29, 1000033, 18), (29, 10000169, 20), (29, 100000073, 22), (29, 1000000009, 26),
+]
+
+
+def test_girth_table_meets_the_lps_bound():
+    for p, q, girth in GIRTH_TABLE:
+        t0 = time.perf_counter()
+        result = lps_girth_check(p, q)
+        assert time.perf_counter() - t0 < 0.1, (p, q)
+        assert (result.girth, result.passed) == (girth, True), (p, q)
+        assert girth % 2 == 0 and girth >= result.bound_ceil, (p, q)
+
+
+def test_q_cap(monkeypatch):
+    assert 9_999_999_833 <= MAX_Q < 10_000_000_033
+    lps_girth_check(5, 9_999_999_833)  # the largest q admitted with p = 5 under the cap
     with pytest.raises(LpsError, match="cap"):
-        lps_girth_check(5, 73)  # valid LPS parameters with 388,944 vertices
+        lps_girth_check(5, 10_000_000_033)  # the next one
+    monkeypatch.setattr(lps, "_is_prime", None)  # any trial division would raise TypeError
     with pytest.raises(LpsError, match="cap"):
-        lps_girth_check(5, 10**30 + 57)  # refused before any trial division
+        lps_girth_check(5, 10**30 + 57)

@@ -8,7 +8,6 @@ import pytest
 from fig8.resfin import (
     ResFinError,
     SimulationResult,
-    abelian_excluding_prime,
     average_index_simulation,
     excluding_prime,
     expected_min_prime,
@@ -104,16 +103,6 @@ def test_expected_min_prime_equals_term_by_term_division():
         assert expected_min_prime(terms) == float(total)
 
 
-def test_abelian_excluding_prime():
-    assert abelian_excluding_prime("a" * 6, "ab") == 5
-    assert abelian_excluding_prime("a", "ab") == 2
-    assert abelian_excluding_prime("abAB", "ab") is None  # commutator
-    assert abelian_excluding_prime("abAbbbbb", "abc") == 5  # the sum of a is 0, of b 6
-    assert abelian_excluding_prime("A" * 6, "ab") == 5  # a negative coordinate
-    assert abelian_excluding_prime("a" * 30030, "ab") == 17  # 30030 = 2 * 3 * 5 * 7 * 11 * 13
-    assert abelian_excluding_prime("aBBBBBBA", "ab") == 5  # the sum of a is 0, of b -6
-
-
 def test_least_prime_not_dividing():
     assert [least_prime_not_dividing(n) for n in (1, -1, 2, 3, 6, -6, 12, 30, 210)] == [
         2, 2, 3, 2, 5, 5, 5, 7, 11,
@@ -155,6 +144,39 @@ def _oracle_random_reduced_word(rng, max_len, gens="ab"):
             continue
         out.append(ch)
     return Word("".join(out), gens)
+
+
+def exponent_sums(letters: str, gens: str):
+    """Exponent sum of each generator in ``letters``, lazily, in ``gens`` order."""
+    for g in gens:
+        yield letters.count(g) - letters.count(g.upper())
+
+
+def test_exponent_sums():
+    assert tuple(exponent_sums("aabAB", "ab")) == (1, 0)
+    assert tuple(exponent_sums("ab", "ab")) == (1, 1)
+    assert tuple(exponent_sums("ACbd", "abcd")) == (-1, 1, -1, 1)
+
+
+def abelian_excluding_prime(letters: str, gens: str) -> int | None:
+    """Least prime not dividing the first nonzero abelianization coordinate.
+
+    None for words in the commutator subgroup (zero abelianization).
+    """
+    first = next((x for x in exponent_sums(letters, gens) if x), None)
+    if first is None:
+        return None
+    return least_prime_not_dividing(first)
+
+
+def test_abelian_excluding_prime():
+    assert abelian_excluding_prime("a" * 6, "ab") == 5
+    assert abelian_excluding_prime("a", "ab") == 2
+    assert abelian_excluding_prime("abAB", "ab") is None  # commutator
+    assert abelian_excluding_prime("abAbbbbb", "abc") == 5  # the sum of a is 0, of b 6
+    assert abelian_excluding_prime("A" * 6, "ab") == 5  # a negative coordinate
+    assert abelian_excluding_prime("a" * 30030, "ab") == 17  # 30030 = 2 * 3 * 5 * 7 * 11 * 13
+    assert abelian_excluding_prime("aBBBBBBA", "ab") == 5  # the sum of a is 0, of b -6
 
 
 def _oracle_average_index_simulation(rank, radius, samples, seed):

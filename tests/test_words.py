@@ -14,7 +14,6 @@ from fig8.words import (
     Word,
     WordError,
     evaluate,
-    exponent_sums,
     free_reduce,
     letter_images,
     random_reduced_letters,
@@ -140,12 +139,6 @@ def test_proper_power():
     assert Word("aaa").is_proper_power()
     assert not Word("ab").is_proper_power()
     assert not Word("aab").is_proper_power()
-
-
-def test_exponent_sums():
-    assert tuple(exponent_sums("aabAB", "ab")) == (1, 0)
-    assert tuple(exponent_sums("ab", "ab")) == (1, 1)
-    assert tuple(exponent_sums("ACbd", "abcd")) == (-1, 1, -1, 1)
 
 
 def test_random_reduced_words_are_reduced_and_in_ball():
