@@ -235,8 +235,8 @@ class RegularDecision:
     witness: tuple[Permutation, ...] | None
 
 
-def _subgroup_closure(gens: list[Permutation], cap: int) -> frozenset[Permutation] | None:
-    """Generated subgroup, or None as soon as its order exceeds cap."""
+def _subgroup_closure(gens: list[Permutation]) -> frozenset[Permutation] | None:
+    """Generated subgroup, or None as soon as its order exceeds the degree."""
     n = gens[0].degree
     group = {Permutation.identity(n)}
     frontier = [Permutation.identity(n)]
@@ -246,7 +246,7 @@ def _subgroup_closure(gens: list[Permutation], cap: int) -> frozenset[Permutatio
             h = g * s
             if h not in group:
                 group.add(h)
-                if len(group) > cap:
+                if len(group) > n:
                     return None
                 frontier.append(h)
     return frozenset(group)
@@ -260,7 +260,7 @@ def _regular_overgroups(seed: list[Permutation], n: int):
     by one such element for the least point outside the orbit of 1, and
     every regular overgroup is reached exactly once.
     """
-    group = _subgroup_closure(seed, n)
+    group = _subgroup_closure(seed)
     if group is None:
         return
     orbit = {g(1) for g in group}
@@ -286,11 +286,11 @@ def _handles_reach(group: frozenset[Permutation], genus: int, boundaries: tuple[
     n = boundaries[0].degree
     identity = Permutation.identity(n)
     target = math.prod(boundaries, start=identity).inverse()
-    states = {(identity, _subgroup_closure(list(boundaries), n))}
+    states = {(identity, _subgroup_closure(list(boundaries)))}
 
     @lru_cache(maxsize=None)
     def join(sub, g):
-        return sub if g in sub else _subgroup_closure([*sub, g], n)
+        return sub if g in sub else _subgroup_closure([*sub, g])
 
     pairs = [(a, b, commutator(a, b)) for a in group for b in group] if genus else []
     for _ in range(genus):
@@ -350,12 +350,13 @@ def stallings_excluding_subgroup(w: Word) -> StallingsRep:
     if w.is_trivial:
         raise CoverError("trivial word has no excluding subgroup")
     d = len(w) + 1
-    partial = {ch: [None] * d for ch in w.gens + w.gens.upper()}
+    partial = {gen: [None] * d for gen in w.gens}
     for i, ch in enumerate(w.letters):
-        # free reduction guarantees that no slot is filled twice
-        if partial[ch][i] is not None:
-            raise CoverError("inconsistent trace of a reduced word")
-        partial[ch][i], partial[ch.swapcase()][i + 1] = i + 1, i
+        # x at i sends i to i + 1, X at i sends i + 1 to i: reduced, so no slot twice
+        if ch in partial:
+            partial[ch][i] = i + 1
+        else:
+            partial[ch.lower()][i + 1] = i
     assignment = {}
     for gen in w.gens:
         free_dst = iter(sorted(set(range(d)) - set(partial[gen])))

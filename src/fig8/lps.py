@@ -1,12 +1,10 @@
 """Girth verification for Lubotzky–Phillips–Sarnak Cayley graphs.
 
-The p+1 generators come from the integer quaternions a^2+b^2+c^2+d^2 = p
-with a odd positive and b, c, d even, mapped to 2x2 matrices over the field
-with q elements through a fixed square root of -1.  Matrices are handled
-projectively (scalars quotiented out); when p is a quadratic non-residue
-mod q the generated group is the full projective general linear group, of
-order q(q^2-1) = twice the projective special linear order.  The result
-reports that order and Jacobi's count p+1 of generators as theorem values.
+The graph X^{p,q} is the Cayley graph of PGL(2, q) on the p+1 projective
+images of the integer quaternions of norm p with a odd positive and b, c, d
+even, for p a quadratic non-residue mod q.  Its group order q(q^2-1),
+twice the projective special linear order, and its p+1 generators (Jacobi)
+are reported as theorem values, and its girth comes from arithmetic.
 
 The girth solves the norm equation of the proof of the girth bound
 (Lubotzky, Phillips and Sarnak, Combinatorica 8, 1988, §3).  A closed
@@ -26,8 +24,6 @@ from dataclasses import dataclass
 
 from .resfin import primes
 
-ProjMat = tuple[int, int, int, int]
-
 # The one cost that grows with q is the trial division of q and p by the
 # primes up to sqrt(q): about 30 ms at q = 10^10 on a 2-core VM, so every
 # admitted pair answers in well under 0.1 s.  The girth itself takes a few
@@ -41,61 +37,6 @@ class LpsError(ValueError):
 
 def _is_prime(n: int) -> bool:
     return n > 1 and all(n % f for f in itertools.takewhile(lambda f: f * f <= n, primes()))
-
-
-def quaternion_solutions(p: int) -> list[tuple[int, int, int, int]]:
-    """All (a,b,c,d) with a^2+b^2+c^2+d^2 = p, a odd positive, b,c,d even.
-
-    For a prime p = 1 mod 4 there are p + 1 of them.
-    """
-    r = math.isqrt(p)
-    even = r - r % 2  # b, c and d run over the even numbers in [-r, r]
-    sols = []
-    for a in range(1, r + 1, 2):
-        for b in range(-even, even + 1, 2):
-            for c in range(-even, even + 1, 2):
-                for d in range(-even, even + 1, 2):
-                    if a * a + b * b + c * c + d * d == p:
-                        sols.append((a, b, c, d))
-    return sols
-
-
-def _sqrt_minus_one(q: int) -> int:
-    for x in range(2, q):
-        if x * x % q == q - 1:
-            return x
-    raise LpsError(f"-1 is not a square mod {q} (need q = 1 mod 4)")
-
-
-def _inverses(q: int) -> list[int]:
-    """Table of inverses mod the prime q: entry z is 1/z, entry 0 is unused."""
-    return [0] + [pow(z, q - 2, q) for z in range(1, q)]
-
-
-def _canon(m: ProjMat, inv: list[int]) -> ProjMat:
-    """Canonical projective representative: first nonzero entry scaled to 1.
-
-    Entries are residues in [0, q), where q = len(inv) and inv = _inverses(q).
-    """
-    q = len(inv)
-    for z in m:
-        if z:
-            zi = inv[z]
-            return tuple(x * zi % q for x in m)
-    raise LpsError("zero matrix")
-
-
-def lps_generators(p: int, q: int) -> list[ProjMat]:
-    """The p+1 LPS generators as canonical projective matrices mod q."""
-    i = _sqrt_minus_one(q)
-    inv = _inverses(q)
-    gens = []
-    for a, b, c, d in quaternion_solutions(p):
-        m = ((a + b * i) % q, (c + d * i) % q, (-c + d * i) % q, (a - b * i) % q)
-        gens.append(_canon(m, inv))
-    if len(set(gens)) != len(gens):
-        raise LpsError("generators not distinct")
-    return gens
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,10 @@ axis; the neighborhood radius is half the translation length plus
 MARGIN, which suffices because every crossing lift has a coset
 representative whose orbit point lands within half a period of the
 crossing.  A radius-stability assertion (MARGIN + 2 yields the same count)
-guards the cutoff at runtime.  The search walks on int tuples (a, b, c, d)
-and builds g w g^-1 exactly once per kept g, as g leaves the queue, so one
-sweep counts the crossings at both radii.
+guards the cutoff at runtime.  G is free on X and Y and the search never
+steps back along its last letter, so it walks a Cayley tree and meets each
+g once.  It walks on int tuples (a, b, c, d) and builds g w g^-1 as g
+leaves the queue, so one sweep counts the crossings at both radii.
 """
 
 from __future__ import annotations
@@ -90,7 +91,6 @@ def _crossing_counts(big_w: Mat2) -> tuple[int, int]:
     radius_wide = radius + 2.0
 
     crossings, crossings_wide = set(), set()
-    visited = {(1, 0, 0, 1)}
     queue = deque([((1, 0, 0, 1), "", 0.0)])
     while queue:
         g, last, dist = queue.popleft()
@@ -119,9 +119,6 @@ def _crossing_counts(big_w: Mat2) -> tuple[int, int]:
                 continue
             h11, h12 = g11 * x11 + g12 * x21, g11 * x12 + g12 * x22
             h21, h22 = g21 * x11 + g22 * x21, g21 * x12 + g22 * x22
-            g2 = (h11, h12, h21, h22)
-            if g2 in visited:
-                continue
             # distance from the Mobius image of the base point to the framed segment
             z = (h11 * base_point + h12) / (h21 * base_point + h22)
             fz = (z - p1) / (z - p2)
@@ -131,6 +128,5 @@ def _crossing_counts(big_w: Mat2) -> tuple[int, int]:
             cosh_dist = 1.0 + (x * x + (y - t) ** 2) / (2.0 * y * t)
             dist2 = math.acosh(max(cosh_dist, 1.0))
             if dist2 <= radius_wide:
-                visited.add(g2)
-                queue.append((g2, ch, dist2))
+                queue.append(((h11, h12, h21, h22), ch, dist2))
     return len(crossings), len(crossings_wide)

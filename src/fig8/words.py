@@ -72,9 +72,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __str__(self) -> str:
-        return self.letters
-
     def __mul__(self, other: "Word") -> "Word":
         if other.gens != self.gens:
             raise WordError("cannot multiply words over different alphabets")

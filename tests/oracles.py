@@ -18,7 +18,10 @@ that drew letters with ``rng.choice``) and ``_oracle_frobenius_count`` (the
 table-driven and integer forms.  ``_oracle_lps_girth_check``, a
 breadth-first search of the Cayley graph that keeps a dict of distances
 and scales second rows inline, is the reference for the girth that
-``lps.lps_girth_check`` computes from the quaternion norm equation.
+``lps.lps_girth_check`` computes from the quaternion norm equation.  The
+graph's constructor lives here too, since only the searches read it:
+``quaternion_solutions`` and ``lps_generators`` give the p+1 generators as
+projective matrices mod q, canonical under ``_canon``.
 """
 
 import itertools
@@ -29,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from fig8.genus2 import RELATOR, Z1
-from fig8.lps import LpsGirthResult, _canon, _inverses, lps_generators
+from fig8.lps import LpsError, LpsGirthResult
 from fig8.perms import (
     Partition,
     PermError,
@@ -464,6 +467,64 @@ def _oracle_frobenius_count(classes: list[Partition]) -> int:
     if result.denominator != 1:
         raise PermError(f"character sum did not clear to an integer: {result}")
     return result.numerator
+
+
+ProjMat = tuple[int, int, int, int]
+
+
+def quaternion_solutions(p: int) -> list[tuple[int, int, int, int]]:
+    """All (a,b,c,d) with a^2+b^2+c^2+d^2 = p, a odd positive, b,c,d even.
+
+    For a prime p = 1 mod 4 there are p + 1 of them.
+    """
+    r = math.isqrt(p)
+    even = r - r % 2  # b, c and d run over the even numbers in [-r, r]
+    sols = []
+    for a in range(1, r + 1, 2):
+        for b in range(-even, even + 1, 2):
+            for c in range(-even, even + 1, 2):
+                for d in range(-even, even + 1, 2):
+                    if a * a + b * b + c * c + d * d == p:
+                        sols.append((a, b, c, d))
+    return sols
+
+
+def _sqrt_minus_one(q: int) -> int:
+    for x in range(2, q):
+        if x * x % q == q - 1:
+            return x
+    raise LpsError(f"-1 is not a square mod {q} (need q = 1 mod 4)")
+
+
+def _inverses(q: int) -> list[int]:
+    """Table of inverses mod the prime q: entry z is 1/z, entry 0 is unused."""
+    return [0] + [pow(z, q - 2, q) for z in range(1, q)]
+
+
+def _canon(m: ProjMat, inv: list[int]) -> ProjMat:
+    """Canonical projective representative: first nonzero entry scaled to 1.
+
+    Entries are residues in [0, q), where q = len(inv) and inv = _inverses(q).
+    """
+    q = len(inv)
+    for z in m:
+        if z:
+            zi = inv[z]
+            return tuple(x * zi % q for x in m)
+    raise LpsError("zero matrix")
+
+
+def lps_generators(p: int, q: int) -> list[ProjMat]:
+    """The p+1 LPS generators as canonical projective matrices mod q."""
+    i = _sqrt_minus_one(q)
+    inv = _inverses(q)
+    gens = []
+    for a, b, c, d in quaternion_solutions(p):
+        m = ((a + b * i) % q, (c + d * i) % q, (-c + d * i) % q, (a - b * i) % q)
+        gens.append(_canon(m, inv))
+    if len(set(gens)) != len(gens):
+        raise LpsError("generators not distinct")
+    return gens
 
 
 def _oracle_lps_girth_check(p: int, q: int) -> LpsGirthResult:

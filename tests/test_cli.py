@@ -674,6 +674,11 @@ def test_input_errors_exit_2(capsys):
     assert code == 2
     code, _, err = run(capsys, "avgindex", "--rank", "40", "--seed", "1")
     assert code == 2 and "rank" in err  # only 26 generator letters
+    for flag in ("--radius", "--samples"):
+        code, _, err = run(capsys, "avgindex", flag, "0", "--seed", "1")
+        assert code == 2 and "must be positive" in err
+    code, _, err = run(capsys, "twocycles", "--perm", "1 2", "--degree", "2")
+    assert code == 2 and "bad cycle notation" in err
     for argv in (
         ["twocycles", "--perm", "(1 -2)", "--degree", "2"],
         ["stripcover", "--sigma", "(1 2)", "--tau", "(1 2)(2 1)", "--degree", "2"],

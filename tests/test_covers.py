@@ -250,7 +250,7 @@ def _is_regular(perms, n):
     orbit of point 1 under the generators is all n points."""
     from fig8.covers import _subgroup_closure
 
-    group = _subgroup_closure(list(perms), n)
+    group = _subgroup_closure(list(perms))
     orbit = {1}
     for _ in range(n):
         orbit |= {g(p) for g in perms for p in orbit}
@@ -367,7 +367,7 @@ def _oracle_handle_assignment(group, genus, target, must_generate_with):
         if math.prod((c for _, c in chosen), start=identity) != target:
             continue
         handles = tuple(pair for pair, _ in chosen)
-        generated = _subgroup_closure(list(must_generate_with) + [g for p in handles for g in p], n)
+        generated = _subgroup_closure(list(must_generate_with) + [g for p in handles for g in p])
         if generated is not None and len(generated) == len(group):
             return handles
     return None
@@ -393,7 +393,7 @@ def _oracle_regular_extends(spec, budget=8):
         tuples = ((first, *rest) for rest in product(*map(class_elements, classes[1:])))
     for boundaries in tuples:
         if spec.genus == 0:
-            group = _subgroup_closure(list(boundaries), n)
+            group = _subgroup_closure(list(boundaries))
             if group is not None and len({g(1) for g in group}) == n:
                 return RegularDecision("extends", boundaries)
         else:
@@ -414,7 +414,7 @@ def test_handles_reach_needs_a_layer_per_missing_generator():
         Permutation.parse(t, 8)
         for t in ("(1 2)(3 4)(5 6)(7 8)", "(1 3)(2 4)(5 7)(6 8)", "(1 5)(2 6)(3 7)(4 8)")
     ]
-    group = _subgroup_closure(gens, 8)
+    group = _subgroup_closure(gens)
     e = (Permutation.identity(8),)
     reach = [_handles_reach(group, genus, e) for genus in (0, 1, 2, 10**9)]
     assert reach == [False, False, True, True]
@@ -426,7 +426,7 @@ def test_permutation_order_is_image_order_on_a_regular_group():
 
     # Z2 x Z4 acting regularly on 8 points
     gens = [Permutation.parse(t, 8) for t in ("(1 2)(3 4)(5 6)(7 8)", "(1 3 5 7)(2 4 6 8)")]
-    group = _subgroup_closure(gens, 8)
+    group = _subgroup_closure(gens)
     assert len(group) == 8
     assert sorted(group) == sorted(group, key=lambda g: g.images)
     assert all((g < h) == (g.images < h.images) for g in group for h in group)

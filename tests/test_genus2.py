@@ -93,6 +93,9 @@ def test_certify_examples():
     cert = certify_nontrivial(W("abAB"))
     assert cert.nontrivial and cert.witness.letters == "xyXY"
 
+    with pytest.raises(Genus2Error):
+        certify_nontrivial(Word("ab"))  # over the rank-2 alphabet, not a-d
+
 
 def _free(u):
     """The free witness over x, y as a word over a, b."""

@@ -5,18 +5,14 @@ from collections import deque
 import pytest
 
 from fig8 import lps
-from fig8.lps import (
-    MAX_Q,
-    LpsError,
-    LpsGirthResult,
+from fig8.lps import MAX_Q, LpsError, LpsGirthResult, _is_prime, lps_girth_check
+from oracles import (
     _canon,
     _inverses,
-    _is_prime,
+    _oracle_lps_girth_check,
     lps_generators,
-    lps_girth_check,
     quaternion_solutions,
 )
-from oracles import _oracle_lps_girth_check
 
 
 def _mul(x, y, q):

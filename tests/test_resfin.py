@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 import string
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -123,6 +125,50 @@ def test_average_index_simulation():
     average_index_simulation(26, 5, 10, seed=1)
     with pytest.raises(ResFinError):
         average_index_simulation(27, 5, 10, seed=1)
+
+
+def _first_coordinate_tally(rank, radius):
+    """Reduced words of length 1..radius over rank generators, counted by
+    their first nonzero exponent sum (0 if all are 0): a layer-by-layer
+    count over the states (last letter, exponent-sum vector)."""
+    steps = [(g, sign) for g in range(rank) for sign in (1, -1)]  # letter k's inverse is k ^ 1
+    layer = {(-1, (0,) * rank): 1}
+    tally = Counter()
+    for _ in range(radius):
+        grown = Counter()
+        for (last, sums), count in layer.items():
+            for k, (g, sign) in enumerate(steps):
+                if k != last ^ 1:
+                    grown[k, sums[:g] + (sums[g] + sign,) + sums[g + 1 :]] += count
+        layer = grown
+        for (_, sums), count in layer.items():
+            tally[next((x for x in sums if x), 0)] += count
+    return tally
+
+
+# the exact means over the ball, to six places
+@pytest.mark.parametrize("rank, radius, exact", [(2, 20, 2.649467), (2, 30, 2.687531)])
+def test_average_index_simulation_against_its_exact_expectation(rank, radius, exact):
+    """The sample mean lies within 4 standard errors of the exact mean over
+    the ball, and the excluded count within 4 binomial standard deviations
+    of the exact zero-abelianization share."""
+    tally = _first_coordinate_tally(rank, radius)
+    zero = tally.pop(0)
+    words = zero + sum(tally.values())
+    assert words == 2 * rank * ((2 * rank - 1) ** radius - 1) // (2 * rank - 2)
+    # every sum is at most 30 < 2 * 3 * 5 * 7 in size, so a prime <= 7 does not divide it
+    index = {x: next(p for p in (2, 3, 5, 7) if x % p) for x in tally}
+    used_words = words - zero
+    mean = Fraction(sum(c * index[x] for x, c in tally.items()), used_words)
+    second = Fraction(sum(c * index[x] ** 2 for x, c in tally.items()), used_words)
+    assert abs(mean - Fraction(exact)) < 1e-6
+    samples = 10_000
+    result = average_index_simulation(rank, radius, samples, seed=2024)
+    stderr = math.sqrt((second - mean * mean) / result.samples_used)
+    assert abs(result.mean - mean) < 4 * stderr, (result.mean, float(mean), stderr)
+    share = Fraction(zero, words)
+    spread = math.sqrt(samples * share * (1 - share))
+    assert abs(result.excluded_zero_abelianization - samples * share) < 4 * spread
 
 
 def _oracle_random_reduced_word(rng, max_len, gens="ab"):

@@ -20,6 +20,12 @@ def test_modular_torus_generators():
     assert (TORUS_X * TORUS_Y).trace == 3
     commutator = TORUS_X * TORUS_Y * TORUS_X.inverse() * TORUS_Y.inverse()
     assert commutator.trace == -2  # parabolic: the cusp
+    # the group is free on X and Y: distinct reduced words give distinct
+    # matrices, so the crossing sweep, which never steps back, meets each g once
+    words = _reduced_words(8)
+    assert len(words) == 13_121
+    images = {evaluate(Word(letters), MODULAR_ASSIGNMENT, Mat2.identity()) for letters in words}
+    assert len(images) == len(words)
 
 
 def test_simple_words_have_no_double_point():

@@ -207,6 +207,8 @@ def test_mcshane_values_and_monotonicity():
     # the two forms agree termwise
     for cutoff in (3, 50, 5000):
         assert abs(_mcshane(cutoff, "trace") - 2 * _mcshane(cutoff, "length")) < 1e-9
+    with pytest.raises(CensusError):
+        mcshane_sum([3], "bogus")
 
 
 def test_length_form_term_past_float_range_is_finite():
@@ -287,6 +289,8 @@ def test_growth_exponent():
     assert abs(growth_exponent(const)) < 1e-12
     with pytest.raises(CensusError):
         growth_exponent([(10, 100), (20, 200)])
+    with pytest.raises(CensusError, match="all L equal"):
+        growth_exponent([(10, n) for n in (10, 20, 30, 40)])
 
 
 def test_slope_helpers():

@@ -100,6 +100,8 @@ def test_multiplication_and_inverse():
     assert (u * u.inverse()).is_trivial
     assert (u**3).letters == "ababab"
     assert (u**-2) == (u.inverse() ** 2)
+    with pytest.raises(WordError):
+        Word("a") * Word("a", "abcd")
 
 
 def test_cyclic_reduction():
