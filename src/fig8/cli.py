@@ -62,7 +62,7 @@ def _number(text: str) -> int | Fraction | float:
 def _parse_root(text: str) -> torus.TraceTriple:
     """Integer coordinates stay int and p/q ones Fraction, so walks from them are exact."""
     x, y, z = (_number(v) for v in text.split(","))
-    return torus.check_root((x, y, z))
+    return x, y, z
 
 
 def _cmd_census(args) -> tuple[int, str]:

@@ -62,7 +62,7 @@ def two_n_cycles(sigma: Permutation) -> tuple[Permutation, Permutation]:
     c1 = next(class_elements(full, sigma.inverse(), full))
     c2 = c1.inverse() * sigma
     if c2.cycle_type() != full:
-        raise PermError("two_n_cycles check failed")
+        raise AssertionError("two_n_cycles check failed")
     return (c1, c2)
 
 
@@ -92,7 +92,7 @@ def commutator_witness(
     beta = Permutation(tuple(images))
     alpha = c1
     if commutator(alpha, beta) != sigma:
-        raise PermError("commutator witness verification failed")
+        raise AssertionError("commutator witness verification failed")
     return (alpha, beta)
 
 
@@ -170,7 +170,7 @@ def extends_cover(spec: CoverSpec, transitive: bool = False) -> ExtendDecision:
             cycle = class_representative((spec.degree,))
             decision = ExtendDecision(True, "parity", ((cycle, identity),) + handles[1:], boundaries)
     if not decision.verify():
-        raise CoverError("witness relation check failed")
+        raise AssertionError("witness relation check failed")
     return decision
 
 
@@ -367,5 +367,5 @@ def stallings_excluding_subgroup(w: Word) -> StallingsRep:
     for ch in w.letters:
         point = table[ch].images[point]
     if point == 0:
-        raise CoverError("completion failed to move the basepoint")
+        raise AssertionError("completion failed to move the basepoint")
     return StallingsRep(d, assignment)

@@ -126,6 +126,6 @@ def unipotent_witness(w: Word, max_k: int) -> UnipotentWitness | None:
     modulus = least_prime_not_dividing(coefficient)
     image = series.reduce_mod(modulus)
     if image == MagnusSeries.one(k):
-        raise MagnusError("reduced image unexpectedly trivial")
+        raise AssertionError("reduced image unexpectedly trivial")
     ambient_index = modulus ** (k * (k + 1) // 2)
     return UnipotentWitness(k, modulus, monomial, coefficient, image, ambient_index)

@@ -159,7 +159,7 @@ def frobenius_count(classes: list[Partition]) -> int:
     divisor = order ** (k + 1)
     count, rest = divmod(math.prod(map(class_size, classes)) * total, divisor)
     if rest:
-        raise PermError(f"character sum did not clear to an integer: {count} + {rest}/{divisor}")
+        raise AssertionError(f"character sum did not clear to an integer: {count} + {rest}/{divisor}")
     return count
 
 
@@ -244,7 +244,7 @@ class Permutation:
 
     def cycle_count(self) -> int:
         """Total number of cycles, fixed points included."""
-        return len(self.cycles()) + sum(1 for i, v in enumerate(self.images) if i == v)
+        return len(self.cycle_type())
 
     def cycle_type(self) -> Partition:
         lengths = [len(c) for c in self.cycles()]

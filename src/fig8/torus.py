@@ -56,8 +56,10 @@ def enumerate_simple(root: TraceTriple, trace_cutoff: float) -> list[tuple[float
 
     Checks the root, labels it ROOT_SLOPES, and flips it down to the tree's
     sink while some flip lowers a coordinate; a flip to a trace <= 2 raises
-    CensusError.  From the sink every flip raises a trace, so the trivalent
-    Vieta tree is walked depth-first on plain tuples: the flip of w across
+    CensusError.  The sink is checked again: a float root judged within a
+    slack relative to its size can miss the cusp relation there.  From the
+    sink every flip raises a trace, so the trivalent Vieta tree is walked
+    depth-first on plain tuples: the flip of w across
     (u, v) gives trace uv - w, in the operand types of the root.  As the
     slopes of a triangle sum to zero, the other Farey neighbour of su and sv
     is su - sv: a descent flip of k sets s[k] = s[j] - s[i], then negates
@@ -79,6 +81,7 @@ def enumerate_simple(root: TraceTriple, trace_cutoff: float) -> list[tuple[float
         sink[k], s[j], s[k] = sink[i] * sink[j] - sink[k], (-pj, -qj), (pj - pi, qj - qi)
         if not sink[k] > 2:
             raise CensusError(f"Vieta flip gives trace {sink[k]}, not above 2")
+    check_root(sink)
     found = [
         (t, (p, q) if q > 0 or (q == 0 and p > 0) else (-p, -q))
         for t, (p, q) in zip(sink, s)

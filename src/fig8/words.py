@@ -107,16 +107,13 @@ class Word:
         return len(w) < 2 or w[0] != w[-1].swapcase()
 
     def is_proper_power(self) -> bool:
-        """True iff the word is u^k for some shorter u and k >= 2.
+        """True iff the word is u^k for some shorter u and k >= 2, that is,
+        iff it equals one of its own nontrivial rotations.
 
         Valid as a group-theoretic test only for cyclically reduced words.
         """
         w = self.letters
-        n = len(w)
-        for d in range(1, n // 2 + 1):
-            if n % d == 0 and w == w[:d] * (n // d):
-                return True
-        return False
+        return len(w) > 1 and w in (w + w)[1:-1]
 
 
 def inverse_letters(letters: str) -> str:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fig8 import cli, magnus, selfint, torus
+from fig8 import cli, covers, magnus, perms, selfint, torus
 from fig8.cli import main
 from fig8.perms import Permutation
 from fig8.sl2 import Mat2, length_to_trace, trace_to_length
@@ -501,6 +501,14 @@ def test_counts_at_fails_at_the_first_bad_step_in_order(capsys, lengths, error):
     assert (code, out) == (2, "") and err.startswith(f"error: {error}")
 
 
+@pytest.mark.parametrize("argv", [["--counts-at", "2,nan"], ["--cutoff", "nan"]])
+def test_a_bad_length_is_reported_before_a_bad_root(capsys, argv):
+    """The root is only parsed before the lengths are converted; the walk
+    checks it."""
+    code, out, err = run(capsys, "census", "--root", "3,3,4", *argv)
+    assert (code, out) == (2, "") and err.startswith("error: length nan is not")
+
+
 def _artifacts_sha256(capsys, argvs):
     digest = hashlib.sha256()
     for argv in argvs:
@@ -746,6 +754,28 @@ LENGTHS = ["nan", "inf", "1e400", "1e200", "0", "-3", "2.9", "3", "4.5", "15", "
 TRACES = ["nan", "inf", "1e400", "0", "-3", "2.9", "3", "3.0", "4.5", "15", "87", "1299", "1e9", "x"]
 
 
+# The float root 4,4,8+sqrt(32) flipped up three times, and the same root
+# with its last entry times 1 + 1e-9: that meets the cusp relation within
+# the slack relative to its size, and misses it by 3.4e-2 at its sink.
+FLIPPED_ROOT = "50.62741699796952,687.4112549695427,34788.19940019109"
+PERTURBED_ROOT = "50.62741699796952,687.4112549695427,34788.199434979295"
+
+
+@pytest.mark.parametrize("argv", [["census"], ["mcshane", "--cutoff", "1e6"], ["mc2", "--cutoff", "1e6"]])
+def test_a_root_off_the_cusp_relation_at_its_sink_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--root", PERTURBED_ROOT)
+    assert (code, out, err) == (2, "", "error: cusp relation x^2 + y^2 + z^2 = xyz violated\n")
+    for root in [FLIPPED_ROOT, *WALKABLE_ROOTS]:
+        assert run(capsys, *argv, "--root", root)[0] == 0, root
+
+
+def test_the_flipped_root_walks_within_the_float_slack(capsys):
+    code, out, _ = run(capsys, "mcshane", "--cutoff", "1e6", "--root", FLIPPED_ROOT)
+    assert code == 0 and json.loads(out) == {
+        "cutoff": 1e6, "form": "trace", "partial_sum": 0.999999996, "schema": 1, "terms": 216
+    }
+
+
 @st.composite
 def torus_argvs(draw):
     entries = st.lists(st.sampled_from(ROOT_ENTRIES), min_size=1, max_size=4)
@@ -785,6 +815,25 @@ def test_unexpected_exception_exits_4(capsys, monkeypatch):
     monkeypatch.setattr(cli.selfint, "self_intersection", broken)
     code, out, err = run(capsys, "selfint", "--word", "ab")
     assert (code, out, err) == (4, "", "internal error: ZeroDivisionError: boom\n")
+
+
+@pytest.mark.parametrize(
+    "target,name,broken,argv",
+    [
+        (covers, "commutator", lambda a, b: a, ["twocycles", "--perm", "(1 2 3)", "--degree", "3"]),
+        (covers.ExtendDecision, "verify", lambda self: False, ["extend", "--genus", "1", "--classes", "3"]),
+        (perms, "class_size", lambda mu: 1, ["frobenius", "--classes", "2,1;2,1;3"]),
+        (magnus.MagnusSeries, "reduce_mod", lambda self, p: magnus.MagnusSeries.one(self.degree),
+         ["witness", "--word", "abAB", "--max-k", "2"]),
+    ],
+    ids=["twocycles", "extend", "frobenius", "witness"],
+)
+def test_a_failed_re_verification_is_an_internal_error(capsys, monkeypatch, target, name, broken, argv):
+    """A witness that fails its own check is a fault of the program, exit 4,
+    not invalid input."""
+    monkeypatch.setattr(target, name, broken)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "") and err.startswith("internal error: AssertionError: ")
 
 
 @pytest.mark.parametrize("word", ["a1", "a b", "aé", "a-A"])

@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from fig8.genus2 import (
+    _PIECES,
     RELATOR,
     Genus2Error,
     certify_nontrivial,
@@ -13,7 +15,7 @@ from fig8.genus2 import (
     twisted_sanov_image,
 )
 from fig8.resfin import sanov_eval, smallest_excluding_prime
-from fig8.words import Word, random_reduced_word
+from fig8.words import Word, inverse_letters, random_reduced_word
 from oracles import _oracle_dehn_twist, _oracle_rewrite_blocks, relator_product
 
 
@@ -133,6 +135,34 @@ def test_dehn_oracle_examples():
     assert dehn_oracle(W("ac")) == "nontrivial"
     assert dehn_oracle(W("a" + RELATOR + "A")) == "trivial"
     assert dehn_oracle(W("")) == "trivial"
+
+
+# The 16 cyclic conjugates of the relator and its inverse.
+CONJUGATES = [base[i:] + base[:i] for base in (RELATOR, inverse_letters(RELATOR)) for i in range(8)]
+
+
+def test_relator_conjugates_share_at_most_one_leading_letter():
+    """A piece has one letter, under 8/7: the presentation is C'(1/7)."""
+    assert len(set(CONJUGATES)) == 16
+    for r, s in itertools.combinations(CONJUGATES, 2):
+        assert r[:2] != s[:2], (r, s)
+
+
+def test_each_piece_and_its_replacement_spell_a_relator_conjugate():
+    assert sorted(key + inverse_letters(value) for key, value in _PIECES.items()) == sorted(CONJUGATES)
+    assert all(len(key) == 5 for key in _PIECES)
+
+
+def test_dehn_oracle_finds_inserted_relator_conjugates_trivial():
+    """Each word inserts 3-6 relator conjugates at random places, starting
+    from the empty word, so it is trivial however it reduces."""
+    rng = random.Random(23)
+    for _ in range(2000):
+        letters = ""
+        for _ in range(rng.randrange(3, 7)):
+            i = rng.randrange(len(letters) + 1)
+            letters = letters[:i] + rng.choice(CONJUGATES) + letters[i:]
+        assert dehn_oracle(W(letters)) == "trivial", letters
 
 
 def test_certify_matches_oracle_on_corpus_sample():

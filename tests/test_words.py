@@ -143,6 +143,20 @@ def test_proper_power():
     assert not Word("aab").is_proper_power()
 
 
+def test_is_proper_power_equals_the_divisor_loop():
+    """The rotation test against u^k for each length of u dividing |w|, on
+    every reduced word over a, b of length <= 9, the empty word included."""
+    layer, words = [""], [""]
+    for _ in range(9):
+        layer = [w + ch for w in layer for ch in "abAB" if w[-1:] != ch.swapcase()]
+        words += layer
+    assert len(words) == 1 + 4 * (3**9 - 1) // 2
+    for w in words:
+        n = len(w)
+        divisor_loop = any(n % d == 0 and w == w[:d] * (n // d) for d in range(1, n // 2 + 1))
+        assert Word(w).is_proper_power() == divisor_loop, w
+
+
 def test_random_reduced_words_are_reduced_and_in_ball():
     rng = random.Random(42)
     for _ in range(500):
