@@ -3,7 +3,7 @@
 Each subcommand returns its exit code and artifact text; ``main`` alone
 writes the artifact, to --output or stdout.  Exit codes: 0 success /
 positive decision, 1 negative decision, 2 input error (an unwritable
---output too), 3 search budget exhausted ("unknown"), 4 internal error
+--output too), 3 beyond a search cap ("unknown"), 4 internal error
 (any other exception, reported as one line).  Output is deterministic
 JSON (sorted keys, schema-versioned) or CSV with 9-significant-digit
 floats; randomized subcommands require an explicit --seed.  ``main``
@@ -123,7 +123,7 @@ def _cmd_extend(args) -> tuple[int, str]:
 
 def _cmd_regular_extend(args) -> tuple[int, str]:
     spec = covers.CoverSpec(args.genus, tuple(_parse_classes(args.classes)))
-    decision = covers.regular_extends(spec, budget=args.budget)
+    decision = covers.regular_extends(spec)
     payload = {"status": decision.status}
     if decision.witness is not None:
         payload["witness"] = [str(g) for g in decision.witness]
@@ -192,8 +192,9 @@ def _cmd_prime(args) -> tuple[int, str]:
     if args.scatter:
         if args.seed is None:
             raise ValueError("--seed is required for --scatter")
-        if args.maxlen < 1:
-            raise ValueError(f"--maxlen must be at least 1, not {args.maxlen}")
+        for flag, value in (("--samples", args.samples), ("--maxlen", args.maxlen)):
+            if value < 1:
+                raise ValueError(f"{flag} must be at least 1, not {value}")
         rng = random.Random(args.seed)
         rows = []
         for _ in range(args.samples):
@@ -301,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("regular-extend", help="regular-cover extension decision")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--classes", required=True)
-    p.add_argument("--budget", type=int, default=8)
     p.set_defaults(func=_cmd_regular_extend)
 
     p = sub.add_parser("frobenius", help="exact count of identity-product class tuples")

@@ -29,6 +29,8 @@ from .perms import (
 )
 from .words import Word, evaluate, letter_images
 
+MAX_REGULAR_DEGREE = 8
+
 
 class CoverError(ValueError):
     pass
@@ -236,43 +238,39 @@ class RegularDecision:
 
 
 def _subgroup_closure(gens: list[Permutation]) -> frozenset[Permutation] | None:
-    """Generated subgroup, or None as soon as its order exceeds the degree."""
-    n = gens[0].degree
-    group = {Permutation.identity(n)}
-    frontier = [Permutation.identity(n)]
-    while frontier:
-        g = frontier.pop()
+    """Generated subgroup, or None at two elements sending point 1 to one point:
+    no regular group holds such a pair, and every group of order above n does."""
+    elements = [Permutation.identity(gens[0].degree)]
+    by_image = {0: elements[0]}  # one element per image of point 1
+    for g in elements:  # breadth first: the list grows as it is read
         for s in gens:
             h = g * s
-            if h not in group:
-                group.add(h)
-                if len(group) > n:
-                    return None
-                frontier.append(h)
-    return frozenset(group)
+            kept = by_image.setdefault(h.images[0], h)
+            if kept is h:
+                elements.append(h)
+            elif kept != h:
+                return None
+    return frozenset(elements)
 
 
 def _regular_overgroups(seed: list[Permutation], n: int):
     """All regular subgroups of S_n (transitive, of order n) containing the seed.
 
     A regular group holds exactly one element taking point 1 to each point,
-    and that element's cycles all have one length.  So the closure is grown
-    by one such element for the least point outside the orbit of 1, and
-    every regular overgroup is reached exactly once.
+    and that element's cycles all have one length.  So a closure that is not
+    refused is grown by one such element for the least point outside the
+    orbit of 1, and every regular overgroup is reached exactly once.
     """
     group = _subgroup_closure(seed)
     if group is None:
         return
-    orbit = {g(1) for g in group}
-    if len(orbit) < len(group):
-        return  # a point stabilizer is nontrivial: no regular group contains it
-    if len(orbit) == n:
+    if len(group) == n:
         yield group
         return
-    j = min(set(range(1, n + 1)) - orbit)
+    j = min(set(range(n)) - {g.images[0] for g in group})
     for d in range(2, n + 1):
         if n % d == 0:
-            for g in class_elements((d,) * (n // d), first=j - 1):
+            for g in class_elements((d,) * (n // d), first=j):
                 yield from _regular_overgroups(seed + [g], n)
 
 
@@ -301,35 +299,37 @@ def _handles_reach(group: frozenset[Permutation], genus: int, boundaries: tuple[
     return (target, group) in states
 
 
-def regular_extends(spec: CoverSpec, budget: int = 8) -> RegularDecision:
-    """Regular-cover extension: the image must act regularly, that is be
-    transitive with order exactly n.
+def regular_extends(spec: CoverSpec) -> RegularDecision:
+    """Regular-cover extension: the image must be transitive of order n.
 
     Every element of a regular group has cycles of one length, so a class
     with unequal cycles does not extend.  Otherwise the witness is the least
-    boundary tuple, in product order, in a regular group containing the
-    first class representative where ``_handles_reach`` holds.  Degrees
-    above the budget return "unknown".
+    boundary tuple, in product order, in a regular group where
+    ``_handles_reach`` holds.  Conjugates of witnesses are witnesses, and a
+    representative is least in its class: so the first class that moves a
+    point is its representative, and the representatives end the search.
+    Degrees above MAX_REGULAR_DEGREE return "unknown".
     """
-    n = spec.degree
-    if any(len(set(c)) > 1 for c in spec.boundary_classes):
+    classes = spec.boundary_classes
+    if any(len(set(c)) > 1 for c in classes):
         return RegularDecision("does-not-extend", None)
-    if n > budget:
+    if spec.degree > MAX_REGULAR_DEGREE:
         return RegularDecision("unknown", None)
-    first = class_representative(spec.boundary_classes[0])
+    reps = tuple(map(class_representative, classes))
+    lead = next((i for i, c in enumerate(classes) if c[0] > 1), 0)  # earlier classes are e
     best = None
-    for group in _regular_overgroups([first], n):
-        elements = sorted(group)
-        pools = [[g for g in elements if g.cycle_type() == c] for c in spec.boundary_classes[1:]]
-        for rest in itertools.product(*pools):
+    for group in _regular_overgroups([reps[lead]], spec.degree):
+        pools = [sorted(g for g in group if g.cycle_type() == c) for c in classes]
+        pools[lead] = [reps[lead]]
+        for candidate in itertools.product(*pools):
             # the pools are sorted, so no later tuple of this group is smaller
-            if best is not None and rest >= best[1:]:
+            if best is not None and candidate >= best:
                 break
-            if _handles_reach(group, spec.genus, (first, *rest)):
-                best = (first, *rest)
+            if _handles_reach(group, spec.genus, candidate):
+                best = candidate
                 break
-        if best == (first,):
-            break  # one class: no later group beats the representative alone
+        if best == reps:
+            break
     return RegularDecision("does-not-extend" if best is None else "extends", best)
 
 

@@ -22,6 +22,9 @@ and scales second rows inline, is the reference for the girth that
 graph's constructor lives here too, since only the searches read it:
 ``quaternion_solutions`` and ``lps_generators`` give the p+1 generators as
 projective matrices mod q, canonical under ``_canon``.
+``_oracle_subgroup_closure`` is the closure that stopped at an order above
+the degree, before ``covers._subgroup_closure`` refused a point stabilizer;
+the brute-force regularity tests close with it.
 """
 
 import itertools
@@ -92,6 +95,23 @@ def _oracle_class_elements(p: Partition) -> tuple[Permutation, ...]:
                 yield from build([u for u in rest if u not in others], left)
 
     return tuple(map(Permutation, sorted(build(list(range(sum(p))), p))))
+
+
+def _oracle_subgroup_closure(gens: list[Permutation]) -> frozenset[Permutation] | None:
+    """Generated subgroup, or None as soon as its order exceeds the degree."""
+    n = gens[0].degree
+    group = {Permutation.identity(n)}
+    frontier = [Permutation.identity(n)]
+    while frontier:
+        g = frontier.pop()
+        for s in gens:
+            h = g * s
+            if h not in group:
+                group.add(h)
+                if len(group) > n:
+                    return None
+                frontier.append(h)
+    return frozenset(group)
 
 
 def _oracle_two_n_cycles(sigma: Permutation) -> tuple[Permutation, Permutation]:

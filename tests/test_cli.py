@@ -160,6 +160,22 @@ def test_regular_extend_intransitive_image_does_not_extend(capsys):
     assert json.loads(out) == {"schema": 1, "status": "does-not-extend"}
 
 
+# An identity class first: the search fixes the first class that moves a
+# point.  Fixing the identity class instead took about 8 s and 14 s on 2 cores.
+@pytest.mark.parametrize(
+    "genus,classes,code,witness",
+    [
+        pytest.param("3", "1,1,1,1,1,1,1,1;2,2,2,2", 0, ["e", "(1 2)(3 4)(5 6)(7 8)"], id="genus3-extends"),
+        pytest.param("1", "1,1,1,1,1,1,1,1;4,4", 1, None, id="genus1-does-not-extend"),
+    ],
+)
+def test_regular_extend_after_an_identity_class_in_under_a_second(capsys, genus, classes, code, witness):
+    t0 = time.perf_counter()
+    got = run(capsys, "regular-extend", "--genus", genus, "--classes", classes)
+    assert time.perf_counter() - t0 < 1
+    assert (got[0], json.loads(got[1]).get("witness")) == (code, witness)
+
+
 # witnesses recorded with the boundary-tuple search that the per-group search replaced
 REGULAR_WITNESSES = {
     ("0", "4,4;4,4;4,4;2,2,2,2"): [
@@ -255,10 +271,12 @@ def test_prime_and_scatter(capsys):
     assert code == 2 and "seed" in err
 
 
-@pytest.mark.parametrize("maxlen", ["0", "-3"])
-def test_prime_scatter_rejects_a_maxlen_below_1(capsys, maxlen):
-    code, out, err = run(capsys, "prime", "--scatter", "--seed", "1", "--maxlen", maxlen)
-    assert (code, out, err) == (2, "", f"error: --maxlen must be at least 1, not {maxlen}\n")
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_prime_scatter_rejects_a_maxlen_below_1(capsys, value):
+    # --samples too: a header-only CSV answered no question
+    for flag in ("--maxlen", "--samples"):
+        code, out, err = run(capsys, "prime", "--scatter", "--seed", "1", flag, value)
+        assert (code, out, err) == (2, "", f"error: {flag} must be at least 1, not {value}\n")
 
 
 def test_depth_witness_expectedprime(capsys):
@@ -885,6 +903,7 @@ ERROR_ARGVS = [
     (["selfint", "--word", "axb"], 2, "error: "),  # ValueError
     (["census", "--root", "1/0,3,3"], 2, "error: zero denominator"),  # not ZeroDivisionError
     (["witness", "--word", "abAB", "--k", "2"], 2, "usage: fig8"),  # --max-k is the one depth knob
+    (["regular-extend", "--genus", "1", "--classes", "2,2,2,2,2,2", "--budget", "9"], 2, "usage: fig8"),  # the degree cap is fixed
     (["selfint", "--word", "ab"], 4, "internal error: ZeroDivisionError: boom"),
 ]
 

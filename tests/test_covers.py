@@ -27,6 +27,7 @@ from fig8.words import Word, evaluate, random_reduced_word
 from oracles import (
     _oracle_identity_product_tuples,
     _oracle_stallings_assignment,
+    _oracle_subgroup_closure,
     _oracle_two_n_cycles,
     all_permutations,
 )
@@ -242,15 +243,13 @@ def test_regular_extends_spec_examples():
     assert regular_extends(CoverSpec(1, ((1, 1),))).status == "extends"
     d = regular_extends(CoverSpec(0, ((2,), (2,))))
     assert d.status == "extends"
-    assert regular_extends(CoverSpec(1, ((9,),)), budget=8).status == "unknown"
+    assert regular_extends(CoverSpec(1, ((9,),))).status == "unknown"
 
 
 def _is_regular(perms, n):
     """Independent regularity test: the generated group has order n and the
     orbit of point 1 under the generators is all n points."""
-    from fig8.covers import _subgroup_closure
-
-    group = _subgroup_closure(list(perms))
+    group = _oracle_subgroup_closure(list(perms))
     orbit = {1}
     for _ in range(n):
         orbit |= {g(p) for g in perms for p in orbit}
@@ -357,8 +356,6 @@ def test_regular_witness_generates_order_n():
 def _oracle_handle_assignment(group, genus, target, must_generate_with):
     """All genus-tuples of handle pairs in product order; the first whose
     commutator product hits the target and which generates the group."""
-    from fig8.covers import _subgroup_closure
-
     n = target.degree
     identity = Permutation.identity(n)
     elements = sorted(group, key=lambda g: g.images)
@@ -367,24 +364,24 @@ def _oracle_handle_assignment(group, genus, target, must_generate_with):
         if math.prod((c for _, c in chosen), start=identity) != target:
             continue
         handles = tuple(pair for pair, _ in chosen)
-        generated = _subgroup_closure(list(must_generate_with) + [g for p in handles for g in p])
+        generated = _oracle_subgroup_closure(list(must_generate_with) + [g for p in handles for g in p])
         if generated is not None and len(generated) == len(group):
             return handles
     return None
 
 
-def _oracle_regular_extends(spec, budget=8):
+def _oracle_regular_extends(spec):
     """The boundary-tuple search that regular_extends replaced: the closure of
     each genus-0 tuple, and every handle tuple of every regular overgroup of
     each tuple at genus >= 1, with its genus cap."""
-    from fig8.covers import _identity_product_tuples, _regular_overgroups, _subgroup_closure
+    from fig8.covers import MAX_REGULAR_DEGREE, _identity_product_tuples, _regular_overgroups
     from fig8.perms import class_elements, class_representative
 
     n = spec.degree
     classes = spec.boundary_classes
     if any(len(set(c)) > 1 for c in classes):
         return RegularDecision("does-not-extend", None)
-    if n > budget or spec.genus > 4:
+    if n > MAX_REGULAR_DEGREE or spec.genus > 4:
         return RegularDecision("unknown", None)
     if spec.genus == 0:
         tuples = _identity_product_tuples(classes)
@@ -393,7 +390,7 @@ def _oracle_regular_extends(spec, budget=8):
         tuples = ((first, *rest) for rest in product(*map(class_elements, classes[1:])))
     for boundaries in tuples:
         if spec.genus == 0:
-            group = _subgroup_closure(list(boundaries))
+            group = _oracle_subgroup_closure(list(boundaries))
             if group is not None and len({g(1) for g in group}) == n:
                 return RegularDecision("extends", boundaries)
         else:
@@ -430,6 +427,42 @@ def test_permutation_order_is_image_order_on_a_regular_group():
     assert len(group) == 8
     assert sorted(group) == sorted(group, key=lambda g: g.images)
     assert all((g < h) == (g.images < h.images) for g in group for h in group)
+
+
+def test_subgroup_closure_refuses_a_point_stabilizer():
+    from fig8.covers import _subgroup_closure
+
+    # <(2 3)> has order 2, below the degree 3, but fixes point 1
+    swap = [Permutation.parse("(2 3)", 3)]
+    assert len(_oracle_subgroup_closure(swap)) == 2
+    assert _subgroup_closure(swap) is None
+    # else it is the order-capped closure, on every pair of generators at degree 4
+    for a, b in product(all_permutations(4), repeat=2):
+        group = _oracle_subgroup_closure([a, b])
+        if group is not None and len({g(1) for g in group}) < len(group):
+            group = None
+        assert _subgroup_closure([a, b]) == group, (a, b)
+
+
+@pytest.mark.parametrize("classes", ["2,2,2,2", "1,1,1,1,1,1,1,1;2,2,2,2"])
+def test_regular_extends_stops_at_the_representatives(monkeypatch, classes):
+    # 64 regular groups hold (1 2)(3 4)(5 6)(7 8).  The first is abelian; in
+    # the second it is a commutator, so the representatives are a witness
+    # there, no tuple is smaller and no third group is read
+    from fig8 import covers
+
+    overgroups, read = covers._regular_overgroups, []
+
+    def counted(seed, n):  # the recursion calls this too, with longer seeds
+        for group in overgroups(seed, n):
+            if len(seed) == 1:
+                read.append(group)
+            yield group
+
+    monkeypatch.setattr(covers, "_regular_overgroups", counted)
+    spec = CoverSpec(1, tuple(parse_partition(c) for c in classes.split(";")))
+    assert regular_extends(spec).witness[-1] == Permutation.parse("(1 2)(3 4)(5 6)(7 8)")
+    assert len(read) == 2
 
 
 def _uniform_classes(n):
