@@ -1,13 +1,13 @@
 """Command-line frontend: one subcommand per operation cluster.
 
-Each subcommand returns its exit code and artifact text; ``main`` alone
-writes the artifact, to --output or stdout.  Exit codes: 0 success /
-positive decision, 1 negative decision, 2 input error (an unwritable
---output too), 3 beyond a search cap ("unknown"), 4 internal error
-(any other exception, reported as one line).  Output is deterministic
-JSON (sorted keys, schema-versioned) or CSV with 9-significant-digit
-floats; randomized subcommands require an explicit --seed.  ``main``
-builds the parser once per process and reuses it for every later call.
+Each subcommand returns its exit code, artifact text and any stderr note;
+``main`` alone writes them, the artifact to --output or stdout.  Exit
+codes: 0 success / positive decision, 1 negative decision, 2 input error
+(an unwritable --output too), 3 beyond a search cap ("unknown", with a
+note naming the cap), 4 internal error (any other exception, reported as
+one line).  Output is deterministic JSON (sorted keys, schema-versioned)
+or CSV with 9-significant-digit floats; randomized subcommands require an
+explicit --seed.  ``main`` builds the parser once per process and reuses it.
 """
 
 from __future__ import annotations
@@ -114,20 +114,23 @@ def _cmd_extend(args) -> tuple[int, str]:
     decision = covers.extends_cover(spec, transitive=args.transitive)
     payload = {"extends": decision.extends, "reason": decision.reason}
     if decision.extends:
+        handles = [[str(a), str(b)] for a, b in decision.handles]
         payload["witness"] = {
-            "handles": [[str(a), str(b)] for a, b in decision.handles],
+            "handles": handles + [["e", "e"]] * (spec.genus - len(handles)),
             "boundaries": [str(g) for g in decision.boundaries],
         }
     return (0 if decision.extends else 1), _json(payload)
 
 
-def _cmd_regular_extend(args) -> tuple[int, str]:
+def _cmd_regular_extend(args) -> tuple[int, str] | tuple[int, str, str]:
     spec = covers.CoverSpec(args.genus, tuple(_parse_classes(args.classes)))
     decision = covers.regular_extends(spec)
     payload = {"status": decision.status}
     if decision.witness is not None:
         payload["witness"] = [str(g) for g in decision.witness]
-    return {"extends": 0, "does-not-extend": 1, "unknown": 3}[decision.status], _json(payload)
+    if decision.status == "unknown":
+        return 3, _json(payload), f"unknown: degree {spec.degree} is above the cap {covers.MAX_REGULAR_DEGREE}"
+    return {"extends": 0, "does-not-extend": 1}[decision.status], _json(payload)
 
 
 def _cmd_frobenius(args) -> tuple[int, str]:
@@ -146,7 +149,7 @@ def _cmd_frobenius(args) -> tuple[int, str]:
 def _cmd_twocycles(args) -> tuple[int, str]:
     sigma = Permutation.parse(args.perm, args.degree)
     c1, c2 = covers.two_n_cycles(sigma)
-    alpha, beta = covers.commutator_witness(sigma, (c1, c2))
+    alpha, beta = covers.commutator_witness(c1, c2)
     return 0, _json(
         {
             "sigma": str(sigma),
@@ -376,12 +379,14 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        code, artifact = args.func(args)
+        code, artifact, *notes = args.func(args)
         if args.output:
             with open(args.output, "w") as fh:
                 fh.write(artifact)
         else:
             sys.stdout.write(artifact)
+        for note in notes:  # after the artifact: a failed write reports only its error
+            print(note, file=sys.stderr)
         return code
     except (ValueError, OSError) as exc:  # an unwritable output is invalid input
         print(f"error: {exc}", file=sys.stderr)

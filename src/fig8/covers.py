@@ -5,7 +5,8 @@ cycle type of the monodromy over each boundary component.  Extension is
 decided by the product condition (genus 0, via the Frobenius count) or the
 parity condition (genus >= 1), and a witness homomorphism is assembled
 explicitly: boundary images from class representatives and one handle pair
-realizing the needed commutator via the two-n-cycles factorization.
+realizing the needed commutator via the two-n-cycles factorization; the
+other handles map to (e, e).
 
 All permutations compose on the right: (sigma * tau)(i) = tau(sigma(i)).
 """
@@ -68,20 +69,14 @@ def two_n_cycles(sigma: Permutation) -> tuple[Permutation, Permutation]:
     return (c1, c2)
 
 
-def commutator_witness(
-    sigma: Permutation, cycles: tuple[Permutation, Permutation] | None = None
-) -> tuple[Permutation, Permutation]:
-    """(alpha, beta) with [alpha, beta] = alpha*beta*alpha^-1*beta^-1 = sigma.
-
-    cycles is two_n_cycles(sigma) when the caller already has it.
-    """
-    if not sigma.is_even():
-        raise PermError(f"{sigma} is odd: not a commutator")
+def commutator_witness(c1: Permutation, c2: Permutation) -> tuple[Permutation, Permutation]:
+    """(alpha, beta) with [alpha, beta] = alpha*beta*alpha^-1*beta^-1 = c1 * c2,
+    for the n-cycles c1, c2 that ``two_n_cycles`` returns."""
+    sigma = c1 * c2
     n = sigma.degree
     identity = Permutation.identity(n)
     if sigma == identity:
         return (identity, identity)
-    c1, c2 = cycles or two_n_cycles(sigma)
     # Any two n-cycles are conjugate: align the cycle of c1^-1 with that of
     # c2.  Under right action, conjugation by beta relabels the cycle
     # (p1 p2 ...) of x as (beta^-1(p1) beta^-1(p2) ...), so beta must send
@@ -142,7 +137,8 @@ def extends_cover(spec: CoverSpec, transitive: bool = False) -> ExtendDecision:
     Genus 0: extends iff the Frobenius count is positive; the witness is
     the first identity-product tuple.  Genus >= 1: extends iff the parities
     of the classes sum to zero mod 2; the witness is the class
-    representatives, with one commutator handle absorbing their product.
+    representatives, with one commutator handle absorbing their product
+    (the witness stops at its last handle that is not (e, e)).
 
     With ``transitive`` set, the witness must act transitively.  At genus 0
     that is the first transitive identity-product tuple, and without one
@@ -165,7 +161,8 @@ def extends_cover(spec: CoverSpec, transitive: bool = False) -> ExtendDecision:
             return ExtendDecision(False, "parity", None, None)
         boundaries = tuple(map(class_representative, classes))
         product = math.prod(boundaries, start=identity)
-        handles = (commutator_witness(product.inverse()),) + ((identity, identity),) * (spec.genus - 1)
+        pair = commutator_witness(*two_n_cycles(product.inverse()))
+        handles = () if pair == (identity, identity) else (pair,)
         decision = ExtendDecision(True, "parity", handles, boundaries)
         if transitive and not _is_transitive(decision):
             # the product is e, else alpha is an n-cycle: an (n-cycle, e) handle connects

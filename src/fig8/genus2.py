@@ -7,9 +7,9 @@ twist that conjugates c, d by z = [a,b], retracting to the free group
 word is the witness, and its excluding prime completes the certificate.
 The witness's Sanov matrix is not evaluated letter by letter: the twist,
 the retraction and the Sanov map compose to one homomorphism on the
-rewritten word's own letters, which ``twisted_sanov_image`` evaluates.  An
-independent Dehn oracle, which replaces five-letter relator pieces,
-validates the certificate at corpus scale.
+rewritten word's own letters, which ``twisted_sanov_image`` evaluates.
+The tests check the twist against a per-letter one, and the certificate
+against an independent Dehn oracle that replaces five-letter relator pieces.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .words import GENUS2, Word, evaluate, free_reduce, inverse_letters
 Z1 = "abAB"
 RELATOR = "abABdcDC"  # [a,b][c,d]^{-1}
 
-_RETRACT = str.maketrans("abcdABCD", "xyxyXYXY")
+_RETRACT = str.maketrans("abcdABCD", "xyxyXYXY")  # a, c -> x and b, d -> y
 _CD_RUN = re.compile("[cdCD]+")
 _BLOCK = re.compile("[abAB]+|[cdCD]+")
 _Z_POWER = re.compile("(?:abAB)+|(?:baBA)+|(?:cdCD)+|(?:dcDC)+")
@@ -42,27 +42,11 @@ def _check(w: Word) -> Word:
     return w
 
 
-def retract(w: Word) -> Word:
-    """The retraction r: a,c -> x and b,d -> y; a homomorphism to F(x, y)."""
-    return Word(_check(w).letters.translate(_RETRACT), "xy")
-
-
 def _twisted_letters(letters: str, power: int) -> str:
-    """phi^power on letters, unreduced: each c, d run conjugated by z^power."""
+    """phi^power on letters, unreduced: phi fixes a, b and conjugates c, d by
+    z = [a,b] (u^z = z^-1 u z), here a whole c, d run at once: the same element."""
     zm, zmi = Z1 * power, inverse_letters(Z1) * power
     return _CD_RUN.sub(lambda run: zmi + run.group() + zm, letters)
-
-
-def dehn_twist(w: Word, power: int) -> Word:
-    """phi^power with phi fixing a, b and conjugating c, d by z = [a,b].
-
-    Conjugation convention u^z = z^-1 u z.  Each maximal run of c, d
-    letters is conjugated once: that is the same element as conjugating
-    each of its letters, so the reduced word is the same too.
-    """
-    if power < 0:
-        raise Genus2Error("twist power must be nonnegative")
-    return Word(_twisted_letters(_check(w).letters, power), GENUS2)
 
 
 def rewrite_blocks(w: Word) -> Word:
@@ -106,7 +90,7 @@ _Z = sanov_eval(Word(Z1))
 
 
 def twisted_sanov_image(w: Word, power: int) -> Mat2:
-    """Sanov image of retract(dehn_twist(w, power)), without building that word.
+    """Sanov image of the retracted twist of w by phi^power, without building that word.
 
     Twist, retraction and the Sanov map x, y -> SANOV_A, SANOV_B compose to
     one homomorphism: a, b go to SANOV_A, SANOV_B and c, d to their
@@ -138,7 +122,7 @@ def certify_nontrivial(w: Word) -> Certificate:
         return Certificate("TRIVIAL-CONSISTENT", w, 0, None, None)
     w0 = rewrite_blocks(w)
     m = -(-len(w0) // 4) + 1
-    # retract(dehn_twist(w0, m)) with one free reduction: the retraction
+    # the twist of w0 retracted with one free reduction: the retraction
     # sends inverse letters to inverse letters, so it commutes with reduction
     u = Word(_twisted_letters(w0.letters, m).translate(_RETRACT), "xy")
     if u.is_trivial:

@@ -112,13 +112,6 @@ def _character(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     return total
 
 
-def character(lam: Partition, mu: Partition) -> int:
-    """Irreducible S_n character chi_lambda evaluated on the class mu."""
-    if sum(lam) != sum(mu):
-        raise PermError(f"partition sizes differ: {sum(lam)} vs {sum(mu)}")
-    return _character(lam, mu)
-
-
 def frobenius_count(classes: list[Partition]) -> int:
     """Exact number of tuples (g_1, ..., g_k), g_i in class i, with product identity.
 

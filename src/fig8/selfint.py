@@ -49,7 +49,7 @@ def self_intersection(w: Word) -> int:
     """
     if w.is_trivial:
         raise SelfIntersectionError("trivial word")
-    if not w.is_cyclically_reduced():
+    if w.cyclically_reduced() != w:
         raise SelfIntersectionError("word must be cyclically reduced")
     if w.is_proper_power():
         raise SelfIntersectionError("word is a proper power")

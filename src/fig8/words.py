@@ -102,10 +102,6 @@ class Word:
             i += 1
         return Word(w[i : len(w) - i], self.gens)
 
-    def is_cyclically_reduced(self) -> bool:
-        w = self.letters
-        return len(w) < 2 or w[0] != w[-1].swapcase()
-
     def is_proper_power(self) -> bool:
         """True iff the word is u^k for some shorter u and k >= 2, that is,
         iff it equals one of its own nontrivial rotations.

@@ -40,7 +40,7 @@ from fig8.perms import (
     Partition,
     PermError,
     Permutation,
-    character,
+    _character,
     class_representative,
     class_size,
     partitions_of,
@@ -269,7 +269,7 @@ def _oracle_self_intersection(w: Word) -> int:
     crossing pass per radius."""
     if w.is_trivial:
         raise SelfIntersectionError("trivial word")
-    if not w.is_cyclically_reduced():
+    if len(w) > 1 and w.letters[0] == w.letters[-1].swapcase():
         raise SelfIntersectionError("word must be cyclically reduced")
     if w.is_proper_power():
         raise SelfIntersectionError("word is a proper power")
@@ -478,7 +478,7 @@ def _oracle_frobenius_count(classes: list[Partition]) -> int:
         dim = standard_tableaux(lam)
         num = 1
         for mu in classes:
-            num *= character(lam, mu)
+            num *= _character(lam, mu)
         total += Fraction(num) * Fraction(dim) ** (2 - k)
     prefactor = Fraction(1, math.factorial(n))
     for mu in classes:

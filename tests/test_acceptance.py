@@ -230,7 +230,7 @@ def test_criterion_08_constructions(capsys):
             if not sigma.is_even():
                 continue
             c1, c2 = two_n_cycles(sigma)
-            a, b = commutator_witness(sigma)
+            a, b = commutator_witness(c1, c2)
             from fig8.perms import commutator
 
             if c1 * c2 != sigma or commutator(a, b) != sigma:

@@ -190,13 +190,11 @@ def test_identity_product_tuples_equal_the_product_filter():
 
 def test_commutator_witness_examples():
     e = Permutation.identity(4)
-    assert commutator_witness(e) == (e, e)
+    assert commutator_witness(*two_n_cycles(e)) == (e, e)
     for text in ("(1 2 3)", "(1 2)(3 4)", "(1 2 3 4 5)"):
         s = Permutation.parse(text, 5)
-        a, b = commutator_witness(s)
+        a, b = commutator_witness(*two_n_cycles(s))
         assert commutator(a, b) == s
-    with pytest.raises(PermError):
-        commutator_witness(Permutation.parse("(1 2)", 4))
 
 
 def test_strip_cover_examples():

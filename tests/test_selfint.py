@@ -87,7 +87,7 @@ def _cyclic_nonpower_words(rng, length, count):
         while len(letters) < length:
             letters += rng.choice([ch for ch in "abAB" if ch != letters[-1].swapcase()])
         w = Word(letters)
-        if w.is_cyclically_reduced() and not w.is_proper_power():
+        if w.cyclically_reduced() == w and not w.is_proper_power():
             words.append(w)
     return words
 

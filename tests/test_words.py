@@ -106,9 +106,9 @@ def test_multiplication_and_inverse():
 
 def test_cyclic_reduction():
     w = Word("AbaBa")  # starts with A, ends with a
-    assert not w.is_cyclically_reduced()
+    assert w.cyclically_reduced() != w
     assert w.cyclically_reduced().letters == "a"
-    assert Word("abAB").is_cyclically_reduced()
+    assert Word("abAB").cyclically_reduced() == Word("abAB")
 
 
 def _strip_end_pairs(letters):
