@@ -300,15 +300,19 @@ def regular_extends(spec: CoverSpec) -> RegularDecision:
     """Regular-cover extension: the image must be transitive of order n.
 
     Every element of a regular group has cycles of one length, so a class
-    with unequal cycles does not extend.  Otherwise the witness is the least
-    boundary tuple, in product order, in a regular group where
-    ``_handles_reach`` holds.  Conjugates of witnesses are witnesses, and a
-    representative is least in its class: so the first class that moves a
-    point is its representative, and the representatives end the search.
+    with unequal cycles does not extend, and neither does a genus-0 tuple of
+    identities at n > 1, whose images generate only {e}.  Otherwise the
+    witness is the least boundary tuple, in product order, in a regular
+    group where ``_handles_reach`` holds.  Conjugates of witnesses are
+    witnesses, and a representative is least in its class: so the first
+    class that moves a point is its representative, and the representatives
+    end the search.
     Degrees above MAX_REGULAR_DEGREE return "unknown".
     """
     classes = spec.boundary_classes
     if any(len(set(c)) > 1 for c in classes):
+        return RegularDecision("does-not-extend", None)
+    if spec.genus == 0 and spec.degree > 1 and all(c[0] == 1 for c in classes):
         return RegularDecision("does-not-extend", None)
     if spec.degree > MAX_REGULAR_DEGREE:
         return RegularDecision("unknown", None)

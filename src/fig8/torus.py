@@ -50,6 +50,9 @@ MODULAR_ROOT: TraceTriple = (3, 3, 3)
 # The slopes of a root's three traces, a Farey triangle, signed to sum to zero.
 ROOT_SLOPES: tuple[Slope, Slope, Slope] = ((0, 1), (1, 0), (-1, -1))
 
+# The largest walk of the last root walked: (root key, cutoff, sorted pairs).
+_walk: tuple[tuple, float, list[tuple[float, Slope]]] | None = None
+
 
 def enumerate_simple(root: TraceTriple, trace_cutoff: float) -> list[tuple[float, Slope]]:
     """The sorted (trace, slope) pairs of the simple geodesics with trace <= cutoff.
@@ -68,10 +71,20 @@ def enumerate_simple(root: TraceTriple, trace_cutoff: float) -> list[tuple[float
     branch is cut at the first trace above the cutoff; each step introduces
     exactly one new slope, so slope deduplication is structural.  Traces
     keep the number type of the root: exact for int and Fraction roots.
+
+    A process keeps the largest walk of the last root walked.  Above the
+    sink every flip raises a trace, so the walk to a cutoff is the sorted
+    prefix of any walk to a larger one, and a call at or below the kept
+    cutoff gets a fresh copy of its prefix.  The root is keyed by the type
+    and value of each entry: 3, 3.0 and Fraction(3) walk in different types.
     """
+    global _walk
     check_root(root)
     if not 3 <= trace_cutoff < math.inf:  # NaN fails too
         raise CensusError(f"trace cutoff {trace_cutoff} is not a finite number >= 3")
+    key, kept = tuple((type(c), c) for c in root), _walk  # read once: a thread may replace it
+    if kept is not None and kept[0] == key and trace_cutoff <= kept[1]:
+        return kept[2][: bisect_right(kept[2], trace_cutoff, key=lambda pair: pair[0])]
     sink, s = list(root), list(ROOT_SLOPES)
     # flipping x_k gives x_i x_j - x_k, lower than x_k iff xyz < 2 x_k^2
     while lower := [k for k in range(3) if math.prod(sink) < 2 * sink[k] ** 2]:
@@ -101,7 +114,8 @@ def enumerate_simple(root: TraceTriple, trace_cutoff: float) -> list[tuple[float
         stack.append((v, t, u, p2, q2, p, q))
         stack.append((u, t, v, p1, q1, p, q))
     found.sort()
-    return found
+    _walk = key, trace_cutoff, found
+    return found[:]
 
 
 def one_intersection_census(

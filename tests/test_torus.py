@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from fig8 import torus
 from fig8.torus import (
     MODULAR_ROOT,
     CensusError,
@@ -423,6 +424,33 @@ def test_traces_keep_the_number_type_of_the_root():
     floats = enumerate_simple((3.0, 3.0, 3.0), 10**6)
     assert all(type(t) is float for t, _ in floats)
     assert floats == exact
+
+
+def test_a_process_keeps_one_walk_per_root(monkeypatch):
+    """The largest walk of the last root is kept, and a smaller cutoff gets
+    a fresh slice of it.  Roots equal in value walk in their own number
+    types, and a bad cutoff or a walk that raises leaves the kept walk."""
+    monkeypatch.setattr(torus, "_walk", None)
+    roots = [(3, 3, 3), (3.0, 3.0, 3.0), (Fraction(3),) * 3]
+    for cutoff in [10**6, 10**3, 10**6, 10**4, 9, 10**5]:
+        for root in roots + roots[::-1]:
+            got = enumerate_simple(root, cutoff)
+            assert got == _oracle_enumerate_simple(root, cutoff)
+            assert {type(t) for t, _ in got} == {type(root[0])}, (root, cutoff)
+
+    want = _oracle_enumerate_simple(MODULAR_ROOT, 10**6)
+    for cutoff in [10**6, 10**6, 10**3]:  # a walk, then two slices of it
+        enumerate_simple(MODULAR_ROOT, cutoff).append((0, (0, 0)))
+        enumerate_simple(MODULAR_ROOT, cutoff).clear()
+        assert enumerate_simple(MODULAR_ROOT, 10**6) == want
+    for root, cutoff in [(MODULAR_ROOT, 2.9), (MODULAR_ROOT, math.nan), ((1e16, 1e8, 1e8), 10)]:
+        with pytest.raises(CensusError):
+            enumerate_simple(root, cutoff)
+    assert torus._walk == (((int, 3),) * 3, 10**6, want)
+
+    other = (15, 87, 1299)
+    enumerate_simple(other, 10**4)
+    assert torus._walk == (((int, 15), (int, 87), (int, 1299)), 10**4, enumerate_simple(other, 10**4))
 
 
 # Census lengths L of ROADMAP item 12, with trace cutoff T = 2 cosh(L/2).
