@@ -88,17 +88,13 @@ def trace_to_length(trace: float) -> float:
     return 2.0 * math.acosh(abs(trace) / 2.0)
 
 
-def fig8_length(la: float, lb: float, lc: float) -> float:
-    """Length of the figure-eight geodesic in a pair of pants with cuff lengths la, lb, lc.
+def eight_trace(ta: float, tb: float, tc: float) -> float:
+    """Trace of the figure-eight around cuffs a and b of the pants with cuff
+    traces ta, tb, tc, a cusp counting 2: tr(AB^-1) = tr A tr B - tr AB, tr AB = -tc.
 
-    A zero cuff length encodes a cusp.  The minimum over all pants is
-    2*acosh(3), attained only at the three-cusped sphere.
+    The least, 6, is at the three-cusped sphere.  A float beyond range is inf.
     """
-    for l in (la, lb, lc):
-        if l < 0:
-            raise Sl2Error("cuff lengths must be nonnegative")
-    half_trace = 2.0 * math.cosh(la / 2.0) * math.cosh(lb / 2.0) + math.cosh(lc / 2.0)
-    return 2.0 * math.acosh(half_trace)
+    return ta * tb + tc
 
 
 # The Sanov pair: generators of a free subgroup of SL(2, Z).

@@ -5,8 +5,9 @@ slope-p/q geodesic is read off a tree of trace triples generated by Vieta
 flips from a root triple satisfying the cusp relation x^2+y^2+z^2 = xyz.
 The walk carries each slope signed, the three of a Farey triangle summing
 to zero, and orients it (q > 0, or p > 0 if q = 0) only when it is listed.
-Each simple geodesic of trace t carries two one-double-point geodesics of
-trace 3t and a companion figure-eight of trace t^2+2.
+A simple geodesic of trace t cuts off the pants (t, t, cusp); by `sl2.eight_trace`
+they hold two one-double-point geodesics around (t, cusp), of trace 2t + t = 3t,
+and a companion figure-eight around (t, t), of trace t^2 + 2.
 
 For the modular torus (root (3,3,3)) all traces are integers and the
 arithmetic below stays exact.
@@ -16,8 +17,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from fractions import Fraction
 
-from .sl2 import length_to_trace
+from .sl2 import eight_trace, length_to_trace
 
 TOL = 1e-9
 
@@ -32,6 +34,8 @@ class CensusError(ValueError):
 def check_root(root: TraceTriple) -> TraceTriple:
     """Raise CensusError unless root is a valid walk root; return root."""
     x, y, z = root
+    if not all(type(c) in (int, Fraction, float) for c in root):  # a Decimal's context is unkeyed
+        raise CensusError(f"trace triple {root} needs int, Fraction or float entries")
     if not all(2 < c < math.inf for c in root):  # NaN fails too
         raise CensusError(f"trace triple {root} needs finite entries > 2")
     # products, not powers: a float square overflows to inf instead of raising
@@ -123,20 +127,19 @@ def one_intersection_census(
 ) -> list[tuple[float, Slope, str]]:
     """Geodesics with a single double point, of length <= cutoff.
 
-    "paired" gives the trace-3t row of the two geodesics cut off each simple
-    geodesic of trace t; "full" adds the companion figure-eight of trace
-    t^2 + 2 living in the same pair of pants.  The (trace, slope, family)
-    rows are sorted, one per row: a paired row stands for two geodesics.
+    A simple trace t cuts off the pants (t, t, cusp): "paired" gives the row of
+    their two eights around (t, cusp), of trace eight_trace(t, 2, t) = 3t, and
+    "full" adds the companion around (t, t), of trace eight_trace(t, t, 2) = t^2 + 2.
+    The (trace, slope, family) rows are sorted: a paired row stands for two geodesics.
     """
     if mode not in ("paired", "full"):
         raise CensusError(f"unknown census mode {mode!r}")
     trace_cutoff = length_to_trace(length_cutoff)
     rows = []
     for t, st in enumerate_simple(root, trace_cutoff / 3.0):
-        rows.append((3 * t, st, "paired-fig8"))
+        rows.append((eight_trace(t, 2, t), st, "paired-fig8"))
         # t^2 + 2 <= T gives t <= sqrt(T - 2) <= T/3 (T >= 9 here): no base is missed
-        companion = t**2 + 2
-        if mode == "full" and companion <= trace_cutoff:
+        if mode == "full" and (companion := eight_trace(t, t, 2)) <= trace_cutoff:
             rows.append((companion, st, "companion-fig8"))
     rows.sort()
     return rows
@@ -179,8 +182,8 @@ def census_counts(root: TraceTriple, length_bounds: list[float]) -> list[tuple[i
     rows = []
     for bound in trace_bounds:
         n0 = bisect_right(traces, bound)
-        n_paired = 2 * bisect_right(traces, bound, key=lambda t: 3 * t)
-        n_companion = bisect_right(traces, bound, key=lambda t: t**2 + 2)
+        n_paired = 2 * bisect_right(traces, bound, key=lambda t: eight_trace(t, 2, t))
+        n_companion = bisect_right(traces, bound, key=lambda t: eight_trace(t, t, 2))
         rows.append((n0, n_paired, n_paired + n_companion))
     return rows
 

@@ -411,7 +411,7 @@ def _oracle_one_intersection_census(
     rows = []
     for trace, slope in enumerate_simple(root, trace_cutoff / 3.0):
         rows.append((3 * trace, slope, "paired-fig8"))
-        companion = trace**2 + 2
+        companion = trace * trace + 2
         if mode == "full" and companion <= trace_cutoff:
             rows.append((companion, slope, "companion-fig8"))
     rows.sort()

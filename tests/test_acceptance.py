@@ -22,7 +22,7 @@ from fig8.perms import (
 )
 from fig8.resfin import average_index_simulation, expected_min_prime, sanov_eval, smallest_excluding_prime
 from fig8.selfint import self_intersection
-from fig8.sl2 import fig8_length
+from fig8.sl2 import eight_trace, trace_to_length
 from fig8.torus import (
     MODULAR_ROOT,
     census_counts,
@@ -79,13 +79,16 @@ def test_criterion_02_self_intersection_identity(capsys):
 
 
 def test_criterion_03_minimal_fig8_length(capsys):
-    value = fig8_length(0, 0, 0)
+    trace = eight_trace(2, 2, 2)  # the three-cusped sphere
+    value = trace_to_length(trace)
     rows = one_intersection_census(MODULAR_ROOT, 6.0, "full")
     min_trace = min(t for t, _, _ in rows)
-    ok = abs(value - 3.52549) < 5e-6 and abs(value - 2 * math.acosh(3)) < 1e-12 and min_trace == 9
+    length_ok = abs(value - 3.52549) < 5e-6 and abs(value - 2 * math.acosh(3)) < 1e-12
+    ok = trace == 6 and length_ok and min_trace == 9
     report(
         capsys, 3, ok,
-        f"fig8_length(0,0,0) = {value:.5f} = 2*acosh(3); full-census minimum trace = {min_trace}",
+        f"eight_trace(2,2,2) = {trace}, length {value:.5f} = 2*acosh(3); "
+        f"full-census minimum trace = {min_trace}",
     )
 
 

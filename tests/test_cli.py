@@ -468,6 +468,36 @@ def test_non_modular_root_artifacts_are_byte_identical(capsys, root, digest):
     assert sha.hexdigest() == digest
 
 
+# SHA-256 of census artifacts from the float root 3.0,3,3 whose traces pass
+# 1.34e154, where a float square raises OverflowError; each equals the
+# artifact of the int root 3,3,3 byte for byte.
+FLOAT_ROOT_OVERFLOW_SHA256 = [
+    (
+        ["census", "--cutoff", "713", "--mode", "paired"],
+        "e9263fb71f9756fac15d8a7f2fe612b64906e42a0c5dbcc84a0de8a8b958599c",
+    ),
+    (
+        ["census", "--cutoff", "713", "--mode", "full"],
+        "a4e1b45810a06b4b0ad606674cd90f3554cffbcad1436ef59892a59d8bd09f74",
+    ),
+    (
+        ["census", "--counts-at", "2,1010"],
+        "061642c6f8fb23834f69bd93c8c875f33aedda0f902a55261976768c37f364bd",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", FLOAT_ROOT_OVERFLOW_SHA256, ids=["paired", "full", "counts-at"])
+def test_float_root_census_beyond_the_float_square_range(capsys, argv, digest):
+    """Paired rows need no companion, and a float companion or count key
+    beyond the float range is inf, so these exit 0 instead of 4.  The full
+    CSV has 308,377 lines and the counts row is 1010,276474,550512,619662,
+    as from the int root."""
+    code, out, err = run(capsys, *argv, "--root", "3.0,3,3")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "rational,decimal", [("18,9/2,9/2", "18,4.5,4.5"), ("9/4,9/2,9/2", "2.25,4.5,4.5")]
 )

@@ -9,7 +9,7 @@ from fig8.sl2 import (
     SANOV_B,
     Mat2,
     Sl2Error,
-    fig8_length,
+    eight_trace,
     length_to_trace,
     trace_to_length,
 )
@@ -100,30 +100,55 @@ def test_trace_third_random_matrix_pairs():
         assert a.trace * b.trace - (a * b).trace == (a.inverse() * b).trace
 
 
-def test_fig8_length_examples():
-    cusp = fig8_length(0, 0, 0)
-    assert abs(cusp - 2 * math.acosh(3)) < 1e-9
-    assert abs(cusp - 3.52549) < 1e-5
-    l3 = 2 * math.acosh(1.5)
-    assert abs(length_to_trace(fig8_length(l3, 0, l3)) - 9) < 1e-9
+def test_eight_trace_examples():
+    assert eight_trace(2, 2, 2) == 6  # the three-cusped sphere
+    assert eight_trace(3, 2, 3) == 9  # cuffs 3 and a cusp, third cuff 3
     # two cuffs of trace 3 and a cusp, tr(AB) = -2: the trace is trA trB - tr(AB) = 11
-    assert abs(length_to_trace(fig8_length(l3, l3, 0)) - (3 * 3 - (-2))) < 1e-9
+    assert eight_trace(3, 3, 2) == 3 * 3 - (-2)
 
 
-def test_fig8_length_symmetry_monotonicity_minimality():
+def test_eight_trace_symmetry_monotonicity_minimality():
     rng = random.Random(1)
-    floor = 2 * math.acosh(3)
     for _ in range(200):
-        x, y, z = (rng.uniform(0, 4) for _ in range(3))
-        assert abs(fig8_length(x, y, z) - fig8_length(y, x, z)) < 1e-12
-        assert fig8_length(x, y, z) >= floor - 1e-12
+        x, y, z = (rng.uniform(2, 8) for _ in range(3))
+        base = eight_trace(x, y, z)
+        assert base == eight_trace(y, x, z)
+        assert base >= 6
         eps = 0.1
-        base = fig8_length(x, y, z)
-        assert fig8_length(x + eps, y, z) > base
-        assert fig8_length(x, y + eps, z) > base
-        assert fig8_length(x, y, z + eps) > base
-    with pytest.raises(Sl2Error):
-        fig8_length(-1, 0, 0)
+        assert eight_trace(x + eps, y, z) > base
+        assert eight_trace(x, y + eps, z) > base
+        assert eight_trace(x, y, z + eps) > base
+
+
+def test_eight_trace_matches_word_traces_on_nielsen_bases():
+    """The pants rule against the traces of words at the modular torus.
+
+    A Nielsen basis (u, v) of F2 has the commutator of the cusp, so u and
+    the cusp bound the pants (|tr u|, cusp, |tr u|) with eight u^-2 v^-1 u v,
+    and u v and the cusp bound (|tr uv|, |tr uv|, cusp) with eight u^2 v^2.
+    """
+    images = {"a": TORUS_X, "b": TORUS_Y}
+
+    def trace(w):
+        return evaluate(w, images, ONE).trace
+
+    rng = random.Random(1)
+    for _ in range(3000):
+        u, v = Word("a"), Word("b")
+        for _ in range(rng.randint(0, 12)):
+            move = rng.randrange(4)
+            if move == 0:
+                u = u * v
+            elif move == 1:
+                v = v * u
+            elif move == 2:
+                u = u.inverse()
+            else:
+                u, v = v, u
+        assert trace(u * v * u.inverse() * v.inverse()) == -2
+        tu, tuv = abs(trace(u)), abs(trace(u * v))
+        assert abs(trace(u**-2 * v.inverse() * u * v)) == eight_trace(tu, 2, tu)
+        assert abs(trace(u**2 * v**2)) == eight_trace(tuv, tuv, 2)
 
 
 def test_length_trace_conversions():

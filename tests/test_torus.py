@@ -453,6 +453,20 @@ def test_a_process_keeps_one_walk_per_root(monkeypatch):
     assert torus._walk == (((int, 15), (int, 87), (int, 1299)), 10**4, enumerate_simple(other, 10**4))
 
 
+def test_a_decimal_root_is_refused(monkeypatch):
+    """A Decimal walks at the precision of its context, which the kept walk
+    does not key, so check_root refuses it and the kept walk stays."""
+    monkeypatch.setattr(torus, "_walk", None)
+    enumerate_simple(MODULAR_ROOT, 10**4)
+    kept = torus._walk
+    root = (decimal.Decimal(3),) * 3
+    with pytest.raises(CensusError, match="int, Fraction or float"):
+        check_root(root)
+    with pytest.raises(CensusError, match="int, Fraction or float"):
+        enumerate_simple(root, 10**4)
+    assert torus._walk is kept
+
+
 # Census lengths L of ROADMAP item 12, with trace cutoff T = 2 cosh(L/2).
 MARKOV_LENGTHS = [12, 20, 30, 40, 60, 80, 100, 120]
 
