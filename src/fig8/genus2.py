@@ -14,6 +14,7 @@ against an independent Dehn oracle that replaces five-letter relator pieces.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -26,9 +27,11 @@ Z1 = "abAB"
 RELATOR = "abABdcDC"  # [a,b][c,d]^{-1}
 
 _RETRACT = str.maketrans("abcdABCD", "xyxyXYXY")  # a, c -> x and b, d -> y
-_CD_RUN = re.compile("[cdCD]+")
-_BLOCK = re.compile("[abAB]+|[cdCD]+")
-_Z_POWER = re.compile("(?:abAB)+|(?:baBA)+|(?:cdCD)+|(?:dcDC)+")
+_CD_RUN = re.compile("([cdCD]+)")
+# A maximal a, b run that is a power of z1 = [a,b], or c, d run a power of z2 = [c,d]
+_POWER_BLOCK = re.compile(
+    "(?<![abAB])(?:(?:abAB)+|(?:baBA)+)(?![abAB])|(?<![cdCD])(?:(?:cdCD)+|(?:dcDC)+)(?![cdCD])"
+)
 _SWAP = str.maketrans("abcdABCD", "cdabCDAB")
 
 
@@ -44,9 +47,12 @@ def _check(w: Word) -> Word:
 
 def _twisted_letters(letters: str, power: int) -> str:
     """phi^power on letters, unreduced: phi fixes a, b and conjugates c, d by
-    z = [a,b] (u^z = z^-1 u z), here a whole c, d run at once: the same element."""
+    z = [a,b] (u^z = z^-1 u z), here a whole c, d run at once: the same element.
+    The split puts the c, d runs at the odd places, between the a, b runs."""
     zm, zmi = Z1 * power, inverse_letters(Z1) * power
-    return _CD_RUN.sub(lambda run: zmi + run.group() + zm, letters)
+    parts = _CD_RUN.split(letters)
+    parts[1::2] = [zmi + run + zm for run in parts[1::2]]
+    return "".join(parts)
 
 
 def rewrite_blocks(w: Word) -> Word:
@@ -56,20 +62,18 @@ def rewrite_blocks(w: Word) -> Word:
     On an L-block equal to z1^p, that is (abAB)^p or (baBA)^p, the swap to
     the same element z2^p is the letter substitution a <-> c, b <-> d, and
     the reverse swap is the same substitution.  The first block that is such
-    a power is swapped and the word reduced, until none is left; a lone
+    a power, found by one regex search whose lookarounds hold it to a whole
+    block, is swapped and the word reduced, until none is left; a lone
     L-block is never swapped, so a power of z1 is left as it is.  A swapped
     block merges with its neighbours, so the block count strictly decreases.
     """
     letters = _check(w).letters
     while True:
-        blocks = _BLOCK.findall(letters)
-        for i, block in enumerate(blocks):
-            if _Z_POWER.fullmatch(block) and (len(blocks) > 1 or block[0] in "cdCD"):
-                blocks[i] = block.translate(_SWAP)
-                letters = free_reduce("".join(blocks))
-                break
-        else:
+        block = _POWER_BLOCK.search(letters)
+        if block is None or block.span() == (0, len(letters)) and letters[0] in "abAB":
             return Word(letters, GENUS2)
+        start, end = block.span()
+        letters = free_reduce(letters[:start] + block.group().translate(_SWAP) + letters[end:])
 
 
 @dataclass(frozen=True)
@@ -100,10 +104,17 @@ def twisted_sanov_image(w: Word, power: int) -> Mat2:
     """
     if power < 0:
         raise Genus2Error("twist power must be nonnegative")
+    c, d = _twisted_cd_images(power)
+    return evaluate(_check(w), {"a": SANOV_A, "b": SANOV_B, "c": c, "d": d}, Mat2.identity())
+
+
+@functools.cache
+def _twisted_cd_images(power: int) -> tuple[Mat2, Mat2]:
+    """The images of c and d in ``twisted_sanov_image``, built once per twist
+    power: a word of at most 40 letters uses powers <= 11."""
     zm = math.prod((_Z,) * power, start=Mat2.identity())
     zmi = zm.inverse()
-    images = {"a": SANOV_A, "b": SANOV_B, "c": zmi * SANOV_A * zm, "d": zmi * SANOV_B * zm}
-    return evaluate(_check(w), images, Mat2.identity())
+    return zmi * SANOV_A * zm, zmi * SANOV_B * zm
 
 
 def certify_nontrivial(w: Word) -> Certificate:

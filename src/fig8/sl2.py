@@ -19,9 +19,10 @@ class Mat2(NamedTuple):
     """A 2x2 integer matrix of determinant 1, as its entries tuple.
 
     Literal matrices are checked once (``check``); products and inverses
-    keep det = 1, so they are built unchecked.  A product takes two Mat2 and
-    is one tuple; a Mat2 equals, and hashes as, its tuple (a11, a12, a21,
-    a22), but has no tuple sum or repetition.
+    keep det = 1, so they are built unchecked, straight from their entries
+    tuple by ``tuple.__new__``, without a second frame in the generated
+    ``__new__``.  A product takes two Mat2; a Mat2 equals, and hashes as,
+    its tuple (a11, a12, a21, a22), but has no tuple sum or repetition.
     """
 
     a11: int
@@ -53,7 +54,7 @@ class Mat2(NamedTuple):
             return NotImplemented  # m * 2 and m * (entries tuple) raise TypeError
         a, b, c, d = self
         e, f, g, h = other
-        return Mat2(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+        return tuple.__new__(Mat2, (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
 
     def __add__(self, other: object) -> NotImplementedType:
         return NotImplemented  # no tuple concatenation: m + m raises TypeError
@@ -66,7 +67,8 @@ class Mat2(NamedTuple):
 
     def inverse(self) -> "Mat2":
         # adjugate; exact because det = 1
-        return Mat2(self.a22, -self.a12, -self.a21, self.a11)
+        a, b, c, d = self
+        return tuple.__new__(Mat2, (d, -b, -c, a))
 
     def reduce_mod(self, m: int) -> tuple[int, int, int, int]:
         """Canonical residues of the entries in [0, m)."""

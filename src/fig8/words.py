@@ -25,34 +25,47 @@ class WordError(ValueError):
     pass
 
 
-# A letter followed by its inverse, the same letter in the other case.  The
-# match holds only the first letter, so pairs may overlap ("aAa" has two).
-_INVERSE_PAIR = re.compile(r"(.)(?=(?i:\1))(?!\1)")
+# In the XOR of a word's bytes with themselves shifted by one letter, a 0x20
+# byte marks a letter that follows its inverse: the cut before it.
+_CUT = re.compile(b"\x20")
 
 
 def free_reduce(letters: str) -> str:
     """Freely reduce a string of ASCII letters, with x and X inverse.
 
-    One regex pass cuts the input after every letter followed by its
-    inverse, so each segment is already reduced, and an input with no cut
-    is returned as it is.  A segment cancels letter by letter only against
-    the tail of the output; the rest of it goes in with one slice.  The
-    Python-level work is O(segments + cancelled letters), and linear in the
-    worst case.  Defined on ASCII letters, all that ``Word`` admits; the
-    result on other characters is unspecified.
+    A letter and its inverse differ only in bit 0x20, so XORing the bytes
+    of the input with themselves shifted by one letter marks every inverse
+    pair with a 0x20 byte, and one bytes regex cuts the input before each
+    pair's second letter.  Each segment is then already reduced, and an
+    input with no cut is returned as it is.  The output is kept as
+    [start, end) ranges of the input: a segment cancels letter by letter
+    against the end of the last range, which only shrinks, and the ranges
+    are joined once.  The Python-level work is O(segments + cancelled
+    letters), linear in the worst case.  Defined on ASCII letters, all that
+    ``Word`` admits; a non-ASCII character raises ValueError.
     """
-    cuts = [m.end() for m in _INVERSE_PAIR.finditer(letters)]
-    if not cuts:
+    data = letters.encode("ascii")
+    x = int.from_bytes(data, "big")
+    pairs = (x ^ x >> 8).to_bytes(len(data), "big")
+    if 0x20 not in pairs:
         return letters
-    out: list[str] = []
+    cuts = [m.start() for m in _CUT.finditer(pairs)]
+    cuts.append(len(data))
+    kept: list[list[int]] = []
     start = 0
-    for end in cuts + [len(letters)]:
-        while out and start < end and out[-1] == letters[start].swapcase():
-            out.pop()
+    for end in cuts:
+        while kept and start < end:
+            last = kept[-1]
+            if data[last[1] - 1] ^ data[start] != 0x20:
+                break
             start += 1
-        out.extend(letters[start:end])
+            last[1] -= 1
+            if last[1] == last[0]:
+                kept.pop()
+        if start < end:
+            kept.append([start, end])
         start = end
-    return "".join(out)
+    return "".join([letters[s:e] for s, e in kept])
 
 
 @dataclass(frozen=True)
@@ -63,10 +76,9 @@ class Word:
     gens: str = FREE_RANK2
 
     def __post_init__(self):
-        allowed = set(self.gens) | set(self.gens.upper())
-        bad = set(self.letters) - allowed
+        bad = self.letters.translate(str.maketrans("", "", self.gens + self.gens.upper()))
         if bad:
-            raise WordError(f"letters {sorted(bad)} not in alphabet over {self.gens!r}")
+            raise WordError(f"letters {sorted(set(bad))} not in alphabet over {self.gens!r}")
         object.__setattr__(self, "letters", free_reduce(self.letters))
 
     def __len__(self) -> int:

@@ -43,6 +43,13 @@ def test_mat2_is_an_immutable_entries_tuple():
         m.a12 = 3
     assert repr(ONE) == "Mat2(a11=1, a12=0, a21=0, a22=1)"
     assert m == (1, 2, 0, 1) and hash(m) == hash((1, 2, 0, 1))
+    product, inverse = SANOV_A * SANOV_B, SANOV_A.inverse()
+    assert type(product) is Mat2 and type(inverse) is Mat2
+    assert (product.a11, product.a12, product.a21, product.a22) == (5, 2, 2, 1)
+    assert (inverse.a11, inverse.a12, inverse.a21, inverse.a22) == (1, -2, 0, 1)
+    assert repr(product) == "Mat2(a11=5, a12=2, a21=2, a22=1)"
+    assert repr(inverse) == "Mat2(a11=1, a12=-2, a21=0, a22=1)"
+    assert product.trace == 6 and inverse * SANOV_A == ONE
     with pytest.raises(Sl2Error):
         Mat2(1, 2, 1, 1).check()
     with pytest.raises(TypeError):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fig8.genus2 import _RETRACT, _twisted_letters, rewrite_blocks
 from fig8.magnus import MagnusSeries
 from fig8.perms import Permutation
 from fig8.selfint import TORUS_X, TORUS_Y
@@ -42,6 +43,9 @@ def test_free_reduce():
     assert free_reduce("aabAA") == "aabAA"
     assert free_reduce("abBc") == "ac"  # pure string operation, any letters
     assert free_reduce("") == ""
+    for letters in ("a\u00e9", "\u00e9", "aA\u00e9"):
+        with pytest.raises(ValueError):  # defined on ASCII letters only
+            free_reduce(letters)
 
 
 def _inv(letters):
@@ -63,6 +67,16 @@ def test_free_reduce_equals_oracle_on_cancelling_products(u, v):
     assert free_reduce(u + _inv(u)) == ""
     for letters in (u, u + v, u + _inv(u), u + v + _inv(u), u + v + _inv(v) + _inv(u)):
         assert free_reduce(letters) == _oracle_free_reduce(letters)
+
+
+def test_free_reduce_equals_oracle_on_certify_witness_letters():
+    # the retracted twist of a rewritten genus-2 word: about 1,000 letters that
+    # cancel only at the junctions of its runs, far beyond the strategies above
+    rng = random.Random(43)
+    for _ in range(2000):
+        w0 = rewrite_blocks(random_reduced_word(rng, 40, "abcd"))
+        letters = _twisted_letters(w0.letters, -(-len(w0) // 4) + 1).translate(_RETRACT)
+        assert free_reduce(letters) == _oracle_free_reduce(letters), w0.letters
 
 
 N = 10**5
@@ -90,6 +104,16 @@ def test_alphabet_validation():
     with pytest.raises(WordError):
         Word("axe")
     Word("ac", "abcd")  # fine over the genus-2 alphabet
+    # checked before free_reduce sees the letters, so a non-ASCII one is a WordError too
+    with pytest.raises(WordError) as err:
+        Word("a\u00e9")
+    assert str(err.value) == "letters ['\u00e9'] not in alphabet over 'ab'"
+    with pytest.raises(WordError) as err:
+        Word("abx", "ab")
+    assert str(err.value) == "letters ['x'] not in alphabet over 'ab'"
+    with pytest.raises(WordError) as err:
+        Word("xaYxA")
+    assert str(err.value) == "letters ['Y', 'x'] not in alphabet over 'ab'"
 
 
 def test_multiplication_and_inverse():
