@@ -20,7 +20,6 @@ from functools import lru_cache
 
 from .perms import (
     Partition,
-    PermError,
     Permutation,
     class_elements,
     class_parity,
@@ -33,10 +32,6 @@ from .words import Word, evaluate, letter_images
 MAX_REGULAR_DEGREE = 8
 
 
-class CoverError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class CoverSpec:
     genus: int
@@ -44,12 +39,12 @@ class CoverSpec:
 
     def __post_init__(self):
         if self.genus < 0:
-            raise CoverError("genus must be nonnegative")
+            raise ValueError("genus must be nonnegative")
         if not self.boundary_classes:
-            raise CoverError("need at least one boundary class")
+            raise ValueError("need at least one boundary class")
         degrees = {sum(p) for p in self.boundary_classes}
         if len(degrees) != 1:
-            raise CoverError(f"boundary classes of mixed degree: {sorted(degrees)}")
+            raise ValueError(f"boundary classes of mixed degree: {sorted(degrees)}")
 
     @property
     def degree(self) -> int:
@@ -59,7 +54,7 @@ class CoverSpec:
 def two_n_cycles(sigma: Permutation) -> tuple[Permutation, Permutation]:
     """n-cycles c1, c2 with c1 * c2 = sigma; exists for every even permutation."""
     if not sigma.is_even():
-        raise PermError(f"{sigma} is odd: not a product of two n-cycles of equal parity")
+        raise ValueError(f"{sigma} is odd: not a product of two n-cycles of equal parity")
     full = (sigma.degree,)
     # c1^-1 * sigma is the inverse of sigma^-1 * c1, a conjugate of c1 * sigma^-1
     c1 = next(class_elements(full, sigma.inverse(), full))
@@ -207,9 +202,9 @@ def strip_cover(sigma: Permutation, tau: Permutation) -> StripCover:
     """
     n = sigma.degree
     if tau.degree != n:
-        raise CoverError("degree mismatch")
+        raise ValueError("degree mismatch")
     if sigma.cycle_type() != (n,):
-        raise CoverError(f"{sigma} is not an {n}-cycle")
+        raise ValueError(f"{sigma} is not an {n}-cycle")
     boundary = commutator(sigma, tau)
     components = boundary.cycle_count()
     # chi of the once-punctured torus is -1; the cover is connected since
@@ -349,7 +344,7 @@ def stallings_excluding_subgroup(w: Word) -> StallingsRep:
     the basepoint by w, so w is excluded from the stabilizer of 1.
     """
     if w.is_trivial:
-        raise CoverError("trivial word has no excluding subgroup")
+        raise ValueError("trivial word has no excluding subgroup")
     d = len(w) + 1
     partial = {gen: [None] * d for gen in w.gens}
     for i, ch in enumerate(w.letters):

@@ -35,13 +35,9 @@ _POWER_BLOCK = re.compile(
 _SWAP = str.maketrans("abcdABCD", "cdabCDAB")
 
 
-class Genus2Error(ValueError):
-    pass
-
-
 def _check(w: Word) -> Word:
     if w.gens != GENUS2:
-        raise Genus2Error("expected a word over the genus-2 alphabet a-d")
+        raise ValueError("expected a word over the genus-2 alphabet a-d")
     return w
 
 
@@ -103,7 +99,7 @@ def twisted_sanov_image(w: Word, power: int) -> Mat2:
     the matrix of the twisted free word, at one product per letter of w.
     """
     if power < 0:
-        raise Genus2Error("twist power must be nonnegative")
+        raise ValueError("twist power must be nonnegative")
     c, d = _twisted_cd_images(power)
     return evaluate(_check(w), {"a": SANOV_A, "b": SANOV_B, "c": c, "d": d}, Mat2.identity())
 

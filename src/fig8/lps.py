@@ -31,10 +31,6 @@ from .resfin import primes
 MAX_Q = 10**10
 
 
-class LpsError(ValueError):
-    pass
-
-
 def _is_prime(n: int) -> bool:
     return n > 1 and all(n % f for f in itertools.takewhile(lambda f: f * f <= n, primes()))
 
@@ -75,17 +71,17 @@ def lps_girth_check(p: int, q: int) -> LpsGirthResult:
     # the cap comes first: it bounds q, and q > 2p then bounds p, so the
     # trial divisions below stay short
     if q > MAX_Q:
-        raise LpsError(f"q = {q} is above the cap {MAX_Q}")
+        raise ValueError(f"q = {q} is above the cap {MAX_Q}")
     if not _is_prime(q) or q <= 2 * p:
-        raise LpsError(f"q = {q} must be a prime > 2p")
+        raise ValueError(f"q = {q} must be a prime > 2p")
     if not _is_prime(p) or p < 5:
-        raise LpsError(f"p = {p} must be a prime >= 5")
+        raise ValueError(f"p = {p} must be a prime >= 5")
     if p % 4 != 1:
-        raise LpsError(f"p = {p} must be 1 mod 4 for the LPS generators")
+        raise ValueError(f"p = {p} must be 1 mod 4 for the LPS generators")
     if pow(p, (q - 1) // 2, q) != q - 1:
-        raise LpsError(f"p = {p} is a quadratic residue mod {q}")
+        raise ValueError(f"p = {p} is a quadratic residue mod {q}")
     if q % 4 != 1:
-        raise LpsError(f"-1 is not a square mod {q} (need q = 1 mod 4)")
+        raise ValueError(f"-1 is not a square mod {q} (need q = 1 mod 4)")
     girth = _girth(p, q)
     bound = (4 * math.log(q) - math.log(4)) / math.log(p)
     bound_ceil = math.ceil(bound)

@@ -17,10 +17,6 @@ from .words import FREE_RANK2, Word, evaluate
 _VARS = {"a": "x", "b": "y"}
 
 
-class MagnusError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class MagnusSeries:
     """Truncated noncommutative series: monomial over {x, y} -> nonzero coefficient."""
@@ -38,7 +34,7 @@ class MagnusSeries:
 
     def __mul__(self, other: "MagnusSeries") -> "MagnusSeries":
         if self.degree != other.degree:
-            raise MagnusError("truncation degree mismatch")
+            raise ValueError("truncation degree mismatch")
         out: dict[str, int] = {}
         right = other.coeffs.items()
         for m1, c1 in self.coeffs.items():
@@ -52,7 +48,7 @@ class MagnusSeries:
     def inverse(self) -> "MagnusSeries":
         """1/(1 + r) = 1 - r(1 - r(...)) in Horner form; exact in the truncated ring."""
         if self.coeffs.get("") != 1:
-            raise MagnusError("only series with constant term 1 are inverted")
+            raise ValueError("only series with constant term 1 are inverted")
         r = MagnusSeries({m: c for m, c in self.coeffs.items() if m}, self.degree)
         result = MagnusSeries.one(self.degree)
         for _ in range(self.degree):
@@ -73,9 +69,9 @@ class MagnusSeries:
 def magnus_expand(w: Word, depth: int) -> MagnusSeries:
     """Image of w under a -> 1+x, b -> 1+y, truncated at the given degree."""
     if depth < 1:
-        raise MagnusError("truncation degree must be at least 1")
+        raise ValueError("truncation degree must be at least 1")
     if w.gens != FREE_RANK2:
-        raise MagnusError("Magnus expansion is implemented for the rank-2 free group")
+        raise ValueError("Magnus expansion is implemented for the rank-2 free group")
     images = {g: MagnusSeries.generator(v, depth) for g, v in _VARS.items()}
     return evaluate(w, images, MagnusSeries.one(depth))
 
@@ -87,7 +83,7 @@ def lcs_depth(w: Word, max_k: int = 8) -> int | None:
     nonzero term of degree k (and none lower).
     """
     if w.is_trivial:
-        raise MagnusError("trivial word has no depth")
+        raise ValueError("trivial word has no depth")
     return magnus_expand(w, max_k).lowest_degree()
 
 
@@ -116,7 +112,7 @@ def unipotent_witness(w: Word, max_k: int) -> UnipotentWitness | None:
     j-th power is 1 + jN, and its order is the modulus.
     """
     if w.is_trivial:
-        raise MagnusError("trivial word has no depth")
+        raise ValueError("trivial word has no depth")
     series = magnus_expand(w, max_k)
     k = series.lowest_degree()
     if k is None:

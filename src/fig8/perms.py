@@ -34,17 +34,13 @@ MAX_DEGREE = 1000
 Partition = tuple[int, ...]
 
 
-class PermError(ValueError):
-    pass
-
-
 def parse_partition(text: str) -> Partition:
     """Parse comma-separated parts, in any order, into a partition."""
     parts = sorted((int(p) for p in text.split(",")), reverse=True)
     if parts[-1] < 1:
-        raise PermError(f"partition {text!r} has a part below 1")
+        raise ValueError(f"partition {text!r} has a part below 1")
     if sum(parts) > MAX_DEGREE:
-        raise PermError(f"degree {sum(parts)} is above the cap {MAX_DEGREE}")
+        raise ValueError(f"degree {sum(parts)} is above the cap {MAX_DEGREE}")
     return tuple(parts)
 
 
@@ -125,10 +121,10 @@ def frobenius_count(classes: list[Partition]) -> int:
     weighted by its dimension, its other parts are added as rim hooks.
     """
     if not classes:
-        raise PermError("need at least one class")
+        raise ValueError("need at least one class")
     n = sum(classes[0])
     if any(sum(c) != n for c in classes):
-        raise PermError("all classes must belong to the same S_n")
+        raise ValueError("all classes must belong to the same S_n")
     k = len(classes)
     order = math.factorial(n)
     pivot = min(classes, key=lambda mu: mu.count(1))
@@ -191,23 +187,23 @@ class Permutation:
         cycles: list[tuple[int, ...]] = []
         if text not in ("", "e", "()"):
             if not (text.startswith("(") and text.endswith(")")):
-                raise PermError(f"bad cycle notation: {text!r}")
+                raise ValueError(f"bad cycle notation: {text!r}")
             for chunk in text[1:-1].split(")("):
                 cycles.append(tuple(int(tok) for tok in chunk.replace(",", " ").split()))
         points = [p for c in cycles for p in c]
         if n is None:
             n = max(points, default=0)
         if n < 1:
-            raise PermError(f"degree {n} is below 1")
+            raise ValueError(f"degree {n} is below 1")
         if n > MAX_DEGREE:
-            raise PermError(f"degree {n} is above the cap {MAX_DEGREE}")
+            raise ValueError(f"degree {n} is above the cap {MAX_DEGREE}")
         if not all(1 <= p <= n for p in points) or len(set(points)) != len(points):
-            raise PermError(f"{text!r} needs distinct points in 1..{n}")
+            raise ValueError(f"{text!r} needs distinct points in 1..{n}")
         return cls.from_cycles(n, cycles)
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         if other.degree != self.degree:
-            raise PermError("degree mismatch")
+            raise ValueError("degree mismatch")
         return Permutation(tuple(other.images[self.images[i]] for i in range(self.degree)))
 
     def inverse(self) -> "Permutation":

@@ -21,10 +21,6 @@ from .words import Word, evaluate, random_reduced_letters
 SANOV_ASSIGNMENT = {"a": SANOV_A, "b": SANOV_B}
 
 
-class ResFinError(ValueError):
-    pass
-
-
 def primes():
     """Deterministic incremental prime sieve: 2, 3, 5, ...
 
@@ -71,7 +67,7 @@ def excluding_prime(matrix: Mat2) -> PrimeWitness:
     Always p >= 3: both Sanov generators reduce to the identity mod 2.
     """
     if matrix.is_identity:
-        raise ResFinError("trivial word has no excluding prime")
+        raise ValueError("trivial word has no excluding prime")
     for p in primes():
         residues = matrix.reduce_mod(p)
         if residues != (1, 0, 0, 1):
@@ -92,7 +88,7 @@ def expected_min_prime(terms: int) -> float:
     partial sum rounds differently (rounding is monotone), and the loop stops.
     """
     if terms < 1:
-        raise ResFinError("need at least one term")
+        raise ValueError("need at least one term")
     num = 0  # the partial sum is num / primorial
     primorial = 1  # product of the primes so far
     for p in itertools.islice(primes(), terms):
@@ -106,7 +102,7 @@ def expected_min_prime(terms: int) -> float:
 def least_prime_not_dividing(n: int) -> int:
     """Least prime that does not divide the nonzero integer n."""
     if n == 0:
-        raise ResFinError("every prime divides 0")
+        raise ValueError("every prime divides 0")
     return next(p for p in primes() if n % p)
 
 
@@ -129,9 +125,9 @@ def average_index_simulation(
     is found once per distinct value.
     """
     if not 2 <= rank <= len(string.ascii_lowercase):
-        raise ResFinError(f"rank must be between 2 and {len(string.ascii_lowercase)}")
+        raise ValueError(f"rank must be between 2 and {len(string.ascii_lowercase)}")
     if radius < 1 or samples < 1:
-        raise ResFinError("radius and sample count must be positive")
+        raise ValueError("radius and sample count must be positive")
     gens = string.ascii_lowercase[:rank]
     stream = random_reduced_letters(random.Random(seed), radius, gens)
     inverses = [(g, g.upper()) for g in gens]
@@ -145,6 +141,6 @@ def average_index_simulation(
     excluded = firsts.pop(0, 0)
     used = samples - excluded
     if used == 0:
-        raise ResFinError("every sample had zero abelianization")
+        raise ValueError("every sample had zero abelianization")
     total = sum(count * least_prime_not_dividing(x) for x, count in firsts.items())
     return SimulationResult(total / used, used, excluded)

@@ -38,36 +38,30 @@ MODULAR_ASSIGNMENT = {"a": TORUS_X, "b": TORUS_Y}
 _GEN_BY_LETTER = letter_images(MODULAR_ASSIGNMENT)
 
 
-class SelfIntersectionError(ValueError):
-    pass
-
-
 def self_intersection(w: Word) -> int:
     """Number of double points of the closed geodesic of w on the modular torus.
 
     Requires w cyclically reduced, hyperbolic and not a proper power.
     """
     if w.is_trivial:
-        raise SelfIntersectionError("trivial word")
+        raise ValueError("trivial word")
     if w.cyclically_reduced() != w:
-        raise SelfIntersectionError("word must be cyclically reduced")
+        raise ValueError("word must be cyclically reduced")
     if w.is_proper_power():
-        raise SelfIntersectionError("word is a proper power")
+        raise ValueError("word is a proper power")
     big_w = evaluate(w, MODULAR_ASSIGNMENT, Mat2.identity())
     trace = big_w.trace
     if abs(trace) <= 2:
-        raise SelfIntersectionError(f"trace {trace}: word is not hyperbolic")
+        raise ValueError(f"trace {trace}: word is not hyperbolic")
     try:
         count, count_wide = _crossing_counts(big_w)
     except (ZeroDivisionError, OverflowError) as exc:
         # a float-framed point landed on the real line, or an entry outgrew a float
-        raise SelfIntersectionError(f"float sweep failed: {type(exc).__name__}: {exc}") from None
+        raise ValueError(f"float sweep failed: {type(exc).__name__}: {exc}") from None
     if count != count_wide:
-        raise SelfIntersectionError(
-            f"crossing count unstable under radius increase: {count} vs {count_wide}"
-        )
+        raise ValueError(f"crossing count unstable under radius increase: {count} vs {count_wide}")
     if count % 2:
-        raise SelfIntersectionError(f"odd crossing count {count}")
+        raise ValueError(f"odd crossing count {count}")
     return count // 2
 
 

@@ -11,10 +11,6 @@ from types import NotImplementedType
 from typing import NamedTuple, NoReturn
 
 
-class Sl2Error(ValueError):
-    pass
-
-
 class Mat2(NamedTuple):
     """A 2x2 integer matrix of determinant 1, as its entries tuple.
 
@@ -31,10 +27,10 @@ class Mat2(NamedTuple):
     a22: int
 
     def check(self) -> "Mat2":
-        """Raise Sl2Error unless the determinant is 1; return self."""
+        """Raise ValueError unless the determinant is 1; return self."""
         det = self.a11 * self.a22 - self.a12 * self.a21
         if det != 1:
-            raise Sl2Error(f"determinant is {det}, not 1")
+            raise ValueError(f"determinant is {det}, not 1")
         return self
 
     @property
@@ -77,16 +73,16 @@ class Mat2(NamedTuple):
 
 def length_to_trace(length: float) -> float:
     if not 0 <= length < math.inf:  # NaN fails too
-        raise Sl2Error(f"length {length} is not a finite number >= 0")
+        raise ValueError(f"length {length} is not a finite number >= 0")
     try:
         return 2.0 * math.cosh(length / 2.0)
     except OverflowError:
-        raise Sl2Error(f"length {length}: its trace overflows a float") from None
+        raise ValueError(f"length {length}: its trace overflows a float") from None
 
 
 def trace_to_length(trace: float) -> float:
     if abs(trace) <= 2.0:
-        raise Sl2Error(f"|trace| = {abs(trace)} <= 2: not a closed geodesic")
+        raise ValueError(f"|trace| = {abs(trace)} <= 2: not a closed geodesic")
     return 2.0 * math.acosh(abs(trace) / 2.0)
 
 

@@ -27,17 +27,13 @@ Slope = tuple[int, int]
 TraceTriple = tuple[float, float, float]  # the traces of the slopes ROOT_SLOPES
 
 
-class CensusError(ValueError):
-    pass
-
-
 def check_root(root: TraceTriple) -> TraceTriple:
-    """Raise CensusError unless root is a valid walk root; return root."""
+    """Raise ValueError unless root is a valid walk root; return root."""
     x, y, z = root
     if not all(type(c) in (int, Fraction, float) for c in root):  # a Decimal's context is unkeyed
-        raise CensusError(f"trace triple {root} needs int, Fraction or float entries")
+        raise ValueError(f"trace triple {root} needs int, Fraction or float entries")
     if not all(2 < c < math.inf for c in root):  # NaN fails too
-        raise CensusError(f"trace triple {root} needs finite entries > 2")
+        raise ValueError(f"trace triple {root} needs finite entries > 2")
     # products, not powers: a float square overflows to inf instead of raising
     try:
         lhs, rhs = x * x + y * y + z * z, x * y * z
@@ -46,7 +42,7 @@ def check_root(root: TraceTriple) -> TraceTriple:
     # int and Fraction traces are judged exactly, at any size
     slack = TOL * max(1.0, abs(rhs)) if any(isinstance(c, float) for c in root) else 0
     if not abs(lhs - rhs) <= slack < math.inf:  # NaN, as from inf - inf, fails too
-        raise CensusError("cusp relation x^2 + y^2 + z^2 = xyz violated")
+        raise ValueError("cusp relation x^2 + y^2 + z^2 = xyz violated")
     return root
 
 
@@ -63,7 +59,7 @@ def enumerate_simple(root: TraceTriple, trace_cutoff: float) -> list[tuple[float
 
     Checks the root, labels it ROOT_SLOPES, and flips it down to the tree's
     sink while some flip lowers a coordinate; a flip to a trace <= 2 raises
-    CensusError.  The sink is checked again: a float root judged within a
+    ValueError.  The sink is checked again: a float root judged within a
     slack relative to its size can miss the cusp relation there.  From the
     sink every flip raises a trace, so the trivalent Vieta tree is walked
     depth-first on plain tuples: the flip of w across
@@ -85,7 +81,7 @@ def enumerate_simple(root: TraceTriple, trace_cutoff: float) -> list[tuple[float
     global _walk
     check_root(root)
     if not 3 <= trace_cutoff < math.inf:  # NaN fails too
-        raise CensusError(f"trace cutoff {trace_cutoff} is not a finite number >= 3")
+        raise ValueError(f"trace cutoff {trace_cutoff} is not a finite number >= 3")
     key, kept = tuple((type(c), c) for c in root), _walk  # read once: a thread may replace it
     if kept is not None and kept[0] == key and trace_cutoff <= kept[1]:
         return kept[2][: bisect_right(kept[2], trace_cutoff, key=lambda pair: pair[0])]
@@ -97,7 +93,7 @@ def enumerate_simple(root: TraceTriple, trace_cutoff: float) -> list[tuple[float
         (pi, qi), (pj, qj) = s[i], s[j]
         sink[k], s[j], s[k] = sink[i] * sink[j] - sink[k], (-pj, -qj), (pj - pi, qj - qi)
         if not sink[k] > 2:
-            raise CensusError(f"Vieta flip gives trace {sink[k]}, not above 2")
+            raise ValueError(f"Vieta flip gives trace {sink[k]}, not above 2")
     check_root(sink)
     found = [
         (t, (p, q) if q > 0 or (q == 0 and p > 0) else (-p, -q))
@@ -133,7 +129,7 @@ def one_intersection_census(
     The (trace, slope, family) rows are sorted: a paired row stands for two geodesics.
     """
     if mode not in ("paired", "full"):
-        raise CensusError(f"unknown census mode {mode!r}")
+        raise ValueError(f"unknown census mode {mode!r}")
     trace_cutoff = length_to_trace(length_cutoff)
     rows = []
     for t, st in enumerate_simple(root, trace_cutoff / 3.0):
@@ -154,7 +150,7 @@ def mcshane_sum(traces: list[float], form: str = "trace") -> float:
     is exactly half of it.
     """
     if form not in ("trace", "length"):
-        raise CensusError(f"unknown form {form!r}")
+        raise ValueError(f"unknown form {form!r}")
     total = 0.0
     for t in traces:
         try:
@@ -176,7 +172,7 @@ def census_counts(root: TraceTriple, length_bounds: list[float]) -> list[tuple[i
     trace_bounds = []
     for length in length_bounds:
         if length <= 0:
-            raise CensusError("length bound must be positive")
+            raise ValueError("length bound must be positive")
         trace_bounds.append(length_to_trace(length))
     traces = [t for t, _ in enumerate_simple(root, max(trace_bounds + [3]))]
     rows = []
@@ -192,11 +188,11 @@ def growth_exponent(samples: list[tuple[float, int]]) -> float:
     """Least-squares slope of log N against log L; needs >= 4 points with N >= 10."""
     pts = [(math.log(l), math.log(n)) for l, n in samples if n >= 10]
     if len(pts) < 4:
-        raise CensusError("need at least 4 sample points with N >= 10")
+        raise ValueError("need at least 4 sample points with N >= 10")
     n = len(pts)
     mx = sum(x for x, _ in pts) / n
     my = sum(y for _, y in pts) / n
     sxx = sum((x - mx) ** 2 for x, _ in pts)
     if sxx == 0:
-        raise CensusError("degenerate sample: all L equal")
+        raise ValueError("degenerate sample: all L equal")
     return sum((x - mx) * (y - my) for x, y in pts) / sxx

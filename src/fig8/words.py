@@ -21,10 +21,6 @@ FREE_RANK2 = "ab"
 GENUS2 = "abcd"
 
 
-class WordError(ValueError):
-    pass
-
-
 # In the XOR of a word's bytes with themselves shifted by one letter, a 0x20
 # byte marks a letter that follows its inverse: the cut before it.
 _CUT = re.compile(b"\x20")
@@ -78,7 +74,7 @@ class Word:
     def __post_init__(self):
         bad = self.letters.translate(str.maketrans("", "", self.gens + self.gens.upper()))
         if bad:
-            raise WordError(f"letters {sorted(set(bad))} not in alphabet over {self.gens!r}")
+            raise ValueError(f"letters {sorted(set(bad))} not in alphabet over {self.gens!r}")
         object.__setattr__(self, "letters", free_reduce(self.letters))
 
     def __len__(self) -> int:
@@ -86,7 +82,7 @@ class Word:
 
     def __mul__(self, other: "Word") -> "Word":
         if other.gens != self.gens:
-            raise WordError("cannot multiply words over different alphabets")
+            raise ValueError("cannot multiply words over different alphabets")
         return Word(self.letters + other.letters, self.gens)
 
     def inverse(self) -> "Word":
@@ -143,7 +139,7 @@ def evaluate(word: Word, images: dict, identity):
     """
     missing = set(word.letters.lower()) - images.keys()
     if missing:
-        raise WordError(f"generators {sorted(missing)} have no image")
+        raise ValueError(f"generators {sorted(missing)} have no image")
     return math.prod(map(letter_images(images).__getitem__, word.letters), start=identity)
 
 

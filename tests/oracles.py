@@ -35,10 +35,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from fig8.genus2 import RELATOR, Z1
-from fig8.lps import LpsError, LpsGirthResult
+from fig8.lps import LpsGirthResult
 from fig8.perms import (
     Partition,
-    PermError,
     Permutation,
     _character,
     class_representative,
@@ -51,11 +50,9 @@ from fig8.selfint import (
     TOL,
     TORUS_X,
     TORUS_Y,
-    SelfIntersectionError,
 )
 from fig8.sl2 import Mat2, length_to_trace
 from fig8.torus import (
-    CensusError,
     Slope,
     TraceTriple,
     enumerate_simple,
@@ -122,9 +119,9 @@ def _oracle_two_n_cycles(sigma: Permutation) -> tuple[Permutation, Permutation]:
         c2 = c1.inverse() * sigma
         if c2.cycle_type() == full:
             if (c1 * c2) != sigma:
-                raise PermError("two_n_cycles composition check failed")
+                raise ValueError("two_n_cycles composition check failed")
             return (c1, c2)
-    raise PermError(f"no two-n-cycle factorization found for {sigma}")
+    raise ValueError(f"no two-n-cycle factorization found for {sigma}")
 
 
 def _oracle_stallings_assignment(w: Word) -> dict[str, Permutation]:
@@ -268,15 +265,15 @@ def _oracle_self_intersection(w: Word) -> int:
     breadth-first search that keeps (Mat2, distance) pairs, then one
     crossing pass per radius."""
     if w.is_trivial:
-        raise SelfIntersectionError("trivial word")
+        raise ValueError("trivial word")
     if len(w) > 1 and w.letters[0] == w.letters[-1].swapcase():
-        raise SelfIntersectionError("word must be cyclically reduced")
+        raise ValueError("word must be cyclically reduced")
     if w.is_proper_power():
-        raise SelfIntersectionError("word is a proper power")
+        raise ValueError("word is a proper power")
     big_w = evaluate(w, MODULAR_ASSIGNMENT, Mat2.identity())
     trace = big_w.trace
     if abs(trace) <= 2:
-        raise SelfIntersectionError(f"trace {trace}: word is not hyperbolic")
+        raise ValueError(f"trace {trace}: word is not hyperbolic")
 
     a, b, c, d = big_w
     if c == 0:
@@ -355,17 +352,15 @@ def _oracle_self_intersection(w: Word) -> int:
     count = crossing_count(radius)
     count_wide = crossing_count(radius_wide)
     if count != count_wide:
-        raise SelfIntersectionError(
-            f"crossing count unstable under radius increase: {count} vs {count_wide}"
-        )
+        raise ValueError(f"crossing count unstable under radius increase: {count} vs {count_wide}")
     if count % 2:
-        raise SelfIntersectionError(f"odd crossing count {count}")
+        raise ValueError(f"odd crossing count {count}")
     return count // 2
 
 
 def normalize_slope(p: int, q: int) -> Slope:
     if p == 0 and q == 0:
-        raise CensusError("slope 0/0")
+        raise ValueError("slope 0/0")
     p, q = (-p, -q) if q < 0 or (q == 0 and p < 0) else (p, q)
     g = math.gcd(p, q)
     return (p // g, q // g)
@@ -406,7 +401,7 @@ def _oracle_one_intersection_census(
     """The census rows: a paired row and maybe a companion per simple
     geodesic, sorted by (trace, slope, family)."""
     if mode not in ("paired", "full"):
-        raise CensusError(f"unknown census mode {mode!r}")
+        raise ValueError(f"unknown census mode {mode!r}")
     trace_cutoff = length_to_trace(length_cutoff)
     rows = []
     for trace, slope in enumerate_simple(root, trace_cutoff / 3.0):
@@ -485,7 +480,7 @@ def _oracle_frobenius_count(classes: list[Partition]) -> int:
         prefactor *= class_size(mu)
     result = prefactor * total
     if result.denominator != 1:
-        raise PermError(f"character sum did not clear to an integer: {result}")
+        raise ValueError(f"character sum did not clear to an integer: {result}")
     return result.numerator
 
 
@@ -513,7 +508,7 @@ def _sqrt_minus_one(q: int) -> int:
     for x in range(2, q):
         if x * x % q == q - 1:
             return x
-    raise LpsError(f"-1 is not a square mod {q} (need q = 1 mod 4)")
+    raise ValueError(f"-1 is not a square mod {q} (need q = 1 mod 4)")
 
 
 def _inverses(q: int) -> list[int]:
@@ -531,7 +526,7 @@ def _canon(m: ProjMat, inv: list[int]) -> ProjMat:
         if z:
             zi = inv[z]
             return tuple(x * zi % q for x in m)
-    raise LpsError("zero matrix")
+    raise ValueError("zero matrix")
 
 
 def lps_generators(p: int, q: int) -> list[ProjMat]:
@@ -543,7 +538,7 @@ def lps_generators(p: int, q: int) -> list[ProjMat]:
         m = ((a + b * i) % q, (c + d * i) % q, (-c + d * i) % q, (a - b * i) % q)
         gens.append(_canon(m, inv))
     if len(set(gens)) != len(gens):
-        raise LpsError("generators not distinct")
+        raise ValueError("generators not distinct")
     return gens
 
 

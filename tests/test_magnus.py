@@ -3,7 +3,6 @@ import random
 import pytest
 
 from fig8.magnus import (
-    MagnusError,
     MagnusSeries,
     lcs_depth,
     magnus_expand,
@@ -20,9 +19,9 @@ def test_expand_examples():
     assert magnus_expand(Word("a"), 2).coeffs == {"": 1, "x": 1}
     assert magnus_expand(Word("abAB"), 2).coeffs == {"": 1, "xy": 1, "yx": -1}
     assert magnus_expand(Word("ab"), 1).coeffs == {"": 1, "x": 1, "y": 1}
-    with pytest.raises(MagnusError):
+    with pytest.raises(ValueError, match="truncation degree must be at least 1"):
         magnus_expand(Word("a"), 0)
-    with pytest.raises(MagnusError):
+    with pytest.raises(ValueError, match="implemented for the rank-2 free group"):
         magnus_expand(Word("ac", "abcd"), 2)
 
 
@@ -48,7 +47,7 @@ def test_lcs_depth_examples():
     assert lcs_depth(Word("b")) == 1
     assert lcs_depth(Word("abAB")) == 2
     assert lcs_depth(Word("abAbaBAB")) == 3  # [[a,b],b]
-    with pytest.raises(MagnusError):
+    with pytest.raises(ValueError, match="trivial word has no depth"):
         lcs_depth(Word(""))
 
 
@@ -81,7 +80,7 @@ def test_unipotent_witness_abelian_and_depth3():
     assert w3.depth == 3
     assert w3.coefficient % w3.modulus != 0
     assert unipotent_witness(Word("abAbaBAB"), 2) is None  # depth 3 > max_k
-    with pytest.raises(MagnusError, match="trivial"):
+    with pytest.raises(match="trivial"):
         unipotent_witness(Word("aA"), 3)
 
 
@@ -121,7 +120,7 @@ def test_coefficient_growth_bracket_family():
 def test_series_arithmetic_errors():
     s2 = MagnusSeries.one(2)
     s3 = MagnusSeries.one(3)
-    with pytest.raises(MagnusError):
+    with pytest.raises(ValueError, match="truncation degree mismatch"):
         s2 * s3
-    with pytest.raises(MagnusError):
+    with pytest.raises(ValueError, match="only series with constant term 1 are inverted"):
         MagnusSeries({}, 2).inverse()

@@ -6,7 +6,6 @@ from itertools import product
 import pytest
 
 from fig8.perms import (
-    PermError,
     Permutation,
     class_elements,
     class_parity,
@@ -30,8 +29,9 @@ from oracles import (
 
 def test_partition_validation_and_parse():
     # a plain tuple is unchecked by design; parse is the checked way in
-    for text in ("0", "2,-1", "1001", "500,501"):  # the last two exceed MAX_DEGREE
-        with pytest.raises(PermError):
+    rejected = [("0", "part below 1"), ("2,-1", "part below 1"), ("1001", "above the cap"), ("500,501", "above the cap")]
+    for text, message in rejected:
+        with pytest.raises(ValueError, match=message):
             parse_partition(text)
     assert parse_partition("1,3,1") == (3, 1, 1)
     assert parse_partition("500,500") == (500, 500)
@@ -99,9 +99,9 @@ def test_frobenius_examples_and_bruteforce():
     assert frobenius_count(triple) == _brute_frobenius(triple)
     mixed = [(3, 1), (2, 2), (4,)]
     assert frobenius_count(mixed) == _brute_frobenius(mixed)
-    with pytest.raises(PermError):
+    with pytest.raises(ValueError, match="need at least one class"):
         frobenius_count([])
-    with pytest.raises(PermError):
+    with pytest.raises(ValueError, match="all classes must belong to the same S_n"):
         frobenius_count([(2,), (3,)])
 
 
@@ -222,7 +222,7 @@ def test_permutation_basics():
     assert g.cycle_count() == 2
     assert Permutation.identity(4).cycle_count() == 4
     assert Permutation.parse("e", 3) == Permutation.identity(3)
-    with pytest.raises(PermError):
+    with pytest.raises(ValueError, match="needs distinct points"):
         Permutation.parse("(1 2 2)")
 
 
@@ -239,7 +239,8 @@ def test_permutation_basics():
     ],
 )
 def test_permutation_parse_rejects_outside_input(text, n):
-    with pytest.raises(PermError):
+    message = "is below 1" if n < 1 else "above the cap" if n > 1000 else "needs distinct points in 1..3"
+    with pytest.raises(ValueError, match=message):
         Permutation.parse(text, n)
 
 

@@ -8,12 +8,11 @@ from fig8.sl2 import (
     SANOV_A,
     SANOV_B,
     Mat2,
-    Sl2Error,
     eight_trace,
     length_to_trace,
     trace_to_length,
 )
-from fig8.words import Word, WordError, evaluate, random_reduced_word
+from fig8.words import Word, evaluate, random_reduced_word
 
 SANOV = {"a": SANOV_A, "b": SANOV_B}
 ONE = Mat2.identity()
@@ -26,14 +25,14 @@ def test_eval_word_examples():
 
 
 def test_eval_word_errors():
-    with pytest.raises(WordError):
+    with pytest.raises(ValueError, match="have no image"):
         evaluate(Word("ac", "abcd"), SANOV, ONE)
 
 
 def test_determinant_invariant_and_modulus():
     assert Mat2(1, 5, 0, 1).check().reduce_mod(7) == (1, 5, 0, 1)
     assert Mat2(-1, 12, 0, -1).reduce_mod(7) == (6, 5, 0, 6)
-    with pytest.raises(Sl2Error):
+    with pytest.raises(ValueError, match="determinant is 2, not 1"):
         Mat2(2, 0, 0, 1).check()
 
 
@@ -50,7 +49,7 @@ def test_mat2_is_an_immutable_entries_tuple():
     assert repr(product) == "Mat2(a11=5, a12=2, a21=2, a22=1)"
     assert repr(inverse) == "Mat2(a11=1, a12=-2, a21=0, a22=1)"
     assert product.trace == 6 and inverse * SANOV_A == ONE
-    with pytest.raises(Sl2Error):
+    with pytest.raises(ValueError, match="determinant is -1, not 1"):
         Mat2(1, 2, 1, 1).check()
     with pytest.raises(TypeError):
         2 * SANOV_A  # no tuple repetition
@@ -72,7 +71,7 @@ def test_products_inverses_powers_keep_determinant_one(pair):
         v = evaluate(random_reduced_word(rng, 60), images, ONE)
         for m in (u * v, u.inverse()):
             assert m.check() is m
-    with pytest.raises(Sl2Error):
+    with pytest.raises(ValueError, match="determinant is 2, not 1"):
         Mat2(2, 0, 0, 1).check()
 
 
@@ -162,8 +161,8 @@ def test_length_trace_conversions():
     assert abs(trace_to_length(3) - 1.924847) < 1e-6
     assert abs(trace_to_length(length_to_trace(2.5)) - 2.5) < 1e-9
     assert abs(length_to_trace(2 * math.acosh(3)) - 6) < 1e-9
-    with pytest.raises(Sl2Error):
+    with pytest.raises(ValueError, match="not a closed geodesic"):
         trace_to_length(2)
-    with pytest.raises(Sl2Error):
+    with pytest.raises(ValueError, match="length -1 is not a finite number >= 0"):
         length_to_trace(-1)
 
