@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .perms import (
@@ -30,6 +30,7 @@ from .perms import (
 from .words import Word, evaluate, letter_images
 
 MAX_REGULAR_DEGREE = 8
+Handles = tuple[tuple[Permutation, Permutation], ...]
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ def commutator_witness(c1: Permutation, c2: Permutation) -> tuple[Permutation, P
 class ExtendDecision:
     extends: bool
     reason: str
-    handles: tuple[tuple[Permutation, Permutation], ...] | None
+    handles: Handles | None
     boundaries: tuple[Permutation, ...] | None
 
     def verify(self) -> bool:
@@ -223,10 +224,12 @@ def boundary_lift_components(
 
 @dataclass(frozen=True)
 class RegularDecision:
-    """Answer of ``regular_extends``; a regular image is transitive of order n."""
+    """Answer of ``regular_extends``; a regular image is transitive of order n.
+    An "extends" answer carries its handle pairs, which equality ignores."""
 
     status: str  # "extends" | "does-not-extend" | "unknown"
     witness: tuple[Permutation, ...] | None
+    handles: Handles | None = field(default=None, compare=False)
 
 
 def _subgroup_closure(gens: list[Permutation]) -> frozenset[Permutation] | None:
@@ -266,17 +269,20 @@ def _regular_overgroups(seed: list[Permutation], n: int):
                 yield from _regular_overgroups(seed + [g], n)
 
 
-def _handles_reach(group: frozenset[Permutation], genus: int, boundaries: tuple[Permutation, ...]) -> bool:
-    """Whether genus handle pairs in the group absorb the boundary product,
-    the whole assignment generating the group.  Layered search over the
-    states (commutator product so far, subgroup generated so far), one
-    handle pair per layer; the pair (e, e) keeps every state, so the layers
-    only grow and the search stops at the first that adds none.
+def _handles_reach(
+    group: frozenset[Permutation], genus: int, boundaries: tuple[Permutation, ...]
+) -> Handles | None:
+    """At most genus handle pairs in the group that absorb the boundary
+    product, the whole assignment generating the group, or None.  Layered
+    search over the states (commutator product so far, subgroup generated
+    so far), one handle pair per layer, each state keeping the first pairs
+    that reached it; the pair (e, e) keeps every state, so the layers only
+    grow and the search stops at the first that adds none.
     """
     n = boundaries[0].degree
     identity = Permutation.identity(n)
     target = math.prod(boundaries, start=identity).inverse()
-    states = {(identity, _subgroup_closure(list(boundaries)))}
+    states = {(identity, _subgroup_closure(list(boundaries))): ()}
 
     @lru_cache(maxsize=None)
     def join(sub, g):
@@ -284,11 +290,16 @@ def _handles_reach(group: frozenset[Permutation], genus: int, boundaries: tuple[
 
     pairs = [(a, b, commutator(a, b)) for a in group for b in group] if genus else []
     for _ in range(genus):
-        grown = {(p * c, join(join(sub, a), b)) for p, sub in states for a, b, c in pairs}
-        if grown == states:
+        grown = dict(states)
+        for (p, sub), handles in states.items():
+            for a, b, c in pairs:
+                state = (p * c, join(join(sub, a), b))
+                if state not in grown:
+                    grown[state] = (*handles, (a, b))
+        if len(grown) == len(states):
             break
         states = grown
-    return (target, group) in states
+    return states.get((target, group))
 
 
 def regular_extends(spec: CoverSpec) -> RegularDecision:
@@ -298,10 +309,11 @@ def regular_extends(spec: CoverSpec) -> RegularDecision:
     with unequal cycles does not extend, and neither does a genus-0 tuple of
     identities at n > 1, whose images generate only {e}.  Otherwise the
     witness is the least boundary tuple, in product order, in a regular
-    group where ``_handles_reach`` holds.  Conjugates of witnesses are
-    witnesses, and a representative is least in its class: so the first
-    class that moves a point is its representative, and the representatives
-    end the search.
+    group where ``_handles_reach`` finds handle pairs.  Conjugates of
+    witnesses are witnesses, and a representative is least in its class: so
+    the first class that moves a point is its representative, and the
+    representatives end the search.  The relation and the regular image of
+    the witness and its handles are checked again before "extends".
     Degrees above MAX_REGULAR_DEGREE return "unknown".
     """
     classes = spec.boundary_classes
@@ -313,7 +325,7 @@ def regular_extends(spec: CoverSpec) -> RegularDecision:
         return RegularDecision("unknown", None)
     reps = tuple(map(class_representative, classes))
     lead = next((i for i, c in enumerate(classes) if c[0] > 1), 0)  # earlier classes are e
-    best = None
+    best = handles = None
     for group in _regular_overgroups([reps[lead]], spec.degree):
         pools = [sorted(g for g in group if g.cycle_type() == c) for c in classes]
         pools[lead] = [reps[lead]]
@@ -321,12 +333,20 @@ def regular_extends(spec: CoverSpec) -> RegularDecision:
             # the pools are sorted, so no later tuple of this group is smaller
             if best is not None and candidate >= best:
                 break
-            if _handles_reach(group, spec.genus, candidate):
-                best = candidate
+            if (reached := _handles_reach(group, spec.genus, candidate)) is not None:
+                best, handles = candidate, reached
                 break
         if best == reps:
             break
-    return RegularDecision("does-not-extend" if best is None else "extends", best)
+    if best is None:
+        return RegularDecision("does-not-extend", None)
+    identity = Permutation.identity(spec.degree)
+    if math.prod([commutator(a, b) for a, b in handles] + list(best), start=identity) != identity:
+        raise AssertionError("regular witness relation check failed")
+    image = _subgroup_closure([*best, *(g for pair in handles for g in pair)])
+    if image is None or len(image) != spec.degree:
+        raise AssertionError("regular witness image is not regular")
+    return RegularDecision("extends", best, handles)
 
 
 @dataclass(frozen=True)

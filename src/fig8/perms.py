@@ -4,8 +4,9 @@ Permutations act on the right: (sigma * tau)(i) = tau(sigma(i)).  The
 commutator is [sigma, tau] = sigma tau sigma^-1 tau^-1 under this
 convention.  Characters follow the Murnaghan-Nakayama rule, memoized, in
 exact integer arithmetic: one rim-hook move on beta-sets (the abacus of
-James and Kerber) strips a class's parts, and a class of 1s gives the
-dimension by the hook-length formula.  The Frobenius count sums integer
+James and Kerber) strips a class's parts, a class of 1s gives the
+dimension by the hook-length formula, and a hook shape reads its value
+from one generating polynomial per class.  The Frobenius count sums integer
 terms over the character support of the class with the fewest fixed points,
 which the same move run backwards builds from the partitions of its fixed
 points, and divides once, exactly, at the end.
@@ -22,7 +23,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import takewhile
+from itertools import accumulate, takewhile
 from operator import sub
 
 
@@ -98,9 +99,21 @@ def _rim_hooks(lam: Partition, m: int):
 
 
 @lru_cache(maxsize=None)
+def _hook_column(mu: Partition) -> tuple[int, ...]:
+    """chi of the hook (n - r, 1^r) at mu, for r = 0..n-1: (-1)^r times the
+    coefficient of y^r in prod_i (1 - y^mu_i) / (1 - y) (Macdonald, ch. I)."""
+    poly = [1] + [0] * sum(mu)
+    for m in mu:
+        poly[m:] = map(sub, poly[m:], poly[:-m])
+    return tuple(-c if r % 2 else c for r, c in enumerate(accumulate(poly[:-1])))
+
+
+@lru_cache(maxsize=None)
 def _character(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     if len(mu) == sum(lam):  # mu is all 1s, or both are empty
         return _dimension(lam)
+    if len(lam) < 2 or lam[1] == 1:  # a hook; () has returned above
+        return _hook_column(mu)[len(lam) - 1]
     # a plain loop, not sum() over a generator, keeps one frame per part of mu
     total = 0
     for rho, sign in _rim_hooks(lam, -mu[0]):

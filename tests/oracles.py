@@ -15,7 +15,8 @@ slopes of its traces.  ``_oracle_random_reduced_letters`` (the sampler
 that drew letters with ``rng.choice``) and ``_oracle_frobenius_count`` (the
 ``Fraction`` character sum over every partition, with dimensions from
 ``standard_tableaux``) are the finite-groups kernels before their
-table-driven and integer forms.  ``_oracle_lps_girth_check``, a
+table-driven and integer forms; ``_oracle_character`` is the character
+recursion before hook shapes were read in closed form.  ``_oracle_lps_girth_check``, a
 breadth-first search of the Cayley graph that keeps a dict of distances
 and scales second rows inline, is the reference for the girth that
 ``lps.lps_girth_check`` computes from the quaternion norm equation.  The
@@ -40,6 +41,8 @@ from fig8.perms import (
     Partition,
     Permutation,
     _character,
+    _dimension,
+    _rim_hooks,
     class_representative,
     class_size,
     partitions_of,
@@ -460,6 +463,15 @@ def standard_tableaux(lam: Partition) -> int:
         if i + 1 == len(lam) or lam[i + 1] < part:
             total += standard_tableaux(tuple(p for p in lam[:i] + (part - 1,) + lam[i + 1 :] if p))
     return total
+
+
+@lru_cache(maxsize=None)
+def _oracle_character(lam: Partition, mu: Partition) -> int:
+    """Murnaghan-Nakayama recursion alone: strip mu's parts as rim hooks,
+    one level per part above 1, down to a dimension."""
+    if len(mu) == sum(lam):
+        return _dimension(lam)
+    return sum(sign * _oracle_character(rho, mu[1:]) for rho, sign in _rim_hooks(lam, -mu[0]))
 
 
 def _oracle_frobenius_count(classes: list[Partition]) -> int:

@@ -409,9 +409,37 @@ def test_handles_reach_needs_a_layer_per_missing_generator():
     ]
     group = _subgroup_closure(gens)
     e = (Permutation.identity(8),)
-    reach = [_handles_reach(group, genus, e) for genus in (0, 1, 2, 10**9)]
+    reach = [_handles_reach(group, genus, e) is not None for genus in (0, 1, 2, 10**9)]
     assert reach == [False, False, True, True]
-    assert _handles_reach(group, 0, tuple(gens) + (gens[0] * gens[1] * gens[2],))
+    assert _handles_reach(group, 0, tuple(gens) + (gens[0] * gens[1] * gens[2],)) is not None
+    pairs = _handles_reach(group, 2, e)
+    assert len(pairs) == 2 and (e[0], e[0]) not in pairs
+    assert len(_subgroup_closure([g for pair in pairs for g in pair])) == 8
+
+
+def test_a_corrupted_regular_handle_fails_the_recheck(monkeypatch):
+    from fig8 import covers
+
+    reach = covers._handles_reach
+    e = Permutation.identity(4)
+    corruptions = [
+        # S3 on 6 points: [b, a] is the inverse of [a, b], a 3-cycle pair
+        (CoverSpec(1, ((3, 3),)), lambda a, b: (b, a), "relation check failed"),
+        # Z2^2 on 4 points: (e, e) keeps the relation but not the image
+        (CoverSpec(1, ((2, 2), (2, 2))), lambda a, b: (e, e), "image is not regular"),
+    ]
+    for spec, corrupt, message in corruptions:
+        decision = regular_extends(spec)
+        assert decision.status == "extends" and decision.handles
+
+        def corrupted(*args):
+            pairs = reach(*args)
+            return pairs if pairs is None else (corrupt(*pairs[0]), *pairs[1:])
+
+        monkeypatch.setattr(covers, "_handles_reach", corrupted)
+        with pytest.raises(AssertionError, match=message):
+            regular_extends(spec)
+        monkeypatch.undo()
 
 
 def test_permutation_order_is_image_order_on_a_regular_group():

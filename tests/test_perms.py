@@ -20,6 +20,7 @@ from fig8.perms import (
 )
 from fig8.words import evaluate, random_reduced_word
 from oracles import (
+    _oracle_character,
     _oracle_class_elements,
     _oracle_frobenius_count,
     all_permutations,
@@ -155,6 +156,14 @@ def test_character_recursion_keeps_one_frame_per_part():
     # 400 parts of size 2 fit under the recursion limit only if each part
     # costs one level of _character and nothing more
     assert _character((801,), (2,) * 400 + (1,)) == 1
+
+
+def test_hook_characters_equal_the_recursion():
+    for n in range(1, 13):
+        for mu in partitions_of(n):
+            for r in range(n):
+                hook = (n - r,) + (1,) * r
+                assert _character(hook, mu) == _oracle_character(hook, mu), (hook, mu)
 
 
 def _diagram_rim_hook_sign(lam, rho):
