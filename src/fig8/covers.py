@@ -89,6 +89,13 @@ def commutator_witness(c1: Permutation, c2: Permutation) -> tuple[Permutation, P
     return (alpha, beta)
 
 
+def _relation_holds(handles: Handles, boundaries: tuple[Permutation, ...]) -> bool:
+    """The defining relation prod [a_i, b_i] * prod gamma_j = e."""
+    identity = Permutation.identity(boundaries[0].degree)
+    factors = [commutator(a, b) for a, b in handles] + list(boundaries)
+    return math.prod(factors, start=identity) == identity
+
+
 @dataclass(frozen=True)
 class ExtendDecision:
     extends: bool
@@ -97,12 +104,8 @@ class ExtendDecision:
     boundaries: tuple[Permutation, ...] | None
 
     def verify(self) -> bool:
-        """Check the defining relation prod [a_i, b_i] * prod gamma_j = e."""
-        if not self.extends:
-            return True
-        identity = Permutation.identity(self.boundaries[0].degree)
-        factors = [commutator(a, b) for a, b in self.handles] + list(self.boundaries)
-        return math.prod(factors, start=identity) == identity
+        """Check the defining relation of a positive answer."""
+        return not self.extends or _relation_holds(self.handles, self.boundaries)
 
 
 def _identity_product_tuples(classes: tuple[Partition, ...], head=()):
@@ -340,8 +343,7 @@ def regular_extends(spec: CoverSpec) -> RegularDecision:
             break
     if best is None:
         return RegularDecision("does-not-extend", None)
-    identity = Permutation.identity(spec.degree)
-    if math.prod([commutator(a, b) for a, b in handles] + list(best), start=identity) != identity:
+    if not _relation_holds(handles, best):
         raise AssertionError("regular witness relation check failed")
     image = _subgroup_closure([*best, *(g for pair in handles for g in pair)])
     if image is None or len(image) != spec.degree:

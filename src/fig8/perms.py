@@ -99,21 +99,27 @@ def _rim_hooks(lam: Partition, m: int):
 
 
 @lru_cache(maxsize=None)
-def _hook_column(mu: Partition) -> tuple[int, ...]:
-    """chi of the hook (n - r, 1^r) at mu, for r = 0..n-1: (-1)^r times the
-    coefficient of y^r in prod_i (1 - y^mu_i) / (1 - y) (Macdonald, ch. I)."""
-    poly = [1] + [0] * sum(mu)
+def _hook_column(mu: Partition, length: int) -> tuple[int, ...]:
+    """chi of the hook (n - r, 1^r) at mu, for r < length: (-1)^r times the
+    coefficient of y^r in prod_i (1 - y^mu_i) / (1 - y) (Macdonald, ch. I),
+    from that product truncated below degree length."""
+    poly = [1] + [0] * (length - 1)
     for m in mu:
-        poly[m:] = map(sub, poly[m:], poly[:-m])
-    return tuple(-c if r % 2 else c for r, c in enumerate(accumulate(poly[:-1])))
+        if m < length:
+            poly[m:] = map(sub, poly[m:], poly[:-m])
+    return tuple(-c if r % 2 else c for r, c in enumerate(accumulate(poly)))
 
 
 @lru_cache(maxsize=None)
 def _character(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     if len(mu) == sum(lam):  # mu is all 1s, or both are empty
         return _dimension(lam)
-    if len(lam) < 2 or lam[1] == 1:  # a hook; () has returned above
-        return _hook_column(mu)[len(lam) - 1]
+    if len(lam) < 2 or lam[1] == 1:  # a hook (n - r, 1^r); () has returned above
+        # the shorter leg of lam and its conjugate, whose character is sgn(mu) times lam's;
+        # a column per power of two of it keeps a deep recursion's short legs cheap
+        r = min(len(lam), lam[0]) - 1
+        sign = -1 if lam[0] < len(lam) and (sum(lam) - len(mu)) % 2 else 1
+        return sign * _hook_column(mu, 1 << r.bit_length())[r]
     # a plain loop, not sum() over a generator, keeps one frame per part of mu
     total = 0
     for rho, sign in _rim_hooks(lam, -mu[0]):

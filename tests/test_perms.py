@@ -154,8 +154,11 @@ def test_dimension_at_the_degree_cap_needs_no_deep_recursion():
 
 def test_character_recursion_keeps_one_frame_per_part():
     # 400 parts of size 2 fit under the recursion limit only if each part
-    # costs one level of _character and nothing more
+    # costs one level of _character and nothing more; a hook such as (801,)
+    # needs no recursion, and (799, 2) needs one level per part, with
+    # chi_(n-2,2) = C(f, 2) + t - f at f fixed points and t 2-cycles
     assert _character((801,), (2,) * 400 + (1,)) == 1
+    assert _character((799, 2), (2,) * 400 + (1,)) == 399
 
 
 def test_hook_characters_equal_the_recursion():
