@@ -6,10 +6,10 @@ convention.  Characters follow the Murnaghan-Nakayama rule, memoized, in
 exact integer arithmetic: one rim-hook move on beta-sets (the abacus of
 James and Kerber) strips a class's parts, a class of 1s gives the
 dimension by the hook-length formula, and a hook shape reads its value
-from one generating polynomial per class.  The Frobenius count sums integer
-terms over the character support of the class with the fewest fixed points,
-which the same move run backwards builds from the partitions of its fixed
-points, and divides once, exactly, at the end.
+from the class's generating polynomial, cut at its shorter leg.  The
+Frobenius count sums integer terms over the character support of the class
+with the fewest fixed points, which the same move run backwards builds from
+the partitions of its fixed points, and divides once, exactly, at the end.
 
 A partition is its tuple of parts, largest first.  Only ``parse_partition``
 and ``Permutation.parse`` check their input, and both refuse a degree above
