@@ -499,7 +499,17 @@ def test_regular_extends_against_boundary_tuple_oracle():
         for classes in product(_uniform_classes(n), repeat=k):
             for genus in (0, 1, 2):
                 spec = CoverSpec(genus, classes)
-                assert regular_extends(spec) == _oracle_regular_extends(spec), (genus, classes)
+                decision = regular_extends(spec)
+                assert decision == _oracle_regular_extends(spec), (genus, classes)
+                if decision.status == "extends":
+                    # the handles certify the witness without the src re-check
+                    pairs, ident = decision.handles, Permutation.identity(n)
+                    product_ = ident
+                    for g in [commutator(a, b) for a, b in pairs] + list(decision.witness):
+                        product_ = product_ * g
+                    assert product_ == ident and len(pairs) <= genus, (genus, classes)
+                    image = _oracle_subgroup_closure([*decision.witness, *(g for p in pairs for g in p)])
+                    assert image is not None and len(image) == n, (genus, classes)
 
 
 def test_stallings_examples_and_properties():

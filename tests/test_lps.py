@@ -133,11 +133,13 @@ def test_precondition_errors():
         lps_girth_check(4, 13)  # p not prime
     with pytest.raises(ValueError, match="must be a prime > 2p"):
         lps_girth_check(5, 9)  # q not prime (and too small)
+    with pytest.raises(ValueError, match="must be a prime > 2p"):
+        lps_girth_check(7, 13)  # q prime but <= 2p
     with pytest.raises(ValueError, match="is a quadratic residue mod 11"):
-        lps_girth_check(5, 11)  # q <= 2p
+        lps_girth_check(5, 11)  # 5 = 4^2 is a quadratic residue mod 11
     with pytest.raises(ValueError, match="is a quadratic residue mod 29"):
         lps_girth_check(5, 29)  # 5 is a quadratic residue mod 29 (11^2 = 121 = 5)
-    with pytest.raises(match="1 mod 4"):
+    with pytest.raises(ValueError, match="1 mod 4"):
         lps_girth_check(7, 29)  # no quaternions with a odd and b, c, d even
 
 
@@ -166,8 +168,8 @@ def test_girth_table_meets_the_lps_bound():
 def test_q_cap(monkeypatch):
     assert 9_999_999_833 <= MAX_Q < 10_000_000_033
     lps_girth_check(5, 9_999_999_833)  # the largest q admitted with p = 5 under the cap
-    with pytest.raises(match="cap"):
+    with pytest.raises(ValueError, match="cap"):
         lps_girth_check(5, 10_000_000_033)  # the next one
     monkeypatch.setattr(lps, "_is_prime", None)  # any trial division would raise TypeError
-    with pytest.raises(match="cap"):
+    with pytest.raises(ValueError, match="cap"):
         lps_girth_check(5, 10**30 + 57)

@@ -80,7 +80,7 @@ def test_unipotent_witness_abelian_and_depth3():
     assert w3.depth == 3
     assert w3.coefficient % w3.modulus != 0
     assert unipotent_witness(Word("abAbaBAB"), 2) is None  # depth 3 > max_k
-    with pytest.raises(match="trivial"):
+    with pytest.raises(ValueError, match="trivial"):
         unipotent_witness(Word("aA"), 3)
 
 

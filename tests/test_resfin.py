@@ -284,5 +284,5 @@ def test_average_index_simulation_raises_when_every_sample_is_excluded():
     # seed 3's one reduced word of length <= 4 over "ab" has zero abelianization
     assert abelian_excluding_prime(random_reduced_word(random.Random(3), 4).letters, "ab") is None
     for simulation in (average_index_simulation, _oracle_average_index_simulation):
-        with pytest.raises(match="every sample"):
+        with pytest.raises(ValueError, match="every sample"):
             simulation(2, 4, 1, 3)

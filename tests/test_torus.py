@@ -291,7 +291,7 @@ def test_growth_exponent():
     assert abs(growth_exponent(const)) < 1e-12
     with pytest.raises(ValueError, match="need at least 4 sample points"):
         growth_exponent([(10, 100), (20, 200)])
-    with pytest.raises(match="all L equal"):
+    with pytest.raises(ValueError, match="all L equal"):
         growth_exponent([(10, n) for n in (10, 20, 30, 40)])
 
 
@@ -464,9 +464,9 @@ def test_a_decimal_root_is_refused(monkeypatch):
     enumerate_simple(MODULAR_ROOT, 10**4)
     kept = torus._walk
     root = (decimal.Decimal(3),) * 3
-    with pytest.raises(match="int, Fraction or float"):
+    with pytest.raises(ValueError, match="int, Fraction or float"):
         check_root(root)
-    with pytest.raises(match="int, Fraction or float"):
+    with pytest.raises(ValueError, match="int, Fraction or float"):
         enumerate_simple(root, 10**4)
     assert torus._walk is kept
 
