@@ -6,9 +6,9 @@ earlier implementations that faster code replaced (the class scans behind
 ``perms.class_elements``, the dict-of-dicts completion of
 ``covers.stallings_excluding_subgroup``, the per-letter free reduction and
 Dehn twist, the run splitter and power test of ``genus2.rewrite_blocks``,
-the rational expected-prime sum, the ``Mat2`` self-intersection counter,
-the census that sorted its records), kept as they were so that the tests
-can require equal output, order included.  ``vieta_flip`` and
+the rational expected-prime sum, the census that sorted its records),
+kept as they were so that the tests can require equal output, order
+included.  ``vieta_flip`` and
 ``normalize_slope`` are the node-by-node Vieta flip that the torus walk
 replaced; they flip a ``LabelledTriple``, a trace triple that carries the
 slopes of its traces.  ``_oracle_random_reduced_letters`` (the sampler
@@ -25,12 +25,12 @@ graph's constructor lives here too, since only the searches read it:
 projective matrices mod q, canonical under ``_canon``.
 ``_oracle_subgroup_closure`` is the closure that stopped at an order above
 the degree, before ``covers._subgroup_closure`` refused a point stabilizer;
-the brute-force regularity tests close with it.
+the brute-force regularity tests close with it.  ``linked_pairs``, the
+exact self-intersection count, is the reference for ``selfint``'s sweep.
 """
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -47,20 +47,13 @@ from fig8.perms import (
     class_size,
     partitions_of,
 )
-from fig8.selfint import (
-    MARGIN,
-    MODULAR_ASSIGNMENT,
-    TOL,
-    TORUS_X,
-    TORUS_Y,
-)
-from fig8.sl2 import Mat2, length_to_trace
+from fig8.sl2 import length_to_trace
 from fig8.torus import (
     Slope,
     TraceTriple,
     enumerate_simple,
 )
-from fig8.words import FREE_RANK2, GENUS2, Word, evaluate, free_reduce, inverse_letters
+from fig8.words import FREE_RANK2, GENUS2, Word, free_reduce, inverse_letters
 
 Z2 = "cdCD"
 
@@ -251,113 +244,43 @@ def _oracle_expected_min_prime(terms: int) -> list[float]:
     return sums
 
 
-_ORACLE_GEN_BY_LETTER = {
-    "a": TORUS_X,
-    "A": TORUS_X.inverse(),
-    "b": TORUS_Y,
-    "B": TORUS_Y.inverse(),
-}
+def linked_pairs(w: Word) -> int:
+    """Self-intersection number of w's closed curve on the punctured torus:
+    half the linked pairs of its passes through the one vertex (Cohen-Lustig).
 
-
-def _oracle_mobius(m: Mat2, z: complex) -> complex:
-    return (m.a11 * z + m.a12) / (m.a21 * z + m.a22)
-
-
-def _oracle_self_intersection(w: Word) -> int:
-    """The Mat2 crossing counter that the int-tuple sweep replaced: a
-    breadth-first search that keeps (Mat2, distance) pairs, then one
-    crossing pass per radius."""
-    if w.is_trivial:
-        raise ValueError("trivial word")
-    if len(w) > 1 and w.letters[0] == w.letters[-1].swapcase():
-        raise ValueError("word must be cyclically reduced")
-    if w.is_proper_power():
-        raise ValueError("word is a proper power")
-    big_w = evaluate(w, MODULAR_ASSIGNMENT, Mat2.identity())
-    trace = big_w.trace
-    if abs(trace) <= 2:
-        raise ValueError(f"trace {trace}: word is not hyperbolic")
-
-    a, b, c, d = big_w
-    if c == 0:
-        # conjugate once to move the axis off infinity
-        conj = Word("a" + w.letters + "A", w.gens).cyclically_reduced()
-        return _oracle_self_intersection(conj)
-    disc = math.sqrt(trace * trace - 4)
-    p1 = ((a - d) + disc) / (2 * c)
-    p2 = ((a - d) - disc) / (2 * c)
-    if p1 < p2:
-        p1, p2 = p2, p1  # frame map below then preserves the upper half-plane
-
-    def frame(z):
-        # sends the axis endpoints to 0 and infinity
-        return (z - p1) / (z - p2)
-
-    lam = (abs(trace) + disc) / 2.0
-    dilation = lam * lam  # period of <w> acting on the framed axis
-    period = 2.0 * math.acosh(abs(trace) / 2.0)
-    base_frame = complex(0.0, math.sqrt(dilation))
-    base_point = (p2 * base_frame - p1) / (base_frame - 1.0)
-
-    def segment_distance(z: complex) -> float:
-        fz = frame(z)
-        x, y = fz.real, abs(fz.imag)
-        r = math.hypot(x, y)
-        t = min(max(r, 1.0), dilation)  # clamp = orthogonal projection onto the segment
-        ch = 1.0 + (x * x + (y - t) ** 2) / (2.0 * y * t)
-        return math.acosh(max(ch, 1.0))
-
-    radius = period / 2.0 + MARGIN
-    radius_wide = radius + 2.0
-
-    identity = Mat2.identity()
-    kept: list[tuple[Mat2, float]] = [(identity, 0.0)]
-    visited = {identity}
-    queue: deque[tuple[Mat2, str]] = deque([(identity, "")])
-    while queue:
-        g, last = queue.popleft()
-        for ch, gen in _ORACLE_GEN_BY_LETTER.items():
-            if last and ch == last.swapcase():
-                continue
-            g2 = g * gen
-            if g2 in visited:
-                continue
-            dist = segment_distance(_oracle_mobius(g2, base_point))
-            if dist <= radius_wide:
-                visited.add(g2)
-                kept.append((g2, dist))
-                queue.append((g2, ch))
-
-    def crossing_count(max_dist: float) -> int:
-        crossings = set()
-        for g, dist in kept:
-            if dist > max_dist:
-                continue
-            conj = g * big_w * g.inverse()
-            if conj * big_w == big_w * conj:
-                continue  # same axis, no transversal crossing
-            ca, cb, cc, cd = conj
-            if cc == 0:
-                continue  # axis through infinity cannot meet the framed segment
-            ct = ca + cd
-            disc2 = ct * ct - 4
-            if disc2 <= 0:
-                continue
-            s = math.sqrt(disc2)
-            u = frame(((ca - cd) + s) / (2 * cc))
-            v = frame(((ca - cd) - s) / (2 * cc))
-            if u * v < 0:
-                height = math.sqrt(-u * v)
-                if 1.0 - TOL <= height < dilation * (1.0 - TOL):
-                    crossings.add(conj)
-        return len(crossings)
-
-    count = crossing_count(radius)
-    count_wide = crossing_count(radius_wide)
-    if count != count_wide:
-        raise ValueError(f"crossing count unstable under radius increase: {count} vs {count_wide}")
-    if count % 2:
-        raise ValueError(f"odd crossing count {count}")
+    A half-edge is its place in "abAB", the cyclic order at the vertex, and
+    h + 2 is its far end.  Pass i arrives by the far end of w[i-1] and leaves
+    by w[i].  Pair it with each pass j, of w or of w reversed, that arrives
+    by another half-edge.  If the two leave apart too, they cross iff their
+    four half-edges are distinct and alternate; only passes of w count here,
+    since one of the reverse that shares a half-edge starts a shared segment.
+    If they run together, they cross iff the pass first after the segment's
+    first half-edge also leaves first after its last arrival; each is met twice.
+    """
+    if w.cyclically_reduced() != w or w.is_proper_power():
+        raise ValueError("need a cyclically reduced non-power")
+    n = len(w)
+    walk = ["abAB".index(ch) for ch in w.letters]
+    a = walk * 2
+    count = 0
+    for other in (walk, [(h + 2) % 4 for h in reversed(walk)]):
+        b = other * 2
+        for i in range(n):
+            in_i, out_i = (a[i - 1] + 2) % 4, a[i]
+            for j in range(n):
+                in_j = (b[j - 1] + 2) % 4
+                if in_j == in_i:
+                    continue
+                k = 0
+                while a[i + k] == b[j + k]:  # under n steps: w is no power nor conjugate to w^-1
+                    k += 1
+                if k:
+                    last = (a[i + k - 1] + 2) % 4
+                    first_in = (in_i - out_i) % 4 < (in_j - out_i) % 4
+                    first_out = (a[i + k] - last) % 4 < (b[j + k] - last) % 4
+                    count += first_in == first_out
+                elif other is walk and len({in_i, out_i, in_j, b[j]}) == 4:
+                    count += (out_i - in_i) % 4 == 2  # they alternate iff i goes straight on
     return count // 2
 
 

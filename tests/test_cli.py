@@ -22,7 +22,7 @@ from fig8.cli import main
 from fig8.perms import Permutation
 from fig8.sl2 import Mat2, length_to_trace, trace_to_length
 from fig8.words import Word, evaluate, random_reduced_word
-from oracles import relator_product
+from oracles import linked_pairs, relator_product
 
 
 def run(capsys, *argv):
@@ -113,6 +113,12 @@ def test_classes_of_many_twos_keep_the_exit_contract(capsys):
         run(capsys, "extend", "--genus", "0", "--classes", f"{twos};995")[0],
     ]
     assert all(code in (0, 1, 2, 3) for code in codes), codes
+
+
+@pytest.mark.xfail(strict=True, reason="non-hook shapes beside 994,1 recurse 495 levels: exit 4")
+def test_pivot_994_1_beside_many_twos_keeps_the_exit_contract(capsys):
+    twos = ",".join(["2"] * 497 + ["1"])
+    assert run(capsys, "frobenius", "--classes", f"994,1;{twos}")[0] in (0, 1, 2, 3)
 
 
 def test_frobenius_count_past_the_int_to_str_limit(capsys):
@@ -284,6 +290,7 @@ def test_selfint_float_sweep_failure_is_an_input_error(capsys, word):
     code, out, err = run(capsys, "selfint", "--word", word)
     assert (code, out) == (2, "")
     assert err == "error: float sweep failed: ZeroDivisionError: float division by zero\n"
+    assert linked_pairs(Word(word)) == {"AAAbbaaBaBABab": 17, "abaaaBBBBB": 15}[word]  # exact
 
 
 def test_prime_and_scatter(capsys):
