@@ -23,7 +23,6 @@ from fractions import Fraction
 
 from . import covers, genus2, lps, magnus, resfin, selfint, torus
 from .perms import Partition, Permutation, frobenius_count, parse_partition
-from .sl2 import trace_to_length
 from .words import Word, random_reduced_word
 
 SCHEMA = 1
@@ -72,35 +71,28 @@ def _cmd_census(args) -> tuple[int, str]:
         counts = torus.census_counts(root, lengths)
         rows = [f"{_fmt(x)},{n0},{n1p},{n1f}" for x, (n0, n1p, n1f) in zip(lengths, counts)]
         return 0, _csv("L,N0,N1_paired,N1_full", rows)
-    rows = []  # a paired row stands for two geodesics: it is written twice
-    for t, (p, q), family in torus.one_intersection_census(root, args.cutoff, args.mode):
-        row = f"{_fmt(t)},{_fmt(trace_to_length(t))},{family},{p}/{q}"
-        rows += (row, row) if family == "paired-fig8" else (row,)
-    return 0, _csv("trace,length,family,slope", rows)
+    lines = torus._census_lines(root, args.cutoff, args.mode, _fmt)
+    return 0, _csv("trace,length,family,slope", lines)
 
 
 def _cmd_mcshane(args) -> tuple[int, str]:
-    root = _parse_root(args.root)
-    traces = [t for t, _ in torus.enumerate_simple(root, args.cutoff)]
-    total = torus.mcshane_sum(traces, args.form)
+    terms, total = torus._mcshane_prefix(_parse_root(args.root), args.cutoff, args.form)
     return 0, _json(
         {
             "cutoff": args.cutoff,
             "form": args.form,
             "partial_sum": float(_fmt(total)),
-            "terms": len(traces),
+            "terms": terms,
         },
     )
 
 
 def _cmd_mc2(args) -> tuple[int, str]:
-    root = _parse_root(args.root)
-    traces = [t for t, _ in torus.enumerate_simple(root, args.cutoff / 3.0)]
     # each simple trace t carries two paired terms of trace 3t, and the term
     # 1 - sqrt(1 - (6/3t)^2) of each is the McShane term of t: the sum tends to 2
-    total = 2 * torus.mcshane_sum(traces)
+    terms, total = torus._mcshane_prefix(_parse_root(args.root), args.cutoff / 3.0)
     return 0, _json(
-        {"cutoff": args.cutoff, "partial_sum": float(_fmt(total)), "terms": 2 * len(traces)},
+        {"cutoff": args.cutoff, "partial_sum": float(_fmt(2 * total)), "terms": 2 * terms},
     )
 
 

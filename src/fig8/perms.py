@@ -135,9 +135,10 @@ def frobenius_count(classes: list[Partition]) -> int:
     the sum scaled by n!^k has the integer terms
     prod chi_lambda(mu_i) * dim_lambda^2 * (n!/dim_lambda)^k, and one exact
     division by n!^(k+1) follows.  A term is 0 wherever the pivot class,
-    the one with the fewest fixed points, has character 0, so the sum runs
-    over its support only: from the partitions of its fixed points, each
-    weighted by its dimension, its other parts are added as rim hooks.
+    the one with the fewest fixed points (on a tie, the fewest parts), has
+    character 0, so the sum runs over its support only: from the partitions
+    of its fixed points, each weighted by its dimension, its other parts
+    are added as rim hooks.
     """
     if not classes:
         raise ValueError("need at least one class")
@@ -146,7 +147,7 @@ def frobenius_count(classes: list[Partition]) -> int:
         raise ValueError("all classes must belong to the same S_n")
     k = len(classes)
     order = math.factorial(n)
-    pivot = min(classes, key=lambda mu: mu.count(1))
+    pivot = min(classes, key=lambda mu: (mu.count(1), len(mu)))
     fixed = pivot.count(1)
     support = {nu: _dimension(nu) for nu in partitions_of(fixed)}
     for m in reversed(pivot[: len(pivot) - fixed]):

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from itertools import accumulate
 from fractions import Fraction
 
-from .sl2 import eight_trace, length_to_trace
+from .sl2 import eight_trace, length_to_trace, trace_to_length
 
 TOL = 1e-9
 
@@ -50,12 +51,13 @@ MODULAR_ROOT: TraceTriple = (3, 3, 3)
 # The slopes of a root's three traces, a Farey triangle, signed to sum to zero.
 ROOT_SLOPES: tuple[Slope, Slope, Slope] = ((0, 1), (1, 0), (-1, -1))
 
-# The largest walk of the last root walked: (root key, cutoff, sorted pairs).
-_walk: tuple[tuple, float, list[tuple[float, Slope]]] | None = None
+# The largest walk of the last root walked: (root key, cutoff, sorted pairs,
+# the tables derived from the pairs, each built when a job first reads it).
+_walk: tuple[tuple, float, list[tuple[float, Slope]], dict] | None = None
 
 
-def enumerate_simple(root: TraceTriple, trace_cutoff: float) -> list[tuple[float, Slope]]:
-    """The sorted (trace, slope) pairs of the simple geodesics with trace <= cutoff.
+def _kept_walk(root: TraceTriple, trace_cutoff: float) -> tuple:
+    """The kept walk record if it covers root to trace_cutoff, else a new walk, kept.
 
     Checks the root, labels it ROOT_SLOPES, and flips it down to the tree's
     sink while some flip lowers a coordinate; a flip to a trace <= 2 raises
@@ -72,11 +74,11 @@ def enumerate_simple(root: TraceTriple, trace_cutoff: float) -> list[tuple[float
     exactly one new slope, so slope deduplication is structural.  Traces
     keep the number type of the root: exact for int and Fraction roots.
 
-    A process keeps the largest walk of the last root walked.  Above the
-    sink every flip raises a trace, so the walk to a cutoff is the sorted
-    prefix of any walk to a larger one, and a call at or below the kept
-    cutoff gets a fresh copy of its prefix.  The root is keyed by the type
-    and value of each entry: 3, 3.0 and Fraction(3) walk in different types.
+    A process keeps the largest walk of the last root walked, with the
+    tables its jobs read.  Above the sink every flip raises a trace, so the
+    walk to a cutoff is the sorted prefix of any walk to a larger one.  The
+    root is keyed by the type and value of each entry: 3, 3.0 and
+    Fraction(3) walk in different types.
     """
     global _walk
     check_root(root)
@@ -84,7 +86,7 @@ def enumerate_simple(root: TraceTriple, trace_cutoff: float) -> list[tuple[float
         raise ValueError(f"trace cutoff {trace_cutoff} is not a finite number >= 3")
     key, kept = tuple((type(c), c) for c in root), _walk  # read once: a thread may replace it
     if kept is not None and kept[0] == key and trace_cutoff <= kept[1]:
-        return kept[2][: bisect_right(kept[2], trace_cutoff, key=lambda pair: pair[0])]
+        return kept
     sink, s = list(root), list(ROOT_SLOPES)
     # flipping x_k gives x_i x_j - x_k, lower than x_k iff xyz < 2 x_k^2
     while lower := [k for k in range(3) if math.prod(sink) < 2 * sink[k] ** 2]:
@@ -114,8 +116,42 @@ def enumerate_simple(root: TraceTriple, trace_cutoff: float) -> list[tuple[float
         stack.append((v, t, u, p2, q2, p, q))
         stack.append((u, t, v, p1, q1, p, q))
     found.sort()
-    _walk = key, trace_cutoff, found
-    return found[:]
+    _walk = kept = key, trace_cutoff, found, {}
+    return kept
+
+
+def _table(kept: tuple, name: str, build) -> list:
+    """The kept walk's table name, build(kept) when first read; it goes with the walk."""
+    tables = kept[3]
+    if name not in tables:
+        tables[name] = build(kept)
+    return tables[name]
+
+
+def _traces(kept: tuple) -> list[float]:
+    return _table(kept, "traces", lambda kept: [t for t, _ in kept[2]])
+
+
+def enumerate_simple(root: TraceTriple, trace_cutoff: float) -> list[tuple[float, Slope]]:
+    """The sorted (trace, slope) pairs of the simple geodesics with trace <= cutoff.
+
+    A fresh copy of the prefix of the kept walk (_kept_walk), which walks
+    again only for a larger cutoff or another root.
+    """
+    kept = _kept_walk(root, trace_cutoff)
+    return kept[2][: bisect_right(_traces(kept), trace_cutoff)]
+
+
+def _census_rows(pairs: list[tuple[float, Slope]], trace_cutoff: float, mode: str) -> list[tuple]:
+    """The sorted (trace, slope, family, simple trace) rows of the simple pairs:
+    each gives a paired row, and in full mode a companion if its trace is <= trace_cutoff."""
+    rows = []
+    for t, st in pairs:
+        rows.append((eight_trace(t, 2, t), st, "paired-fig8", t))
+        if mode == "full" and (companion := eight_trace(t, t, 2)) <= trace_cutoff:
+            rows.append((companion, st, "companion-fig8", t))
+    rows.sort()  # (trace, slope, family) is unique: the simple trace is never compared
+    return rows
 
 
 def one_intersection_census(
@@ -131,14 +167,68 @@ def one_intersection_census(
     if mode not in ("paired", "full"):
         raise ValueError(f"unknown census mode {mode!r}")
     trace_cutoff = length_to_trace(length_cutoff)
-    rows = []
-    for t, st in enumerate_simple(root, trace_cutoff / 3.0):
-        rows.append((eight_trace(t, 2, t), st, "paired-fig8"))
-        # t^2 + 2 <= T gives t <= sqrt(T - 2) <= T/3 (T >= 9 here): no base is missed
-        if mode == "full" and (companion := eight_trace(t, t, 2)) <= trace_cutoff:
-            rows.append((companion, st, "companion-fig8"))
-    rows.sort()
-    return rows
+    # t^2 + 2 <= T gives t <= sqrt(T - 2) <= T/3 (T >= 9 here): no base is missed
+    rows = _census_rows(enumerate_simple(root, trace_cutoff / 3.0), trace_cutoff, mode)
+    return [row[:3] for row in rows]
+
+
+def _census_csv(rows: list[tuple], fmt) -> list[str]:
+    """The CSV lines of census rows, floats written by fmt; a paired row's line
+    is written twice, the same string, since the row stands for two geodesics."""
+    lines = []
+    for t, (p, q), family, _ in rows:
+        line = f"{fmt(t)},{fmt(trace_to_length(t))},{family},{p}/{q}"
+        lines += (line, line) if family == "paired-fig8" else (line,)
+    return lines
+
+
+def _census_table(kept: tuple, mode: str, fmt) -> tuple[list[str], list, list]:
+    """The CSV lines of the kept walk's census rows, and for each prefix of
+    them the largest simple trace of its paired rows and the largest trace
+    of its companions (0 if none).  A job that reads the walk has
+    T/3.0 <= cutoff, so T < 4 cutoff, where 4 cutoff is exact: the lines
+    hold every companion it can take."""
+    rows = _census_rows(kept[2], 4 * kept[1], mode)
+    lines = _census_csv(rows, fmt)
+    paired, companions = [], []
+    for trace, _, family, t in rows:
+        paired += (t, t) if family == "paired-fig8" else (0,)
+        companions += (0, 0) if family == "paired-fig8" else (trace,)
+    return lines, [*accumulate(paired, max, initial=0)], [*accumulate(companions, max, initial=0)]
+
+
+def _census_lines(root: TraceTriple, length_cutoff: float, mode: str, fmt) -> list[str]:
+    """The CSV lines of one_intersection_census's rows, written by _census_csv.
+
+    They are a prefix of the lines kept with the walk for this mode, built
+    once, with the fmt of the first call (the CLI passes its own).  With T
+    the trace cutoff, the prefix holds 2k paired lines, k the simple traces
+    t <= T/3.0, and the companions with eight_trace(t, t, 2) <= T.  Those
+    are the job's rows unless a row left out sorts before one taken, which
+    needs a paired and a companion trace within about an ulp of T; the
+    largest traces of the prefix tell, and then the rows are built anew.
+    """
+    trace_cutoff = length_to_trace(length_cutoff)
+    third = trace_cutoff / 3.0
+    kept = _kept_walk(root, third)
+    traces = _traces(kept)
+    paired = bisect_right(traces, third)
+    k = 2 * paired
+    if mode == "full":
+        k += bisect_right(traces, trace_cutoff, key=lambda t: eight_trace(t, t, 2))
+    table = _table(kept, mode, lambda kept: _census_table(kept, mode, fmt))
+    lines, top_paired, top_companion = table
+    if top_paired[k] <= third and top_companion[k] <= trace_cutoff:
+        return lines[:k]
+    return _census_csv(_census_rows(kept[2][:paired], trace_cutoff, mode), fmt)
+
+
+def _mcshane_term(t: float) -> float:
+    try:
+        x = 2.0 / t
+    except OverflowError:  # an exact trace above the float range: x is 0.0
+        x = float(2 / t)
+    return x * x / (1.0 + math.sqrt(1.0 - x * x))
 
 
 def mcshane_sum(traces: list[float], form: str = "trace") -> float:
@@ -147,18 +237,23 @@ def mcshane_sum(traces: list[float], form: str = "trace") -> float:
     The trace form converges to 1, the length form to 1/2.  The term of
     trace t = 2 cosh(l/2) is 1 - tanh(l/2) = x^2/(1 + sqrt(1 - x^2)) with
     x = 2/t, a form free of cancellation, and the length term 1/(1 + e^l)
-    is exactly half of it.
+    is exactly half of it.  The terms are added in order from 0.0.
     """
     if form not in ("trace", "length"):
         raise ValueError(f"unknown form {form!r}")
-    total = 0.0
-    for t in traces:
-        try:
-            x = 2.0 / t
-        except OverflowError:  # an exact trace above the float range: x is 0.0
-            x = float(2 / t)
-        total += x * x / (1.0 + math.sqrt(1.0 - x * x))
+    *_, total = accumulate(map(_mcshane_term, traces), initial=0.0)
     return total if form == "trace" else total / 2
+
+
+def _mcshane_prefix(root: TraceTriple, trace_cutoff: float, form: str = "trace") -> tuple:
+    """The number k of simple traces <= trace_cutoff and mcshane_sum of them,
+    bit for bit: entry k of the prefix sums kept with the walk."""
+    kept = _kept_walk(root, trace_cutoff)
+    k = bisect_right(_traces(kept), trace_cutoff)
+    sums = _table(
+        kept, "sums", lambda kept: [*accumulate(map(_mcshane_term, _traces(kept)), initial=0.0)]
+    )
+    return k, sums[k] if form == "trace" else sums[k] / 2
 
 
 def census_counts(root: TraceTriple, length_bounds: list[float]) -> list[tuple[int, int, int]]:
@@ -174,7 +269,7 @@ def census_counts(root: TraceTriple, length_bounds: list[float]) -> list[tuple[i
         if length <= 0:
             raise ValueError("length bound must be positive")
         trace_bounds.append(length_to_trace(length))
-    traces = [t for t, _ in enumerate_simple(root, max(trace_bounds + [3]))]
+    traces = _traces(_kept_walk(root, max(trace_bounds + [3])))
     rows = []
     for bound in trace_bounds:
         n0 = bisect_right(traces, bound)

@@ -6,9 +6,10 @@ earlier implementations that faster code replaced (the class scans behind
 ``perms.class_elements``, the dict-of-dicts completion of
 ``covers.stallings_excluding_subgroup``, the per-letter free reduction and
 Dehn twist, the run splitter and power test of ``genus2.rewrite_blocks``,
-the rational expected-prime sum, the census that sorted its records),
-kept as they were so that the tests can require equal output, order
-included.  ``vieta_flip`` and
+the rational expected-prime sum, the census that sorted its records, and
+the census CSV and McShane sums that each torus job built from its own
+slice of the walk), kept as they were so that the tests can require equal
+output, order included.  ``vieta_flip`` and
 ``normalize_slope`` are the node-by-node Vieta flip that the torus walk
 replaced; they flip a ``LabelledTriple``, a trace triple that carries the
 slopes of its traces.  ``_oracle_random_reduced_letters`` (the sampler
@@ -47,11 +48,12 @@ from fig8.perms import (
     class_size,
     partitions_of,
 )
-from fig8.sl2 import length_to_trace
+from fig8.sl2 import length_to_trace, trace_to_length
 from fig8.torus import (
     Slope,
     TraceTriple,
     enumerate_simple,
+    mcshane_sum,
 )
 from fig8.words import FREE_RANK2, GENUS2, Word, free_reduce, inverse_letters
 
@@ -337,6 +339,23 @@ def _oracle_one_intersection_census(
             rows.append((companion, slope, "companion-fig8"))
     rows.sort()
     return rows
+
+
+def _oracle_census_csv(root: TraceTriple, length_cutoff: float, mode: str) -> str:
+    """The census CSV as each job wrote it before its lines were kept with
+    the walk: the sorted oracle rows, 9 significant digits, a paired row twice."""
+    lines = ["trace,length,family,slope"]
+    for t, (p, q), family in _oracle_one_intersection_census(root, length_cutoff, mode):
+        line = f"{float(t):.9g},{trace_to_length(t):.9g},{family},{p}/{q}"
+        lines += [line] * (2 if family == "paired-fig8" else 1)
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_mcshane(root: TraceTriple, trace_cutoff: float, form: str = "trace") -> tuple[int, float]:
+    """(terms, partial sum) as each mcshane job found them before the sums
+    were kept with the walk: mcshane_sum over the walk's slice."""
+    traces = [t for t, _ in enumerate_simple(root, trace_cutoff)]
+    return len(traces), mcshane_sum(traces, form)
 
 
 def relator_product(rng) -> str:

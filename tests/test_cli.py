@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 from fig8 import cli, covers, magnus, perms, selfint, torus
 from fig8.cli import main
 from fig8.perms import Permutation
-from fig8.sl2 import Mat2, length_to_trace, trace_to_length
+from fig8.sl2 import Mat2, eight_trace, length_to_trace, trace_to_length
 from fig8.words import Word, evaluate, random_reduced_word
-from oracles import linked_pairs, relator_product
+from oracles import _oracle_census_csv, _oracle_mcshane, linked_pairs, relator_product
 
 
 def run(capsys, *argv):
@@ -560,8 +560,8 @@ def test_counts_at_walks_once_and_equals_per_length_counts(capsys, monkeypatch, 
         n0, n1p, n1f = torus.census_counts(torus.MODULAR_ROOT, [float(text)])[0]
         want.append(f"{cli._fmt(float(text))},{n0},{n1p},{n1f}")
     walks = []
-    walk = torus.enumerate_simple
-    monkeypatch.setattr(torus, "enumerate_simple", lambda r, t: walks.append(t) or walk(r, t))
+    walk = torus._kept_walk
+    monkeypatch.setattr(torus, "_kept_walk", lambda r, t: walks.append(t) or walk(r, t))
     code, out, _ = run(capsys, "census", "--counts-at", lengths)
     assert (code, out.splitlines()) == (0, ["L,N0,N1_paired,N1_full", *want])
     top = max(length_to_trace(float(text)) for text in lengths.split(","))
@@ -906,6 +906,93 @@ def test_torus_results_do_not_depend_on_session_order(capsys, tmp_path, monkeypa
         monkeypatch.setattr(torus, "_walk", None)
         assert got == job(argv), argv
     assert {code for code, _, _ in session} == {0, 2}
+
+
+def _ulps_around(x):
+    x = float(x)
+    return [math.nextafter(x, 0), x, math.nextafter(x, math.inf)]
+
+
+def _slice_jobs(root, top):
+    """Each torus job, with the oracle that built its artifact from its own
+    slice of the walk: mcshane and mc2 at every simple, paired and companion
+    trace <= top and an ulp either side, census at their lengths likewise;
+    sorted by the cutoff they walk to."""
+    simple = [t for t, _ in torus.enumerate_simple(root, top / 3)]
+    eights = {float(eight_trace(t, 2, t)) for t in simple}
+    eights |= {c for t in simple if (c := float(eight_trace(t, t, 2))) <= top}
+    jobs = []
+    for cutoff in sorted({c for t in eights | {float(t) for t in simple} for c in _ulps_around(t)}):
+        for form in ("trace", "length"):
+            jobs.append((["mcshane", "--cutoff", repr(cutoff), "--form", form], _oracle_mcshane, cutoff, form))
+        jobs.append((["mc2", "--cutoff", repr(cutoff)], _oracle_mcshane, cutoff / 3.0))
+    for length in sorted({c for t in eights for c in _ulps_around(trace_to_length(t))}):
+        for mode in ("paired", "full"):
+            jobs.append((["census", "--cutoff", repr(length), "--mode", mode], _oracle_census_csv, length, mode))
+    return sorted(jobs, key=_walk_cutoff)
+
+
+def _walk_cutoff(job):
+    """The trace cutoff that a torus job walks to."""
+    command, _, cutoff, *_ = job[0]
+    trace = length_to_trace(float(cutoff)) if command == "census" else float(cutoff)
+    return trace if command == "mcshane" else trace / 3.0
+
+
+def _oracle_artifact(argv, oracle, *args, root):
+    try:
+        answer = oracle(root, *args)
+    except ValueError as exc:
+        return f"error: {exc}"
+    if argv[0] == "census":
+        return answer
+    terms, total = answer
+    if argv[0] == "mc2":
+        payload = {"cutoff": float(argv[2]), "partial_sum": float(f"{2 * total:.9g}"), "terms": 2 * terms}
+    else:
+        payload = {"cutoff": float(argv[2]), "form": argv[4], "partial_sum": float(f"{total:.9g}"), "terms": terms}
+    return json.dumps({"schema": 1, **payload}, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("root", ["3,3,3", "9/4,9/2,9/2", "4,4,13.65685424949238"])
+def test_torus_jobs_slice_the_kept_tables_as_each_job_built_them(monkeypatch, root):
+    """census (both modes), mcshane (both forms) and mc2 in one warm process
+    equal the per-job oracle.  The cutoffs run down, so the first job walks
+    and every later one slices a larger table than it needs, then up."""
+    jobs = _slice_jobs(cli._parse_root(root), 10**6)
+    want = [_oracle_artifact(argv, *rest, root=cli._parse_root(root)) for argv, *rest in jobs]
+    monkeypatch.setattr(torus, "_walk", None)
+    for order in (slice(None, None, -1), slice(None)):
+        for (argv, *_), artifact in list(zip(jobs, want))[order]:
+            args = cli._parser().parse_args([*argv, "--root", root])
+            try:
+                got = args.func(args)[1]
+            except ValueError as exc:
+                got = f"error: {exc}"
+            assert got == artifact, argv
+    assert {a.startswith("error: ") for a in want} == {False, True}  # the jobs at 9 - 1 ulp raise
+
+
+# A float root (x, (x^2 + 2)/3, z): the companion of x and the paired row of
+# y = (x^2 + 2)/3 both have trace 60.47760531834409, the companion first by
+# slope, 0/1 before 1/0.  At this length T is an ulp below that trace while
+# T/3.0 rounds up to y, so the census takes the paired row and not the
+# companion that sorts before it.
+TIED_ROOT = "7.647065144115361,20.159201772781362,151.0817796091742"
+TIED_LENGTH = 8.203999233066979
+
+
+def test_a_row_left_out_before_one_taken_is_not_read_from_the_kept_lines(capsys, monkeypatch):
+    root = cli._parse_root(TIED_ROOT)
+    trace_cutoff = length_to_trace(TIED_LENGTH)
+    assert eight_trace(root[0], root[0], 2) == eight_trace(root[1], 2, root[1]) > trace_cutoff
+    assert root[1] == trace_cutoff / 3.0
+    want = _oracle_census_csv(root, TIED_LENGTH, "full")
+    assert want.splitlines()[-2:] == ["60.4776053,8.20399923,paired-fig8,1/0"] * 2
+    monkeypatch.setattr(torus, "_walk", None)
+    for length in (20, TIED_LENGTH):  # a walk that holds both rows, then a slice of it
+        code, out, _ = run(capsys, "census", "--root", TIED_ROOT, "--cutoff", repr(length), "--mode", "full")
+    assert (code, out) == (0, want)
 
 
 @st.composite

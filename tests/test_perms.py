@@ -1,7 +1,8 @@
 import math
 import random
+import time
 from collections import defaultdict
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -128,6 +129,22 @@ def test_frobenius_count_equals_fraction_oracle():
         n, k = rng.randint(1, 30), rng.randint(1, 4)
         classes = [_random_partition(rng, n) for _ in range(k)]
         assert frobenius_count(classes) == _oracle_frobenius_count(classes), classes
+
+
+def test_a_tie_in_fixed_points_pivots_on_the_class_with_fewer_parts():
+    """(2^30, 1) and (60, 1) both fix one point, and the support of the 30
+    twos holds every shape built from one box by 30 dominoes.  On the tie the
+    60-cycle, with fewer parts, is the pivot, so both orders answer 0 (an
+    even times an odd class) within a second.  Small ties equal the oracle
+    in every order."""
+    twos, cycle = (2,) * 30 + (1,), (60, 1)
+    for classes in ([twos, cycle], [cycle, twos]):
+        start = time.perf_counter()
+        assert frobenius_count(classes) == 0
+        assert time.perf_counter() - start < 1
+    for classes in ([(2, 2, 1), (4, 1), (4, 1)], [(3, 3, 1), (6, 1), (2, 2, 2, 1)]):
+        for order in permutations(classes):
+            assert frobenius_count(list(order)) == _oracle_frobenius_count(list(order)) > 0
 
 
 def test_three_n_cycles_closed_form():

@@ -3,11 +3,12 @@ import itertools
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 
-from fig8 import torus
+from fig8 import cli, torus
 from fig8.torus import (
     MODULAR_ROOT,
     check_root,
@@ -17,10 +18,13 @@ from fig8.torus import (
     mcshane_sum,
     one_intersection_census,
 )
-from fig8.sl2 import length_to_trace, trace_to_length
+from fig8.selfint import MODULAR_ASSIGNMENT
+from fig8.sl2 import Mat2, length_to_trace, trace_to_length
+from fig8.words import Word, evaluate
 from oracles import (
     LabelledTriple,
     _oracle_one_intersection_census,
+    linked_pairs,
     normalize_slope,
     vieta_flip,
 )
@@ -450,11 +454,42 @@ def test_a_process_keeps_one_walk_per_root(monkeypatch):
     ]:
         with pytest.raises(ValueError, match=message):
             enumerate_simple(root, cutoff)
-    assert torus._walk == (((int, 3),) * 3, 10**6, want)
+    assert torus._walk[:3] == (((int, 3),) * 3, 10**6, want)
 
     other = (15, 87, 1299)
     enumerate_simple(other, 10**4)
-    assert torus._walk == (((int, 15), (int, 87), (int, 1299)), 10**4, enumerate_simple(other, 10**4))
+    key = ((int, 15), (int, 87), (int, 1299))
+    assert torus._walk[:3] == (key, 10**4, enumerate_simple(other, 10**4))
+    assert torus._walk[3] == {"traces": [t for t, _ in enumerate_simple(other, 10**4)]}
+
+
+def _read_every_table(root, length):
+    """The kept walk after the torus jobs at one length read it: mcshane
+    at its trace cutoff, which walks, then mc2 there and census in both modes."""
+    trace_cutoff = length_to_trace(length)
+    torus._mcshane_prefix(root, trace_cutoff)
+    torus._mcshane_prefix(root, trace_cutoff / 3.0)
+    for mode in ("paired", "full"):
+        torus._census_lines(root, length, mode, lambda x: format(float(x), ".9g"))
+    return torus._walk
+
+
+def test_a_replaced_walk_rebuilds_its_tables_as_a_fresh_process(monkeypatch):
+    """A larger cutoff or another root replaces the kept walk, and its tables
+    go with it: nothing else holds them.  The tables rebuilt on the new walk
+    equal those of a process that walked nothing before."""
+    monkeypatch.setattr(torus, "_walk", None)
+    _read_every_table(MODULAR_ROOT, 12)
+    for root, length in [(MODULAR_ROOT, 20), (RATIONAL_ROOT, 20), (RATIONAL_ROOT, 30), (MODULAR_ROOT, 8)]:
+        tables = torus._walk[3]
+        kept = _read_every_table(root, length)
+        assert sys.getrefcount(tables) == 2  # this name and the call's argument
+        del tables
+        monkeypatch.setattr(torus, "_walk", None)
+        assert kept == _read_every_table(root, length)
+        assert set(kept[3]) == {"traces", "sums", "paired", "full"}
+        traces = kept[3]["traces"]
+        assert kept[3]["sums"] == [mcshane_sum(traces[:k]) for k in range(len(traces) + 1)]
 
 
 def test_a_decimal_root_is_refused(monkeypatch):
@@ -612,3 +647,56 @@ def test_criterion_5_ratio_is_the_finite_cutoff_model():
     )
     assert (n1_paired, n0) == (168, 108)
     assert Fraction(n1_paired, n0) == model
+
+
+def _word_trace(w):
+    return abs(evaluate(w, MODULAR_ASSIGNMENT, Mat2.identity()).trace)
+
+
+def _nielsen_simple(top):
+    """(u, v) for each simple u of trace <= top, up to inversion, v a partner
+    that makes (u, v) a basis of F2.  Past a and b, the bases (a, b) and
+    (a, B) and their children (u, uv) and (uv, v) give each primitive class
+    once, as uv (ROADMAP item 34); traces only rise down the tree."""
+    a, b = Word("a"), Word("b")
+    simple, stack = [(a, b), (b, a)], [(a, b), (a, b.inverse())]
+    while stack:
+        u, v = stack.pop()
+        if _word_trace(uv := u * v) <= top:
+            simple.append((uv, v))
+            stack += [(u, uv), (uv, v)]
+    return simple
+
+
+def _cyclic_class(w):
+    """The least rotation of w or of its inverse: one name per free homotopy class."""
+    return min(x[i:] + x[:i] for x in (w.letters, w.inverse().letters) for i in range(len(x)))
+
+
+def test_every_census_row_is_a_word_with_one_double_point(capsys):
+    """At T = 1e7 each simple u of trace t, with partner v, gives the paired
+    eights u^-2 v^-1 u v and u^-2 v u v^-1 of trace 3t, two classes, and the
+    companion x^2 v^2, x = u v^-1, of trace t^2 + 2.  Each word has its trace
+    exactly and one double point (linked_pairs), and the census CSV in both
+    modes lists exactly these traces: a paired row twice."""
+    length = trace_to_length(10**7)
+    trace_cutoff = length_to_trace(length)
+    simple = _nielsen_simple(trace_cutoff / 3.0)
+    assert sorted(_word_trace(u) for u, _ in simple) == _traces(MODULAR_ROOT, trace_cutoff / 3.0)
+    paired, companions = [], []
+    for u, v in simple:
+        t, x = _word_trace(u), u * v.inverse()
+        paired += [(u**-2 * v.inverse() * u * v, 3 * t), (u**-2 * v * u * v.inverse(), 3 * t)]
+        if t * t + 2 <= trace_cutoff:
+            companions.append((x**2 * v**2, t * t + 2))
+    for w, trace in paired + companions:
+        w = w.cyclically_reduced()
+        assert (_word_trace(w), linked_pairs(w)) == (trace, 1), w.letters
+    paired_classes = {_cyclic_class(w.cyclically_reduced()) for w, _ in paired}
+    assert (len(simple), len(paired_classes), len(companions)) == (234, 468, 72)
+    assert not paired_classes & {_cyclic_class(w.cyclically_reduced()) for w, _ in companions}
+    for mode, words in [("paired", paired), ("full", paired + companions)]:
+        code = cli.main(["census", "--cutoff", repr(length), "--mode", mode])
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert code == 0 and sorted(int(row[0]) for row in rows) == sorted(t for _, t in words)
+        assert [row[2] for row in rows].count("companion-fig8") == len(words) - len(paired)
