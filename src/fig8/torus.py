@@ -52,7 +52,8 @@ MODULAR_ROOT: TraceTriple = (3, 3, 3)
 ROOT_SLOPES: tuple[Slope, Slope, Slope] = ((0, 1), (1, 0), (-1, -1))
 
 # The largest walk of the last root walked: (root key, cutoff, sorted pairs,
-# the tables derived from the pairs, each built when a job first reads it).
+# the tables derived from the pairs, each built when a job first reads it;
+# a census mode's lines again when a job asks for more of them).
 _walk: tuple[tuple, float, list[tuple[float, Slope]], dict] | None = None
 
 
@@ -182,31 +183,32 @@ def _census_csv(rows: list[tuple], fmt) -> list[str]:
     return lines
 
 
-def _census_table(kept: tuple, mode: str, fmt) -> tuple[list[str], list, list]:
-    """The CSV lines of the kept walk's census rows, and for each prefix of
-    them the largest simple trace of its paired rows and the largest trace
-    of its companions (0 if none).  A job that reads the walk has
-    T/3.0 <= cutoff, so T < 4 cutoff, where 4 cutoff is exact: the lines
-    hold every companion it can take."""
-    rows = _census_rows(kept[2], 4 * kept[1], mode)
-    lines = _census_csv(rows, fmt)
+def _census_table(pairs: list[tuple[float, Slope]], trace_cutoff: float, mode: str, fmt) -> tuple:
+    """The CSV lines of the census rows of pairs, companions to trace_cutoff,
+    and for each prefix of the lines the largest simple trace of its paired
+    rows and the largest trace of its companions (0 if none)."""
+    rows = _census_rows(pairs, trace_cutoff, mode)
     paired, companions = [], []
     for trace, _, family, t in rows:
         paired += (t, t) if family == "paired-fig8" else (0,)
         companions += (0, 0) if family == "paired-fig8" else (trace,)
-    return lines, [*accumulate(paired, max, initial=0)], [*accumulate(companions, max, initial=0)]
+    tops = [*accumulate(paired, max, initial=0)], [*accumulate(companions, max, initial=0)]
+    return _census_csv(rows, fmt), *tops
 
 
 def _census_lines(root: TraceTriple, length_cutoff: float, mode: str, fmt) -> list[str]:
     """The CSV lines of one_intersection_census's rows, written by _census_csv.
 
     They are a prefix of the lines kept with the walk for this mode, built
-    once, with the fmt of the first call (the CLI passes its own).  With T
-    the trace cutoff, the prefix holds 2k paired lines, k the simple traces
-    t <= T/3.0, and the companions with eight_trace(t, t, 2) <= T.  Those
-    are the job's rows unless a row left out sorts before one taken, which
-    needs a paired and a companion trace within about an ulp of T; the
-    largest traces of the prefix tell, and then the rows are built anew.
+    with the fmt of the first call (the CLI passes its own) to the largest
+    T/3.0 that a job has asked of the walk, so no job writes rows beyond
+    its own.  Their companions run to 4 T/3.0, exact in floats and above
+    every trace cutoff whose third is within it.  The prefix holds 2k
+    paired lines, k the simple traces t <= T/3.0, and the companions with
+    eight_trace(t, t, 2) <= T.  Those are the job's rows unless a row left
+    out sorts before one taken, which needs a paired and a companion trace
+    within about an ulp of T; the largest traces of the prefix tell, and
+    then the rows are built anew.
     """
     trace_cutoff = length_to_trace(length_cutoff)
     third = trace_cutoff / 3.0
@@ -216,8 +218,10 @@ def _census_lines(root: TraceTriple, length_cutoff: float, mode: str, fmt) -> li
     k = 2 * paired
     if mode == "full":
         k += bisect_right(traces, trace_cutoff, key=lambda t: eight_trace(t, t, 2))
-    table = _table(kept, mode, lambda kept: _census_table(kept, mode, fmt))
-    lines, top_paired, top_companion = table
+    tables = kept[3]
+    if mode not in tables or tables[mode][0] < third:
+        tables[mode] = third, *_census_table(kept[2][:paired], 4 * third, mode, fmt)
+    _, lines, top_paired, top_companion = tables[mode]
     if top_paired[k] <= third and top_companion[k] <= trace_cutoff:
         return lines[:k]
     return _census_csv(_census_rows(kept[2][:paired], trace_cutoff, mode), fmt)

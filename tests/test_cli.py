@@ -973,6 +973,18 @@ def test_torus_jobs_slice_the_kept_tables_as_each_job_built_them(monkeypatch, ro
     assert {a.startswith("error: ") for a in want} == {False, True}  # the jobs at 9 - 1 ulp raise
 
 
+def test_census_lines_grow_with_the_lengths_asked_of_one_walk(capsys, monkeypatch):
+    """A walk kept to trace 1e9 holds census lines only to the largest
+    length asked of it, and a larger length builds them again."""
+    monkeypatch.setattr(torus, "_walk", None)
+    run(capsys, "mcshane", "--cutoff", "1e9")
+    for length in (8, 20, 12, 30, 30.5):
+        for mode in ("paired", "full"):
+            code, out, _ = run(capsys, "census", "--cutoff", repr(length), "--mode", mode)
+            assert (code, out) == (0, _oracle_census_csv(torus.MODULAR_ROOT, length, mode)), length
+    assert torus._walk[1] == 1e9 and torus._walk[3]["full"][0] == length_to_trace(30.5) / 3.0
+
+
 # A float root (x, (x^2 + 2)/3, z): the companion of x and the paired row of
 # y = (x^2 + 2)/3 both have trace 60.47760531834409, the companion first by
 # slope, 0/1 before 1/0.  At this length T is an ulp below that trace while
