@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from itertools import accumulate
 from fractions import Fraction
+from itertools import accumulate
 
 from .sl2 import eight_trace, length_to_trace, trace_to_length
 
