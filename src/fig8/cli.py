@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import random
 import string
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 from . import covers, genus2, lps, magnus, resfin, selfint, torus
 from .perms import Partition, Permutation, frobenius_count, parse_partition
-from .words import Word, random_reduced_word
+from .words import Word, random_reduced_letters
 
 SCHEMA = 1
 
@@ -190,12 +191,11 @@ def _cmd_prime(args) -> tuple[int, str]:
         for flag, value in (("--samples", args.samples), ("--maxlen", args.maxlen)):
             if value < 1:
                 raise ValueError(f"{flag} must be at least 1, not {value}")
-        rng = random.Random(args.seed)
+        stream = random_reduced_letters(random.Random(args.seed), args.maxlen)
         rows = []
-        for _ in range(args.samples):
-            w = random_reduced_word(rng, args.maxlen)
-            witness = resfin.smallest_excluding_prime(w)
-            rows.append(f"{len(w)},{witness.prime}")
+        for letters in itertools.islice(stream, args.samples):
+            witness = resfin.smallest_excluding_prime(Word(letters, "ab"))
+            rows.append(f"{len(letters)},{witness.prime}")
         return 0, _csv("length,prime", rows)
     w = Word(args.word, "ab")
     witness = resfin.smallest_excluding_prime(w)

@@ -4,9 +4,9 @@ A word is a string over lowercase generators and their uppercase inverses
 (a <-> A, b <-> B, ...).  Words are freely reduced on construction and the
 unreduced input is never retained.  ``evaluate`` sends a word into any
 group through the images of its generators.  The random reduced words
-draw each letter with ``getrandbits`` and look it up in the last letter's
-transition row, built once per alphabet, making exactly the draws that
-``rng.choice`` would, so a seed's samples are fixed.
+draw each letter with one ``getrandbits`` call that indexes a row of
+(letter, next row) entries, built once per alphabet, making exactly the
+draws that ``rng.choice`` would, so a seed's samples are fixed.
 """
 
 from __future__ import annotations
@@ -148,56 +148,67 @@ def random_reduced_letters(rng: random.Random, max_len: int, gens: str = FREE_RA
     length <= max_len, as letter strings that are reduced as they are built.
 
     Lengths are weighted by the number of reduced words of that length, so
-    the distribution is uniform over the whole ball.  The ball of radius l
-    holds r((r-1)^l - 1)/(r-2) words over r = 2 len(gens) letters, so a
-    draw below the ball of radius max_len walks its length down without a
-    table of the sizes.
+    the distribution is uniform over the whole ball.  A length is drawn as
+    an index x below the ball of radius max_len, which holds
+    r((r-1)^max_len - 1)/(r-2) words over r = 2 len(gens) letters, by the
+    ``getrandbits`` loop of ``rng.randrange``; it walks down while x is
+    below the next smaller ball.  The stream keeps the ball sizes it has
+    compared with, each from the one above as (size - r)/(r - 1), so they
+    reach only as deep as a draw has: about log_(r-1) of the sample count
+    below max_len, and every radius for r = 2, where the sizes are 2l.
 
-    A letter is one ``rng.getrandbits(k)`` draw, k = r.bit_length(),
-    looked up in the last letter's row of ``_transition_rows(gens)``, and
-    redrawn while the row refuses it: while it is r or more or the inverse
-    of the last letter.  ``rng.choice`` over the alphabet, redrawn on an
-    inverse, makes exactly these draws, so each seed's samples and final
-    state are as with it.  The rows are cached per alphabet, so a stream
-    started per word does not rebuild them.
+    A letter is one ``rng.getrandbits(k)`` draw, k = r.bit_length(), that
+    indexes the last letter's row of ``_letter_rows(gens)``: each entry is
+    the letter that draw gives and the row after it, or "" and the same
+    row where the draw is refused, at r or more or on the inverse of the
+    last letter.  ``rng.choice`` over the alphabet, redrawn on an inverse,
+    makes exactly these draws, so each seed's samples and final state are
+    as with it.  The rows are cached per alphabet, so a stream started per
+    word does not rebuild them.
     """
+    if max_len < 1:
+        raise ValueError(f"max_len must be at least 1, not {max_len}")
     r = 2 * len(gens)
-
-    def ball(l: int) -> int:
-        return r * ((r - 1) ** l - 1) // (r - 2) if r > 2 else 2 * l
-
-    size = ball(max(max_len, 0))  # no words below radius 1: randrange raises
-    rows = _transition_rows(gens)
+    size = r * ((r - 1) ** max_len - 1) // (r - 2) if r > 2 else 2 * max_len
+    balls = [size]  # balls[i]: the ball of radius max_len - i
+    n = size.bit_length()
+    start = _letter_rows(gens)
     k = r.bit_length()
     getrandbits = rng.getrandbits
     while True:
-        x = rng.randrange(size)
-        length = max_len
-        while x < ball(length - 1):
-            length -= 1
+        x = getrandbits(n)
+        while x >= size:
+            x = getrandbits(n)
+        i = 1
+        while True:
+            if i == len(balls):
+                balls.append((balls[-1] - r) // (r - 1))
+            if x >= balls[i]:
+                break
+            i += 1
         out = []
-        ch = ""
-        for _ in range(length):
-            row = rows[ch]
-            ch = row[getrandbits(k)]
+        row = start
+        for _ in range(max_len + 1 - i):
+            ch, row = row[getrandbits(k)]
             while not ch:
-                ch = row[getrandbits(k)]
+                ch, row = row[getrandbits(k)]
             out.append(ch)
         yield "".join(out)
 
 
 @functools.cache
-def _transition_rows(gens: str) -> dict[str, tuple[str, ...]]:
-    """The sampler's row after each letter over ``gens``, and under "" the
-    first letter's row.  Entry j of a row is the letter that the k-bit draw
-    j gives, or "" where the draw is refused: j >= r, or the inverse of the
-    last letter."""
+def _letter_rows(gens: str) -> list:
+    """The sampler's first row over ``gens``.  Entry j of a row is what the
+    k-bit draw j gives after its letter: that letter and the row after it,
+    or "" and the same row where the draw is refused, j >= r or the inverse
+    of the row's letter.  The first row refuses only j >= r."""
     alphabet = gens + gens.upper()
-    pad = ("",) * ((1 << len(alphabet).bit_length()) - len(alphabet))
-    rows = {"": tuple(alphabet) + pad}
-    for last in alphabet:
-        rows[last] = tuple("" if ch == last.swapcase() else ch for ch in alphabet) + pad
-    return rows
+    pad = (1 << len(alphabet).bit_length()) - len(alphabet)
+    rows: dict[str, list] = {last: [] for last in ("", *alphabet)}
+    for last, row in rows.items():
+        row += [("", row) if ch == last.swapcase() else (ch, rows[ch]) for ch in alphabet]
+        row += [("", row)] * pad
+    return rows[""]
 
 
 def random_reduced_word(rng: random.Random, max_len: int, gens: str = FREE_RANK2) -> Word:

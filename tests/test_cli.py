@@ -10,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -390,11 +391,19 @@ def test_avgindex_requires_seed_and_is_deterministic(capsys, tmp_path):
 
 
 def test_avgindex_at_a_large_radius_in_bounded_time(capsys):
-    # the lengths are drawn from the closed-form ball sizes, not a table of
-    # radius entries: one sample at radius 20000 took 1.0 s and 57 MB with it
-    t0 = time.perf_counter()
-    code, out, _ = run(capsys, "avgindex", "--radius", "100000", "--samples", "1", "--seed", "1")
-    assert time.perf_counter() - t0 < 5
+    # the stream keeps only the ball sizes its draws compare with, not a
+    # table of radius entries: one sample at radius 20000 took 1.0 s and
+    # 57 MB with such a table
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "avgindex", "--radius", "100000", "--samples", "1", "--seed", "1")
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 5
+    assert peak < 5 * 2**20, peak
     payload = json.loads(out)
     assert code == 0 and payload["samples_used"] + payload["excluded_zero_abelianization"] == 1
 

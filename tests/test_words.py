@@ -200,6 +200,27 @@ def test_random_reduced_letters_equal_choice_oracle(gens):
             oracle = _oracle_random_reduced_letters(oracle_rng, max_len, gens)
             assert [next(stream) for _ in range(5)] == [next(oracle) for _ in range(5)]
             assert rng.getstate() == oracle_rng.getstate(), (gens, max_len, seed)
+    if len(gens) > 2:
+        return
+    # long streams compare with ball sizes deep below max_len: at rank 1
+    # every length comes, and at rank 2 and radius 30 lengths down to 23
+    for max_len in (1, 2, 3, 30):
+        rng, oracle_rng = random.Random(max_len), random.Random(max_len)
+        stream = random_reduced_letters(rng, max_len, gens)
+        oracle = _oracle_random_reduced_letters(oracle_rng, max_len, gens)
+        samples = [next(stream) for _ in range(2000)]
+        assert samples == [next(oracle) for _ in range(2000)]
+        assert rng.getstate() == oracle_rng.getstate(), (gens, max_len)
+        assert len(set(map(len, samples))) == (max_len if len(gens) == 1 else min(max_len, 8))
+
+
+@pytest.mark.parametrize("max_len", [0, -1, -30])
+def test_random_reduced_letters_refuse_an_empty_ball(max_len):
+    # the length draw is inlined from rng.randrange, which raises on an
+    # empty range; a getrandbits loop below a ball of size 0 would not end
+    for gens in ("a", "ab"):
+        with pytest.raises(ValueError):
+            next(random_reduced_letters(random.Random(1), max_len, gens))
 
 
 def test_random_word_determinism():
