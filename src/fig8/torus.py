@@ -143,15 +143,26 @@ def enumerate_simple(root: TraceTriple, trace_cutoff: float) -> list[tuple[float
     return kept[2][: bisect_right(_traces(kept), trace_cutoff)]
 
 
+def _census_cutoff(trace_cutoff: float) -> float:
+    """The simple trace cutoff of a census to trace_cutoff T: two ulps above
+    T/3.0, as 3t is rounded to within half an ulp of T and T/3.0 to within
+    half an ulp of T/3, so every t with eight_trace(t, 2, t) <= T is walked;
+    a companion's t^2 + 2 <= T gives t <= sqrt(T - 2) <= T/3 (T >= 9).
+    Below 3 it is T/3.0 itself, which the walk refuses."""
+    third = trace_cutoff / 3.0
+    return third if third < 3 else math.nextafter(math.nextafter(third, math.inf), math.inf)
+
+
 def _census_rows(pairs: list[tuple[float, Slope]], trace_cutoff: float, mode: str) -> list[tuple]:
-    """The sorted (trace, slope, family, simple trace) rows of the simple pairs:
-    each gives a paired row, and in full mode a companion if its trace is <= trace_cutoff."""
+    """The sorted (trace, slope, family) rows of the simple pairs: each gives a paired
+    row and, in full mode, a companion, each iff its own trace is <= trace_cutoff."""
     rows = []
     for t, st in pairs:
-        rows.append((eight_trace(t, 2, t), st, "paired-fig8", t))
+        if (paired := eight_trace(t, 2, t)) <= trace_cutoff:
+            rows.append((paired, st, "paired-fig8"))
         if mode == "full" and (companion := eight_trace(t, t, 2)) <= trace_cutoff:
-            rows.append((companion, st, "companion-fig8", t))
-    rows.sort()  # (trace, slope, family) is unique: the simple trace is never compared
+            rows.append((companion, st, "companion-fig8"))
+    rows.sort()
     return rows
 
 
@@ -163,68 +174,46 @@ def one_intersection_census(
     A simple trace t cuts off the pants (t, t, cusp): "paired" gives the row of
     their two eights around (t, cusp), of trace eight_trace(t, 2, t) = 3t, and
     "full" adds the companion around (t, t), of trace eight_trace(t, t, 2) = t^2 + 2.
-    The (trace, slope, family) rows are sorted: a paired row stands for two geodesics.
+    A row is listed iff its own trace is within the cutoff, as census_counts
+    counts it.  The (trace, slope, family) rows are sorted: a paired row
+    stands for two geodesics.
     """
     if mode not in ("paired", "full"):
         raise ValueError(f"unknown census mode {mode!r}")
     trace_cutoff = length_to_trace(length_cutoff)
-    # t^2 + 2 <= T gives t <= sqrt(T - 2) <= T/3 (T >= 9 here): no base is missed
-    rows = _census_rows(enumerate_simple(root, trace_cutoff / 3.0), trace_cutoff, mode)
-    return [row[:3] for row in rows]
+    return _census_rows(enumerate_simple(root, _census_cutoff(trace_cutoff)), trace_cutoff, mode)
 
 
-def _census_csv(rows: list[tuple], fmt) -> list[str]:
-    """The CSV lines of census rows, floats written by fmt; a paired row's line
-    is written twice, the same string, since the row stands for two geodesics."""
-    lines = []
-    for t, (p, q), family, _ in rows:
-        line = f"{fmt(t)},{fmt(trace_to_length(t))},{family},{p}/{q}"
-        lines += (line, line) if family == "paired-fig8" else (line,)
-    return lines
-
-
-def _census_table(pairs: list[tuple[float, Slope]], trace_cutoff: float, mode: str, fmt) -> tuple:
-    """The CSV lines of the census rows of pairs, companions to trace_cutoff,
-    and for each prefix of the lines the largest simple trace of its paired
-    rows and the largest trace of its companions (0 if none)."""
-    rows = _census_rows(pairs, trace_cutoff, mode)
-    paired, companions = [], []
-    for trace, _, family, t in rows:
-        paired += (t, t) if family == "paired-fig8" else (0,)
-        companions += (0, 0) if family == "paired-fig8" else (trace,)
-    tops = [*accumulate(paired, max, initial=0)], [*accumulate(companions, max, initial=0)]
-    return _census_csv(rows, fmt), *tops
+def _census_csv(rows: list[tuple], fmt) -> tuple[list, list[str]]:
+    """The trace of each CSV line of census rows, and the lines, floats written
+    by fmt; a paired row's line is written twice, the same string, since the
+    row stands for two geodesics."""
+    traces, lines = [], []
+    for t, (p, q), family in rows:
+        n = 2 if family == "paired-fig8" else 1
+        traces += [t] * n
+        lines += [f"{fmt(t)},{fmt(trace_to_length(t))},{family},{p}/{q}"] * n
+    return traces, lines
 
 
 def _census_lines(root: TraceTriple, length_cutoff: float, mode: str, fmt) -> list[str]:
     """The CSV lines of one_intersection_census's rows, written by _census_csv.
 
-    They are a prefix of the lines kept with the walk for this mode, built
-    with the fmt of the first call (the CLI passes its own) to the largest
-    T/3.0 that a job has asked of the walk, so no job writes rows beyond
-    its own.  Their companions run to 4 T/3.0, exact in floats and above
-    every trace cutoff whose third is within it.  The prefix holds 2k
-    paired lines, k the simple traces t <= T/3.0, and the companions with
-    eight_trace(t, t, 2) <= T.  Those are the job's rows unless a row left
-    out sorts before one taken, which needs a paired and a companion trace
-    within about an ulp of T; the largest traces of the prefix tell, and
-    then the rows are built anew.
+    Rows sort by trace and each is listed iff its trace is <= T, so a job's
+    lines are the prefix, to its T, of the lines of any larger T.  Each
+    mode keeps with the walk its lines to the largest T a job has asked of
+    the walk, with the trace of each line, built with the fmt of the first
+    call (the CLI passes its own), so no job writes rows beyond its own.
     """
     trace_cutoff = length_to_trace(length_cutoff)
-    third = trace_cutoff / 3.0
-    kept = _kept_walk(root, third)
-    traces = _traces(kept)
-    paired = bisect_right(traces, third)
-    k = 2 * paired
-    if mode == "full":
-        k += bisect_right(traces, trace_cutoff, key=lambda t: eight_trace(t, t, 2))
-    tables = kept[3]
-    if mode not in tables or tables[mode][0] < third:
-        tables[mode] = third, *_census_table(kept[2][:paired], 4 * third, mode, fmt)
-    _, lines, top_paired, top_companion = tables[mode]
-    if top_paired[k] <= third and top_companion[k] <= trace_cutoff:
-        return lines[:k]
-    return _census_csv(_census_rows(kept[2][:paired], trace_cutoff, mode), fmt)
+    cutoff = _census_cutoff(trace_cutoff)
+    tables = _kept_walk(root, cutoff)[3]
+    kept = tables.get(mode)  # read once: a thread may replace it
+    if kept is None or kept[0] < trace_cutoff:
+        rows = _census_rows(enumerate_simple(root, cutoff), trace_cutoff, mode)
+        kept = tables[mode] = trace_cutoff, *_census_csv(rows, fmt)
+    _, traces, lines = kept
+    return lines[: bisect_right(traces, trace_cutoff)]
 
 
 def _mcshane_term(t: float) -> float:

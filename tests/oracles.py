@@ -327,13 +327,17 @@ def _oracle_one_intersection_census(
     root: TraceTriple, length_cutoff: float, mode: str = "paired"
 ) -> list[tuple[float, Slope, str]]:
     """The census rows: a paired row and maybe a companion per simple
-    geodesic, sorted by (trace, slope, family)."""
+    geodesic, each kept iff its own trace is within the cutoff, sorted by
+    (trace, slope, family).  The walk runs to the cutoff itself, past every
+    simple trace that can give a row."""
     if mode not in ("paired", "full"):
         raise ValueError(f"unknown census mode {mode!r}")
     trace_cutoff = length_to_trace(length_cutoff)
+    enumerate_simple(root, trace_cutoff / 3.0)  # refuses below trace 9, as the census does
     rows = []
-    for trace, slope in enumerate_simple(root, trace_cutoff / 3.0):
-        rows.append((3 * trace, slope, "paired-fig8"))
+    for trace, slope in enumerate_simple(root, trace_cutoff):
+        if 3 * trace <= trace_cutoff:
+            rows.append((3 * trace, slope, "paired-fig8"))
         companion = trace * trace + 2
         if mode == "full" and companion <= trace_cutoff:
             rows.append((companion, slope, "companion-fig8"))

@@ -991,29 +991,72 @@ def test_census_lines_grow_with_the_lengths_asked_of_one_walk(capsys, monkeypatc
         for mode in ("paired", "full"):
             code, out, _ = run(capsys, "census", "--cutoff", repr(length), "--mode", mode)
             assert (code, out) == (0, _oracle_census_csv(torus.MODULAR_ROOT, length, mode)), length
-    assert torus._walk[1] == 1e9 and torus._walk[3]["full"][0] == length_to_trace(30.5) / 3.0
+    assert torus._walk[1] == 1e9 and torus._walk[3]["full"][0] == length_to_trace(30.5)
 
 
 # A float root (x, (x^2 + 2)/3, z): the companion of x and the paired row of
 # y = (x^2 + 2)/3 both have trace 60.47760531834409, the companion first by
 # slope, 0/1 before 1/0.  At this length T is an ulp below that trace while
-# T/3.0 rounds up to y, so the census takes the paired row and not the
-# companion that sorts before it.
+# T/3.0 rounds up to y; each row is judged by its own trace, so neither is listed.
 TIED_ROOT = "7.647065144115361,20.159201772781362,151.0817796091742"
 TIED_LENGTH = 8.203999233066979
 
 
-def test_a_row_left_out_before_one_taken_is_not_read_from_the_kept_lines(capsys, monkeypatch):
+def _census_line_counts(root, lengths):
+    """{length: (N1_paired, N1_full)} by census --counts-at, and the census
+    line counts of both modes at each length, or None where census refuses:
+    first built anew at each length, then sliced from those of the largest."""
+    args = cli._parser().parse_args(["census", "--root", root, "--counts-at", ",".join(map(repr, lengths))])
+    counts = [line.split(",")[2:] for line in args.func(args)[1].splitlines()[1:]]
+    want = {length: tuple(map(int, n1)) for length, n1 in zip(lengths, counts)}
+    got = {}
+    for order in (slice(None), slice(None, None, -1)):  # ascending lengths build, descending slice
+        for length in lengths[order]:
+            census = []
+            for mode in ("paired", "full"):
+                args = cli._parser().parse_args(["census", "--root", root, "--cutoff", repr(length), "--mode", mode])
+                try:
+                    census.append(len(args.func(args)[1].splitlines()) - 1)
+                except ValueError:
+                    census.append(None)
+            assert got.setdefault(length, tuple(census)) == tuple(census), length
+    return want, got
+
+
+@pytest.mark.parametrize("root", ["3,3,3", "9/4,9/2,9/2", "4,4,13.65685424949238", TIED_ROOT])
+def test_census_lines_agree_with_counts_at(monkeypatch, root):
+    """At every paired and companion trace <= 1e6 and an ulp either side, in
+    length, census lists N1_paired lines in paired mode and N1_full in full
+    mode, refusing only where the trace cutoff's third is below 3."""
+    simple = [t for t, _ in torus.enumerate_simple(cli._parse_root(root), 10**6 / 3)]
+    eights = {float(eight_trace(t, 2, t)) for t in simple}
+    eights |= {c for t in simple if (c := float(eight_trace(t, t, 2))) <= 10**6}
+    lengths = sorted({c for t in eights for c in _ulps_around(trace_to_length(t))})
+    monkeypatch.setattr(torus, "_walk", None)
+    want, got = _census_line_counts(root, lengths)
+    for length in lengths:
+        if length_to_trace(length) / 3.0 < 3:
+            assert got[length] == (None, None), length
+        else:
+            assert got[length] == want[length], length
+
+
+def test_census_lists_neither_row_tied_an_ulp_above_the_cutoff(capsys, monkeypatch):
     root = cli._parse_root(TIED_ROOT)
     trace_cutoff = length_to_trace(TIED_LENGTH)
-    assert eight_trace(root[0], root[0], 2) == eight_trace(root[1], 2, root[1]) > trace_cutoff
+    assert eight_trace(root[0], root[0], 2) == eight_trace(root[1], 2, root[1]) == 60.47760531834409 > trace_cutoff
     assert root[1] == trace_cutoff / 3.0
-    want = _oracle_census_csv(root, TIED_LENGTH, "full")
-    assert want.splitlines()[-2:] == ["60.4776053,8.20399923,paired-fig8,1/0"] * 2
-    monkeypatch.setattr(torus, "_walk", None)
-    for length in (20, TIED_LENGTH):  # a walk that holds both rows, then a slice of it
-        code, out, _ = run(capsys, "census", "--root", TIED_ROOT, "--cutoff", repr(length), "--mode", "full")
-    assert (code, out) == (0, want)
+    code, out, _ = run(capsys, "census", "--root", TIED_ROOT, "--counts-at", repr(TIED_LENGTH))
+    assert (code, out.splitlines()[1].split(",")[2:]) == (0, ["20", "25"])
+    for mode, lines in (("paired", 20), ("full", 25)):
+        argv = ["census", "--root", TIED_ROOT, "--cutoff", repr(TIED_LENGTH), "--mode", mode]
+        monkeypatch.setattr(torus, "_walk", None)
+        cold = run(capsys, *argv)
+        run(capsys, "census", "--root", TIED_ROOT, "--cutoff", "20", "--mode", mode)
+        assert run(capsys, *argv) == cold  # a slice of the lines kept to length 20
+        assert cold[:2] == (0, _oracle_census_csv(root, TIED_LENGTH, mode))
+        assert len(cold[1].splitlines()) == 1 + lines
+        assert not any(line.startswith("60.4776053,") for line in cold[1].splitlines())
 
 
 @st.composite

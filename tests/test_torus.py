@@ -19,7 +19,7 @@ from fig8.torus import (
     one_intersection_census,
 )
 from fig8.selfint import MODULAR_ASSIGNMENT
-from fig8.sl2 import Mat2, length_to_trace, trace_to_length
+from fig8.sl2 import Mat2, eight_trace, length_to_trace, trace_to_length
 from fig8.words import Word, evaluate
 from oracles import (
     LabelledTriple,
@@ -417,6 +417,21 @@ def test_census_matches_the_sorted_record_census():
         outcomes["equal"] += 1
     # all 28 roots walk at the 12 lengths >= 4.4 in both modes, and raise at the 4 below
     assert outcomes == {"equal": 28 * 2 * 12, "raise": 28 * 2 * 4}
+
+
+def test_the_census_walk_holds_every_paired_row_within_the_cutoff():
+    """Wherever eight_trace(t, 2, t) <= T, with T at 3t rounded and an ulp
+    either side, t is within the census walk's cutoff, though often above T/3.0."""
+    rng = random.Random(48)
+    above_third = 0
+    for _ in range(100_000):
+        t = 3 * 2 ** rng.uniform(0, 20)
+        paired = eight_trace(t, 2, t)
+        for trace_cutoff in (math.nextafter(paired, 0), paired, math.nextafter(paired, math.inf)):
+            if paired <= trace_cutoff:
+                assert t <= torus._census_cutoff(trace_cutoff), (t, trace_cutoff)
+                above_third += t > trace_cutoff / 3.0
+    assert above_third > 10_000
 
 
 def test_traces_keep_the_number_type_of_the_root():
