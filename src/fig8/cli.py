@@ -91,10 +91,8 @@ def _cmd_mcshane(args) -> tuple[int, str]:
 def _cmd_mc2(args) -> tuple[int, str]:
     # each simple trace t carries two paired terms of trace 3t, and the term
     # 1 - sqrt(1 - (6/3t)^2) of each is the McShane term of t: the sum tends to 2
-    terms, total = torus._mcshane_prefix(_parse_root(args.root), args.cutoff / 3.0)
-    return 0, _json(
-        {"cutoff": args.cutoff, "partial_sum": float(_fmt(2 * total)), "terms": 2 * terms},
-    )
+    terms, total = torus._mcshane_prefix(_parse_root(args.root), args.cutoff, "mc2")
+    return 0, _json({"cutoff": args.cutoff, "partial_sum": float(_fmt(total)), "terms": terms})
 
 
 def _cmd_selfint(args) -> tuple[int, str]:

@@ -19,6 +19,7 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
+from operator import itemgetter
 
 from .sl2 import eight_trace, length_to_trace, trace_to_length
 
@@ -52,8 +53,8 @@ MODULAR_ROOT: TraceTriple = (3, 3, 3)
 ROOT_SLOPES: tuple[Slope, Slope, Slope] = ((0, 1), (1, 0), (-1, -1))
 
 # The largest walk of the last root walked: (root key, cutoff, sorted pairs,
-# the tables derived from the pairs, each built when a job first reads it;
-# a census mode's lines again when a job asks for more of them).
+# the tables derived from the pairs: the McShane prefix sums, built when a job
+# first reads them, and a census mode's lines, again when a job asks for more).
 _walk: tuple[tuple, float, list[tuple[float, Slope]], dict] | None = None
 
 
@@ -121,26 +122,25 @@ def _kept_walk(root: TraceTriple, trace_cutoff: float) -> tuple:
     return kept
 
 
-def _table(kept: tuple, name: str, build) -> list:
-    """The kept walk's table name, build(kept) when first read; it goes with the walk."""
-    tables = kept[3]
-    if name not in tables:
-        tables[name] = build(kept)
-    return tables[name]
-
-
-def _traces(kept: tuple) -> list[float]:
-    return _table(kept, "traces", lambda kept: [t for t, _ in kept[2]])
-
-
 def enumerate_simple(root: TraceTriple, trace_cutoff: float) -> list[tuple[float, Slope]]:
     """The sorted (trace, slope) pairs of the simple geodesics with trace <= cutoff.
 
     A fresh copy of the prefix of the kept walk (_kept_walk), which walks
     again only for a larger cutoff or another root.
     """
-    kept = _kept_walk(root, trace_cutoff)
-    return kept[2][: bisect_right(_traces(kept), trace_cutoff)]
+    pairs = _kept_walk(root, trace_cutoff)[2]
+    return pairs[: bisect_right(pairs, trace_cutoff, key=itemgetter(0))]
+
+
+def _counts(pairs: list[tuple[float, Slope]], trace_cutoff: float) -> tuple[int, int, int]:
+    """(N0, N1_paired, N1_full) at trace cutoff T from sorted simple pairs:
+    the traces t <= T, two paired geodesics for each t with
+    eight_trace(t, 2, t) <= T, and a companion for each t with
+    eight_trace(t, t, 2) <= T.  Both keys rise with t, so each is one bisect."""
+    n0 = bisect_right(pairs, trace_cutoff, key=itemgetter(0))
+    n_paired = bisect_right(pairs, trace_cutoff, key=lambda pair: eight_trace(pair[0], 2, pair[0]))
+    n_companion = bisect_right(pairs, trace_cutoff, key=lambda pair: eight_trace(pair[0], pair[0], 2))
+    return n0, 2 * n_paired, 2 * n_paired + n_companion
 
 
 def _census_cutoff(trace_cutoff: float) -> float:
@@ -154,14 +154,14 @@ def _census_cutoff(trace_cutoff: float) -> float:
 
 
 def _census_rows(pairs: list[tuple[float, Slope]], trace_cutoff: float, mode: str) -> list[tuple]:
-    """The sorted (trace, slope, family) rows of the simple pairs: each gives a paired
-    row and, in full mode, a companion, each iff its own trace is <= trace_cutoff."""
-    rows = []
-    for t, st in pairs:
-        if (paired := eight_trace(t, 2, t)) <= trace_cutoff:
-            rows.append((paired, st, "paired-fig8"))
-        if mode == "full" and (companion := eight_trace(t, t, 2)) <= trace_cutoff:
-            rows.append((companion, st, "companion-fig8"))
+    """The sorted (trace, slope, family) rows of the sorted simple pairs that
+    _counts counts at trace_cutoff: a paired row for each of the first
+    N1_paired/2 pairs and, in full mode, a companion for each of the first
+    N1_full - N1_paired."""
+    _, n_paired, n_full = _counts(pairs, trace_cutoff)
+    rows = [(eight_trace(t, 2, t), st, "paired-fig8") for t, st in pairs[: n_paired // 2]]
+    if mode == "full":
+        rows += [(eight_trace(t, t, 2), st, "companion-fig8") for t, st in pairs[: n_full - n_paired]]
     rows.sort()
     return rows
 
@@ -181,39 +181,36 @@ def one_intersection_census(
     if mode not in ("paired", "full"):
         raise ValueError(f"unknown census mode {mode!r}")
     trace_cutoff = length_to_trace(length_cutoff)
-    return _census_rows(enumerate_simple(root, _census_cutoff(trace_cutoff)), trace_cutoff, mode)
+    return _census_rows(_kept_walk(root, _census_cutoff(trace_cutoff))[2], trace_cutoff, mode)
 
 
-def _census_csv(rows: list[tuple], fmt) -> tuple[list, list[str]]:
-    """The trace of each CSV line of census rows, and the lines, floats written
-    by fmt; a paired row's line is written twice, the same string, since the
-    row stands for two geodesics."""
-    traces, lines = [], []
+def _census_csv(rows: list[tuple], fmt) -> list[str]:
+    """The CSV lines of census rows, floats written by fmt; a paired row's
+    line is written twice, the same string, since the row stands for two
+    geodesics."""
+    lines = []
     for t, (p, q), family in rows:
         n = 2 if family == "paired-fig8" else 1
-        traces += [t] * n
         lines += [f"{fmt(t)},{fmt(trace_to_length(t))},{family},{p}/{q}"] * n
-    return traces, lines
+    return lines
 
 
 def _census_lines(root: TraceTriple, length_cutoff: float, mode: str, fmt) -> list[str]:
     """The CSV lines of one_intersection_census's rows, written by _census_csv.
 
-    Rows sort by trace and each is listed iff its trace is <= T, so a job's
-    lines are the prefix, to its T, of the lines of any larger T.  Each
-    mode keeps with the walk its lines to the largest T a job has asked of
-    the walk, with the trace of each line, built with the fmt of the first
-    call (the CLI passes its own), so no job writes rows beyond its own.
+    Rows sort by trace and _counts counts them, so a job's lines are the
+    first N1 lines, N1_paired or N1_full at its T, of the lines of any
+    larger T.  Each mode keeps with the walk its lines to the largest T a
+    job has asked of the walk, built with the fmt of the first call (the
+    CLI passes its own), so no job writes rows beyond its own.
     """
     trace_cutoff = length_to_trace(length_cutoff)
-    cutoff = _census_cutoff(trace_cutoff)
-    tables = _kept_walk(root, cutoff)[3]
+    _, _, pairs, tables = _kept_walk(root, _census_cutoff(trace_cutoff))
     kept = tables.get(mode)  # read once: a thread may replace it
     if kept is None or kept[0] < trace_cutoff:
-        rows = _census_rows(enumerate_simple(root, cutoff), trace_cutoff, mode)
-        kept = tables[mode] = trace_cutoff, *_census_csv(rows, fmt)
-    _, traces, lines = kept
-    return lines[: bisect_right(traces, trace_cutoff)]
+        kept = tables[mode] = trace_cutoff, _census_csv(_census_rows(pairs, trace_cutoff, mode), fmt)
+    _, n_paired, n_full = _counts(pairs, trace_cutoff)
+    return kept[1][: n_full if mode == "full" else n_paired]
 
 
 def _mcshane_term(t: float) -> float:
@@ -240,12 +237,17 @@ def mcshane_sum(traces: list[float], form: str = "trace") -> float:
 
 def _mcshane_prefix(root: TraceTriple, trace_cutoff: float, form: str = "trace") -> tuple:
     """The number k of simple traces <= trace_cutoff and mcshane_sum of them,
-    bit for bit: entry k of the prefix sums kept with the walk."""
-    kept = _kept_walk(root, trace_cutoff)
-    k = bisect_right(_traces(kept), trace_cutoff)
-    sums = _table(
-        kept, "sums", lambda kept: [*accumulate(map(_mcshane_term, _traces(kept)), initial=0.0)]
-    )
+    bit for bit: entry k of the prefix sums kept with the walk.  Form "mc2"
+    gives the N1_paired = 2k' terms that _counts counts and twice entry k'."""
+    walked = _census_cutoff(trace_cutoff) if form == "mc2" else trace_cutoff
+    _, _, pairs, tables = _kept_walk(root, walked)
+    sums = tables.get("sums")  # read once: a thread may replace it
+    if sums is None:
+        sums = tables["sums"] = [*accumulate(map(_mcshane_term, map(itemgetter(0), pairs)), initial=0.0)]
+    if form == "mc2":
+        terms = _counts(pairs, trace_cutoff)[1]
+        return terms, 2 * sums[terms // 2]
+    k = bisect_right(pairs, trace_cutoff, key=itemgetter(0))
     return k, sums[k] if form == "trace" else sums[k] / 2
 
 
@@ -254,22 +256,16 @@ def census_counts(root: TraceTriple, length_bounds: list[float]) -> list[tuple[i
     bound L, from one walk at the largest trace bound or 3.
 
     Every bound is converted before the walk, so a bad length is reported
-    before a root that cannot be walked.  Rows are counted in the sorted
-    traces of the walk, a sink trace below 3 included.
+    before a root that cannot be walked.  _counts counts each bound in the
+    sorted pairs of the walk, a sink trace below 3 included.
     """
     trace_bounds = []
     for length in length_bounds:
         if length <= 0:
             raise ValueError("length bound must be positive")
         trace_bounds.append(length_to_trace(length))
-    traces = _traces(_kept_walk(root, max(trace_bounds + [3])))
-    rows = []
-    for bound in trace_bounds:
-        n0 = bisect_right(traces, bound)
-        n_paired = 2 * bisect_right(traces, bound, key=lambda t: eight_trace(t, 2, t))
-        n_companion = bisect_right(traces, bound, key=lambda t: eight_trace(t, t, 2))
-        rows.append((n0, n_paired, n_paired + n_companion))
-    return rows
+    pairs = _kept_walk(root, max(trace_bounds + [3]))[2]
+    return [_counts(pairs, bound) for bound in trace_bounds]
 
 
 def growth_exponent(samples: list[tuple[float, int]]) -> float:

@@ -362,6 +362,15 @@ def _oracle_mcshane(root: TraceTriple, trace_cutoff: float, form: str = "trace")
     return len(traces), mcshane_sum(traces, form)
 
 
+def _oracle_mc2(root: TraceTriple, trace_cutoff: float) -> tuple[int, float]:
+    """(terms, partial sum) of mc2 by the census rule: the two paired
+    geodesics of each simple trace t with 3t within the cutoff, each with the
+    McShane term of t.  The walk runs to the cutoff itself, past every such t."""
+    enumerate_simple(root, trace_cutoff / 3.0)  # refuses below trace 9, as mc2 does
+    traces = [t for t, _ in enumerate_simple(root, trace_cutoff) if 3 * t <= trace_cutoff]
+    return 2 * len(traces), 2 * mcshane_sum(traces)
+
+
 def relator_product(rng) -> str:
     """A product of 1-3 conjugates of the genus-2 relator or its inverse."""
     letters = "abcdABCD"

@@ -23,7 +23,14 @@ from fig8.cli import main
 from fig8.perms import Permutation
 from fig8.sl2 import Mat2, eight_trace, length_to_trace, trace_to_length
 from fig8.words import Word, evaluate, random_reduced_word
-from oracles import _oracle_census_csv, _oracle_mcshane, linked_pairs, relator_product
+from oracles import (
+    _oracle_census_csv,
+    _oracle_mc2,
+    _oracle_mcshane,
+    _oracle_one_intersection_census,
+    linked_pairs,
+    relator_product,
+)
 
 
 def run(capsys, *argv):
@@ -47,10 +54,22 @@ def test_census_full_below_first_companion(capsys):
     assert (code, out) == run(capsys, "census", "--cutoff", "4.5", "--mode", "paired")[:2]
 
 
-@pytest.mark.xfail(reason="census below the first paired trace 9 exits 2, not an empty CSV")
-def test_census_below_first_paired_trace_is_empty(capsys):
-    code, out, _ = run(capsys, "census", "--cutoff", "4.0")
-    assert (code, out) == (0, "trace,length,family,slope\n")
+# Below trace 9 a census lists the rows that --counts-at counts: none at the
+# modular root, and at 9/4,9/2,9/2 those of its sink trace 9/4, the paired
+# row 27/4 (N1_paired 2) and the companion 113/16 (N1_full 3).
+BELOW_NINE_PAIRED = ["6.75,3.77366932,paired-fig8,0/1"] * 2
+BELOW_NINE_CENSUS = [
+    ("3,3,3", "paired", []),
+    ("9/4,9/2,9/2", "paired", BELOW_NINE_PAIRED),
+    ("9/4,9/2,9/2", "full", BELOW_NINE_PAIRED + ["7.0625,3.86823853,companion-fig8,0/1"]),
+]
+
+
+@pytest.mark.xfail(reason="census below trace 9 exits 2, not the rows that --counts-at counts")
+@pytest.mark.parametrize("root,mode,lines", BELOW_NINE_CENSUS, ids=["modular", "paired", "full"])
+def test_census_below_first_paired_trace_is_empty(capsys, root, mode, lines):
+    code, out, _ = run(capsys, "census", "--cutoff", "4.0", "--root", root, "--mode", mode)
+    assert (code, out) == (0, cli._csv("trace,length,family,slope", lines))
 
 
 def test_census_counts(capsys):
@@ -934,7 +953,7 @@ def _slice_jobs(root, top):
     for cutoff in sorted({c for t in eights | {float(t) for t in simple} for c in _ulps_around(t)}):
         for form in ("trace", "length"):
             jobs.append((["mcshane", "--cutoff", repr(cutoff), "--form", form], _oracle_mcshane, cutoff, form))
-        jobs.append((["mc2", "--cutoff", repr(cutoff)], _oracle_mcshane, cutoff / 3.0))
+        jobs.append((["mc2", "--cutoff", repr(cutoff)], _oracle_mc2, cutoff))
     for length in sorted({c for t in eights for c in _ulps_around(trace_to_length(t))}):
         for mode in ("paired", "full"):
             jobs.append((["census", "--cutoff", repr(length), "--mode", mode], _oracle_census_csv, length, mode))
@@ -945,7 +964,7 @@ def _walk_cutoff(job):
     """The trace cutoff that a torus job walks to."""
     command, _, cutoff, *_ = job[0]
     trace = length_to_trace(float(cutoff)) if command == "census" else float(cutoff)
-    return trace if command == "mcshane" else trace / 3.0
+    return trace if command == "mcshane" else torus._census_cutoff(trace)
 
 
 def _oracle_artifact(argv, oracle, *args, root):
@@ -957,7 +976,7 @@ def _oracle_artifact(argv, oracle, *args, root):
         return answer
     terms, total = answer
     if argv[0] == "mc2":
-        payload = {"cutoff": float(argv[2]), "partial_sum": float(f"{2 * total:.9g}"), "terms": 2 * terms}
+        payload = {"cutoff": float(argv[2]), "partial_sum": float(f"{total:.9g}"), "terms": terms}
     else:
         payload = {"cutoff": float(argv[2]), "form": argv[4], "partial_sum": float(f"{total:.9g}"), "terms": terms}
     return json.dumps({"schema": 1, **payload}, sort_keys=True) + "\n"
@@ -1057,6 +1076,23 @@ def test_census_lists_neither_row_tied_an_ulp_above_the_cutoff(capsys, monkeypat
         assert cold[:2] == (0, _oracle_census_csv(root, TIED_LENGTH, mode))
         assert len(cold[1].splitlines()) == 1 + lines
         assert not any(line.startswith("60.4776053,") for line in cold[1].splitlines())
+        rows = torus.one_intersection_census(root, TIED_LENGTH, mode)
+        assert rows == _oracle_one_intersection_census(root, TIED_LENGTH, mode)
+        assert len(rows) == {"paired": 10, "full": 15}[mode]
+
+
+def test_mc2_counts_the_paired_geodesics_that_counts_at_counts(capsys):
+    """At the tied root and T an ulp below the tied trace, mc2 has the
+    N1_paired terms of census --counts-at, not the 22 of every t <= T/3.0."""
+    trace_cutoff = length_to_trace(TIED_LENGTH)
+    assert trace_cutoff == 60.47760531834408
+    _, out, _ = run(capsys, "census", "--root", TIED_ROOT, "--counts-at", repr(TIED_LENGTH))
+    n_paired = int(out.splitlines()[1].split(",")[2])
+    code, out, _ = run(capsys, "mc2", "--root", TIED_ROOT, "--cutoff", repr(trace_cutoff))
+    terms, total = _oracle_mc2(cli._parse_root(TIED_ROOT), trace_cutoff)
+    payload = {"cutoff": trace_cutoff, "partial_sum": float(f"{total:.9g}"), "schema": 1, "terms": terms}
+    assert (code, json.loads(out)) == (0, payload)
+    assert terms == n_paired == 20
 
 
 @st.composite

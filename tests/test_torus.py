@@ -475,7 +475,7 @@ def test_a_process_keeps_one_walk_per_root(monkeypatch):
     enumerate_simple(other, 10**4)
     key = ((int, 15), (int, 87), (int, 1299))
     assert torus._walk[:3] == (key, 10**4, enumerate_simple(other, 10**4))
-    assert torus._walk[3] == {"traces": [t for t, _ in enumerate_simple(other, 10**4)]}
+    assert torus._walk[3] == {}
 
 
 def _read_every_table(root, length):
@@ -483,7 +483,7 @@ def _read_every_table(root, length):
     at its trace cutoff, which walks, then mc2 there and census in both modes."""
     trace_cutoff = length_to_trace(length)
     torus._mcshane_prefix(root, trace_cutoff)
-    torus._mcshane_prefix(root, trace_cutoff / 3.0)
+    torus._mcshane_prefix(root, trace_cutoff, "mc2")
     for mode in ("paired", "full"):
         torus._census_lines(root, length, mode, lambda x: format(float(x), ".9g"))
     return torus._walk
@@ -502,8 +502,8 @@ def test_a_replaced_walk_rebuilds_its_tables_as_a_fresh_process(monkeypatch):
         del tables
         monkeypatch.setattr(torus, "_walk", None)
         assert kept == _read_every_table(root, length)
-        assert set(kept[3]) == {"traces", "sums", "paired", "full"}
-        traces = kept[3]["traces"]
+        assert set(kept[3]) == {"sums", "paired", "full"}
+        traces = [t for t, _ in kept[2]]
         assert kept[3]["sums"] == [mcshane_sum(traces[:k]) for k in range(len(traces) + 1)]
 
 
