@@ -5,9 +5,10 @@ nontrivial by rewriting commutator blocks, applying a power of the Dehn
 twist that conjugates c, d by z = [a,b], retracting to the free group
 (a,c -> x; b,d -> y), and checking that the free image survives; that free
 word is the witness, and its excluding prime completes the certificate.
-The witness's Sanov matrix is not evaluated letter by letter: the twist,
-the retraction and the Sanov map compose to one homomorphism on the
-rewritten word's own letters, which ``twisted_sanov_image`` evaluates.
+That prime is not found from the witness's letters: the twist, the
+retraction and the Sanov map compose to one homomorphism on the rewritten
+word's own letters, with c, d sent to twisted images (``_twisted_cd_images``),
+and ``smallest_excluding_prime`` folds the rewritten word's image mod p.
 The tests check the twist against a per-letter one, and the certificate
 against an independent Dehn oracle that replaces five-letter relator pieces.
 """
@@ -19,9 +20,9 @@ import math
 import re
 from dataclasses import dataclass
 
-from .resfin import PrimeWitness, excluding_prime, sanov_eval
+from .resfin import PrimeWitness, sanov_eval, smallest_excluding_prime
 from .sl2 import SANOV_A, SANOV_B, Mat2
-from .words import GENUS2, Word, evaluate, free_reduce, inverse_letters
+from .words import GENUS2, Word, free_reduce, inverse_letters
 
 Z1 = "abAB"
 RELATOR = "abABdcDC"  # [a,b][c,d]^{-1}
@@ -89,25 +90,12 @@ class Certificate:
 _Z = sanov_eval(Word(Z1))
 
 
-def twisted_sanov_image(w: Word, power: int) -> Mat2:
-    """Sanov image of the retracted twist of w by phi^power, without building that word.
-
-    Twist, retraction and the Sanov map x, y -> SANOV_A, SANOV_B compose to
-    one homomorphism: a, b go to SANOV_A, SANOV_B and c, d to their
-    conjugates Z^-power SANOV_A Z^power and Z^-power SANOV_B Z^power, with
-    Z the image of z.  Free reduction does not change an image, so this is
-    the matrix of the twisted free word, at one product per letter of w.
-    """
-    if power < 0:
-        raise ValueError("twist power must be nonnegative")
-    c, d = _twisted_cd_images(power)
-    return evaluate(_check(w), {"a": SANOV_A, "b": SANOV_B, "c": c, "d": d}, Mat2.identity())
-
-
 @functools.cache
 def _twisted_cd_images(power: int) -> tuple[Mat2, Mat2]:
-    """The images of c and d in ``twisted_sanov_image``, built once per twist
-    power: a word of at most 40 letters uses powers <= 11."""
+    """The Sanov images of c and d twisted by phi^power and retracted: their
+    conjugates Z^-power SANOV_A Z^power and Z^-power SANOV_B Z^power, with Z
+    the image of z.  Built once per twist power: a word of at most 40
+    letters uses powers <= 11."""
     zm = math.prod((_Z,) * power, start=Mat2.identity())
     zmi = zm.inverse()
     return zmi * SANOV_A * zm, zmi * SANOV_B * zm
@@ -120,9 +108,10 @@ def certify_nontrivial(w: Word) -> Certificate:
     condition 4(m-1) >= |w0| for the rewritten word w0.  A nonempty free
     image u is a proof of nontriviality; an empty image is only consistent
     with triviality (and is corpus-validated against the Dehn oracle).
-    The excluding prime comes from u's Sanov matrix, which
-    ``twisted_sanov_image`` computes from the |w0| letters of w0, not from
-    the letters of u, whose number grows quadratically in |w0|.
+    The excluding prime of u is folded from the |w0| letters of w0, with
+    c, d sent to their twisted images, not from the letters of u, whose
+    number grows quadratically in |w0|: free reduction does not change an
+    image.
     """
     _check(w)
     if w.is_trivial:
@@ -134,7 +123,7 @@ def certify_nontrivial(w: Word) -> Certificate:
     u = Word(_twisted_letters(w0.letters, m).translate(_RETRACT), "xy")
     if u.is_trivial:
         return Certificate("TRIVIAL-CONSISTENT", w0, m, None, None)
-    prime_witness = excluding_prime(twisted_sanov_image(w0, m))
+    prime_witness = smallest_excluding_prime(w0, (SANOV_A, SANOV_B, *_twisted_cd_images(m)))
     return Certificate("NONTRIVIAL", w0, m, u, prime_witness)
 
 

@@ -1,14 +1,17 @@
 """Quantified residual finiteness of the rank-2 free group.
 
-Words are separated in finite quotients by reducing their exact Sanov-pair
-image modulo small primes; the least prime at which the image survives is
-the excluding prime.  The module also evaluates the expected-smallest-prime
+Words are separated in finite quotients SL(2, p) by their Sanov-pair image
+modulo small primes; the least prime at which the image survives is the
+excluding prime.  For p <= 13 the image is folded as a permutation of the
+nonzero vectors of F_p^2, and only a word that survives none of them is
+evaluated exactly.  The module also evaluates the expected-smallest-prime
 series and runs the abelianized average-index simulation.  The LPS girth
 bound is verified in :mod:`fig8.lps`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import string
@@ -16,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .sl2 import SANOV_A, SANOV_B, Mat2
-from .words import Word, evaluate, random_reduced_letters
+from .words import Word, evaluate, letter_images, random_reduced_letters
 
 SANOV_ASSIGNMENT = {"a": SANOV_A, "b": SANOV_B}
 
@@ -55,9 +58,39 @@ class PrimeWitness:
     image: tuple[int, int, int, int]  # residues mod prime, not the identity
 
 
-def smallest_excluding_prime(w: Word) -> PrimeWitness:
-    """Least prime p at which the Sanov image of w is not the identity mod p."""
-    return excluding_prime(sanov_eval(w))
+def smallest_excluding_prime(
+    w: Word, images: tuple[Mat2, ...] = (SANOV_A, SANOV_B)
+) -> PrimeWitness:
+    """Least prime p at which the image of w is not the identity mod p.
+
+    The image sends the generators of w, in order, to ``images``: the Sanov
+    pair, or matrices that are each I mod 2 as it is, so p >= 3.  For p <= 13
+    the image mod p is folded from the letters' byte tables (``_byte_tables``),
+    one ``bytes.translate`` per letter, and its residues are read back from
+    the images of (1, 0) and (0, 1), so -I is told apart from I.  A word whose
+    image is I mod 3, 5, 7, 11 and 13, such as a^15015, is evaluated exactly.
+    """
+    for p in (3, 5, 7, 11, 13):
+        tables = _byte_tables(w.gens, images, p)
+        moved = evaluate(w, tables, bytes(range(p * p - 1)), bytes.translate)
+        residues = (*divmod(moved[p - 1] + 1, p), *divmod(moved[0] + 1, p))
+        if residues != (1, 0, 0, 1):
+            return PrimeWitness(p, residues)
+    return excluding_prime(evaluate(w, dict(zip(w.gens, images)), Mat2.identity()))
+
+
+@functools.cache
+def _byte_tables(gens: str, images: tuple[Mat2, ...], p: int) -> dict[str, bytes]:
+    """Each letter's image mod p as a ``bytes.translate`` table: the right
+    action v -> vM on the p^2 - 1 <= 255 nonzero row vectors v = (x, y) of
+    F_p^2, numbered x p + y - 1, and the identity on the bytes above them.
+    Built at first use per images and prime."""
+    vectors = [divmod(n, p) for n in range(1, p * p)]
+    return {
+        letter: bytes([(x * a + y * c) % p * p + (x * b + y * d) % p - 1 for x, y in vectors])
+        + bytes(range(p * p - 1, 256))
+        for letter, (a, b, c, d) in letter_images(dict(zip(gens, images))).items()
+    }
 
 
 def excluding_prime(matrix: Mat2) -> PrimeWitness:

@@ -12,7 +12,7 @@ draws that ``rng.choice`` would, so a seed's samples are fixed.
 from __future__ import annotations
 
 import functools
-import math
+import operator
 import random
 import re
 from dataclasses import dataclass
@@ -126,21 +126,25 @@ def inverse_letters(letters: str) -> str:
 
 
 def letter_images(images: dict) -> dict:
-    """Each letter's image: x's from ``images``, X's its ``inverse()``."""
-    return {**images, **{g.upper(): x.inverse() for g, x in images.items()}}
+    """Each letter's image: x's from ``images``, X's from ``images`` too if it
+    is there, else x's ``inverse()``."""
+    inverses = {g.upper(): x.inverse() for g, x in images.items() if g.upper() not in images}
+    return {**images, **inverses}
 
 
-def evaluate(word: Word, images: dict, identity):
+def evaluate(word: Word, images: dict, identity, product=operator.mul):
     """Image of ``word`` under the homomorphism given by ``images``.
 
     ``images`` maps each lowercase generator to a group element; uppercase
-    letters map to inverses.  Elements need only ``*`` and ``inverse()``, and
-    ``identity`` is the image of the empty word.  Letters fold left to right.
+    letters map to inverses, given or made by ``inverse()``.  Elements need
+    only ``product``, by default ``*``, and ``identity`` is the image of the
+    empty word.  Letters fold left to right, with no Python frame of their
+    own when ``product`` is a C function.
     """
     missing = set(word.letters.lower()) - images.keys()
     if missing:
         raise ValueError(f"generators {sorted(missing)} have no image")
-    return math.prod(map(letter_images(images).__getitem__, word.letters), start=identity)
+    return functools.reduce(product, map(letter_images(images).__getitem__, word.letters), identity)
 
 
 def random_reduced_letters(rng: random.Random, max_len: int, gens: str = FREE_RANK2):

@@ -6,7 +6,8 @@ earlier implementations that faster code replaced (the class scans behind
 ``perms.class_elements``, the dict-of-dicts completion of
 ``covers.stallings_excluding_subgroup``, the per-letter free reduction and
 Dehn twist, the run splitter and power test of ``genus2.rewrite_blocks``,
-the rational expected-prime sum, the census that sorted its records, and
+the rational expected-prime sum, the exact certifier matrix
+``twisted_sanov_image``, the census that sorted its records, and
 the census CSV and McShane sums that each torus job built from its own
 slice of the walk), kept as they were so that the tests can require equal
 output, order included.  ``vieta_flip`` and
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from fig8.genus2 import RELATOR, Z1
+from fig8.genus2 import RELATOR, Z1, _twisted_cd_images
 from fig8.lps import LpsGirthResult
 from fig8.perms import (
     Partition,
@@ -48,14 +49,14 @@ from fig8.perms import (
     class_size,
     partitions_of,
 )
-from fig8.sl2 import length_to_trace, trace_to_length
+from fig8.sl2 import SANOV_A, SANOV_B, Mat2, length_to_trace, trace_to_length
 from fig8.torus import (
     Slope,
     TraceTriple,
     enumerate_simple,
     mcshane_sum,
 )
-from fig8.words import FREE_RANK2, GENUS2, Word, free_reduce, inverse_letters
+from fig8.words import FREE_RANK2, GENUS2, Word, evaluate, free_reduce, inverse_letters
 
 Z2 = "cdCD"
 
@@ -176,6 +177,17 @@ def _oracle_dehn_twist(w: Word, power: int) -> Word:
     zm = "abAB" * power
     zmi = "baBA" * power
     return Word("".join((zmi + ch + zm) if ch in "cdCD" else ch for ch in w.letters), "abcd")
+
+
+def twisted_sanov_image(w: Word, power: int) -> Mat2:
+    """Exact Sanov image of the retracted twist of w by phi^power, at one
+    product per letter of w: a, b go to SANOV_A, SANOV_B and c, d to their
+    twisted images, ``genus2._twisted_cd_images(power)``.  The certifier's
+    path before its excluding prime was folded mod p."""
+    if power < 0:
+        raise ValueError("twist power must be nonnegative")
+    c, d = _twisted_cd_images(power)
+    return evaluate(w, {"a": SANOV_A, "b": SANOV_B, "c": c, "d": d}, Mat2.identity())
 
 
 def _oracle_blocks(letters: str) -> list[tuple[str, str]]:

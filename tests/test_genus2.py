@@ -11,11 +11,10 @@ from fig8.genus2 import (
     certify_nontrivial,
     dehn_oracle,
     rewrite_blocks,
-    twisted_sanov_image,
 )
-from fig8.resfin import sanov_eval, smallest_excluding_prime
+from fig8.resfin import PrimeWitness, excluding_prime, sanov_eval, smallest_excluding_prime
 from fig8.words import Word, inverse_letters, random_reduced_word
-from oracles import _oracle_dehn_twist, _oracle_rewrite_blocks, relator_product
+from oracles import _oracle_dehn_twist, _oracle_rewrite_blocks, relator_product, twisted_sanov_image
 
 
 def W(letters):
@@ -134,8 +133,33 @@ def test_certificate_reverifies_against_its_witness():
         free = _free(cert.witness)
         matrix = twisted_sanov_image(cert.rewritten, cert.twist_power)
         assert matrix == sanov_eval(free), w.letters
+        assert cert.prime_witness == excluding_prime(sanov_eval(free)), w.letters
         assert cert.prime_witness == smallest_excluding_prime(free), w.letters
         assert free == _oracle_witness(cert.rewritten, cert.twist_power), w.letters
+
+
+def test_folded_certificate_prime_equals_the_exact_twisted_image_path():
+    """The certificate's prime, folded mod p from the rewritten word, is the
+    one the exact twisted Sanov matrix gives, on seeded words of up to 40
+    letters and on words heavy in c, d, whose twisted images are largest."""
+    rng = random.Random(50)
+    words = [random_reduced_word(rng, 40, "abcd") for _ in range(1500)]
+    words += [W("".join(rng.choices("cdCD", k=rng.randrange(1, 60)))) for _ in range(300)]
+    primes = set()
+    for w in words:
+        cert = certify_nontrivial(w)
+        if cert.nontrivial:
+            exact = twisted_sanov_image(cert.rewritten, cert.twist_power)
+            assert cert.prime_witness == excluding_prime(exact), w.letters
+            primes.add(cert.prime_witness.prime)
+    assert primes == {3, 5, 7}
+
+
+def test_certificate_past_the_folded_primes_is_exact():
+    # a^k is I mod p iff p divides 2k; 15015 = 3 * 5 * 7 * 11 * 13
+    cert = certify_nontrivial(W("a" * 15015))
+    assert cert.nontrivial and cert.witness.letters == "x" * 15015
+    assert cert.prime_witness == PrimeWitness(17, (1, 8, 0, 1))  # 30030 = 8 mod 17
 
 
 def test_dehn_oracle_examples():

@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 
 from fig8.resfin import (
+    PrimeWitness,
     SimulationResult,
+    _byte_tables,
     average_index_simulation,
     excluding_prime,
     expected_min_prime,
@@ -17,7 +19,7 @@ from fig8.resfin import (
     sanov_eval,
     smallest_excluding_prime,
 )
-from fig8.sl2 import Mat2
+from fig8.sl2 import SANOV_A, SANOV_B, Mat2
 from fig8.words import Word, free_reduce, random_reduced_letters, random_reduced_word
 from oracles import _oracle_expected_min_prime
 
@@ -71,6 +73,45 @@ def test_excluding_prime_of_a_matrix():
     words += [random_reduced_word(rng, 30) for _ in range(200)]
     for w in words:
         assert excluding_prime(sanov_eval(w)) == smallest_excluding_prime(w)
+
+
+def test_folded_prime_equals_the_exact_image_on_every_short_word():
+    """All 13,120 reduced words of 1 to 8 letters: the witness folded from
+    byte tables is the one the exact Sanov matrix gives."""
+    count = 0
+    for length in range(1, 9):
+        for letters in itertools.product("abAB", repeat=length):
+            w = Word("".join(letters))
+            if len(w) == length:
+                count += 1
+                assert smallest_excluding_prime(w) == excluding_prime(sanov_eval(w)), w.letters
+    assert count == 13120
+
+
+def test_byte_tables_are_the_action_on_nonzero_vectors():
+    for p in (3, 5, 7, 11, 13):
+        tables = _byte_tables("ab", (SANOV_A, SANOV_B), p)
+        assert sorted(tables) == ["A", "B", "a", "b"]
+        for table in tables.values():
+            assert sorted(table) == list(range(256))  # a permutation
+            assert table[p * p - 1 :] == bytes(range(p * p - 1, 256))
+        # a sends (x, y) to (x, 2x + y): (1, 0), byte p - 1, to (1, 2), byte p + 1
+        assert tables["a"][p - 1] == p + 1 and tables["A"][p + 1] == p - 1
+
+
+def test_folded_prime_tells_minus_identity_from_identity():
+    # (ab)^2 is -I mod 3
+    assert smallest_excluding_prime(Word("abab")) == PrimeWitness(3, (2, 0, 0, 2))
+
+
+def test_excluding_prime_past_the_folded_primes_is_exact():
+    # a^k is I mod p iff p divides 2k; 15015 = 3 * 5 * 7 * 11 * 13
+    assert smallest_excluding_prime(Word("a" * 15015)) == PrimeWitness(17, (1, 8, 0, 1))
+    assert smallest_excluding_prime(Word("A" * 15015)) == PrimeWitness(17, (1, 9, 0, 1))
+    with pytest.raises(ValueError, match="^trivial word has no excluding prime$"):
+        smallest_excluding_prime(Word(""))
+    with pytest.raises(ValueError, match="^trivial word has no excluding prime$"):
+        smallest_excluding_prime(Word("", "abcd"), (SANOV_A, SANOV_B, SANOV_B, SANOV_A))
 
 
 def test_excluding_prime_is_at_least_three():

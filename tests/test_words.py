@@ -244,3 +244,13 @@ def test_evaluate_is_a_homomorphism(backend):
         assert evaluate(u.inverse(), images, identity) == eu.inverse()
     with pytest.raises(ValueError, match="have no image"):
         evaluate(Word("ac", "abcd"), images, identity)
+
+
+def test_evaluate_folds_with_a_given_product_and_given_inverse_images():
+    # bytes have no inverse(): the uppercase images are given, and
+    # bytes.translate composes the permutations left to right
+    rest = bytes(range(3, 256))
+    a, inverse, b = bytes([1, 2, 0]) + rest, bytes([2, 0, 1]) + rest, bytes([1, 0, 2]) + rest
+    images = {"a": a, "A": inverse, "b": b, "B": b}
+    assert letter_images(images) == images
+    assert evaluate(Word("aab"), images, bytes(range(3)), bytes.translate) == bytes([2, 1, 0])
