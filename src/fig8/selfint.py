@@ -11,11 +11,13 @@ group kept inside a metric neighborhood of the fundamental segment of the
 axis; the neighborhood radius is half the translation length plus
 MARGIN, which suffices because every crossing lift has a coset
 representative whose orbit point lands within half a period of the
-crossing.  A radius-stability assertion (MARGIN + 2 yields the same count)
-guards the cutoff at runtime.  G is free on X and Y and the search never
-steps back along its last letter, so it walks a Cayley tree and meets each
-g once.  It walks on int tuples (a, b, c, d) and builds g w g^-1 as g
-leaves the queue, so one sweep counts the crossings at both radii.
+crossing.  A radius-stability check guards the cutoff at runtime: a count
+that changes at radius MARGIN + 2 raises ValueError, as an odd count does.
+G is free on X and Y and the search never steps back along its last
+letter, so it walks a Cayley tree and meets each g once.  It walks on int
+tuples (a, b, c, d) and builds C = g w g^-1 as g leaves the queue, so one
+sweep counts the crossings at both radii.  C is skipped if it is w or
+w^-1: exactly the C that commute with w, since C has w's trace.
 """
 
 from __future__ import annotations
@@ -34,8 +36,18 @@ TORUS_X = Mat2(1, 1, 1, 2).check()
 TORUS_Y = Mat2(1, -1, -1, 2).check()
 MODULAR_ASSIGNMENT = {"a": TORUS_X, "b": TORUS_Y}
 
-# The search's neighbours; the set it keeps does not depend on their order.
-_GEN_BY_LETTER = letter_images(MODULAR_ASSIGNMENT)
+
+def _successor_table(images: dict) -> list:
+    """Root row of the search's successor table: a letter's row holds
+    (row, x11, x12, x21, x22) for each letter that may follow it, in the
+    order of ``images``, on which the first float failure met can depend."""
+    rows = {ch: [] for ch in images}
+    for last, row in rows.items():
+        row += [(rows[ch], *x) for ch, x in images.items() if ch != last.swapcase()]
+    return [(rows[ch], *x) for ch, x in images.items()]
+
+
+_ROOT_ROW = _successor_table(letter_images(MODULAR_ASSIGNMENT))
 
 
 def self_intersection(w: Word) -> int:
@@ -85,18 +97,18 @@ def _crossing_counts(big_w: Mat2) -> tuple[int, int]:
     radius_wide = radius + 2.0
 
     crossings, crossings_wide = set(), set()
-    queue = deque([((1, 0, 0, 1), "", 0.0)])
+    w_or_inverse = ((a, b, c, d), (d, -b, -c, a))
+    queue = deque([(1, 0, 0, 1, _ROOT_ROW, 0.0)])
     while queue:
-        g, last, dist = queue.popleft()
-        g11, g12, g21, g22 = g
+        g11, g12, g21, g22, row, dist = queue.popleft()
         m11, m12 = g11 * a + g12 * c, g11 * b + g12 * d
         m21, m22 = g21 * a + g22 * c, g21 * b + g22 * d
         ca, cb = m11 * g22 - m12 * g21, m12 * g11 - m11 * g12
         cc, cd = m21 * g22 - m22 * g21, m22 * g11 - m21 * g12
-        # skip gWg^-1 if it commutes with W (same axis; their (x12, x21, x11 - x22)
-        # are proportional, and W's is not 0)
-        e = ca - cd
-        if cb * c != cc * b or cb * (a - d) != e * b or cc * (a - d) != e * c:
+        conj = (ca, cb, cc, cd)
+        # skip gWg^-1 if it commutes with W (same axis): then it is W or W^-1
+        if conj not in w_or_inverse:
+            e = ca - cd
             end1 = (e + disc) / (2 * cc)  # gWg^-1 has the trace of W, so the same disc
             end2 = (e - disc) / (2 * cc)
             u = (end1 - p1) / (end1 - p2)
@@ -104,23 +116,25 @@ def _crossing_counts(big_w: Mat2) -> tuple[int, int]:
             if u * v < 0:
                 height = math.sqrt(-u * v)
                 if 1.0 - TOL <= height < dilation * (1.0 - TOL):
-                    crossings_wide.add((ca, cb, cc, cd))
+                    crossings_wide.add(conj)
                     if dist <= radius:
-                        crossings.add((ca, cb, cc, cd))
-        back = last.swapcase()
-        for ch, (x11, x12, x21, x22) in _GEN_BY_LETTER.items():
-            if ch == back:
-                continue
+                        crossings.add(conj)
+        for next_row, x11, x12, x21, x22 in row:
             h11, h12 = g11 * x11 + g12 * x21, g11 * x12 + g12 * x22
             h21, h22 = g21 * x11 + g22 * x21, g21 * x12 + g22 * x22
             # distance from the Mobius image of the base point to the framed segment
             z = (h11 * base_point + h12) / (h21 * base_point + h22)
             fz = (z - p1) / (z - p2)
             x, y = fz.real, abs(fz.imag)
-            # clamp = orthogonal projection onto the segment
-            t = min(max(math.hypot(x, y), 1.0), dilation)
+            # clamp = orthogonal projection onto the segment (a NaN stays NaN)
+            t = math.hypot(x, y)
+            if t < 1.0:
+                t = 1.0
+            elif t > dilation:
+                t = dilation
+            # 1 + a sum of squares over 2yt >= 0, so acosh gets 1.0 or more, or a NaN
             cosh_dist = 1.0 + (x * x + (y - t) ** 2) / (2.0 * y * t)
-            dist2 = math.acosh(max(cosh_dist, 1.0))
+            dist2 = math.acosh(cosh_dist)
             if dist2 <= radius_wide:
-                queue.append(((h11, h12, h21, h22), ch, dist2))
+                queue.append((h11, h12, h21, h22, next_row, dist2))
     return len(crossings), len(crossings_wide)

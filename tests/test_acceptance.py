@@ -375,6 +375,6 @@ def test_criterion_14_self_intersection_counter(capsys):
     ok = values == {"a": 0, "b": 0, "ab": 0, "aabAB": 1, "ABAb": 1}
     report(
         capsys, 14, ok,
-        f"self_intersection: {values} (expected 0,0,0,1,1; radius-stability asserted "
-        f"internally)",
+        f"self_intersection: {values} (expected 0,0,0,1,1; an unstable count under "
+        f"radius increase raises ValueError)",
     )

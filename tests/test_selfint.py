@@ -1,4 +1,5 @@
 import ast
+import functools
 import hashlib
 import random
 from pathlib import Path
@@ -79,6 +80,12 @@ def _outcome(counter, w):
         return (type(exc).__name__, str(exc))
 
 
+def _outcomes_digest(words):
+    """SHA-256 of each word's letters and the sweep's outcome on it."""
+    outcomes = [(w.letters, _outcome(self_intersection, w)) for w in words]
+    return hashlib.sha256(repr(outcomes).encode()).hexdigest()
+
+
 def _reduced_words(max_len):
     words = [""]
     for letters in words:
@@ -99,6 +106,22 @@ def _cyclic_nonpower_words(rng, length, count):
     return words
 
 
+@functools.cache
+def _hyperbolic_classes():
+    """The hyperbolic non-power classes of length <= 8, keyed by their least
+    rotation of w or w^-1: every member up to length 7, the least at 8."""
+    members = {}
+    for letters in _reduced_words(8)[1:]:
+        w = Word(letters)
+        if w.cyclically_reduced() == w and not w.is_proper_power():
+            key = min(x[k:] + x[:k] for x in (letters, w.inverse().letters) for k in range(len(w)))
+            if len(w) < 8 or letters == key:
+                members.setdefault(key, []).append(letters)
+    # the trace is a class function, so the key decides hyperbolicity
+    return {k: v for k, v in members.items()
+            if abs(evaluate(Word(k), MODULAR_ASSIGNMENT, Mat2.identity()).trace) > 2}
+
+
 def test_counter_equals_the_mat2_oracle():
     """Answers and error texts on every reduced word of length <= 4 and on 40
     seeded cyclically reduced non-powers at each length 5..8 hash as those of
@@ -108,25 +131,14 @@ def test_counter_equals_the_mat2_oracle():
     for length in range(5, 9):
         words += _cyclic_nonpower_words(rng, length, 40)
     assert len(words) == 321
-    outcomes = [(w.letters, _outcome(self_intersection, w)) for w in words]
-    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
-    assert digest == "68d2b7e593bc4e1156baba4b06fd59e5e54197243d738bf8407d3004971eb4f3"
+    assert _outcomes_digest(words) == "68d2b7e593bc4e1156baba4b06fd59e5e54197243d738bf8407d3004971eb4f3"
 
 
 def test_reference_and_sweep_on_every_class_to_length_8():
     """On the 659 hyperbolic non-power classes of length <= 8, the reference
     has the Chas-Phillips maxima and is constant on each class up to length
     7; the sweep refuses 323, equals it on 329 and miscounts SWEEP_WRONG."""
-    values = {}
-    for letters in _reduced_words(8)[1:]:
-        w = Word(letters)
-        if w.cyclically_reduced() == w and not w.is_proper_power():
-            key = min(x[k:] + x[:k] for x in (letters, w.inverse().letters) for k in range(len(w)))
-            if len(w) < 8 or letters == key:  # every member up to length 7, the least at 8
-                values.setdefault(key, set()).add(linked_pairs(w))
-    # the trace is a class function, so the key decides hyperbolicity
-    traces = {k: evaluate(Word(k), MODULAR_ASSIGNMENT, Mat2.identity()).trace for k in values}
-    classes = {k: v for k, v in values.items() if abs(traces[k]) > 2}
+    classes = {k: {linked_pairs(Word(m)) for m in v} for k, v in _hyperbolic_classes().items()}
     assert len(classes) == 659 and all(len(v) == 1 for v in classes.values())
     maxima = [max(max(v) for k, v in classes.items() if len(k) == n) for n in range(1, 9)]
     assert maxima == [0, 0, 0, 1, 2, 4, 6, 9]
@@ -139,6 +151,18 @@ def test_reference_and_sweep_on_every_class_to_length_8():
         elif got != exact:
             wrong[key] = exact
     assert sorted(refused) == ["crossing"] * 315 + ["odd"] * 8 and wrong == SWEEP_WRONG
+
+
+def test_sweep_outcomes_on_every_class_and_longer_words_are_pinned():
+    """Answers and error texts, both counts in each, on the 659 classes of
+    length <= 8 and on 100 seeded cyclically reduced non-powers of length
+    9..12 hash as recorded before the sweep's loop was rewritten."""
+    rng = random.Random(912)
+    words = [Word(key) for key in _hyperbolic_classes()]
+    for length in range(9, 13):
+        words += _cyclic_nonpower_words(rng, length, 25)
+    assert len(words) == 759
+    assert _outcomes_digest(words) == "30b56e3cd0c08eec219704f6a1a23677d134eda8f560e39ec72850e403f84b64"
 
 
 @pytest.mark.xfail(strict=True, reason="float sweep misses crossings of these classes")
