@@ -4,7 +4,10 @@ The expansion sends a -> 1 + x, b -> 1 + y into the ring of noncommutative
 integer power series in x, y truncated at a fixed degree; inverses expand by
 the geometric series in Horner form, exact in the truncated ring.  A word
 lies at depth k of the lower central series iff its expansion is 1 + (terms
-of degree exactly k and higher).
+of degree exactly k and higher).  Truncation commutes with the product, so
+the depth and the witness expand at degrees 1, 2, 4, ... up to max_k and
+stop at the first whose series is not 1: most words are shallow, and the
+support grows like 2^degree.
 """
 
 from __future__ import annotations
@@ -76,15 +79,32 @@ def magnus_expand(w: Word, depth: int) -> MagnusSeries:
     return evaluate(w, images, MagnusSeries.one(depth))
 
 
+def _first_nonzero(w: Word, max_k: int) -> tuple[MagnusSeries, int] | None:
+    """The first expansion of w at d = 1, 2, 4, ..., each capped at max_k,
+    with a nonzero term of positive degree, and its least such degree (the
+    depth); None once the expansion at max_k has none."""
+    d = 1
+    while True:
+        series = magnus_expand(w, min(d, max_k))
+        k = series.lowest_degree()
+        if k is not None:
+            return series, k
+        if d >= max_k:
+            return None
+        d *= 2
+
+
 def lcs_depth(w: Word, max_k: int = 8) -> int | None:
     """Lower-central-series depth of w, or None if deeper than max_k.
 
     The depth is the least k such that the Magnus expansion carries a
-    nonzero term of degree k (and none lower).
+    nonzero term of degree k (and none lower).  It is read from the first
+    expansion at 1, 2, 4, ..., max_k that is not 1.
     """
     if w.is_trivial:
         raise ValueError("trivial word has no depth")
-    return magnus_expand(w, max_k).lowest_degree()
+    found = _first_nonzero(w, max_k)
+    return found[1] if found else None
 
 
 @dataclass(frozen=True)
@@ -103,20 +123,20 @@ def unipotent_witness(w: Word, max_k: int) -> UnipotentWitness | None:
     """Witness that w survives in a finite quotient of the k-step nilpotent
     group, k = lcs_depth(w), or None if k > max_k.
 
-    One expansion at max_k gives k, and its truncation to degree k is the
-    expansion at k, since truncation commutes with the product.  The
-    modulus is the least prime not dividing the first (lexicographic)
-    nonzero degree-k coefficient; the ambient index is the order
-    m^(k(k+1)/2) of the full (k+1)x(k+1) unipotent group over the integers
-    mod m.  The image is 1 + N with N^2 = 0 below the truncation, so its
-    j-th power is 1 + jN, and its order is the modulus.
+    The first expansion at 1, 2, 4, ..., max_k that is not 1 gives k, and
+    its truncation to degree k is the expansion at k, since truncation
+    commutes with the product.  The modulus is the least prime not dividing
+    the first (lexicographic) nonzero degree-k coefficient; the ambient
+    index is the order m^(k(k+1)/2) of the full (k+1)x(k+1) unipotent group
+    over the integers mod m.  The image is 1 + N with N^2 = 0 below the
+    truncation, so its j-th power is 1 + jN, and its order is the modulus.
     """
     if w.is_trivial:
         raise ValueError("trivial word has no depth")
-    series = magnus_expand(w, max_k)
-    k = series.lowest_degree()
-    if k is None:
+    found = _first_nonzero(w, max_k)
+    if found is None:
         return None
+    series, k = found
     series = MagnusSeries({m: c for m, c in series.coeffs.items() if len(m) <= k}, k)
     monomial, coefficient = min((m, c) for m, c in series.coeffs.items() if len(m) == k)
     modulus = least_prime_not_dividing(coefficient)

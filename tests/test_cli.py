@@ -354,6 +354,9 @@ def test_depth_witness_expectedprime(capsys):
 
 
 def test_witness_expands_its_word_once(capsys, monkeypatch):
+    """witness makes exactly the products depth makes: the depth and the
+    series it truncates come from one run of the same expansions, and the
+    word is not expanded again at the depth found."""
     products = []
     mul = magnus.MagnusSeries.__mul__
 
@@ -369,6 +372,39 @@ def test_witness_expands_its_word_once(capsys, monkeypatch):
         assert code == 0
         counts[command] = len(products)
     assert counts["witness"] == counts["depth"] > 0, counts
+
+
+def test_depth_and_witness_stop_at_the_first_degree_that_answers(capsys, monkeypatch):
+    """The expansions run at 1, 2, 4, ... and stop at the first that is not
+    1, so a depth-1 word multiplies only at degree 1 and a depth-2
+    commutator only at degrees <= 2, whatever --max-k is."""
+    degrees = []
+    mul = magnus.MagnusSeries.__mul__
+
+    def recording_mul(self, other):
+        degrees.append(self.degree)
+        return mul(self, other)
+
+    monkeypatch.setattr(magnus.MagnusSeries, "__mul__", recording_mul)
+    for command, word, max_k, depth, seen in [
+        ("depth", "ab", "8", 1, {1}),
+        ("witness", "ab", "8", 1, {1}),
+        ("depth", "aabAbbbaaBabBBaBAABAbAAB", "20", 2, {1, 2}),
+        ("witness", "aabAbbbaaBabBBaBAABAbAAB", "20", 2, {1, 2}),
+    ]:
+        degrees.clear()
+        code, out, _ = run(capsys, command, "--word", word, "--max-k", max_k)
+        assert (code, json.loads(out)["depth"]) == (0, depth)
+        assert set(degrees) == seen, (command, word, sorted(set(degrees)))
+
+
+@pytest.mark.parametrize("argv", [
+    ["depth", "--word", "abAB", "--max-k", "0"],
+    ["depth", "--word", "abAB", "--max-k", "-1"],
+    ["witness", "--word", "abAB", "--max-k", "0"],
+])
+def test_a_max_k_below_one_exits_2(capsys, argv):
+    assert run(capsys, *argv) == (2, "", "error: truncation degree must be at least 1\n")
 
 
 def test_lpsgirth(capsys):

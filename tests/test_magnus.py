@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from fig8.magnus import (
     magnus_expand,
     unipotent_witness,
 )
+from fig8.resfin import least_prime_not_dividing
 from fig8.words import Word, random_reduced_word
 
 
@@ -64,6 +66,47 @@ def test_lcs_depth_deeper():
     for _ in range(3):
         w = bracket(w, Word("b"))
     assert lcs_depth(w, max_k=2) is None  # depth 4 > 2
+
+
+def _oracle(w: Word, max_k: int):
+    """Depth and witness fields from the one expansion at max_k, truncated
+    to its least nonzero degree; None if that expansion is 1."""
+    series = magnus_expand(w, max_k)
+    k = series.lowest_degree()
+    if k is None:
+        return None
+    low = MagnusSeries({m: c for m, c in series.coeffs.items() if len(m) <= k}, k)
+    monomial, coefficient = min((m, c) for m, c in low.coeffs.items() if len(m) == k)
+    modulus = least_prime_not_dividing(coefficient)
+    return k, modulus, monomial, coefficient, low.reduce_mod(modulus), modulus ** (k * (k + 1) // 2)
+
+
+def test_depth_and_witness_equal_the_one_expansion_at_max_k():
+    """Every reduced word of length <= 5 and the iterated brackets to depth 5,
+    at max_k from 1 to 8: stopping at the first of the expansions at
+    1, 2, 4, ... that is not 1 changes no depth and no witness field."""
+    words = [
+        Word("".join(letters))
+        for n in range(1, 6)
+        for letters in itertools.product("abAB", repeat=n)
+        if all(x != y.swapcase() for x, y in zip(letters, letters[1:]))
+    ]
+    w = Word("a")
+    for _ in range(4):
+        w = bracket(w, Word("b"))
+        words.append(w)
+    assert len(words) == 484 + 4
+    for w in words:
+        for max_k in (1, 2, 3, 4, 5, 8):
+            expected = _oracle(w, max_k)
+            witness = unipotent_witness(w, max_k)
+            if expected is None:
+                assert lcs_depth(w, max_k) is None and witness is None, (w, max_k)
+                continue
+            assert lcs_depth(w, max_k) == expected[0], (w, max_k)
+            got = (witness.depth, witness.modulus, witness.monomial, witness.coefficient,
+                   witness.image_mod_m, witness.ambient_index)
+            assert got == expected, (w, max_k)
 
 
 def test_unipotent_witness_heisenberg():
