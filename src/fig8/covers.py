@@ -142,9 +142,9 @@ def extends_cover(spec: CoverSpec, transitive: bool = False) -> ExtendDecision:
     With ``transitive`` set, the witness must act transitively.  At genus 0
     that is the first transitive identity-product tuple, and without one
     the answer is "transitive", false.  At genus >= 1 the parity witness
-    has an n-cycle handle unless the product is e; if it is then not
-    transitive, its first handle becomes (n-cycle, e).  Every positive
-    answer carries a verified witness.
+    has an n-cycle handle unless the product is e, when it has no handle;
+    if it is then not transitive, its one handle is (n-cycle, e).  Every
+    positive answer carries a verified witness.
     """
     classes = spec.boundary_classes
     identity = Permutation.identity(spec.degree)
@@ -166,7 +166,7 @@ def extends_cover(spec: CoverSpec, transitive: bool = False) -> ExtendDecision:
         if transitive and not _is_transitive(decision):
             # the product is e, else alpha is an n-cycle: an (n-cycle, e) handle connects
             cycle = class_representative((spec.degree,))
-            decision = ExtendDecision(True, "parity", ((cycle, identity),) + handles[1:], boundaries)
+            decision = ExtendDecision(True, "parity", ((cycle, identity),), boundaries)
     if not decision.verify():
         raise AssertionError("witness relation check failed")
     return decision

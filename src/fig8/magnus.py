@@ -1,13 +1,13 @@
 """Magnus expansion of free-group words and lower-central-series depth.
 
 The expansion sends a -> 1 + x, b -> 1 + y into the ring of noncommutative
-integer power series in x, y truncated at a fixed degree; inverses expand by
-the geometric series in Horner form, exact in the truncated ring.  A word
-lies at depth k of the lower central series iff its expansion is 1 + (terms
-of degree exactly k and higher).  Truncation commutes with the product, so
-the depth and the witness expand at degrees 1, 2, 4, ... up to max_k and
-stop at the first whose series is not 1: most words are shallow, and the
-support grows like 2^degree.
+integer power series in x, y truncated at a fixed degree, and A, B to the
+geometric series sum_i (-x)^i, sum_i (-y)^i, their exact inverses in the
+truncated ring.  A word lies at depth k of the lower central series iff its
+expansion is 1 + (terms of degree exactly k and higher).  Truncation
+commutes with the product, so the depth and the witness expand at degrees
+1, 2, 4, ... up to max_k and stop at the first whose series is not 1: most
+words are shallow, and the support grows like 2^degree.
 """
 
 from __future__ import annotations
@@ -31,10 +31,6 @@ class MagnusSeries:
     def one(cls, degree: int) -> "MagnusSeries":
         return cls({"": 1}, degree)
 
-    @classmethod
-    def generator(cls, var: str, degree: int) -> "MagnusSeries":
-        return cls({"": 1, var: 1}, degree)
-
     def __mul__(self, other: "MagnusSeries") -> "MagnusSeries":
         if self.degree != other.degree:
             raise ValueError("truncation degree mismatch")
@@ -48,19 +44,6 @@ class MagnusSeries:
                     out[key] = out.get(key, 0) + c1 * c2
         return MagnusSeries({m: c for m, c in out.items() if c}, self.degree)
 
-    def inverse(self) -> "MagnusSeries":
-        """1/(1 + r) = 1 - r(1 - r(...)) in Horner form; exact in the truncated ring."""
-        if self.coeffs.get("") != 1:
-            raise ValueError("only series with constant term 1 are inverted")
-        r = MagnusSeries({m: c for m, c in self.coeffs.items() if m}, self.degree)
-        result = MagnusSeries.one(self.degree)
-        for _ in range(self.degree):
-            # r has no constant term, so neither has r * result
-            result = MagnusSeries(
-                {"": 1, **{m: -c for m, c in (r * result).coeffs.items()}}, self.degree
-            )
-        return result
-
     def lowest_degree(self) -> int | None:
         """Least positive degree carrying a nonzero coefficient, or None."""
         return min((len(m) for m in self.coeffs if m), default=None)
@@ -70,12 +53,16 @@ class MagnusSeries:
 
 
 def magnus_expand(w: Word, depth: int) -> MagnusSeries:
-    """Image of w under a -> 1+x, b -> 1+y, truncated at the given degree."""
+    """Image of w under a -> 1+x, b -> 1+y, truncated at the given degree;
+    A and B map to the geometric series of -x and -y."""
     if depth < 1:
         raise ValueError("truncation degree must be at least 1")
     if w.gens != FREE_RANK2:
         raise ValueError("Magnus expansion is implemented for the rank-2 free group")
-    images = {g: MagnusSeries.generator(v, depth) for g, v in _VARS.items()}
+    images = {}
+    for g, v in _VARS.items():
+        images[g] = MagnusSeries({"": 1, v: 1}, depth)
+        images[g.upper()] = MagnusSeries({v * i: (-1) ** i for i in range(depth + 1)}, depth)
     return evaluate(w, images, MagnusSeries.one(depth))
 
 

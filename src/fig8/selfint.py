@@ -16,8 +16,10 @@ that changes at radius MARGIN + 2 raises ValueError, as an odd count does.
 G is free on X and Y and the search never steps back along its last
 letter, so it walks a Cayley tree and meets each g once.  It walks on int
 tuples (a, b, c, d) and builds C = g w g^-1 as g leaves the queue, so one
-sweep counts the crossings at both radii.  C is skipped if it is w or
-w^-1: exactly the C that commute with w, since C has w's trace.
+sweep counts the crossings at both radii.  C is skipped if it is w: the
+C that commute with w are w and w^-1, since C has w's trace, and w^-1 is
+never met, as no nontrivial element of a free group is conjugate to its
+inverse.
 """
 
 from __future__ import annotations
@@ -97,7 +99,6 @@ def _crossing_counts(big_w: Mat2) -> tuple[int, int]:
     radius_wide = radius + 2.0
 
     crossings, crossings_wide = set(), set()
-    w_or_inverse = ((a, b, c, d), (d, -b, -c, a))
     queue = deque([(1, 0, 0, 1, _ROOT_ROW, 0.0)])
     while queue:
         g11, g12, g21, g22, row, dist = queue.popleft()
@@ -106,8 +107,8 @@ def _crossing_counts(big_w: Mat2) -> tuple[int, int]:
         ca, cb = m11 * g22 - m12 * g21, m12 * g11 - m11 * g12
         cc, cd = m21 * g22 - m22 * g21, m22 * g11 - m21 * g12
         conj = (ca, cb, cc, cd)
-        # skip gWg^-1 if it commutes with W (same axis): then it is W or W^-1
-        if conj not in w_or_inverse:
+        # skip gWg^-1 if it commutes with W (same axis): then it is W
+        if conj != (a, b, c, d):
             e = ca - cd
             end1 = (e + disc) / (2 * cc)  # gWg^-1 has the trace of W, so the same disc
             end2 = (e - disc) / (2 * cc)

@@ -21,16 +21,47 @@ def test_expand_examples():
     assert magnus_expand(Word("a"), 2).coeffs == {"": 1, "x": 1}
     assert magnus_expand(Word("abAB"), 2).coeffs == {"": 1, "xy": 1, "yx": -1}
     assert magnus_expand(Word("ab"), 1).coeffs == {"": 1, "x": 1, "y": 1}
+    assert magnus_expand(Word("A"), 4).coeffs == {"": 1, "x": -1, "xx": 1, "xxx": -1, "xxxx": 1}
     with pytest.raises(ValueError, match="truncation degree must be at least 1"):
         magnus_expand(Word("a"), 0)
     with pytest.raises(ValueError, match="implemented for the rank-2 free group"):
         magnus_expand(Word("ac", "abcd"), 2)
 
 
+def _reduced_words(max_len):
+    return [
+        Word("".join(letters))
+        for n in range(1, max_len + 1)
+        for letters in itertools.product("abAB", repeat=n)
+        if all(x != y.swapcase() for x, y in zip(letters, letters[1:]))
+    ]
+
+
 def test_inverse_is_exact_in_truncation():
-    for letters in ("a", "b", "aB", "abA"):
-        s = magnus_expand(Word(letters), 4)
-        assert (s * s.inverse()).coeffs == {"": 1}
+    words = _reduced_words(4)
+    assert len(words) == 160
+    for depth in range(1, 7):
+        for w in words:
+            product = magnus_expand(w, depth) * magnus_expand(w.inverse(), depth)
+            assert product == MagnusSeries.one(depth), (w, depth)
+
+
+def test_expansion_makes_one_product_per_letter(monkeypatch):
+    """The four letter series are given in closed form, so expanding w
+    multiplies once per letter and derives no inverse."""
+    products = []
+    mul = MagnusSeries.__mul__
+
+    def counting_mul(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(MagnusSeries, "__mul__", counting_mul)
+    for w in map(Word, ("a", "B", "abAB", "abAbaBAB", "aabAbbbaaBabBBaBAABAbAAB")):
+        for depth in (1, 3, 8):
+            products.clear()
+            magnus_expand(w, depth)
+            assert len(products) == len(w), (w, depth)
 
 
 def test_homomorphism_property_random_pairs():
@@ -85,12 +116,7 @@ def test_depth_and_witness_equal_the_one_expansion_at_max_k():
     """Every reduced word of length <= 5 and the iterated brackets to depth 5,
     at max_k from 1 to 8: stopping at the first of the expansions at
     1, 2, 4, ... that is not 1 changes no depth and no witness field."""
-    words = [
-        Word("".join(letters))
-        for n in range(1, 6)
-        for letters in itertools.product("abAB", repeat=n)
-        if all(x != y.swapcase() for x, y in zip(letters, letters[1:]))
-    ]
+    words = _reduced_words(5)
     w = Word("a")
     for _ in range(4):
         w = bracket(w, Word("b"))
@@ -165,5 +191,3 @@ def test_series_arithmetic_errors():
     s3 = MagnusSeries.one(3)
     with pytest.raises(ValueError, match="truncation degree mismatch"):
         s2 * s3
-    with pytest.raises(ValueError, match="only series with constant term 1 are inverted"):
-        MagnusSeries({}, 2).inverse()
