@@ -7,27 +7,26 @@ twist that conjugates c, d by z = [a,b], retracting to the free group
 word is the witness, and its excluding prime completes the certificate.
 That prime is not found from the witness's letters: the twist, the
 retraction and the Sanov map compose to one homomorphism on the rewritten
-word's own letters, with c, d sent to twisted images (``_twisted_cd_images``),
-and ``smallest_excluding_prime`` folds the rewritten word's image mod p.
+word's own letters, with a, b fixed and c, d sent to the words z^-m a z^m
+and z^-m b z^m, and ``smallest_excluding_prime`` folds the rewritten word's
+image mod p.
 The tests check the twist against a per-letter one, and the certificate
 against an independent Dehn oracle that replaces five-letter relator pieces.
 """
 
 from __future__ import annotations
 
-import functools
-import math
 import re
 from dataclasses import dataclass
 
-from .resfin import PrimeWitness, sanov_eval, smallest_excluding_prime
-from .sl2 import SANOV_A, SANOV_B, Mat2
+from .resfin import PrimeWitness, smallest_excluding_prime
 from .words import GENUS2, Word, free_reduce, inverse_letters
 
 Z1 = "abAB"
 RELATOR = "abABdcDC"  # [a,b][c,d]^{-1}
 
 _RETRACT = str.maketrans("abcdABCD", "xyxyXYXY")  # a, c -> x and b, d -> y
+_SANOV_RETRACT = str.maketrans("cdCD", "abAB")  # the same, with x, y named a, b
 _CD_RUN = re.compile("([cdCD]+)")
 # A maximal a, b run that is a power of z1 = [a,b], or c, d run a power of z2 = [c,d]
 _POWER_BLOCK = re.compile(
@@ -86,21 +85,6 @@ class Certificate:
         return self.verdict == "NONTRIVIAL"
 
 
-# Sanov image of z = [a, b], which the retraction fixes as [x, y].
-_Z = sanov_eval(Word(Z1))
-
-
-@functools.cache
-def _twisted_cd_images(power: int) -> tuple[Mat2, Mat2]:
-    """The Sanov images of c and d twisted by phi^power and retracted: their
-    conjugates Z^-power SANOV_A Z^power and Z^-power SANOV_B Z^power, with Z
-    the image of z.  Built once per twist power: a word of at most 40
-    letters uses powers <= 11."""
-    zm = math.prod((_Z,) * power, start=Mat2.identity())
-    zmi = zm.inverse()
-    return zmi * SANOV_A * zm, zmi * SANOV_B * zm
-
-
 def certify_nontrivial(w: Word) -> Certificate:
     """Certify nontriviality via rewrite -> twist -> retract.
 
@@ -108,10 +92,10 @@ def certify_nontrivial(w: Word) -> Certificate:
     condition 4(m-1) >= |w0| for the rewritten word w0.  A nonempty free
     image u is a proof of nontriviality; an empty image is only consistent
     with triviality (and is corpus-validated against the Dehn oracle).
-    The excluding prime of u is folded from the |w0| letters of w0, with
-    c, d sent to their twisted images, not from the letters of u, whose
-    number grows quadratically in |w0|: free reduction does not change an
-    image.
+    The excluding prime of u is folded from the |w0| letters of w0, each
+    sent to its twist, retracted to the Sanov pair's letters, not from the
+    letters of u, whose number grows quadratically in |w0|: free reduction
+    does not change an image.
     """
     _check(w)
     if w.is_trivial:
@@ -123,7 +107,9 @@ def certify_nontrivial(w: Word) -> Certificate:
     u = Word(_twisted_letters(w0.letters, m).translate(_RETRACT), "xy")
     if u.is_trivial:
         return Certificate("TRIVIAL-CONSISTENT", w0, m, None, None)
-    prime_witness = smallest_excluding_prime(w0, (SANOV_A, SANOV_B, *_twisted_cd_images(m)))
+    # phi fixes a, b and sends c, d to their twists, retracted to the Sanov pair's letters
+    images = ("a", "b", *[_twisted_letters(g, m).translate(_SANOV_RETRACT) for g in "cd"])
+    prime_witness = smallest_excluding_prime(w0, images)
     return Certificate("NONTRIVIAL", w0, m, u, prime_witness)
 
 

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .sl2 import SANOV_A, SANOV_B, Mat2
-from .words import Word, evaluate, letter_images, random_reduced_letters
+from .words import Word, evaluate, inverse_letters, letter_images, random_reduced_letters
 
 SANOV_ASSIGNMENT = {"a": SANOV_A, "b": SANOV_B}
 
@@ -58,17 +58,16 @@ class PrimeWitness:
     image: tuple[int, int, int, int]  # residues mod prime, not the identity
 
 
-def smallest_excluding_prime(
-    w: Word, images: tuple[Mat2, ...] = (SANOV_A, SANOV_B)
-) -> PrimeWitness:
+def smallest_excluding_prime(w: Word, images: tuple[str, ...] = ("a", "b")) -> PrimeWitness:
     """Least prime p at which the image of w is not the identity mod p.
 
-    The image sends the generators of w, in order, to ``images``: the Sanov
-    pair, or matrices that are each I mod 2 as it is, so p >= 3.  For p <= 13
-    the image mod p is folded from the letters' byte tables (``_byte_tables``),
-    one ``bytes.translate`` per letter, and its residues are read back from
-    the images of (1, 0) and (0, 1), so -I is told apart from I.  A word whose
-    image is I mod 3, 5, 7, 11 and 13, such as a^15015, is evaluated exactly.
+    The image sends the generators of w, in order, to the words ``images``
+    over the Sanov pair's letters a, b, so p >= 3.  For p <= 13 the image mod
+    p is folded from the letters' byte tables (``_byte_tables``), one
+    ``bytes.translate`` per letter, and its residues are read back from the
+    images of (1, 0) and (0, 1), so -I is told apart from I.  A word whose
+    image is I mod 3, 5, 7, 11 and 13, such as a^15015, is evaluated exactly,
+    each generator of w as the Sanov image of its word.
     """
     for p in (3, 5, 7, 11, 13):
         tables = _byte_tables(w.gens, images, p)
@@ -76,20 +75,29 @@ def smallest_excluding_prime(
         residues = (*divmod(moved[p - 1] + 1, p), *divmod(moved[0] + 1, p))
         if residues != (1, 0, 0, 1):
             return PrimeWitness(p, residues)
-    return excluding_prime(evaluate(w, dict(zip(w.gens, images)), Mat2.identity()))
+    used = set(w.letters.lower())
+    exact = {g: sanov_eval(Word(image)) for g, image in zip(w.gens, images) if g in used}
+    return excluding_prime(evaluate(w, exact, Mat2.identity()))
 
 
 @functools.cache
-def _byte_tables(gens: str, images: tuple[Mat2, ...], p: int) -> dict[str, bytes]:
+def _byte_tables(gens: str, images: tuple[str, ...], p: int) -> dict[str, bytes]:
     """Each letter's image mod p as a ``bytes.translate`` table: the right
     action v -> vM on the p^2 - 1 <= 255 nonzero row vectors v = (x, y) of
     F_p^2, numbered x p + y - 1, and the identity on the bytes above them.
-    Built at first use per images and prime."""
+    The tables of a, b, A and B are read from the Sanov pair, and each
+    generator's image word and its inverse are folded through them.  Built
+    at first use per images and prime."""
     vectors = [divmod(n, p) for n in range(1, p * p)]
-    return {
+    sanov = {
         letter: bytes([(x * a + y * c) % p * p + (x * b + y * d) % p - 1 for x, y in vectors])
         + bytes(range(p * p - 1, 256))
-        for letter, (a, b, c, d) in letter_images(dict(zip(gens, images))).items()
+        for letter, (a, b, c, d) in letter_images(SANOV_ASSIGNMENT).items()
+    }
+    return {
+        letter: evaluate(Word(word), sanov, bytes(range(256)), bytes.translate)
+        for g, image in zip(gens, images)
+        for letter, word in ((g, image), (g.upper(), inverse_letters(image)))
     }
 
 

@@ -53,8 +53,8 @@ MODULAR_ROOT: TraceTriple = (3, 3, 3)
 ROOT_SLOPES: tuple[Slope, Slope, Slope] = ((0, 1), (1, 0), (-1, -1))
 
 # The largest walk of the last root walked: (root key, cutoff, sorted pairs,
-# the tables derived from the pairs: the McShane prefix sums, built when a job
-# first reads them, and a census mode's lines, again when a job asks for more).
+# the tables derived from the pairs: the McShane prefix sums, built with the
+# walk, and a census mode's lines, built when a job first asks for more).
 _walk: tuple[tuple, float, list[tuple[float, Slope]], dict] | None = None
 
 
@@ -77,9 +77,10 @@ def _kept_walk(root: TraceTriple, trace_cutoff: float) -> tuple:
     keep the number type of the root: exact for int and Fraction roots.
 
     A process keeps the largest walk of the last root walked, with the
-    tables its jobs read.  Above the sink every flip raises a trace, so the
-    walk to a cutoff is the sorted prefix of any walk to a larger one.  The
-    root is keyed by the type and value of each entry: 3, 3.0 and
+    tables its jobs read: the McShane prefix sums of its traces, built here,
+    and the census lines that _census_lines adds.  Above the sink every flip
+    raises a trace, so the walk to a cutoff is the sorted prefix of any walk
+    to a larger one.  The root is keyed by the type and value of each entry: 3, 3.0 and
     Fraction(3) walk in different types.
     """
     global _walk
@@ -118,7 +119,8 @@ def _kept_walk(root: TraceTriple, trace_cutoff: float) -> tuple:
         stack.append((v, t, u, p2, q2, p, q))
         stack.append((u, t, v, p1, q1, p, q))
     found.sort()
-    _walk = kept = key, trace_cutoff, found, {}
+    sums = [*accumulate(map(_mcshane_term, map(itemgetter(0), found)), initial=0.0)]
+    _walk = kept = key, trace_cutoff, found, {"sums": sums}
     return kept
 
 
@@ -241,9 +243,7 @@ def _mcshane_prefix(root: TraceTriple, trace_cutoff: float, form: str = "trace")
     gives the N1_paired = 2k' terms that _counts counts and twice entry k'."""
     walked = _census_cutoff(trace_cutoff) if form == "mc2" else trace_cutoff
     _, _, pairs, tables = _kept_walk(root, walked)
-    sums = tables.get("sums")  # read once: a thread may replace it
-    if sums is None:
-        sums = tables["sums"] = [*accumulate(map(_mcshane_term, map(itemgetter(0), pairs)), initial=0.0)]
+    sums = tables["sums"]
     if form == "mc2":
         terms = _counts(pairs, trace_cutoff)[1]
         return terms, 2 * sums[terms // 2]

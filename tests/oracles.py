@@ -7,7 +7,8 @@ earlier implementations that faster code replaced (the class scans behind
 ``covers.stallings_excluding_subgroup``, the per-letter free reduction and
 Dehn twist, the run splitter and power test of ``genus2.rewrite_blocks``,
 the rational expected-prime sum, the exact certifier matrix
-``twisted_sanov_image``, the census that sorted its records, and
+``twisted_sanov_image``, which builds its twisted c, d images from the
+Sanov pair itself, the census that sorted its records, and
 the census CSV and McShane sums that each torus job built from its own
 slice of the walk), kept as they were so that the tests can require equal
 output, order included.  ``vieta_flip`` and
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from fig8.genus2 import RELATOR, Z1, _twisted_cd_images
+from fig8.genus2 import RELATOR, Z1
 from fig8.lps import LpsGirthResult
 from fig8.perms import (
     Partition,
@@ -182,12 +183,17 @@ def _oracle_dehn_twist(w: Word, power: int) -> Word:
 def twisted_sanov_image(w: Word, power: int) -> Mat2:
     """Exact Sanov image of the retracted twist of w by phi^power, at one
     product per letter of w: a, b go to SANOV_A, SANOV_B and c, d to their
-    twisted images, ``genus2._twisted_cd_images(power)``.  The certifier's
-    path before its excluding prime was folded mod p."""
+    conjugates Z^-power SANOV_A Z^power and Z^-power SANOV_B Z^power, with
+    Z = SANOV_A SANOV_B SANOV_A^-1 SANOV_B^-1 the image of z = [a,b].  The
+    certifier's path, as matrices, before its excluding prime was folded
+    mod p from words."""
     if power < 0:
         raise ValueError("twist power must be nonnegative")
-    c, d = _twisted_cd_images(power)
-    return evaluate(w, {"a": SANOV_A, "b": SANOV_B, "c": c, "d": d}, Mat2.identity())
+    z = SANOV_A * SANOV_B * SANOV_A.inverse() * SANOV_B.inverse()
+    zm = math.prod((z,) * power, start=Mat2.identity())
+    zmi = zm.inverse()
+    images = {"a": SANOV_A, "b": SANOV_B, "c": zmi * SANOV_A * zm, "d": zmi * SANOV_B * zm}
+    return evaluate(w, images, Mat2.identity())
 
 
 def _oracle_blocks(letters: str) -> list[tuple[str, str]]:

@@ -162,6 +162,24 @@ def test_certificate_past_the_folded_primes_is_exact():
     assert cert.prime_witness == PrimeWitness(17, (1, 8, 0, 1))  # 30030 = 8 mod 17
 
 
+@pytest.mark.parametrize(
+    "letters, witness",
+    [
+        ("CCDccd", PrimeWitness(17, (15, 3, 14, 4))),
+        ("AADaad", PrimeWitness(17, (6, 6, 10, 13))),
+        ("CCBccb", PrimeWitness(23, (10, 15, 22, 17))),
+    ],
+)
+def test_certificate_past_the_folded_primes_with_twisted_c_and_d(letters, witness):
+    """Words of 144 letters, twist power 37, whose images are I mod 3 to 13:
+    the exact stage evaluates the twisted c, d words, and its prime is the
+    one the oracle's separately built matrix gives."""
+    cert = certify_nontrivial(W(letters * 24))
+    assert (len(cert.rewritten), cert.twist_power) == (144, 37)
+    assert cert.prime_witness == witness
+    assert witness == excluding_prime(twisted_sanov_image(cert.rewritten, cert.twist_power))
+
+
 def test_dehn_oracle_examples():
     assert dehn_oracle(W(RELATOR)) == "trivial"
     assert dehn_oracle(W("ac")) == "nontrivial"

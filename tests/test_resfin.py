@@ -19,7 +19,7 @@ from fig8.resfin import (
     sanov_eval,
     smallest_excluding_prime,
 )
-from fig8.sl2 import SANOV_A, SANOV_B, Mat2
+from fig8.sl2 import Mat2
 from fig8.words import Word, free_reduce, random_reduced_letters, random_reduced_word
 from oracles import _oracle_expected_min_prime
 
@@ -90,7 +90,7 @@ def test_folded_prime_equals_the_exact_image_on_every_short_word():
 
 def test_byte_tables_are_the_action_on_nonzero_vectors():
     for p in (3, 5, 7, 11, 13):
-        tables = _byte_tables("ab", (SANOV_A, SANOV_B), p)
+        tables = _byte_tables("ab", ("a", "b"), p)
         assert sorted(tables) == ["A", "B", "a", "b"]
         for table in tables.values():
             assert sorted(table) == list(range(256))  # a permutation
@@ -111,7 +111,7 @@ def test_excluding_prime_past_the_folded_primes_is_exact():
     with pytest.raises(ValueError, match="^trivial word has no excluding prime$"):
         smallest_excluding_prime(Word(""))
     with pytest.raises(ValueError, match="^trivial word has no excluding prime$"):
-        smallest_excluding_prime(Word("", "abcd"), (SANOV_A, SANOV_B, SANOV_B, SANOV_A))
+        smallest_excluding_prime(Word("", "abcd"), ("a", "b", "b", "a"))
 
 
 def test_excluding_prime_is_at_least_three():

@@ -475,7 +475,7 @@ def test_a_process_keeps_one_walk_per_root(monkeypatch):
     enumerate_simple(other, 10**4)
     key = ((int, 15), (int, 87), (int, 1299))
     assert torus._walk[:3] == (key, 10**4, enumerate_simple(other, 10**4))
-    assert torus._walk[3] == {}
+    assert list(torus._walk[3]) == ["sums"]  # built with the walk, census lines on demand
 
 
 def _read_every_table(root, length):
